@@ -21,6 +21,7 @@ from repro.analysis.verification import verify_listing
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import CostModel
 from repro.core.arb_list import ArbListState, arb_list
+from repro.core.config import ExecutionConfig
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.decomposition import expander_decomposition, validate_decomposition
@@ -38,7 +39,7 @@ def test_a1_routing_slack(benchmark):
                 p=4,
                 variant="generic",
                 stop_scale=0.5,
-                cost_model=CostModel(routing_slack=slack),
+                execution=ExecutionConfig(cost_model=CostModel(routing_slack=slack)),
             )
             result = list_cliques_congest(g, 4, params=params, seed=11)
             verify_listing(g, result).raise_if_failed()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.params import AlgorithmParameters
 from repro.graphs.csr import count_cliques_csr
@@ -48,14 +49,16 @@ def _ledger_rows(result):
 
 
 def test_parallel_plane_speedup(benchmark, best_of, bench_env):
-    params = AlgorithmParameters(p=P, plane="parallel", workers=WORKERS)
+    params = AlgorithmParameters(
+        p=P, execution=ExecutionConfig(plane="parallel", workers=WORKERS)
+    )
     timings = {}
 
     def measure():
         g = _instance()
-        list_cliques_congested_clique(g, P, seed=0, plane="batch")  # warm CSR
+        list_cliques_congested_clique(g, P, seed=0)  # warm CSR
         batch_s, batch, batch_samples, batch_meta = best_of(
-            lambda: list_cliques_congested_clique(g, P, seed=0, plane="batch"),
+            lambda: list_cliques_congested_clique(g, P, seed=0),
             REPEATS,
         )
         cold_start = time.perf_counter()

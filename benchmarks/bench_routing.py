@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import time
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.params import AlgorithmParameters
 from repro.workloads import create_workload
 
 N = 1500
@@ -53,15 +55,16 @@ def test_routing_plane_speedup(benchmark, best_of, bench_env):
 
     def measure():
         g = _instance()
+        on_object = AlgorithmParameters(P, execution=ExecutionConfig(plane="object"))
         cold_start = time.perf_counter()
-        cold = list_cliques_congested_clique(g, P, seed=0, plane="batch")
+        cold = list_cliques_congested_clique(g, P, seed=0)
         cold_s = time.perf_counter() - cold_start
         batch_s, batch, batch_samples, batch_meta = best_of(
-            lambda: list_cliques_congested_clique(g, P, seed=0, plane="batch"),
+            lambda: list_cliques_congested_clique(g, P, seed=0),
             REPEATS,
         )
         object_s, obj, object_samples, object_meta = best_of(
-            lambda: list_cliques_congested_clique(g, P, seed=0, plane="object"),
+            lambda: list_cliques_congested_clique(g, P, params=on_object, seed=0),
             OBJECT_REPEATS,
         )
         # Correctness before speed: identical outputs, identical charges.

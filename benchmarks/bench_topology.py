@@ -18,6 +18,7 @@ re-price time, never the algorithm.
 from __future__ import annotations
 
 from repro.congest.topology import Topology
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.params import AlgorithmParameters
 from repro.workloads import create_workload
@@ -39,7 +40,7 @@ def _instance():
 
 
 def _run(g, topology=None):
-    params = AlgorithmParameters(p=P, topology=topology)
+    params = AlgorithmParameters(p=P, execution=ExecutionConfig(topology=topology))
     return list_cliques_congested_clique(g, P, params=params, seed=SEED)
 
 

@@ -32,13 +32,14 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.experiments import ExperimentTable
 from repro.analysis.verification import verify_listing
 from repro.baselines import bounds
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
@@ -157,8 +158,11 @@ class SweepSpec:
     verify:
         Check every run against sequential ground-truth enumeration.
     algo_overrides:
-        Extra :class:`~repro.core.params.AlgorithmParameters` fields
-        (e.g. ``{"stop_scale": 0.5}``) applied to every congest run.
+        Flat field overrides applied to every run: names of
+        :class:`~repro.core.config.ExecutionConfig` fields (e.g.
+        ``{"faults": FaultModel(...)}``) set the run's execution config,
+        every other name an :class:`~repro.core.params.AlgorithmParameters`
+        field (e.g. ``{"stop_scale": 0.5}``).
     materialize:
         When ``True``, count/verify runs through materialized python
         frozensets (the legacy path).  Default ``False`` keeps every
@@ -255,26 +259,32 @@ def _congest_theory(n: int, p: int, variant: str) -> float:
     return bounds.this_paper_congest(n, p)
 
 
+_EXECUTION_NAMES = frozenset(f.name for f in fields(ExecutionConfig))
+
+
+def _run_params(spec: RunSpec, params: AlgorithmParameters) -> AlgorithmParameters:
+    """``params`` with the cell's flat ``extra`` overrides and topology
+    applied: ExecutionConfig field names go to ``params.execution``,
+    every other name to the algorithm parameters themselves."""
+    extra = dict(spec.extra)
+    execution = {name: extra.pop(name) for name in _EXECUTION_NAMES & set(extra)}
+    if spec.topology is not None:
+        execution["topology"] = spec.topology
+    return replace(params, execution=replace(params.execution, **execution), **extra)
+
+
 def execute_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one grid cell and return its JSON-serializable result row."""
     workload = create_workload(spec.workload, **dict(spec.params))
     graph = workload.instance(spec.n, seed=spec.seed)
     start = time.perf_counter()
     if spec.model == "congest":
-        params = default_parameters(spec.p, spec.variant)
-        if spec.extra:
-            params = params.with_(**dict(spec.extra))
-        if spec.topology is not None:
-            params = params.with_(topology=spec.topology)
+        params = _run_params(spec, default_parameters(spec.p, spec.variant))
         result = list_cliques_congest(graph, spec.p, params=params, seed=spec.seed)
         variant = params.variant
         theory = _congest_theory(spec.n, spec.p, variant)
     elif spec.model in ("congested-clique", "congested_clique"):
-        params = AlgorithmParameters(p=spec.p)
-        if spec.extra:
-            params = params.with_(**dict(spec.extra))
-        if spec.topology is not None:
-            params = params.with_(topology=spec.topology)
+        params = _run_params(spec, AlgorithmParameters(p=spec.p))
         result = list_cliques_congested_clique(
             graph, spec.p, params=params, seed=spec.seed
         )

@@ -468,7 +468,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = execution_config_from_args(args)
     algo_overrides = {}
     if config.faults is not None:
-        # Reaches AlgorithmParameters.faults through RunSpec.extra; the
+        # Reaches ExecutionConfig.faults through RunSpec.extra; the
         # model's repr feeds the cache key, so faulted and fault-free
         # grids never share rows.
         algo_overrides["faults"] = config.faults

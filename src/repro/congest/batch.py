@@ -39,11 +39,7 @@ import numpy as np
 #: identical ledger rounds.
 PLANES = ("batch", "object", "parallel", "dist")
 
-#: The plane every plane-aware entry point resolves ``plane=None`` to.
-#: :class:`~repro.core.params.AlgorithmParameters` defaults to it, and
-#: cache layers keying on the plane (``QueryEngine.listing_result``, the
-#: serve epochs) normalize ``None`` through this constant so the two
-#: spellings can never alias into separate entries.
+#: The default plane of :class:`~repro.core.config.ExecutionConfig`.
 DEFAULT_PLANE = "batch"
 
 #: The planes whose data movement is columnar numpy arrays.

@@ -95,6 +95,7 @@ def process_cluster(
         The current arboricity witness A (= n^d in the paper).
     """
     n = graph.num_nodes
+    execution = params.execution
     members = sorted(cluster.nodes)
     k4_mode = params.variant == K4_VARIANT
     phase_rounds: Dict[str, float] = {}
@@ -137,7 +138,7 @@ def process_cluster(
         bad.bad_nodes,
         split.cluster_degree,
         include_light=not k4_mode,
-        plane=params.plane,
+        plane=execution.plane,
     )
     phase_rounds["gather_heavy"] = gather.heavy_push_rounds
     phase_rounds["gather_light"] = gather.light_pull_rounds
@@ -148,14 +149,14 @@ def process_cluster(
     # The fault seam rides the cluster router: one injector per cluster
     # (clusters route in parallel over disjoint edges, so each gets its
     # own deterministic fault stream).
-    faults_active = params.faults is not None and params.faults.active
+    faults_active = execution.faults is not None and execution.faults.active
     router = ClusterRouter(
         members,
         capacity=max(1, cluster.min_internal_degree),
         n=n,
-        cost_model=params.cost_model,
-        faults=params.faults.injector() if faults_active else None,
-        topology=params.topology,
+        cost_model=execution.cost_model,
+        faults=execution.faults.injector() if faults_active else None,
+        topology=execution.topology,
     )
     local_ledger = RoundLedger()
     reshuffle = reshuffle_edges(
@@ -166,7 +167,7 @@ def process_cluster(
         router,
         local_ledger,
         "reshuffle",
-        plane=params.plane,
+        plane=execution.plane,
     )
     phase_rounds["reshuffle"] = reshuffle.rounds
     stats.update(reshuffle.stats)
@@ -182,7 +183,6 @@ def process_cluster(
         local_ledger,
         rng,
         "sparsity",
-        plane=params.plane,
     )
     phase_rounds["partition"] = outcome.partition_rounds
     phase_rounds["learn_edges"] = outcome.learning_rounds

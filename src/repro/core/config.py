@@ -1,11 +1,8 @@
 """The unified execution surface: one frozen object per run.
 
-Every entry point used to grow its own copy of the cross-cutting run
-knobs — the routing plane, its worker/host fan-out, the fault seam, the
-cost model, result materialization — re-declared with drifting defaults
-in ``AlgorithmParameters``, the CLI subcommands, the sweep runner and
-the serve service.  :class:`ExecutionConfig` owns that surface in one
-place:
+:class:`ExecutionConfig` is the only place a run's cross-cutting knobs
+are set — the listing drivers, the CLI subcommands and the sweep runner
+all read them from here:
 
 - ``plane`` + ``workers`` + ``hosts`` — where data movement executes
   (:data:`repro.congest.batch.PLANES`), resolved to a shard executor
@@ -20,10 +17,10 @@ place:
 - ``materialize`` — whether verification/clique sets are materialized as
   frozensets (sweep / stream / serve knob).
 
-:class:`~repro.core.params.AlgorithmParameters` composes one of these;
-its legacy ``plane=``/``workers=``/``hosts=``/``faults=``/``cost_model=``
-keyword arguments keep working as deprecation shims that forward into
-the composed config.
+:class:`~repro.core.params.AlgorithmParameters` carries one as its
+``execution`` field::
+
+    AlgorithmParameters(p, execution=ExecutionConfig(plane="parallel", workers=2))
 """
 
 from __future__ import annotations
@@ -86,13 +83,24 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown routing plane {self.plane!r}; use one of {PLANES}"
             )
+        if isinstance(self.workers, bool):
+            raise TypeError(f"workers must be an integer, got {self.workers!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if isinstance(self.hosts, str):
+            raise TypeError(
+                f"hosts must be a sequence of host specs, got the string "
+                f"{self.hosts!r}; use ({self.hosts!r},)"
+            )
         if not isinstance(self.hosts, tuple):
             object.__setattr__(self, "hosts", tuple(self.hosts))
         if not all(isinstance(spec, str) and spec for spec in self.hosts):
             raise ValueError(
                 f"hosts must be non-empty host-spec strings, got {self.hosts!r}"
+            )
+        if self.faults is not None and not isinstance(self.faults, FaultModel):
+            raise TypeError(
+                f"faults must be a FaultModel or None, got {type(self.faults).__name__}"
             )
         if not isinstance(self.cost_model, CostModel):
             raise TypeError(

@@ -15,8 +15,9 @@ The §2.4.3 machinery run on the whole clique of n nodes:
    the Kp it sees; every Kp's part multiset is some node's digit
    sequence, so the union is complete.
 
-The data movement of step 3 *executes* on one of two routing planes
-(``docs/architecture.md`` § routing planes):
+The data movement of step 3 *executes* on the routing plane
+``params.execution.plane`` selects (``docs/architecture.md`` § routing
+planes):
 
 - ``plane="batch"`` (default) — the fan-out pattern is built as numpy
   arrays straight from the CSR forward adjacency (p²-recipient
@@ -30,7 +31,7 @@ The data movement of step 3 *executes* on one of two routing planes
 - ``plane="parallel"`` — the batch plane's fan-out columns, with the
   mailbox fill *and* the per-node learned-subgraph listing sharded by
   destination ranges across a worker-process pool
-  (:class:`repro.parallel.ShardExecutor`, ``params.workers``
+  (:class:`repro.parallel.ShardExecutor`, ``execution.workers``
   processes).  The ledger is charged through
   :meth:`CongestedClique.charge_batch` — the same validation, loads and
   stats as the central ``route_batch`` — and each worker delivers and
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES, PLANES, fanout_edges_by_pair
+from repro.congest.batch import ARRAY_PLANES, fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
 from repro.congest.ledger import RoundLedger
@@ -120,15 +121,15 @@ def list_cliques_congested_clique(
     params: Optional[AlgorithmParameters] = None,
     seed: Optional[int] = None,
     pad_fake_edges: bool = False,
-    plane: Optional[str] = None,
     precomputed_table: Optional[np.ndarray] = None,
 ) -> ListingResult:
     """List all Kp of ``graph`` in the (simulated) CONGESTED CLIQUE.
 
     Round complexity: Θ̃(1 + m/n^{1+2/p}) (Theorem 1.3); the ledger holds
-    the per-phase breakdown with the measured loads.  ``plane`` selects
-    the routing plane (``None`` → ``params.plane``, default ``"batch"``);
-    both planes produce identical results and identical ledger charges.
+    the per-phase breakdown with the measured loads.
+    ``params.execution.plane`` selects the routing plane (default
+    ``"batch"``); every plane produces identical results and identical
+    ledger charges.
 
     ``precomputed_table`` is the streaming entry point: a ``(count, p)``
     table of *all* Kp of ``graph`` (e.g. a
@@ -143,10 +144,8 @@ def list_cliques_congested_clique(
         params = AlgorithmParameters(p=p)
     elif params.p != p:
         raise ValueError(f"params.p={params.p} does not match p={p}")
-    if plane is None:
-        plane = params.plane
-    if plane not in PLANES:
-        raise ValueError(f"unknown routing plane {plane!r}; use one of {PLANES}")
+    execution = params.execution
+    plane = execution.plane
     rng = np.random.default_rng(params.seed if seed is None else seed)
 
     n = graph.num_nodes
@@ -157,10 +156,10 @@ def list_cliques_congested_clique(
 
     # One injector per run: the fault seam perturbs every routed pattern
     # and the router heals around it (docs/faults.md); None = unchanged.
-    injector = params.faults.injector() if params.faults is not None else None
+    injector = execution.faults.injector() if execution.faults is not None else None
     clique_net = CongestedClique(
-        n, cost_model=params.cost_model, faults=injector,
-        topology=params.topology,
+        n, cost_model=execution.cost_model, faults=injector,
+        topology=execution.topology,
     )
 
     # -- Step 1: orientation.  The array planes read the CSR forward
@@ -178,7 +177,7 @@ def list_cliques_congested_clique(
     ledger.charge(
         "orient",
         orient_rounds,
-        makespan=makespan_for_rounds(params.topology, orient_rounds),
+        makespan=makespan_for_rounds(execution.topology, orient_rounds),
         out_degree=out_degree,
     )
 
@@ -220,7 +219,7 @@ def list_cliques_congested_clique(
         _route_and_list_arrays(
             result, clique_net, fptr, findices, partition.part_array(), s, p,
             extra_send, extra_recv, fake_total, precomputed_table,
-            executor=_plane_executor(params),
+            executor=execution.resolve_executor(),
         )
     else:
         _route_and_list_object(
@@ -278,13 +277,6 @@ def _attribute_precomputed(
         return
     owners = responsible_index_array(part_arr[table], s)
     result.attribute_table(owners, table)
-
-
-def _plane_executor(params):
-    """The shard executor for the run's plane, or ``None`` for the
-    central path — the drivers' single seam into both fan-out planes
-    (:meth:`repro.core.config.ExecutionConfig.resolve_executor`)."""
-    return params.execution.resolve_executor()
 
 
 def _route_and_list_arrays(

@@ -44,7 +44,6 @@ def list_cliques_congest(
     params: Optional[AlgorithmParameters] = None,
     variant: Optional[str] = None,
     seed: Optional[int] = None,
-    plane: Optional[str] = None,
 ) -> ListingResult:
     """List all Kp of ``graph`` in the (simulated) CONGEST model.
 
@@ -57,17 +56,13 @@ def list_cliques_congest(
         decomposition triangle-listing algorithm à la Chang et al.).
     params:
         Full parameter object; overrides ``p``/``variant`` when given.
+        ``params.execution.plane`` selects the routing plane of the
+        cluster pipeline (gather / reshuffle / sparsity-aware listing);
+        rounds and outputs are identical on every plane.
     variant:
         ``"generic"`` or ``"k4"`` (defaults per :func:`default_parameters`).
     seed:
         Overrides ``params.seed`` for the random partitions.
-    plane:
-        Routing plane for the cluster pipeline (gather / reshuffle /
-        sparsity-aware listing): ``"batch"``, ``"object"`` or
-        ``"parallel"`` (batch with the sparsity-aware listing tail
-        sharded across ``params.workers`` processes); ``None`` keeps
-        ``params.plane``.  Rounds and outputs are identical on every
-        plane.
 
     Returns
     -------
@@ -79,8 +74,7 @@ def list_cliques_congest(
         params = default_parameters(p, variant)
     elif params.p != p:
         raise ValueError(f"params.p={params.p} does not match p={p}")
-    if plane is not None and plane != params.plane:
-        params = params.with_(plane=plane)
+    execution = params.execution
     rng = np.random.default_rng(params.seed if seed is None else seed)
 
     n = graph.num_nodes
@@ -97,10 +91,10 @@ def list_cliques_congest(
     ledger.charge(
         "orient",
         orient_rounds,
-        makespan=makespan_for_rounds(params.topology, orient_rounds),
+        makespan=makespan_for_rounds(execution.topology, orient_rounds),
         out_degree=orientation.max_out_degree,
     )
-    arboricity = max(1, orientation.max_out_degree)
+    arboricity = initial_arboricity = max(1, orientation.max_out_degree)
 
     stop = params.stop_arboricity(n)
     budget = params.list_iteration_budget(n)
@@ -133,7 +127,7 @@ def list_cliques_congest(
     ledger.charge(
         "final_broadcast",
         final_rounds,
-        makespan=makespan_for_rounds(params.topology, final_rounds),
+        makespan=makespan_for_rounds(execution.topology, final_rounds),
         remaining_edges=current.num_edges,
         out_degree=orientation.max_out_degree,
     )
@@ -148,13 +142,11 @@ def list_cliques_congest(
         {
             "outer_iterations": float(outer),
             "stop_arboricity": float(stop),
-            "initial_arboricity": float(
-                max(1, degeneracy_orientation(graph).max_out_degree)
-            ),
+            "initial_arboricity": float(initial_arboricity),
             "n": float(n),
         }
     )
-    if params.faults is not None and params.faults.active:
+    if execution.faults is not None and execution.faults.active:
         # End-of-run recount self-check (docs/faults.md): the healing
         # protocol restores every checksummed copy, but silent corruption
         # survives it — verify against a trusted local enumeration and

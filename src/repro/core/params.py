@@ -12,23 +12,13 @@ defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
-from repro.congest.batch import DEFAULT_PLANE
-from repro.congest.routing import CostModel, DEFAULT_COST_MODEL
-from repro.congest.topology import Topology
 from repro.core.config import ExecutionConfig
-from repro.faults.model import FaultModel
 
 GENERIC_VARIANT = "generic"
 K4_VARIANT = "k4"
-
-#: AlgorithmParameters fields that are deprecation shims over the
-#: composed :class:`~repro.core.config.ExecutionConfig` (same names on
-#: both sides).  A non-default legacy value overrides the composed
-#: config; after construction the shims always mirror it.
-_EXECUTION_FIELDS = ("cost_model", "plane", "workers", "hosts", "faults", "topology")
 
 
 @dataclass(frozen=True)
@@ -62,49 +52,10 @@ class AlgorithmParameters:
         Safety bounds (``None`` → ⌈log₂ n⌉ + 2 at call time).
     seed:
         RNG seed for the random partitions.
-    cost_model:
-        Round-charge slack configuration for the routing primitives.
-    plane:
-        Routing plane the simulators execute data movement on:
-        ``"batch"`` (columnar numpy arrays, the default), ``"object"``
-        (per-message Python tuples — the reference semantics the
-        differential tests compare against), ``"parallel"`` (the
-        batch plane with delivery and per-node listing sharded across
-        ``workers`` processes — :mod:`repro.parallel`), or ``"dist"``
-        (the same shard kernels dispatched across the ``hosts`` cluster
-        — :mod:`repro.dist`).  Charged rounds are identical on every
-        plane.
-    workers:
-        Worker-process count for the ``"parallel"`` plane (ignored on
-        the other planes); ``1`` is the degenerate inline mode, which
-        executes the single-core batch path exactly.
-    hosts:
-        Host specs for the ``"dist"`` plane (ignored on the other
-        planes) — each is ``local``, ``spawn``, ``subprocess``, or
-        ``host:port`` (see :func:`repro.dist.parse_host`).  ``()`` is
-        the degenerate one-LocalNode cluster, which executes the
-        single-core batch path exactly.  Any sequence is accepted and
-        frozen to a tuple so the dataclass stays hashable.
-    faults:
-        Optional :class:`~repro.faults.model.FaultModel` attached to the
-        run's routers (``docs/faults.md``).  The drivers then self-heal
-        around injected drops/corruption/crashes — recovery rounds show
-        up as tagged ledger rows — and run an end-of-run recount
-        self-check.  ``None`` (the default) leaves every code path
-        byte-identical to the fault-free simulators.
-    topology:
-        Optional overlay network for makespan accounting
-        (:mod:`repro.congest.topology`) — a ``Topology``, a spec string
-        like ``"grid:8@bw=0.5"``, or ``None`` for the uniform clique.
     execution:
-        The composed :class:`~repro.core.config.ExecutionConfig` owning
-        the cross-cutting run surface.  ``cost_model`` / ``plane`` /
-        ``workers`` / ``hosts`` / ``faults`` / ``topology`` above are
-        **deprecation shims** over it: a non-default legacy value
-        overrides the composed config at construction, and after
-        construction the shims always mirror ``execution`` — prefer
-        ``AlgorithmParameters(p=3, execution=ExecutionConfig(...))`` in
-        new code.
+        The run's :class:`~repro.core.config.ExecutionConfig`: routing
+        plane, workers, hosts, faults, cost model and topology are set
+        there and nowhere else (default ``ExecutionConfig()``).
     """
 
     p: int
@@ -118,13 +69,7 @@ class AlgorithmParameters:
     max_list_iterations: Optional[int] = None
     max_arb_iterations: Optional[int] = None
     seed: int = 0
-    cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
-    plane: str = DEFAULT_PLANE
-    workers: int = 1
-    hosts: Tuple[str, ...] = ()
-    faults: Optional[FaultModel] = None
-    topology: Optional[Union[Topology, str]] = None
-    execution: Optional[ExecutionConfig] = None
+    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def __post_init__(self) -> None:
         if self.p < 3:
@@ -133,26 +78,11 @@ class AlgorithmParameters:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == K4_VARIANT and self.p != 4:
             raise ValueError("the k4 variant requires p = 4")
-        if not isinstance(self.hosts, tuple):
-            object.__setattr__(self, "hosts", tuple(self.hosts))
-        # Legacy-kwarg shim: non-default legacy values override the
-        # composed config (so `AlgorithmParameters(p=3, plane="dist")`
-        # and `dataclasses.replace(params, workers=4)` keep working);
-        # ExecutionConfig then does all plane/workers/hosts/topology
-        # validation in one place.
-        execution = self.execution if self.execution is not None else ExecutionConfig()
-        overrides = {
-            name: getattr(self, name)
-            for name in _EXECUTION_FIELDS
-            if getattr(self, name) != _EXECUTION_DEFAULTS[name]
-        }
-        if overrides:
-            execution = execution.with_(**overrides)
-        object.__setattr__(self, "execution", execution)
-        # Keep the shims mirroring the final config so reads through
-        # either surface agree.
-        for name in _EXECUTION_FIELDS:
-            object.__setattr__(self, name, getattr(execution, name))
+        if not isinstance(self.execution, ExecutionConfig):
+            raise TypeError(
+                f"execution must be an ExecutionConfig, got "
+                f"{type(self.execution).__name__}"
+            )
 
     # ------------------------------------------------------------------
     # Derived thresholds (the paper's formulas)
@@ -221,40 +151,3 @@ class AlgorithmParameters:
         while (s + 1) ** self.p <= k:
             s += 1
         return max(1, s)
-
-    def with_(self, **changes) -> "AlgorithmParameters":
-        """Functional update (convenience wrapper over dataclasses.replace).
-
-        Execution-surface names (``plane``, ``workers``, ``hosts``,
-        ``faults``, ``cost_model``, ``topology``, ``materialize``) are
-        threaded through the composed :class:`ExecutionConfig`, so
-        ``params.with_(faults=None)`` clears the seam even though
-        ``None`` is also the shim default.
-        """
-        exec_changes = {
-            name: changes.pop(name)
-            for name in (*_EXECUTION_FIELDS, "materialize")
-            if name in changes
-        }
-        execution = changes.pop("execution", self.execution)
-        if execution is None:
-            execution = ExecutionConfig()
-        if exec_changes:
-            execution = execution.with_(**exec_changes)
-        changes["execution"] = execution
-        # Pin every shim to the new config so the merge in __post_init__
-        # is a no-op (a stale legacy value must not override an explicit
-        # execution= change).
-        for name in _EXECUTION_FIELDS:
-            changes[name] = getattr(execution, name)
-        return replace(self, **changes)
-
-
-_EXECUTION_DEFAULTS = {
-    "cost_model": DEFAULT_COST_MODEL,
-    "plane": DEFAULT_PLANE,
-    "workers": 1,
-    "hosts": (),
-    "faults": None,
-    "topology": None,
-}

@@ -93,7 +93,6 @@ def sparsity_aware_listing(
     ledger: RoundLedger,
     rng: np.random.Generator,
     phase_prefix: str,
-    plane: str = "object",
 ) -> SparsityAwareOutcome:
     """Run §2.4.3 for one cluster.
 
@@ -109,20 +108,20 @@ def sparsity_aware_listing(
     goal_edges:
         The cluster's listing obligation; only cliques containing at
         least one of these are output.
-    plane:
-        ``"batch"`` computes the p²-fan-out loads with ``np.bincount``
-        over edge arrays and lists the learned subgraph through the
-        array kernel — identical charges and outputs, no Python sets.
-        ``"parallel"`` is the batch path with the learned-subgraph
-        listing served by the shard executor (``params.workers``
-        processes over root-edge slices) — same table, same charges.
-        ``"dist"`` serves the same listing from the ``params.hosts``
-        cluster through the identical kernels.
+    params:
+        ``params.execution.plane`` picks the path.  ``"object"`` works
+        on python sets.  ``"batch"`` computes the p²-fan-out loads with
+        ``np.bincount`` over edge arrays and lists the learned subgraph
+        through the array kernel — identical charges and outputs, no
+        Python sets.  ``"parallel"`` / ``"dist"`` serve that listing
+        from the plane's shard executor (worker processes or the hosts
+        cluster) through the identical kernels — same table, same
+        charges.
     """
-    if plane in ARRAY_PLANES:
+    if params.execution.plane in ARRAY_PLANES:
         return _sparsity_aware_batch(
             n, members, owned, goal_edges, params, router, ledger, rng,
-            phase_prefix, plane,
+            phase_prefix,
         )
     members = sorted(members)
     k = len(members)
@@ -219,11 +218,10 @@ def _sparsity_aware_batch(
     ledger: RoundLedger,
     rng: np.random.Generator,
     phase_prefix: str,
-    plane: str = "batch",
 ) -> SparsityAwareOutcome:
     """§2.4.3 on the array planes: fan-out loads via ``np.bincount`` over
     edge arrays, learned-subgraph listing via the array kernel (sharded
-    across the executor's workers on ``plane="parallel"``).  The rng
+    by the plane's executor on ``"parallel"`` / ``"dist"``).  The rng
     draw, every charged round and every stat are identical to the object
     path — only the bookkeeping substrate changes."""
     members = sorted(members)
@@ -309,10 +307,8 @@ def _sparsity_aware_batch(
     # attribute each row to the member owning its part multiset.
     listed: Dict[int, Set[Clique]] = {}
     cliques_listed = 0
-    if plane in ("parallel", "dist"):
-        # Single plane→executor seam (repro.core.config): honor an
-        # explicit plane override against the params' configured one.
-        executor = params.execution.with_(plane=plane).resolve_executor()
+    executor = params.execution.resolve_executor()
+    if executor is not None:
         table = executor.clique_table(known, p)
     else:
         table = clique_table_from_edge_array(known, p)

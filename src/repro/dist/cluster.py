@@ -301,7 +301,7 @@ def get_cluster(hosts: Sequence[str] = ()) -> Cluster:
 
 def register_cluster(hosts: Sequence[str], cluster: Cluster) -> None:
     """Pre-seed the registry (tests inject failing/lying node doubles
-    behind a synthetic hosts key; ``AlgorithmParameters.hosts`` then
+    behind a synthetic hosts key; ``ExecutionConfig.hosts`` then
     routes the drivers to them)."""
     with _REGISTRY_LOCK:
         _CLUSTERS[tuple(hosts)] = cluster

@@ -28,7 +28,7 @@ class DistError(RuntimeError):
 
 
 class HostSpecError(DistError, ValueError):
-    """A ``--hosts`` entry (or ``AlgorithmParameters.hosts`` element)
+    """A ``--hosts`` entry (or ``ExecutionConfig.hosts`` element)
     does not parse into a node: unknown scheme, malformed ``host:port``,
     out-of-range port.  Carries the offending spec for error messages."""
 

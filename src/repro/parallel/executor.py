@@ -42,6 +42,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+from multiprocessing import resource_tracker
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,6 +98,10 @@ class ShardExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
+            # Forked children inherit a *running* tracker: their shared-
+            # memory attaches then register with the parent's tracker,
+            # which the parent's unlink clears (bpo-39959).
+            resource_tracker.ensure_running()
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else methods[0]

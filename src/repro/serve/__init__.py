@@ -14,10 +14,7 @@ from repro.serve.traffic import (
     BurstyTraffic,
     DEFAULT_READ_MIX,
     HotspotTraffic,
-    OpenLoopTraffic,
     Request,
-    TrafficEntry,
-    TrafficManager,
     TrafficPattern,
     UniformTraffic,
     ZipfianTraffic,
@@ -38,13 +35,10 @@ __all__ = [
     "DEFAULT_READ_MIX",
     "EpochSnapshot",
     "HotspotTraffic",
-    "OpenLoopTraffic",
     "Request",
     "Response",
     "ServeReport",
     "ServeStats",
-    "TrafficEntry",
-    "TrafficManager",
     "TrafficPattern",
     "UniformTraffic",
     "UntrackedSizeError",

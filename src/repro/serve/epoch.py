@@ -171,25 +171,17 @@ class EpochSnapshot:
                 self._graph = self.view.to_graph()
             return self._graph
 
-    def listing_result(self, p: int, seed: int = 0, plane: Optional[str] = None):
+    def listing_result(self, p: int, seed: int = 0):
         """A full CONGESTED CLIQUE listing run over *this epoch's* graph,
         the local-listing tail served from the epoch's frozen table.
 
-        Lazy and cached per normalized ``(p, seed, plane)`` — the first
-        reader of an epoch pays the simulated run, later readers (and
-        the per-node :meth:`learned` queries) share it.
+        Lazy and cached per ``(p, seed)`` — the first reader of an epoch
+        pays the simulated run, later readers (and the per-node
+        :meth:`learned` queries) share it.
         """
-        from repro.congest.batch import DEFAULT_PLANE, PLANES
-
-        if plane is None:
-            plane = DEFAULT_PLANE
-        if plane not in PLANES:
-            raise ValueError(
-                f"unknown routing plane {plane!r}; use one of {PLANES}"
-            )
         if p not in self._tables:
             raise UntrackedSizeError(p, self._tables)
-        key = (p, seed, plane)
+        key = (p, seed)
         with self._lock:
             result = self._results.get(key)
             if result is None:
@@ -201,15 +193,12 @@ class EpochSnapshot:
                     self.graph(),
                     p,
                     seed=seed,
-                    plane=plane,
                     precomputed_table=self._tables[p],
                 )
                 self._results[key] = result
             return result
 
-    def learned(
-        self, node: int, p: int, seed: int = 0, plane: Optional[str] = None
-    ) -> FrozenSet[Clique]:
+    def learned(self, node: int, p: int, seed: int = 0) -> FrozenSet[Clique]:
         """The cliques attributed to ``node`` by this epoch's listing
         run — the per-node learned subgraph's output.  Materializes only
         that node's rows of the run's columnar attribution."""
@@ -217,5 +206,5 @@ class EpochSnapshot:
             raise ValueError(
                 f"node {node} out of range for n={self.num_nodes}"
             )
-        result = self.listing_result(p, seed=seed, plane=plane)
+        result = self.listing_result(p, seed=seed)
         return result.cliques_of(node)

@@ -18,19 +18,12 @@ pattern        regime it stresses
 ``bursty``     uniform keys, but arrivals clustered into bursts
 =============  ========================================================
 
-:class:`TrafficManager` is the constantly-running harness contract
-(``start`` / ``stop`` / ``collect`` / ``recent_entries``) and
-:class:`OpenLoopTraffic` its service-driving implementation: a
-background thread replays a pattern's schedule against a
-:class:`~repro.serve.service.CliqueService` indefinitely, recording one
-:class:`TrafficEntry` per completed request for ``collect`` /
-``recent_entries`` consumers.
+:func:`repro.serve.driver.run_open_loop` replays a schedule against a
+:class:`~repro.serve.service.CliqueService`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -269,175 +262,3 @@ class BurstyTraffic(TrafficPattern):
 
     def _keys(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, n, size=count)
-
-
-# ----------------------------------------------------------------------
-# The constantly-running harness contract
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrafficEntry:
-    """One completed request as the manager records it."""
-
-    wall: float  # completion wall-clock (time.time)
-    kind: str
-    p: int
-    epoch: int
-    latency_s: float
-    ok: bool
-
-
-class TrafficManager(ABC):
-    """Constantly-running traffic generator contract.
-
-    The shape long-lived harnesses expect: ``start`` / ``stop`` control
-    the generator's lifetime, ``collect`` blocks until enough entries
-    have accumulated, ``recent_entries`` answers "what happened in the
-    last N seconds" — both for trace generation and validation.
-    """
-
-    @abstractmethod
-    def start(self, *args, **kwargs) -> None:
-        """Start the generator (idempotent)."""
-
-    @abstractmethod
-    def stop(self, *args, **kwargs) -> None:
-        """Stop the generator and wait for in-flight work to settle."""
-
-    @abstractmethod
-    def collect(
-        self, number: int = 100, start_time: Optional[float] = None
-    ) -> List[TrafficEntry]:
-        """Run until at least ``number`` entries exist at/after
-        ``start_time`` (wall clock; ``None`` = call time), return them."""
-
-    @abstractmethod
-    def recent_entries(self, duration: float = 30.0) -> List[TrafficEntry]:
-        """Entries recorded within the last ``duration`` seconds."""
-
-
-class OpenLoopTraffic(TrafficManager):
-    """Drive a :class:`~repro.serve.service.CliqueService` with a
-    pattern's open-loop schedule on a background thread, indefinitely.
-
-    Each loop iteration draws the next ``chunk`` requests (advancing the
-    schedule seed so the stream never repeats), submits each at its
-    scheduled instant, and records a :class:`TrafficEntry` when it
-    completes.  Latency is measured open-loop: completion minus the
-    *scheduled* arrival, so queueing delay counts.
-    """
-
-    def __init__(
-        self,
-        service,
-        pattern: TrafficPattern,
-        rate: float,
-        read_mix: Optional[Mapping[str, float]] = None,
-        seed: int = 0,
-        chunk: int = 64,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"offered rate must be > 0, got {rate}")
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        self.service = service
-        self.pattern = pattern
-        self.rate = float(rate)
-        self.read_mix = read_mix
-        self.seed = int(seed)
-        self.chunk = int(chunk)
-        self._entries: List[TrafficEntry] = []
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------------
-    # TrafficManager contract
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name=f"traffic-{self.pattern.name}", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def collect(
-        self, number: int = 100, start_time: Optional[float] = None
-    ) -> List[TrafficEntry]:
-        if start_time is None:
-            start_time = time.time()
-        deadline = time.time() + max(5.0, 4.0 * number / self.rate)
-        while time.time() < deadline:
-            batch = [e for e in self._snapshot() if e.wall >= start_time]
-            if len(batch) >= number:
-                return batch
-            time.sleep(0.01)
-        raise TimeoutError(
-            f"collected {len([e for e in self._snapshot() if e.wall >= start_time])}"
-            f"/{number} entries before the deadline — is the generator started?"
-        )
-
-    def recent_entries(self, duration: float = 30.0) -> List[TrafficEntry]:
-        cutoff = time.time() - duration
-        return [e for e in self._snapshot() if e.wall >= cutoff]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _snapshot(self) -> List[TrafficEntry]:
-        with self._lock:
-            return list(self._entries)
-
-    def _record(self, entry: TrafficEntry) -> None:
-        with self._lock:
-            self._entries.append(entry)
-
-    def _run(self) -> None:
-        ps = sorted(self.service.tracked_ps())
-        n = self.service.num_nodes
-        wave = 0
-        origin = time.perf_counter()
-        clock = 0.0  # schedule time already consumed by earlier waves
-        while not self._stop.is_set():
-            requests = self.pattern.schedule(
-                self.chunk, self.rate, n, ps,
-                read_mix=self.read_mix, seed=self.seed + wave,
-            )
-            futures = []
-            for request in requests:
-                due = clock + request.at
-                delay = origin + due - time.perf_counter()
-                if delay > 0 and self._stop.wait(delay):
-                    break
-                scheduled = origin + due
-                future = self.service.submit(request)
-                future.add_done_callback(
-                    lambda f, s=scheduled, r=request: self._done(f, s, r)
-                )
-                futures.append(future)
-            for future in futures:
-                future.exception()  # drain; _done recorded the entry
-            clock += requests[-1].at
-            wave += 1
-
-    def _done(self, future, scheduled: float, request: Request) -> None:
-        latency = time.perf_counter() - scheduled
-        ok = future.exception() is None
-        epoch = future.result().epoch if ok else -1
-        self._record(
-            TrafficEntry(
-                wall=time.time(),
-                kind=request.kind,
-                p=request.p,
-                epoch=epoch,
-                latency_s=latency,
-                ok=ok,
-            )
-        )

@@ -30,7 +30,7 @@ point of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Union
+from typing import Dict, FrozenSet, Set, Union
 
 import numpy as np
 
@@ -452,7 +452,7 @@ class QueryEngine:
         until an update actually changes some K_p)."""
         return self.clique_result(p).as_frozenset()
 
-    def listing_result(self, p: int, seed: int = 0, plane: Optional[str] = None):
+    def listing_result(self, p: int, seed: int = 0):
         """A full CONGESTED CLIQUE listing run over the *current* graph,
         its local-listing tail served from the maintained table.
 
@@ -461,26 +461,13 @@ class QueryEngine:
         from the stream engine's maintained K_p table — see
         ``precomputed_table`` in
         :func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`.
-        Results are cached per ``(p, seed, plane)`` with the plane
-        *normalized first*: ``plane=None`` resolves to the same default
-        the listing driver resolves it to
-        (:data:`~repro.congest.batch.DEFAULT_PLANE`), so the two
-        spellings share one cache entry instead of aliasing into
-        duplicates that miss each other's hits.  Unlike counts and
-        clique sets, a listing run's ledger depends on the whole graph
-        (m, measured loads, orientation), so these entries are dropped
-        on *any* structural change, not only when the K_p delta is
+        Results are cached per ``(p, seed)``.  Unlike counts and clique
+        sets, a listing run's ledger depends on the whole graph (m,
+        measured loads, orientation), so these entries are dropped on
+        *any* structural change, not only when the K_p delta is
         non-empty.
         """
-        from repro.congest.batch import DEFAULT_PLANE, PLANES
-
-        if plane is None:
-            plane = DEFAULT_PLANE
-        if plane not in PLANES:
-            raise ValueError(
-                f"unknown routing plane {plane!r}; use one of {PLANES}"
-            )
-        key = (p, seed, plane)
+        key = (p, seed)
         if key in self._results:
             self.hits += 1
             return self._results[key]
@@ -491,7 +478,6 @@ class QueryEngine:
             self.engine.graph(),
             p,
             seed=seed,
-            plane=plane,
             precomputed_table=self.engine.clique_result(p),
         )
         self._results[key] = result

@@ -207,6 +207,7 @@ class TestFaultFlags:
 
     def test_flags_round_trip_into_parameters(self):
         from repro.cli import _fault_model_from_args
+        from repro.core.config import ExecutionConfig
         from repro.core.params import AlgorithmParameters
         from repro.faults import FaultModel
 
@@ -215,7 +216,9 @@ class TestFaultFlags:
         )
         model = _fault_model_from_args(args)
         assert model == FaultModel(seed=11, drop_rate=0.05)
-        params = AlgorithmParameters(p=3).with_(faults=model)
+        params = AlgorithmParameters(
+            p=3, execution=ExecutionConfig(faults=model)
+        ).execution
         assert params.faults is model and params.faults.active
 
     def test_fault_seed_alone_attaches_inactive_seam(self):

@@ -22,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
@@ -78,7 +79,7 @@ def force_sharding(monkeypatch):
 @pytest.fixture
 def two_locals():
     """A 2-LocalNode cluster registered behind a synthetic hosts key, so
-    ``AlgorithmParameters(hosts=...)`` routes the drivers to it."""
+    ``ExecutionConfig(hosts=...)`` routes the drivers to it."""
     hosts = ("test-local-a", "test-local-b")
     cluster = Cluster([LocalNode(), LocalNode()], name="test-2local")
     register_cluster(hosts, cluster)
@@ -95,7 +96,9 @@ def sorted_listing(result):
 
 
 def dist_params(p, hosts, **kw):
-    return AlgorithmParameters(p=p, plane="dist", hosts=hosts, **kw)
+    return AlgorithmParameters(
+        p=p, execution=ExecutionConfig(plane="dist", hosts=hosts), **kw
+    )
 
 
 def rows_sorted(table):
@@ -486,10 +489,12 @@ class TestDriverParity:
     def test_congested_clique_driver(self, force_sharding, two_locals, family, seed):
         hosts, _ = two_locals
         g = create_workload(family).instance(48, seed=seed)
-        batch = list_cliques_congested_clique(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=seed)
         par = list_cliques_congested_clique(
             g, 3, seed=seed,
-            params=AlgorithmParameters(p=3, plane="parallel", workers=2),
+            params=AlgorithmParameters(
+                p=3, execution=ExecutionConfig(plane="parallel", workers=2)
+            ),
         )
         dist = list_cliques_congested_clique(
             g, 3, seed=seed, params=dist_params(3, hosts)
@@ -504,7 +509,7 @@ class TestDriverParity:
     def test_congest_driver(self, force_sharding, two_locals, family, seed):
         hosts, _ = two_locals
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congest(g, 3, seed=seed)
         dist = list_cliques_congest(
             g, 3, seed=seed, params=dist_params(3, hosts, variant="generic")
         )
@@ -514,9 +519,10 @@ class TestDriverParity:
 
     def test_degenerate_empty_hosts(self, force_sharding):
         g = create_workload("er").instance(48, seed=0)
-        batch = list_cliques_congested_clique(g, 3, seed=0, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=0)
         dist = list_cliques_congested_clique(
-            g, 3, seed=0, params=AlgorithmParameters(p=3, plane="dist")
+            g, 3, seed=0,
+            params=AlgorithmParameters(p=3, execution=ExecutionConfig(plane="dist")),
         )
         assert sorted_listing(dist) == sorted_listing(batch)
         assert dist.per_node == batch.per_node
@@ -526,7 +532,7 @@ class TestDriverParity:
     def test_higher_p_parity(self, force_sharding, two_locals, p):
         hosts, _ = two_locals
         g = create_workload("er").instance(40, seed=7)
-        batch = list_cliques_congested_clique(g, p, seed=7, plane="batch")
+        batch = list_cliques_congested_clique(g, p, seed=7)
         dist = list_cliques_congested_clique(
             g, p, seed=7, params=dist_params(p, hosts)
         )
@@ -542,7 +548,7 @@ class TestDriverParity:
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=2)
-            batch = list_cliques_congested_clique(g, 3, seed=2, plane="batch")
+            batch = list_cliques_congested_clique(g, 3, seed=2)
             dist = list_cliques_congested_clique(
                 g, 3, seed=2, params=dist_params(3, hosts)
             )
@@ -564,7 +570,7 @@ class TestDriverParity:
         register_cluster(hosts, cluster)
         try:
             g = create_workload("er").instance(48, seed=0)
-            batch = list_cliques_congested_clique(g, 3, seed=0, plane="batch")
+            batch = list_cliques_congested_clique(g, 3, seed=0)
             dist = list_cliques_congested_clique(
                 g, 3, seed=0, params=dist_params(3, hosts)
             )
@@ -577,23 +583,23 @@ class TestDriverParity:
 
 
 # ----------------------------------------------------------------------
-# AlgorithmParameters plumbing
+# ExecutionConfig plumbing
 # ----------------------------------------------------------------------
 class TestParams:
     def test_dist_plane_accepted(self):
-        params = AlgorithmParameters(p=3, plane="dist", hosts=("local",))
+        params = ExecutionConfig(plane="dist", hosts=("local",))
         assert params.hosts == ("local",)
 
     def test_hosts_frozen_to_tuple(self):
-        params = AlgorithmParameters(p=3, plane="dist", hosts=["a:1", "b:2"])
+        params = ExecutionConfig(plane="dist", hosts=["a:1", "b:2"])
         assert params.hosts == ("a:1", "b:2")
         assert isinstance(hash(params), int)
 
     def test_bad_hosts_rejected(self):
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, plane="dist", hosts=("", "x:1"))
+            ExecutionConfig(plane="dist", hosts=("", "x:1"))
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, plane="dist", hosts=(7,))
+            ExecutionConfig(plane="dist", hosts=(7,))
 
 
 # ----------------------------------------------------------------------

@@ -2,22 +2,29 @@
 
 One frozen object (:class:`repro.core.config.ExecutionConfig`) owns the
 cross-cutting run knobs — plane/workers/hosts, faults, cost model,
-topology, materialization — with :class:`AlgorithmParameters` composing
-it (legacy kwargs as deprecation shims) and the CLI declaring it once
-through ``add_execution_args`` / ``execution_config_from_args``.  These
-tests pin the composition rules, the single plane→executor seam, and
-the shared-flag parsing/validation of every subcommand.
+topology, materialization — with :class:`AlgorithmParameters` carrying
+it as its ``execution`` field and the CLI declaring it once through
+``add_execution_args`` / ``execution_config_from_args``.  These tests
+pin that it is the only run surface, the single plane→executor seam,
+and the shared-flag parsing/validation of every subcommand.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
-from repro.congest.routing import CostModel, DEFAULT_COST_MODEL
+from repro.congest.routing import DEFAULT_COST_MODEL
 from repro.congest.topology import Topology
 from repro.core.config import ExecutionConfig
+from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
+from repro.core.sparsity_aware import _sparsity_aware_batch, sparsity_aware_listing
 from repro.faults import FaultModel
+from repro.graphs.generators import erdos_renyi
+from repro.serve import EpochSnapshot
+from repro.stream import QueryEngine, StreamEngine
 
 
 class TestExecutionConfig:
@@ -44,6 +51,12 @@ class TestExecutionConfig:
             ExecutionConfig(topology=42)
         with pytest.raises(ValueError):
             ExecutionConfig(topology="torus")
+        with pytest.raises(TypeError, match="hosts"):
+            ExecutionConfig(plane="dist", hosts="local")
+        with pytest.raises(TypeError, match="faults"):
+            ExecutionConfig(faults="x")
+        with pytest.raises(TypeError, match="workers"):
+            ExecutionConfig(workers=True)
 
     def test_hosts_frozen_to_tuple(self):
         config = ExecutionConfig(hosts=["local", "spawn"])
@@ -82,47 +95,35 @@ class TestParamsComposition:
         assert isinstance(params.execution, ExecutionConfig)
         assert params.execution == ExecutionConfig()
 
-    def test_explicit_execution_propagates_to_shims(self):
-        faults = FaultModel(seed=3, drop_rate=0.01)
-        config = ExecutionConfig(
-            plane="parallel", workers=2, faults=faults, topology="ring"
-        )
-        params = AlgorithmParameters(p=3, execution=config)
-        assert params.plane == "parallel"
-        assert params.workers == 2
-        assert params.faults is faults
-        assert params.topology == Topology(kind="ring")
+    def test_execution_is_the_only_run_surface(self):
+        g = erdos_renyi(12, 0.5, seed=0)
+        with pytest.raises(TypeError):
+            AlgorithmParameters(p=3, plane="object")
+        with pytest.raises(TypeError):
+            list_cliques_congested_clique(g, 3, plane="batch")
+        with pytest.raises(TypeError):
+            QueryEngine(StreamEngine(g)).listing_result(3, plane="batch")
+        with pytest.raises(TypeError, match="execution"):
+            AlgorithmParameters(p=3, execution=None)
+        names = {f.name for f in dataclasses.fields(AlgorithmParameters)}
+        assert not names & {f.name for f in dataclasses.fields(ExecutionConfig)}
+        assert not hasattr(AlgorithmParameters, "with_")
 
-    def test_legacy_kwargs_override_composed_config(self):
-        config = ExecutionConfig(plane="object")
-        params = AlgorithmParameters(p=3, execution=config, workers=4, plane="parallel")
-        assert params.execution.plane == "parallel"
-        assert params.execution.workers == 4
-
-    def test_dataclasses_replace_keeps_working(self):
-        params = AlgorithmParameters(p=3)
-        replaced = dataclasses.replace(params, plane="object")
-        assert replaced.plane == "object"
-        assert replaced.execution.plane == "object"
-
-    def test_with_routes_execution_surface_through_config(self):
-        params = AlgorithmParameters(p=3, faults=FaultModel(seed=1, drop_rate=0.01))
-        cleared = params.with_(faults=None)
-        assert cleared.faults is None
-        assert cleared.execution.faults is None
-        cm = CostModel(routing_slack=1.0)
-        tuned = cleared.with_(cost_model=cm, topology="star", materialize=True)
-        assert tuned.cost_model is cm
-        assert tuned.execution.materialize is True
-        assert tuned.topology.kind == "star"
-        # Non-execution fields still replace normally.
-        assert tuned.with_(seed=9).seed == 9
-
-    def test_validation_delegated_to_config(self):
-        with pytest.raises(ValueError, match="plane"):
-            AlgorithmParameters(p=3, plane="quantum")
-        with pytest.raises(ValueError, match="workers"):
-            AlgorithmParameters(p=3, workers=0)
+    @pytest.mark.parametrize(
+        "function",
+        [
+            list_cliques_congest,
+            list_cliques_congested_clique,
+            sparsity_aware_listing,
+            _sparsity_aware_batch,
+            QueryEngine.listing_result,
+            EpochSnapshot.listing_result,
+            EpochSnapshot.learned,
+        ],
+        ids=lambda function: function.__qualname__,
+    )
+    def test_no_per_call_plane_override(self, function):
+        assert "plane" not in inspect.signature(function).parameters
 
 
 class TestCliExecutionParent:

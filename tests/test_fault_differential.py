@@ -18,9 +18,12 @@ budget.  The contract under test:
   (checksum-evading) corruption is caught by the end-of-run recount.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.congest.errors import CorruptionDetectedError, RetryBudgetExceededError
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
@@ -46,6 +49,11 @@ def ledger_rows(ledger_phases):
     return [(ph.name, ph.rounds, ph.stats) for ph in ledger_phases]
 
 
+def k3_params(**execution):
+    """Triangle-listing parameters on the given execution surface."""
+    return AlgorithmParameters(p=3, execution=ExecutionConfig(**execution))
+
+
 def test_families_are_the_static_registry():
     assert set(STATIC_FAMILIES) <= set(available_workloads())
     assert all(not f.startswith("stream_") for f in STATIC_FAMILIES)
@@ -59,8 +67,10 @@ class TestCongestedCliqueDifferential:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_exact_recovery_under_bounded_faults(self, family, seed, plane):
         g = create_workload(family).instance(36, seed=seed)
-        clean = list_cliques_congested_clique(g, 3, seed=seed, plane=plane)
-        params = AlgorithmParameters(p=3, plane=plane, faults=BOUNDED_FAULTS)
+        clean = list_cliques_congested_clique(
+            g, 3, seed=seed, params=k3_params(plane=plane)
+        )
+        params = k3_params(plane=plane, faults=BOUNDED_FAULTS)
         faulted = list_cliques_congested_clique(g, 3, params=params, seed=seed)
 
         # Exactly equal results: counts, sorted listings, attribution.
@@ -82,7 +92,7 @@ class TestCongestedCliqueDifferential:
 
     def test_recovery_rows_are_tagged_and_named(self):
         g = create_workload("er").instance(36, seed=0)
-        params = AlgorithmParameters(p=3, faults=BOUNDED_FAULTS)
+        params = k3_params(faults=BOUNDED_FAULTS)
         result = list_cliques_congested_clique(g, 3, params=params, seed=0)
         recovery = [ph for ph in result.ledger.phases() if ph.recovery]
         assert recovery
@@ -94,10 +104,8 @@ class TestCongestedCliqueDifferential:
 
     def test_parallel_plane_recovers_exactly(self):
         g = create_workload("er").instance(36, seed=1)
-        clean = list_cliques_congested_clique(g, 3, seed=1, plane="batch")
-        params = AlgorithmParameters(
-            p=3, plane="parallel", workers=2, faults=BOUNDED_FAULTS
-        )
+        clean = list_cliques_congested_clique(g, 3, seed=1)
+        params = k3_params(plane="parallel", workers=2, faults=BOUNDED_FAULTS)
         faulted = list_cliques_congested_clique(g, 3, params=params, seed=1)
         assert faulted.cliques == clean.cliques
         assert faulted.per_node == clean.per_node
@@ -118,10 +126,12 @@ class TestCongestPipelineDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_recovery_in_cluster_pipeline(self, family, seed):
         g = create_workload(family).instance(40, seed=seed)
-        base = AlgorithmParameters(p=3, plane="batch", stop_scale=0.1)
+        base = AlgorithmParameters(p=3, stop_scale=0.1)
         clean = list_cliques_congest(g, 3, params=base, seed=seed)
         faulted = list_cliques_congest(
-            g, 3, params=base.with_(faults=BOUNDED_FAULTS), seed=seed
+            g, 3,
+            params=replace(base, execution=ExecutionConfig(faults=BOUNDED_FAULTS)),
+            seed=seed,
         )
         assert clean.stats["outer_iterations"] >= 1  # pipeline really ran
         assert faulted.cliques == clean.cliques == enumerate_cliques(g, 3)
@@ -133,9 +143,11 @@ class TestCongestPipelineDifferential:
 
     def test_recovery_charge_is_tagged_under_arb_prefix(self):
         g = create_workload("planted").instance(40, seed=2)
-        base = AlgorithmParameters(p=3, plane="batch", stop_scale=0.1)
+        base = AlgorithmParameters(p=3, stop_scale=0.1)
         faulted = list_cliques_congest(
-            g, 3, params=base.with_(faults=BOUNDED_FAULTS), seed=2
+            g, 3,
+            params=replace(base, execution=ExecutionConfig(faults=BOUNDED_FAULTS)),
+            seed=2,
         )
         recovery = [ph for ph in faulted.ledger.phases() if ph.recovery]
         assert recovery
@@ -148,8 +160,10 @@ class TestFaultFreeSeamIdentity:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_inactive_model_is_a_noop(self, plane):
         g = create_workload("zipfian").instance(36, seed=1)
-        clean = list_cliques_congested_clique(g, 3, seed=1, plane=plane)
-        params = AlgorithmParameters(p=3, plane=plane, faults=FaultModel(seed=9))
+        clean = list_cliques_congested_clique(
+            g, 3, seed=1, params=k3_params(plane=plane)
+        )
+        params = k3_params(plane=plane, faults=FaultModel(seed=9))
         seamed = list_cliques_congested_clique(g, 3, params=params, seed=1)
         assert seamed.cliques == clean.cliques
         assert seamed.per_node == clean.per_node
@@ -172,7 +186,7 @@ class TestFailureModes:
         g = create_workload("er").instance(36, seed=0)
         # Node 0 receives fan-out traffic and never comes back up.
         model = FaultModel(seed=0, crash_windows=((0, 0, -1),), retry_budget=3)
-        params = AlgorithmParameters(p=3, faults=model)
+        params = k3_params(faults=model)
         with pytest.raises(RetryBudgetExceededError) as excinfo:
             list_cliques_congested_clique(g, 3, params=params, seed=0)
         err = excinfo.value
@@ -185,7 +199,7 @@ class TestFailureModes:
         clean = list_cliques_congested_clique(g, 3, seed=0)
         model = FaultModel(seed=0, crash_windows=((0, 0, 2),), retry_budget=6)
         faulted = list_cliques_congested_clique(
-            g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+            g, 3, params=k3_params(faults=model), seed=0
         )
         assert faulted.cliques == clean.cliques
         assert faulted.ledger.recovery_rounds > 0
@@ -197,14 +211,14 @@ class TestFailureModes:
         )
         with pytest.raises(RetryBudgetExceededError):
             list_cliques_congested_clique(
-                g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+                g, 3, params=k3_params(faults=model), seed=0
             )
 
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_silent_corruption_caught_by_recount(self, plane):
         g = create_workload("er").instance(36, seed=0)
         model = FaultModel(seed=2, silent_corruption_rate=0.3)
-        params = AlgorithmParameters(p=3, plane=plane, faults=model)
+        params = k3_params(plane=plane, faults=model)
         with pytest.raises(CorruptionDetectedError) as excinfo:
             list_cliques_congested_clique(g, 3, params=params, seed=0)
         assert excinfo.value.phase == "recount"
@@ -214,9 +228,10 @@ class TestFailureModes:
         g = create_workload("planted").instance(40, seed=0)
         params = AlgorithmParameters(
             p=3,
-            plane="batch",
             stop_scale=0.1,
-            faults=FaultModel(seed=3, silent_corruption_rate=0.4),
+            execution=ExecutionConfig(
+                faults=FaultModel(seed=3, silent_corruption_rate=0.4)
+            ),
         )
         with pytest.raises(CorruptionDetectedError):
             list_cliques_congest(g, 3, params=params, seed=0)
@@ -230,7 +245,7 @@ class TestStragglers:
         clean = list_cliques_congested_clique(g, 3, seed=0)
         model = FaultModel(seed=5, stragglers=((1, 1.0, 3.0),))
         faulted = list_cliques_congested_clique(
-            g, 3, params=AlgorithmParameters(p=3, faults=model), seed=0
+            g, 3, params=k3_params(faults=model), seed=0
         )
         assert faulted.cliques == clean.cliques
         stragglers = [

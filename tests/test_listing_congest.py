@@ -15,6 +15,8 @@ from repro.graphs.generators import (
     planted_cliques,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.orientation import degeneracy_orientation
+from repro.workloads import create_workload
 
 
 class TestCorrectnessAcrossWorkloads:
@@ -129,6 +131,17 @@ class TestLedgerStructure:
         result = list_cliques(g, p=4)
         final = [p for p in result.ledger.phases() if p.name == "final_broadcast"][0]
         assert final.rounds == 4.0  # 2 · out-degree(2)
+
+    @pytest.mark.parametrize("family", ["er", "caveman", "planted", "zipfian"])
+    def test_initial_arboricity_is_the_orient_out_degree(self, family):
+        g = create_workload(family).instance(64, seed=3)
+        result = list_cliques(g, p=4)
+        orient = result.ledger.phases()[0]
+        assert orient.name == "orient"
+        assert result.stats["initial_arboricity"] == max(1, orient.stats["out_degree"])
+        assert result.stats["initial_arboricity"] == max(
+            1, degeneracy_orientation(g).max_out_degree
+        )
 
 
 class TestBadNodePath:

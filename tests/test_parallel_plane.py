@@ -18,6 +18,7 @@ from repro.congest.batch import MessageBatch, deliver, fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import (
     list_cliques_congested_clique,
     num_parts_for_clique,
@@ -74,7 +75,9 @@ def sorted_listing(result):
 
 
 def parallel_params(p, workers, **kw):
-    return AlgorithmParameters(p=p, plane="parallel", workers=workers, **kw)
+    return AlgorithmParameters(
+        p=p, execution=ExecutionConfig(plane="parallel", workers=workers), **kw
+    )
 
 
 def rows_as_set(owners, table):
@@ -390,7 +393,7 @@ class TestDriverParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_congested_clique_driver(self, force_sharding, family, seed):
         g = create_workload(family).instance(48, seed=seed)
-        batch = list_cliques_congested_clique(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=seed)
         par = list_cliques_congested_clique(
             g, 3, params=parallel_params(3, workers=2), seed=seed
         )
@@ -402,7 +405,7 @@ class TestDriverParity:
     @pytest.mark.parametrize("family", STATIC_FAMILIES)
     def test_workers_one_degenerate_case(self, force_sharding, family):
         g = create_workload(family).instance(48, seed=0)
-        batch = list_cliques_congested_clique(g, 3, seed=0, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=0)
         degenerate = list_cliques_congested_clique(
             g, 3, params=parallel_params(3, workers=1), seed=0
         )
@@ -413,7 +416,7 @@ class TestDriverParity:
     @pytest.mark.parametrize("p", [4, 5])
     def test_higher_p_parity(self, force_sharding, p):
         g = create_workload("er").instance(40, seed=7)
-        batch = list_cliques_congested_clique(g, p, seed=7, plane="batch")
+        batch = list_cliques_congested_clique(g, p, seed=7)
         par = list_cliques_congested_clique(
             g, p, params=parallel_params(p, workers=2), seed=7
         )
@@ -423,7 +426,7 @@ class TestDriverParity:
     def test_fake_edge_padding_parity(self, force_sharding):
         g = create_workload("sparse").instance(40, seed=3)
         batch = list_cliques_congested_clique(
-            g, 3, seed=3, pad_fake_edges=True, plane="batch"
+            g, 3, seed=3, pad_fake_edges=True
         )
         par = list_cliques_congested_clique(
             g, 3, params=parallel_params(3, workers=2), seed=3, pad_fake_edges=True
@@ -436,7 +439,7 @@ class TestDriverParity:
         g = create_workload("er").instance(40, seed=4)
         table = g.to_csr().clique_table(3)
         batch = list_cliques_congested_clique(
-            g, 3, seed=4, plane="batch", precomputed_table=table
+            g, 3, seed=4, precomputed_table=table
         )
         par = list_cliques_congested_clique(
             g, 3, params=parallel_params(3, workers=2), seed=4,
@@ -450,12 +453,10 @@ class TestDriverParity:
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_congest_driver(self, force_sharding, family, seed):
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed, plane="batch")
+        batch = list_cliques_congest(g, 3, seed=seed)
         par = list_cliques_congest(
             g, 3,
-            params=AlgorithmParameters(
-                p=3, variant="generic", plane="parallel", workers=2
-            ),
+            params=parallel_params(3, workers=2, variant="generic"),
             seed=seed,
         )
         assert par.cliques == batch.cliques == enumerate_cliques(g, 3)
@@ -465,9 +466,12 @@ class TestDriverParity:
     def test_unknown_plane_and_bad_workers_rejected(self):
         g = create_workload("er").instance(16, seed=0)
         with pytest.raises(ValueError):
-            list_cliques_congested_clique(g, 3, plane="vector")
+            list_cliques_congested_clique(
+                g, 3,
+                params=AlgorithmParameters(3, execution=ExecutionConfig(plane="vector")),
+            )
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, workers=0)
+            AlgorithmParameters(p=3, execution=ExecutionConfig(workers=0))
 
 
 # ----------------------------------------------------------------------

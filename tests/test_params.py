@@ -1,6 +1,7 @@
 """Tests for AlgorithmParameters (threshold formulas)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -60,7 +61,7 @@ class TestThresholds:
 
     def test_heavy_threshold_scaled(self):
         base = AlgorithmParameters(p=4, variant=GENERIC_VARIANT)
-        doubled = base.with_(heavy_scale=2.0)
+        doubled = replace(base, heavy_scale=2.0)
         assert doubled.heavy_threshold(256, 10) >= 2 * base.heavy_threshold(256, 10) - 1
 
     def test_heavy_threshold_floor_one(self):
@@ -132,5 +133,5 @@ class TestNumParts:
 
     def test_with_updates(self):
         params = AlgorithmParameters(p=4)
-        updated = params.with_(seed=9)
+        updated = replace(params, seed=9)
         assert updated.seed == 9 and params.seed == 0

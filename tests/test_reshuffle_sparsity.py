@@ -5,6 +5,7 @@ import pytest
 
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter, CostModel
+from repro.core.config import ExecutionConfig
 from repro.core.params import AlgorithmParameters
 from repro.core.reshuffle import owner_assignment, reshuffle_edges
 from repro.core.sparsity_aware import sparsity_aware_listing
@@ -100,7 +101,8 @@ class TestSparsityAwareListing:
         reshuffled = reshuffle_edges(
             graph, orientation, members, gathered, router, ledger, "r"
         )
-        params = AlgorithmParameters(p=p)
+        # The reshuffle above hands out tuple sets: the object plane.
+        params = AlgorithmParameters(p=p, execution=ExecutionConfig(plane="object"))
         if goal_edges is None:
             goal_edges = frozenset(graph.edges())
         rng = np.random.default_rng(seed)

@@ -14,8 +14,10 @@ from repro.congest.congested_clique import CongestedClique
 from repro.congest.ledger import RoundLedger
 from repro.congest.message import Message, payload_words
 from repro.congest.routing import ClusterRouter
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
+from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import enumerate_cliques
 from repro.workloads import available_workloads, create_workload
 
@@ -26,6 +28,11 @@ SEEDS = (0, 1, 2)
 def ledger_rows(result):
     """The full charge record: (name, rounds, stats) per phase."""
     return [(ph.name, ph.rounds, ph.stats) for ph in result.ledger.phases()]
+
+
+def on_object(p):
+    """Parameters that put a run on the object (reference) plane."""
+    return AlgorithmParameters(p, execution=ExecutionConfig(plane="object"))
 
 
 def random_pattern(rng, n, messages):
@@ -99,8 +106,8 @@ class TestDriverParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_congested_clique_driver(self, family, seed):
         g = create_workload(family).instance(48, seed=seed)
-        batch = list_cliques_congested_clique(g, 3, seed=seed, plane="batch")
-        obj = list_cliques_congested_clique(g, 3, seed=seed, plane="object")
+        batch = list_cliques_congested_clique(g, 3, seed=seed)
+        obj = list_cliques_congested_clique(g, 3, seed=seed, params=on_object(3))
         assert batch.cliques == obj.cliques == enumerate_cliques(g, 3)
         assert batch.per_node == obj.per_node
         assert ledger_rows(batch) == ledger_rows(obj)
@@ -109,8 +116,8 @@ class TestDriverParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_congest_driver(self, family, seed):
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed, plane="batch")
-        obj = list_cliques_congest(g, 3, seed=seed, plane="object")
+        batch = list_cliques_congest(g, 3, seed=seed)
+        obj = list_cliques_congest(g, 3, seed=seed, params=on_object(3))
         assert batch.cliques == obj.cliques == enumerate_cliques(g, 3)
         assert batch.per_node == obj.per_node
         assert ledger_rows(batch) == ledger_rows(obj)
@@ -118,18 +125,18 @@ class TestDriverParity:
     @pytest.mark.parametrize("p", [4, 5])
     def test_higher_p_parity(self, p):
         g = create_workload("er").instance(40, seed=7)
-        batch = list_cliques_congested_clique(g, p, seed=7, plane="batch")
-        obj = list_cliques_congested_clique(g, p, seed=7, plane="object")
+        batch = list_cliques_congested_clique(g, p, seed=7)
+        obj = list_cliques_congested_clique(g, p, seed=7, params=on_object(p))
         assert batch.cliques == obj.cliques == enumerate_cliques(g, p)
         assert ledger_rows(batch) == ledger_rows(obj)
 
     def test_fake_edge_padding_parity(self):
         g = create_workload("sparse").instance(40, seed=3)
         batch = list_cliques_congested_clique(
-            g, 3, seed=3, pad_fake_edges=True, plane="batch"
+            g, 3, seed=3, pad_fake_edges=True
         )
         obj = list_cliques_congested_clique(
-            g, 3, seed=3, pad_fake_edges=True, plane="object"
+            g, 3, seed=3, pad_fake_edges=True, params=on_object(3)
         )
         assert batch.cliques == obj.cliques
         assert ledger_rows(batch) == ledger_rows(obj)
@@ -138,7 +145,10 @@ class TestDriverParity:
     def test_unknown_plane_rejected(self):
         g = create_workload("er").instance(16, seed=0)
         with pytest.raises(ValueError):
-            list_cliques_congested_clique(g, 3, plane="vector")
+            list_cliques_congested_clique(
+                g, 3,
+                params=AlgorithmParameters(3, execution=ExecutionConfig(plane="vector")),
+            )
 
 
 class TestGroupedCompactionPaths:
@@ -168,9 +178,9 @@ class TestGroupedCompactionPaths:
         from repro.graphs import csr
 
         g = create_workload("er").instance(48, seed=5)
-        expected = list_cliques_congested_clique(g, 3, seed=5, plane="object")
+        expected = list_cliques_congested_clique(g, 3, seed=5, params=on_object(3))
         monkeypatch.setattr(csr, "DENSE_COMPACTION_CELLS", 0)
-        batch = list_cliques_congested_clique(g, 3, seed=5, plane="batch")
+        batch = list_cliques_congested_clique(g, 3, seed=5)
         assert batch.cliques == expected.cliques
         assert batch.per_node == expected.per_node
         assert ledger_rows(batch) == ledger_rows(expected)

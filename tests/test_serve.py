@@ -11,9 +11,7 @@ from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.serve import (
     CliqueService,
-    DEFAULT_READ_MIX,
     EpochSnapshot,
-    OpenLoopTraffic,
     Request,
     UntrackedSizeError,
     available_patterns,
@@ -101,14 +99,6 @@ class TestEpochSnapshot:
         assert snap.count(2) == m
         assert snap.cliques(3) == triangles
         assert engine.num_edges == m - 4
-
-    def test_listing_result_normalizes_plane(self):
-        _, snap = self._snap()
-        r1 = snap.listing_result(3, seed=0, plane=None)
-        r2 = snap.listing_result(3, seed=0, plane="batch")
-        assert r2 is r1  # one cache entry for both spellings
-        with pytest.raises(ValueError, match="unknown routing plane"):
-            snap.listing_result(3, plane="fpga")
 
     def test_learned_is_attributed_subset(self):
         engine, snap = self._snap()
@@ -381,51 +371,6 @@ class TestTrafficPatterns:
             "pattern": "zipfian",
             "theta": 1.1,
         }
-
-
-# ----------------------------------------------------------------------
-# OpenLoopTraffic manager
-# ----------------------------------------------------------------------
-class TestOpenLoopTraffic:
-    def test_start_collect_recent_stop(self):
-        service = _service(n=16, seed=2)
-        manager = OpenLoopTraffic(
-            service, create_traffic("uniform"), rate=400.0,
-            read_mix=DEFAULT_READ_MIX, seed=0, chunk=32,
-        )
-        with service:
-            before = time.time()
-            manager.start()
-            manager.start()  # idempotent
-            entries = manager.collect(number=50, start_time=before)
-            assert len(entries) >= 50
-            recent = manager.recent_entries(duration=60.0)
-            assert len(recent) >= len(entries)
-            manager.stop()
-            settled = len(manager.recent_entries(duration=60.0))
-            time.sleep(0.05)
-            assert len(manager.recent_entries(duration=60.0)) == settled
-        assert all(e.ok for e in entries)
-        assert all(e.latency_s >= 0 and e.epoch >= 0 for e in entries)
-        assert {e.kind for e in entries} <= {"count", "cliques", "learned"}
-        assert manager.recent_entries(duration=0.0) == []
-
-    def test_collect_times_out_when_not_started(self):
-        service = _service(n=16, seed=2)
-        manager = OpenLoopTraffic(
-            service, create_traffic("uniform"), rate=10000.0
-        )
-        with pytest.raises(TimeoutError, match="is the generator started"):
-            manager.collect(number=10)
-
-    def test_validation(self):
-        service = _service(n=16, seed=2)
-        with pytest.raises(ValueError, match="rate"):
-            OpenLoopTraffic(service, create_traffic("uniform"), rate=0.0)
-        with pytest.raises(ValueError, match="chunk"):
-            OpenLoopTraffic(
-                service, create_traffic("uniform"), rate=1.0, chunk=0
-            )
 
 
 # ----------------------------------------------------------------------

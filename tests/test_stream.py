@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import count_cliques, enumerate_cliques
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import complete_graph, erdos_renyi
@@ -349,50 +351,23 @@ class TestPureReadsLeaveStateAlone:
 
 
 # ----------------------------------------------------------------------
-# Regression: plane-normalized listing cache keys (ISSUE-7 bug B)
+# Regression: one listing cache entry per (p, seed) key
 # ----------------------------------------------------------------------
 class TestListingCachePlaneKeys:
     def _engine(self):
         g = erdos_renyi(20, 0.4, seed=11)
         return QueryEngine(StreamEngine(g, compact_every=10**9))
 
-    def test_default_and_explicit_plane_share_one_entry(self):
-        """``plane=None`` and ``plane="batch"`` are the same run (the
-        listing driver resolves None to the batch plane), but the cache
-        used to key them separately — duplicate entries, missed hits,
-        double invalidations."""
-        qe = self._engine()
-        r1 = qe.listing_result(3, seed=0, plane=None)
-        assert qe.misses == 1 and qe.hits == 0
-        r2 = qe.listing_result(3, seed=0, plane="batch")
-        assert r2 is r1
-        assert qe.hits == 1 and qe.misses == 1
-        assert len(qe._results) == 1
-
-    def test_distinct_planes_are_distinct_entries(self):
-        qe = self._engine()
-        r_batch = qe.listing_result(3, seed=0)
-        r_object = qe.listing_result(3, seed=0, plane="object")
-        assert r_object is not r_batch
-        assert r_object.cliques == r_batch.cliques
-        assert qe.misses == 2 and len(qe._results) == 2
-
     def test_invalidation_counts_one_entry_per_normalized_key(self):
         qe = self._engine()
-        qe.listing_result(3, seed=0, plane=None)
-        qe.listing_result(3, seed=0, plane="batch")  # hit, not a new entry
+        qe.listing_result(3, seed=0)
+        qe.listing_result(3, seed=0)  # hit, not a new entry
         qe.apply(UpdateBatch.inserts([(0, 19)]))
         # Exactly one listing entry dropped (plus any p-precise drops,
         # counted separately by _invalidate).
         assert not qe._results
-        fresh = qe.listing_result(3, seed=0, plane="batch")
-        assert qe.listing_result(3, seed=0, plane=None) is fresh
-
-    def test_unknown_plane_is_rejected_before_keying(self):
-        qe = self._engine()
-        with pytest.raises(ValueError, match="unknown routing plane"):
-            qe.listing_result(3, seed=0, plane="fpga")
-        assert not qe._results
+        fresh = qe.listing_result(3, seed=0)
+        assert qe.listing_result(3, seed=0) is fresh
 
 
 # ----------------------------------------------------------------------
@@ -404,9 +379,10 @@ class TestPrecomputedTableEntryPoint:
     def test_identical_to_local_listing(self, plane, p):
         g = create_workload("planted").instance(36, seed=2)
         table = StreamEngine(g).clique_table(p)
-        reference = list_cliques_congested_clique(g, p, seed=1, plane=plane)
+        params = AlgorithmParameters(p, execution=ExecutionConfig(plane=plane))
+        reference = list_cliques_congested_clique(g, p, seed=1, params=params)
         served = list_cliques_congested_clique(
-            g, p, seed=1, plane=plane, precomputed_table=table
+            g, p, seed=1, params=params, precomputed_table=table
         )
         assert served.cliques == reference.cliques
         assert served.per_node == reference.per_node

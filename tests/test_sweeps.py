@@ -7,10 +7,14 @@ import pytest
 from repro.analysis.sweeps import (
     RunSpec,
     SweepSpec,
+    _run_params,
     execute_run,
     resolve_jobs,
     run_sweep,
 )
+from repro.core.config import ExecutionConfig
+from repro.core.params import AlgorithmParameters
+from repro.faults import FaultModel
 
 
 def small_spec(**overrides):
@@ -86,6 +90,32 @@ class TestCacheKey:
     def test_any_field_changes_key(self, change):
         assert self.base().cache_key() != self.base(**change).cache_key()
 
+    @pytest.mark.parametrize(
+        "model, overrides, key",
+        [
+            ("congest", {}, "e7aea8e8a0391ea52568699c"),
+            ("congest", {"stop_scale": 0.5}, "029414697a39ba26edb43e05"),
+            (
+                "congest",
+                {"faults": FaultModel(seed=5, drop_rate=0.01)},
+                "5c969eb2a481df89caf80e08",
+            ),
+            (
+                "congested-clique",
+                {"plane": "parallel", "workers": 2},
+                "591a8795c740ad6ec4f45760",
+            ),
+        ],
+    )
+    def test_keys_are_pinned(self, model, overrides, key):
+        """Existing caches keep hitting: a flat override keys the same
+        whether it names an algorithm or an execution field."""
+        spec = SweepSpec(
+            workloads=["er"], sizes=[32], ps=[3], model=model, algo_overrides=overrides
+        )
+        (cell,) = spec.runs()
+        assert cell.cache_key() == key
+
 
 class TestExecution:
     def test_rows_are_verified_and_complete(self):
@@ -138,6 +168,18 @@ class TestExecution:
         )
         (row,) = result.rows
         assert row["model"] == "congested-clique" and row["variant"] == "-"
+
+    def test_overrides_split_into_algorithm_and_execution_fields(self):
+        faults = FaultModel(seed=5, drop_rate=0.01)
+        (cell,) = small_spec(
+            workloads=["er"], sizes=[20], topologies=["ring"],
+            algo_overrides={"stop_scale": 0.5, "faults": faults, "plane": "object"},
+        ).runs()
+        params = _run_params(cell, AlgorithmParameters(p=3))
+        assert params.stop_scale == 0.5
+        assert params.execution == ExecutionConfig(
+            plane="object", faults=faults, topology="ring"
+        )
 
     def test_execute_run_rejects_unknown_model(self):
         spec = RunSpec(

@@ -13,6 +13,7 @@ untouched, adding only the makespan/overlay-stat columns.
 import pytest
 
 from repro.congest.topology import Topology, parse_topology
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
@@ -40,6 +41,11 @@ def listing_key(result):
     return sorted(sorted(c) for c in result.cliques)
 
 
+def run_params(p, **execution):
+    """Parameters for a K_p run on the given execution surface."""
+    return AlgorithmParameters(p=p, execution=ExecutionConfig(**execution))
+
+
 class TestCliqueTopologyIsByteIdentical:
     """topology=clique vs topology=None: row-for-row equality."""
 
@@ -48,11 +54,13 @@ class TestCliqueTopologyIsByteIdentical:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_congested_clique_driver(self, family, seed, plane):
         g = create_workload(family).instance(36, seed=seed)
-        bare = list_cliques_congested_clique(g, 3, seed=seed, plane=plane)
+        bare = list_cliques_congested_clique(
+            g, 3, seed=seed, params=run_params(3, plane=plane)
+        )
         pinned = list_cliques_congested_clique(
             g,
             3,
-            params=AlgorithmParameters(p=3, plane=plane, topology=Topology()),
+            params=run_params(3, plane=plane, topology=Topology()),
             seed=seed,
         )
         assert ledger_rows(pinned) == ledger_rows(bare)
@@ -67,11 +75,13 @@ class TestCliqueTopologyIsByteIdentical:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_congest_driver(self, family, seed, plane):
         g = create_workload(family).instance(36, seed=seed)
-        bare = list_cliques_congest(g, 3, seed=seed, plane=plane)
+        bare = list_cliques_congest(
+            g, 3, seed=seed, params=run_params(3, plane=plane)
+        )
         pinned = list_cliques_congest(
             g,
             3,
-            params=AlgorithmParameters(p=3, plane=plane, topology="clique"),
+            params=run_params(3, plane=plane, topology="clique"),
             seed=seed,
         )
         assert ledger_rows(pinned) == ledger_rows(bare)
@@ -90,7 +100,9 @@ class TestCliqueTopologyIsByteIdentical:
         pinned = list_cliques_congest(
             g,
             3,
-            params=AlgorithmParameters(**kwargs, topology=Topology()),
+            params=AlgorithmParameters(
+                **kwargs, execution=ExecutionConfig(topology=Topology())
+            ),
             seed=1,
         )
         assert any("reshuffle" in ph.name or "gather" in ph.name
@@ -106,11 +118,13 @@ class TestOverlaysPreserveResultsAndRounds:
     @pytest.mark.parametrize("plane", ROUTING_PLANES)
     def test_congested_clique_driver(self, spec, plane):
         g = create_workload("er").instance(36, seed=0)
-        bare = list_cliques_congested_clique(g, 3, seed=0, plane=plane)
+        bare = list_cliques_congested_clique(
+            g, 3, seed=0, params=run_params(3, plane=plane)
+        )
         overlay = list_cliques_congested_clique(
             g,
             3,
-            params=AlgorithmParameters(p=3, plane=plane, topology=spec),
+            params=run_params(3, plane=plane, topology=spec),
             seed=0,
         )
         assert listing_key(overlay) == listing_key(bare) == sorted(
@@ -130,7 +144,7 @@ class TestOverlaysPreserveResultsAndRounds:
         g = create_workload("er").instance(36, seed=1)
         bare = list_cliques_congest(g, 3, seed=1)
         overlay = list_cliques_congest(
-            g, 3, params=AlgorithmParameters(p=3, topology=spec), seed=1
+            g, 3, params=run_params(3, topology=spec), seed=1
         )
         assert listing_key(overlay) == listing_key(bare)
         assert [(ph.name, ph.rounds) for ph in overlay.ledger.phases()] == [
@@ -142,7 +156,7 @@ class TestOverlaysPreserveResultsAndRounds:
         overlay = list_cliques_congested_clique(
             g,
             4,
-            params=AlgorithmParameters(p=4, topology="spanner"),
+            params=run_params(4, topology="spanner"),
             seed=0,
         )
         routed = [
@@ -158,12 +172,12 @@ class TestOverlaysPreserveResultsAndRounds:
 
     def test_bandwidth_and_latency_scale_makespan_not_rounds(self):
         g = create_workload("er").instance(36, seed=2)
-        params = AlgorithmParameters(p=3, topology="star")
+        params = run_params(3, topology="star")
         base = list_cliques_congested_clique(g, 3, params=params, seed=2)
         slow = list_cliques_congested_clique(
             g,
             3,
-            params=AlgorithmParameters(p=3, topology="star@bw=0.5,lat=2"),
+            params=run_params(3, topology="star@bw=0.5,lat=2"),
             seed=2,
         )
         assert slow.rounds == base.rounds
@@ -175,12 +189,12 @@ class TestOverlaysPreserveResultsAndRounds:
         g = create_workload("er").instance(36, seed=0)
         faults = FaultModel(seed=7, drop_rate=0.05, retry_budget=12)
         clean = list_cliques_congested_clique(
-            g, 3, params=AlgorithmParameters(p=3, topology="ring"), seed=0
+            g, 3, params=run_params(3, topology="ring"), seed=0
         )
         healed = list_cliques_congested_clique(
             g,
             3,
-            params=AlgorithmParameters(p=3, topology="ring", faults=faults),
+            params=run_params(3, topology="ring", faults=faults),
             seed=0,
         )
         assert listing_key(healed) == listing_key(clean)
@@ -240,24 +254,15 @@ class TestSweepDifferential:
 
 
 class TestParameterSeam:
-    """The topology= seam of AlgorithmParameters / ExecutionConfig."""
+    """The topology= seam of ExecutionConfig."""
 
     def test_spec_strings_are_parsed_once(self):
-        params = AlgorithmParameters(p=3, topology="grid:8@bw=0.5")
+        params = ExecutionConfig(topology="grid:8@bw=0.5")
         assert isinstance(params.topology, Topology)
         assert params.topology == parse_topology("grid:8@bw=0.5")
-        assert params.execution.topology is params.topology
-
-    def test_with_clears_and_sets_topology(self):
-        params = AlgorithmParameters(p=3, topology="ring")
-        cleared = params.with_(topology=None)
-        assert cleared.topology is None
-        assert cleared.execution.topology is None
-        again = cleared.with_(topology=Topology(kind="star"))
-        assert again.topology.kind == "star"
 
     def test_invalid_topology_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            AlgorithmParameters(p=3, topology="torus")
+            run_params(3, topology="torus")
         with pytest.raises(TypeError):
-            AlgorithmParameters(p=3, topology=3.14)
+            run_params(3, topology=3.14)
