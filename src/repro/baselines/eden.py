@@ -103,7 +103,7 @@ def eden_k4_listing(
             reservation = math.ceil(k ** (2.0 - 2.0 / p) / max(1, k))
             phase_cluster = max(
                 phase_cluster,
-                router.rounds_for_load({0: reservation * n // max(1, k)}, {}),
+                router.rounds_for_load(reservation * n // max(1, k), 0),
             )
         ledger.charge(f"level[{level}]/heavy_push", phase_heavy)
         ledger.charge(f"level[{level}]/light_query", phase_light)

@@ -14,13 +14,13 @@ family* —
 - ``obj``            — an optional ``object`` column as the escape hatch
   for payloads that do not fit fixed-width words.
 
-Load accounting is one :func:`numpy.bincount` per direction instead of a
-per-message ``Counter`` loop, and delivery is one stable argsort on
-``dst`` instead of millions of ``list.append`` calls.  The charged rounds
-are **identical** to the tuple plane by construction: both planes measure
-the same per-node word loads and feed them through the same
-``rounds_for_load``; the differential tests in
-``tests/test_routing_plane.py`` hold them to it bit-for-bit.
+Load accounting is one :func:`numpy.bincount` per direction, and
+delivery is one stable argsort on ``dst`` instead of millions of
+``list.append`` calls.  The charged rounds are **identical** to the
+tuple plane by construction: both planes charge through one
+:class:`~repro.congest.routing.Router` core; ``tests/test_routing_plane.py``
+holds them to it bit-for-bit, and ``tests/test_property_based.py`` checks
+the bincount loads against an independent per-message ``Counter``.
 """
 
 from __future__ import annotations

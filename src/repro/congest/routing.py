@@ -1,26 +1,28 @@
 """Charged communication primitives for the CONGEST algorithms.
 
-The paper invokes two black-box communication results:
+The paper invokes two black-box routing results:
 
 - **Theorem 2.4 (intra-cluster routing)** — inside an n^δ-cluster, if
   every node sends and receives at most O(n^δ) messages, all of them can
   be routed in Õ(1) rounds (using only cluster edges, so clusters route in
   parallel).  More generally a load of L per node costs ⌈L/n^δ⌉·Õ(1).
-- **neighbor broadcast** — a node with M messages for its neighbors needs
-  max-per-edge-congestion rounds; this is elementary pipelining.
+- **Lenzen routing (Theorem 1.3)** — in the CONGESTED CLIQUE, a load of
+  n·w words per node costs O(w) rounds.
 
-:class:`ClusterRouter` *performs* such routing steps (moving payloads
-between per-node mailboxes) and charges the theorem's cost using the
-measured loads.  The polylog slack of the theorem is represented by
-:class:`CostModel`, which is explicit and configurable so the benchmarks
-can report both "pure" (slack = 1) and "with polylog" charges.
+:class:`Router` *performs* such routing steps (moving payloads between
+per-node mailboxes) and charges the measured loads; :class:`ClusterRouter`
+and :class:`~repro.congest.congested_clique.CongestedClique` are its two
+charge policies.  The polylog slack is represented by :class:`CostModel`,
+which is explicit and configurable so the benchmarks can report both
+"pure" (slack = 1) and "with polylog" charges.  :func:`broadcast_rounds`
+prices neighbor broadcast by pipelining.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,12 +76,22 @@ class CostModel:
             )
 
     def routing_factor(self, n: int) -> float:
-        """The Õ(1) slack used for intra-cluster routing charges."""
+        """The Õ(1) slack used for intra-cluster routing charges.
+
+        A callable's result must be a positive finite factor: the rule
+        ``__post_init__`` applies to a numeric ``routing_slack``.
+        """
         if self.routing_slack is None:
             return max(1.0, math.log2(max(2, n)))
-        if callable(self.routing_slack):
-            return float(self.routing_slack(n))
-        return float(self.routing_slack)
+        if not callable(self.routing_slack):
+            return float(self.routing_slack)
+        factor = float(self.routing_slack(n))
+        if not math.isfinite(factor) or factor <= 0:
+            raise ValueError(
+                f"routing_slack returned {factor!r} for n={n}; it must be a "
+                f"positive finite factor"
+            )
+        return factor
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -100,7 +112,268 @@ def broadcast_rounds(per_edge_words: Mapping[Tuple[int, int], int]) -> int:
     return int(worst)
 
 
-class ClusterRouter:
+class Router:
+    """Performs and charges routing among a fixed member set.
+
+    One routing step costs ``factor · ⌈L / capacity⌉`` rounds, where L
+    is the measured max per-node send or receive load in words.  The
+    subclasses pick the policy: :class:`ClusterRouter` (Theorem 2.4) and
+    :class:`~repro.congest.congested_clique.CongestedClique` (Lenzen).
+    Every ledger row starts with the router's ``identity`` stats.
+
+    Mailboxes are indexed by global node id up to the largest member;
+    non-members' mailboxes stay empty.
+
+    ``faults`` optionally attaches the fault-injection seam: a
+    :class:`~repro.faults.model.FaultInjector` (or a
+    :class:`~repro.faults.model.FaultModel`, instantiated on the spot)
+    that perturbs every routed pattern.  The router then self-heals via
+    the checksummed ack-and-retry protocol of :mod:`repro.faults.heal`,
+    charging recovery rounds as tagged ledger rows, and delivers the
+    silently corrupted copies mangled.  With ``faults=None`` every code
+    path is byte-identical to the fault-free router.
+
+    ``topology`` optionally routes the same traffic over a non-clique
+    overlay (:mod:`repro.congest.topology`): the uniform rounds stay the
+    headline charge, and a topology-aware ``makespan`` (bottleneck-link
+    words ÷ bandwidth + hop latency) is recorded next to them.  ``None``
+    or the default clique keeps every ledger row byte-identical to the
+    uniform model.
+    """
+
+    def __init__(
+        self,
+        members: Sequence[int],
+        capacity: int,
+        factor: float,
+        n: int,
+        faults: Optional[Any],
+        topology: Optional[Topology],
+        *,
+        identity: Dict[str, Any],
+        scope: str,
+    ) -> None:
+        self.capacity = capacity
+        self.factor = factor
+        self.n = n
+        self.topology = topology
+        if faults is not None and not isinstance(faults, FaultInjector):
+            faults = faults.injector()
+        self.faults: Optional[FaultInjector] = faults
+        self._identity = identity
+        self._scope = scope
+        self._members = members
+        # A range is its own O(1) member set (the clique's n ids).
+        self._member_set = members if isinstance(members, range) else frozenset(members)
+        self._lo = members[0]
+        self._space = members[-1] + 1
+        # Batch validation is a bounds test, plus a mask when ids have gaps.
+        self._mask: Optional[np.ndarray] = None
+        if len(self._member_set) != self._space - self._lo:
+            self._mask = np.zeros(self._space, dtype=bool)
+            self._mask[np.asarray(members, dtype=np.int64)] = True
+
+    def route(
+        self,
+        messages: Mapping[int, Sequence[Tuple[int, Any]]],
+        ledger: RoundLedger,
+        phase: str,
+        words_per_message: int = 1,
+        extra_send_words: Optional[np.ndarray] = None,
+        extra_recv_words: Optional[np.ndarray] = None,
+        **stats: Any,
+    ) -> Dict[int, List[Any]]:
+        """Deliver ``{src: [(dst, payload), ...]}`` and charge the ledger.
+
+        The tuple plane: one Python payload per message, the reference
+        semantics of :meth:`route_batch`.  Both endpoints must be members.
+        ``words_per_message`` is the uniform message size (an edge
+        payload is 2).  ``extra_send_words`` / ``extra_recv_words`` are
+        optional accounting-only loads indexed by node id, added on top
+        of the measured ones (the fake-edge padding of Theorem 1.3's
+        proof — words that are charged but carry no payload); ``stats``
+        is merged into the phase charge.
+
+        Returns ``{member: [payloads in arrival order]}``.
+        """
+        members = self._member_set
+        flat_src: List[int] = []
+        flat_dst: List[int] = []
+        flat_payload: List[Any] = []
+        for src, batch in messages.items():
+            if src not in members:
+                raise ValueError(f"source {src} is not a member of the {self._scope}")
+            for dst, payload in batch:
+                if dst not in members:
+                    raise ValueError(f"destination {dst} is not in the {self._scope}")
+                flat_src.append(src)
+                flat_dst.append(dst)
+                flat_payload.append(payload)
+        silent = self._charge(
+            ledger, phase,
+            np.asarray(flat_src, dtype=np.int64),
+            np.asarray(flat_dst, dtype=np.int64),
+            words_per_message, extra_send_words, extra_recv_words, stats,
+        )
+        delivered: Dict[int, List[Any]] = {v: [] for v in self._members}
+        for i, (dst, payload) in enumerate(zip(flat_dst, flat_payload)):
+            if silent is not None and silent[i]:
+                payload = mangle_payload(payload, self.n)
+            delivered[dst].append(payload)
+        return delivered
+
+    def route_batch(
+        self,
+        batch: MessageBatch,
+        ledger: RoundLedger,
+        phase: str,
+        extra_send_words: Optional[np.ndarray] = None,
+        extra_recv_words: Optional[np.ndarray] = None,
+        **stats: Any,
+    ) -> DeliveredBatch:
+        """Columnar twin of :meth:`route`: same ledger charge, zero
+        per-payload Python objects.
+
+        Delivery is an argsort-group on ``dst``
+        (:func:`repro.congest.batch.deliver`).
+        """
+        batch = self._charge_batch(
+            batch, ledger, phase, extra_send_words, extra_recv_words, stats
+        )
+        return deliver(batch, self._space)
+
+    def charge_batch(
+        self,
+        batch: MessageBatch,
+        ledger: RoundLedger,
+        phase: str,
+        extra_send_words: Optional[np.ndarray] = None,
+        extra_recv_words: Optional[np.ndarray] = None,
+        **stats: Any,
+    ) -> MessageBatch:
+        """Validate and charge a batch pattern without central delivery.
+
+        The parallel and dist planes' charging endpoint: the ledger rows
+        are exactly :meth:`route_batch`'s, and the returned batch is the
+        one the network delivered (silently corrupted rows mangled), from
+        which the shard workers fill their own destination ranges
+        (:mod:`repro.parallel`).
+        """
+        return self._charge_batch(
+            batch, ledger, phase, extra_send_words, extra_recv_words, stats
+        )
+
+    def _charge_batch(
+        self,
+        batch: MessageBatch,
+        ledger: RoundLedger,
+        phase: str,
+        extra_send_words: Optional[np.ndarray],
+        extra_recv_words: Optional[np.ndarray],
+        stats: Dict[str, Any],
+    ) -> MessageBatch:
+        """Validate and charge a batch; return it as delivered."""
+        for role, ids in (("source", batch.src), ("destination", batch.dst)):
+            if ids.size and (
+                ids.min() < self._lo
+                or ids.max() >= self._space
+                or (self._mask is not None and not self._mask[ids].all())
+            ):
+                raise ValueError(f"a batch {role} is outside the {self._scope}")
+        silent = self._charge(
+            ledger, phase, batch.src, batch.dst, batch.words_per_message,
+            extra_send_words, extra_recv_words, stats,
+        )
+        if silent is not None and silent.any():
+            batch = corrupt_batch(batch, silent, self.n)
+        return batch
+
+    def _charge(
+        self,
+        ledger: RoundLedger,
+        phase: str,
+        src: np.ndarray,
+        dst: np.ndarray,
+        words_per_message: int,
+        extra_send_words: Optional[np.ndarray],
+        extra_recv_words: Optional[np.ndarray],
+        stats: Dict[str, Any],
+    ) -> Optional[np.ndarray]:
+        """Charge one validated pattern, then run the healing loop.
+
+        The primary charge is always computed on the intended pattern —
+        faults only ever *add* tagged recovery rows after it.  Returns
+        the silent-corruption mask (None without an active fault seam).
+        """
+        send_load, recv_load = bincount_loads(src, dst, self._space, words_per_message)
+        if extra_send_words is not None:
+            send_load = send_load + np.asarray(extra_send_words, dtype=np.int64)
+        if extra_recv_words is not None:
+            recv_load = recv_load + np.asarray(extra_recv_words, dtype=np.int64)
+        max_send = int(send_load.max(initial=0))
+        max_recv = int(recv_load.max(initial=0))
+        rounds = self.rounds_for_load(max_send, max_recv)
+        makespan, overlay_stats = makespan_charge(
+            self.topology, self.n, src, dst, words_per_message, rounds
+        )
+        ledger.charge(
+            phase,
+            rounds,
+            makespan=makespan,
+            **self._identity,
+            messages=len(src),
+            max_send_words=max_send,
+            max_recv_words=max_recv,
+            **stats,
+            **overlay_stats,
+        )
+        if self.faults is None or not self.faults.active:
+            return None
+        return heal_pattern(
+            self.faults,
+            ledger,
+            phase,
+            src,
+            dst,
+            space=self._space,
+            n=self.n,
+            words_per_message=words_per_message,
+            retry_rounds=self.rounds_for_load,
+        )
+
+    def rounds_for_load(self, max_send_words: int, max_recv_words: int) -> float:
+        """``factor · ⌈L / capacity⌉`` for the worst per-node load L of
+        the two directions; zero load costs zero rounds."""
+        worst = max(max_send_words, max_recv_words)
+        if worst == 0:
+            return 0.0
+        return self.factor * math.ceil(worst / self.capacity)
+
+    def charge_for_word_load(
+        self, ledger: RoundLedger, phase: str, max_words: int, **stats: Any
+    ) -> float:
+        """Charge for a routing step whose max per-node load is known.
+
+        Convenience for phases that compute loads themselves (e.g. the
+        final "learn edges between my parts" step, where the receive load
+        is the number of edges between assigned parts).
+        """
+        rounds = self.rounds_for_load(max_words, max_words)
+        # No per-message pattern is available here: the caller only
+        # reports an aggregate load, so the makespan is the uniform
+        # charge rescaled by the topology's link costs.
+        ledger.charge(
+            phase,
+            rounds,
+            makespan=makespan_for_rounds(self.topology, rounds),
+            **self._identity,
+            max_words=max_words,
+            **stats,
+        )
+        return rounds
+
+
+class ClusterRouter(Router):
     """Executes and charges intra-cluster routing (Theorem 2.4).
 
     Parameters
@@ -115,17 +388,10 @@ class ClusterRouter:
     n:
         Global number of nodes (for the polylog factor).
     cost_model:
-        Slack configuration.
-    topology:
-        Overlay network the cluster's traffic is routed over (see
-        ``repro.congest.topology``).  ``None`` or the default clique
-        leaves every charge byte-identical to the uniform model; other
-        overlays additionally report a per-link ``makespan`` on each
-        charged phase.
-
-    The router is also the bookkeeping point for the *mailboxes*: each
-    cluster node has a dict-like knowledge store that routing phases
-    append to.
+        Slack configuration: the charge is ``⌈L / capacity⌉ ·
+        routing_factor(n)``.
+    faults / topology:
+        The fault seam and overlay of :class:`Router`.
     """
 
     def __init__(
@@ -137,229 +403,18 @@ class ClusterRouter:
         faults: Optional[Any] = None,
         topology: Optional[Topology] = None,
     ) -> None:
-        self.nodes: List[int] = sorted(cluster_nodes)
-        if not self.nodes:
+        members = sorted(cluster_nodes)
+        if not members:
             raise ValueError("cluster must contain at least one node")
         if capacity < 1:
             raise ValueError(f"cluster capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.n = n
-        self.cost_model = cost_model
-        self.topology = topology
-        self._node_set = set(self.nodes)
-        # Optional fault seam: a FaultInjector (or FaultModel) that
-        # perturbs routed patterns; the router heals via ack-and-retry,
-        # charging recovery-tagged rows.  None = fault-free, unchanged.
-        if faults is not None and not isinstance(faults, FaultInjector):
-            faults = faults.injector()
-        self.faults: Optional[FaultInjector] = faults
-
-    def route(
-        self,
-        messages: Mapping[int, Sequence[Tuple[int, Any]]],
-        ledger: RoundLedger,
-        phase: str,
-        words_per_message: int = 1,
-    ) -> Dict[int, List[Any]]:
-        """Deliver ``messages`` inside the cluster and charge rounds.
-
-        Parameters
-        ----------
-        messages:
-            ``{src: [(dst, payload), ...]}``; both endpoints must be
-            cluster members (Theorem 2.4 only uses cluster edges).
-        ledger / phase:
-            Where to charge.
-        words_per_message:
-            Uniform message size in words (an edge payload is 2).
-
-        Returns
-        -------
-        ``{dst: [payloads in arrival order]}``.
-        """
-        send_load: Dict[int, int] = {v: 0 for v in self.nodes}
-        recv_load: Dict[int, int] = {v: 0 for v in self.nodes}
-        flat_src: List[int] = []
-        flat_dst: List[int] = []
-        flat_payload: List[Any] = []
-        for src, batch in messages.items():
-            if src not in self._node_set:
-                raise ValueError(f"source {src} is not a member of the cluster")
-            for dst, payload in batch:
-                if dst not in self._node_set:
-                    raise ValueError(f"destination {dst} is not in the cluster")
-                send_load[src] += words_per_message
-                recv_load[dst] += words_per_message
-                flat_src.append(src)
-                flat_dst.append(dst)
-                flat_payload.append(payload)
-        rounds = self.rounds_for_load(send_load, recv_load)
-        makespan, overlay_stats = makespan_charge(
-            self.topology,
-            self.n,
-            np.asarray(flat_src, dtype=np.int64),
-            np.asarray(flat_dst, dtype=np.int64),
-            words_per_message,
-            rounds,
-        )
-        ledger.charge(
-            phase,
-            rounds,
-            makespan=makespan,
-            cluster_size=len(self.nodes),
-            capacity=self.capacity,
-            messages=len(flat_payload),
-            max_send_words=max(send_load.values(), default=0),
-            max_recv_words=max(recv_load.values(), default=0),
-            **overlay_stats,
-        )
-        silent = self._heal(ledger, phase, flat_src, flat_dst, words_per_message)
-        delivered: Dict[int, List[Any]] = {v: [] for v in self.nodes}
-        for i, (dst, payload) in enumerate(zip(flat_dst, flat_payload)):
-            if silent is not None and silent[i]:
-                payload = mangle_payload(payload, self.n)
-            delivered[dst].append(payload)
-        return delivered
-
-    def route_batch(
-        self, batch: MessageBatch, ledger: RoundLedger, phase: str
-    ) -> DeliveredBatch:
-        """Columnar twin of :meth:`route` (Theorem 2.4, batch plane).
-
-        Membership checks, load accounting and delivery are all array
-        operations; the ledger charge (rounds *and* stats) is bit-
-        identical to what :meth:`route` records for the same pattern.
-        Mailboxes of non-members stay empty by construction, so the
-        returned :class:`DeliveredBatch` is indexed by global node id
-        exactly like the tuple plane's ``{dst: payloads}`` dict.
-        """
-        silent = self._charge_and_heal(batch, ledger, phase)
-        if silent is not None and silent.any():
-            batch = corrupt_batch(batch, silent, self.n)
-        return deliver(batch, self._member_space())
-
-    def charge_batch(
-        self, batch: MessageBatch, ledger: RoundLedger, phase: str
-    ) -> None:
-        """Validate and charge a batch pattern without central delivery —
-        the Theorem 2.4 twin of
-        :meth:`~repro.congest.congested_clique.CongestedClique.charge_batch`,
-        for phases whose mailbox fill is sharded worker-side on the
-        parallel plane.  Rounds and stats are bit-identical to
-        :meth:`route_batch` for the same pattern.
-        """
-        self._charge_and_heal(batch, ledger, phase)
-
-    def _charge_and_heal(
-        self, batch: MessageBatch, ledger: RoundLedger, phase: str
-    ) -> Optional[np.ndarray]:
-        """Validate + charge a batch, then run the healing loop.
-
-        The primary charge always reflects the intended pattern; the
-        fault seam only appends recovery-tagged rows after it.  Returns
-        the silent-corruption mask (None without a seam).
-        """
-        members = np.asarray(self.nodes, dtype=np.int64)
-        if len(batch):
-            if not bool(np.isin(batch.src, members).all()):
-                raise ValueError("a batch source is not a member of the cluster")
-            if not bool(np.isin(batch.dst, members).all()):
-                raise ValueError("a batch destination is not in the cluster")
-        send_load, recv_load = bincount_loads(
-            batch.src, batch.dst, self._member_space(), batch.words_per_message
-        )
-        max_send = int(send_load.max(initial=0))
-        max_recv = int(recv_load.max(initial=0))
-        rounds = self.rounds_for_load({0: max_send}, {0: max_recv})
-        makespan, overlay_stats = makespan_charge(
-            self.topology,
-            self.n,
-            batch.src,
-            batch.dst,
-            batch.words_per_message,
-            rounds,
-        )
-        ledger.charge(
-            phase,
-            rounds,
-            makespan=makespan,
-            cluster_size=len(self.nodes),
-            capacity=self.capacity,
-            messages=len(batch),
-            max_send_words=max_send,
-            max_recv_words=max_recv,
-            **overlay_stats,
-        )
-        return self._heal(
-            ledger, phase, batch.src, batch.dst, batch.words_per_message
+        super().__init__(
+            members, capacity, cost_model.routing_factor(n), n, faults, topology,
+            identity={"cluster_size": len(members), "capacity": capacity},
+            scope="cluster",
         )
 
-    def _heal(
-        self,
-        ledger: RoundLedger,
-        phase: str,
-        src: Any,
-        dst: Any,
-        words_per_message: int,
-    ) -> Optional[np.ndarray]:
-        """Ack-and-retry loop for one routed pattern (no-op sans seam)."""
-        if self.faults is None or not self.faults.active:
-            return None
-        return heal_pattern(
-            self.faults,
-            ledger,
-            phase,
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            space=self._member_space(),
-            n=self.n,
-            words_per_message=words_per_message,
-            retry_rounds=lambda ms, mr: self.rounds_for_load({0: ms}, {0: mr}),
-        )
-
-    def _member_space(self) -> int:
-        """Delivery index space: mailboxes are indexed by global id."""
-        return self.nodes[-1] + 1 if self.nodes else 1
-
-    def rounds_for_load(
-        self, send_load: Mapping[int, int], recv_load: Mapping[int, int]
-    ) -> float:
-        """Theorem 2.4 charge for measured per-node word loads.
-
-        ⌈L / capacity⌉ · slack(n), where L is the max over nodes of
-        send/receive words.  Zero load costs zero rounds.
-        """
-        worst = 0
-        if send_load:
-            worst = max(worst, max(send_load.values()))
-        if recv_load:
-            worst = max(worst, max(recv_load.values()))
-        if worst == 0:
-            return 0.0
-        batches = math.ceil(worst / self.capacity)
-        return batches * self.cost_model.routing_factor(self.n)
-
-    def charge_for_word_load(
-        self, ledger: RoundLedger, phase: str, max_words: int, **stats: Any
-    ) -> float:
-        """Charge for a routing step whose max per-node load is known.
-
-        Convenience for phases that compute loads themselves (e.g. the
-        final "learn edges between my parts" step, where the receive load
-        is the number of edges between assigned parts).
-        """
-        rounds = self.rounds_for_load({0: max_words}, {})
-        # No per-message pattern is available here: the caller only
-        # reports an aggregate load, so the makespan is the uniform
-        # charge rescaled by the topology's link costs.
-        makespan = makespan_for_rounds(self.topology, rounds)
-        ledger.charge(
-            phase,
-            rounds,
-            makespan=makespan,
-            cluster_size=len(self.nodes),
-            capacity=self.capacity,
-            max_words=max_words,
-            **stats,
-        )
-        return rounds
+    # perfbench/tracing.py patches these names through this class's __dict__.
+    route = Router.route
+    route_batch = Router.route_batch
+    charge_batch = Router.charge_batch

@@ -685,10 +685,6 @@ def makespan_charge(
     rounds.
     """
     if topology is None or topology.is_clique:
-        bandwidth = 1.0 if topology is None else topology.bandwidth
-        latency = 0.0 if topology is None else topology.latency
-        if rounds <= 0:
-            return 0.0, {}
-        return rounds / bandwidth + latency, {}
+        return makespan_for_rounds(topology, rounds), {}
     charge = topology.compile(n).pattern_charge(src, dst, words_per_message)
     return charge.makespan, charge.stats()

@@ -38,9 +38,8 @@ planes):
   lists only its own destinations.
 
 All planes charge **identical** ledger rounds: the charge is a function
-of the measured per-node word loads, and the loads are the same numbers
-whether counted by ``Counter`` loop, ``np.bincount``, or per-shard
-bincounts that partition the destination space.
+of the measured per-node word loads, which every plane counts through
+the same router core (:class:`~repro.congest.routing.Router`).
 
 If m is so small that Lemma 2.7's conditions fail, the paper pads with
 *fake edges* until m/n^{1/p} = 20·n·log n — the round count is Õ(1)
@@ -307,8 +306,9 @@ def _route_and_list_arrays(
       plane's cluster — both expose the same four shard kernels): the
       identical pattern is charged via
       :meth:`CongestedClique.charge_batch` (same validation, loads,
-      rounds, stats) and delivery + listing shard across the executor —
-      each shard masks out its destination range of the batch columns,
+      rounds, stats), which returns the batch as the network delivered
+      it, and delivery + listing shard across the executor —
+      each shard masks out its destination range of those columns,
       fills its own mailboxes, and lists them through the same grouped
       pipeline.  Destination ranges partition both the mailboxes and the
       responsible nodes, so the merged rows equal the central path's
@@ -338,7 +338,7 @@ def _route_and_list_arrays(
             batch, result.ledger, "learn_edges", **charge_kwargs
         )
     else:
-        clique_net.charge_batch(
+        batch = clique_net.charge_batch(
             batch, result.ledger, "learn_edges", **charge_kwargs
         )
     if precomputed_table is not None:

@@ -134,7 +134,7 @@ def sparsity_aware_listing(
     # Every member broadcasts its ~n/k choices to all k members: each
     # member sends and receives ~n words (§2.4.3 charges O(n) messages).
     partition_rounds = router.rounds_for_load(
-        {0: k * per_member_choices}, {0: k * per_member_choices}
+        k * per_member_choices, k * per_member_choices
     )
     ledger.charge(
         f"{phase_prefix}/partition",
@@ -170,13 +170,15 @@ def sparsity_aware_listing(
                 words += 2 * pair_counts.get((a, b), 0)
         recv_load[member] = words
 
-    learning_rounds = router.rounds_for_load(send_load, recv_load)
+    max_send = max(send_load.values(), default=0)
+    max_recv = max(recv_load.values(), default=0)
+    learning_rounds = router.rounds_for_load(max_send, max_recv)
     ledger.charge(
         f"{phase_prefix}/learn_edges",
         learning_rounds,
         makespan=makespan_for_rounds(router.topology, learning_rounds),
-        max_send_words=max(send_load.values(), default=0),
-        max_recv_words=max(recv_load.values(), default=0),
+        max_send_words=max_send,
+        max_recv_words=max_recv,
         known_edges=len(all_edges),
     )
 
@@ -196,8 +198,8 @@ def sparsity_aware_listing(
     stats = {
         "parts": float(s),
         "known_edges": float(len(all_edges)),
-        "max_send_words": float(max(send_load.values(), default=0)),
-        "max_recv_words": float(max(recv_load.values(), default=0)),
+        "max_send_words": float(max_send),
+        "max_recv_words": float(max_recv),
         "cliques_listed": float(sum(len(c) for c in listed.values())),
     }
     return SparsityAwareOutcome(
@@ -233,7 +235,7 @@ def _sparsity_aware_batch(
     partition = random_partition(n, s, rng)
     per_member_choices = math.ceil(n / k)
     partition_rounds = router.rounds_for_load(
-        {0: k * per_member_choices}, {0: k * per_member_choices}
+        k * per_member_choices, k * per_member_choices
     )
     ledger.charge(
         f"{phase_prefix}/partition",
@@ -293,7 +295,7 @@ def _sparsity_aware_batch(
 
     max_send = int(send_load.max(initial=0))
     max_recv = int(recv_load.max(initial=0))
-    learning_rounds = router.rounds_for_load({0: max_send}, {0: max_recv})
+    learning_rounds = router.rounds_for_load(max_send, max_recv)
     ledger.charge(
         f"{phase_prefix}/learn_edges",
         learning_rounds,

@@ -20,7 +20,11 @@ from repro.congest.batch import MessageBatch
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
+from repro.core.config import ExecutionConfig
+from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.params import AlgorithmParameters
 from repro.faults import FaultModel
+from repro.workloads import create_workload
 
 
 class TestConstructibility:
@@ -115,3 +119,34 @@ class TestRetryBudgetPathRaises:
         recovery = [ph for ph in ledger.phases() if ph.recovery]
         assert len(recovery) == 3  # one row per spent retry
         assert all("/faults/retry[" in ph.name for ph in recovery)
+
+
+def recount_failure(**execution):
+    """(expected, actual) of the recount self-check on a silently
+    corrupted Theorem 1.3 run."""
+    g = create_workload("er").instance(36, seed=0)
+    model = FaultModel(seed=2, silent_corruption_rate=0.3)
+    params = AlgorithmParameters(
+        p=3, execution=ExecutionConfig(faults=model, **execution)
+    )
+    with pytest.raises(CorruptionDetectedError) as excinfo:
+        list_cliques_congested_clique(g, 3, params=params, seed=0)
+    assert excinfo.value.phase == "recount"
+    return excinfo.value.expected, excinfo.value.actual
+
+
+class TestSilentCorruptionIsPlaneInvariant:
+    """One fault model, one outcome: the shard planes list the batch the
+    network delivered, so silent corruption damages them exactly as it
+    damages the batch plane."""
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            {"plane": "parallel", "workers": 2},
+            {"plane": "dist", "hosts": ("local", "local")},
+        ],
+        ids=["parallel", "dist"],
+    )
+    def test_shard_planes_fail_like_batch(self, execution):
+        assert recount_failure(**execution) == recount_failure(plane="batch")

@@ -124,19 +124,19 @@ class TestClusterRouter:
 
     def test_zero_load_zero_rounds(self):
         router = ClusterRouter([0, 1], capacity=2, n=16)
-        assert router.rounds_for_load({}, {}) == 0.0
+        assert router.rounds_for_load(0, 0) == 0.0
 
     def test_rounds_scale_with_load(self):
         model = CostModel(routing_slack=1)
         router = ClusterRouter([0, 1], capacity=10, n=16, cost_model=model)
-        light = router.rounds_for_load({0: 10}, {})
-        heavy = router.rounds_for_load({0: 100}, {})
+        light = router.rounds_for_load(10, 0)
+        heavy = router.rounds_for_load(100, 0)
         assert heavy == 10 * light
 
     def test_receive_load_counts(self):
         model = CostModel(routing_slack=1)
         router = ClusterRouter([0, 1], capacity=5, n=16, cost_model=model)
-        assert router.rounds_for_load({0: 1}, {1: 50}) == 10.0
+        assert router.rounds_for_load(1, 50) == 10.0
 
     def test_non_member_source_rejected(self):
         router = ClusterRouter([0, 1], capacity=2, n=16)

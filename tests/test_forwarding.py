@@ -99,7 +99,7 @@ class TestTheorem24CrossValidation:
         for batch in demands.values():
             for dst, _ in batch:
                 recv[dst] += 2
-        charge = router.rounds_for_load(send, recv)
+        charge = router.rounds_for_load(max(send.values()), max(recv.values()))
         # Faithful ≥ the pure charge (it is a real execution) and within a
         # generous polylog envelope of it.
         assert faithful_rounds >= charge

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.congest.routing import CostModel
+from repro.congest.routing import ClusterRouter, CostModel
 from repro.congest.topology import (
     DEFAULT_TOPOLOGY,
     TOPOLOGY_KINDS,
@@ -415,6 +415,17 @@ class TestCostModelValidation:
     def test_rejects_non_positive_or_non_finite(self, bad):
         with pytest.raises(ValueError, match="routing_slack"):
             CostModel(routing_slack=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -2.0, float("inf")])
+    def test_rejects_bad_callable_value(self, bad):
+        # nan used to charge 0 rounds (max(0.0, nan) is 0.0), inf an
+        # infinite total, and -2 only failed later as negative rounds.
+        model = CostModel(routing_slack=lambda n: bad)
+        with pytest.raises(ValueError, match=rf"routing_slack returned {bad!r} for n=40"):
+            model.routing_factor(40)
+        # The router computes its factor once, so it fails when built.
+        with pytest.raises(ValueError, match="routing_slack"):
+            ClusterRouter([0, 1], capacity=1, n=40, cost_model=model)
 
     @pytest.mark.parametrize("bad", [0, -2.0, float("nan"), True, "2"])
     def test_lenzen_slack_validated(self, bad):
