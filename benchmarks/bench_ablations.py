@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the design choices docs/architecture.md describes.
 
 A1 — routing slack: the Õ(1) factor of Theorem 2.4 (we default to
      log₂ n) vs "pure" slack-1 charging.  Separates the polylog overhead

@@ -3,8 +3,8 @@
 Every benchmark verifies correctness before reporting timings, and
 records the *simulated round counts* (the paper's metric) in
 ``benchmark.extra_info`` — wall-clock time of the simulator is secondary.
-Sizes are kept laptop-scale; EXPERIMENTS.md documents the sweeps used for
-the reported tables.
+Sizes are kept laptop-scale; ``--bench-scale full`` runs the sweeps
+behind the tables ``python -m repro.analysis.report`` prints.
 
 Gate policy: the gated benches (kernel / routing / stream / parallel)
 record raw best-of-N samples, wall-clock timestamps and cpu/worker
@@ -94,7 +94,7 @@ def pytest_addoption(parser):
         action="store",
         default="small",
         choices=["small", "full"],
-        help="small: CI-friendly sizes; full: the EXPERIMENTS.md sweeps",
+        help="small: CI-friendly sizes; full: the report-table sweeps",
     )
 
 

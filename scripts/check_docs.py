@@ -8,7 +8,10 @@ Fails (exit 1) when:
   backticked command name, e.g. ``### `sweep` — ...``);
 - docs/architecture.md is missing, or does not mention every pipeline
   stage module it is supposed to document;
-- the usage docstring of ``repro.cli`` itself omits a subcommand.
+- the usage docstring of ``repro.cli`` itself omits a subcommand;
+- a ``.py`` file under ``src/``, ``tests/``, ``benchmarks/`` or
+  ``scripts/`` names a markdown file that exists neither at the repo
+  root nor under ``docs/`` (a dangling doc reference).
 
 Run as ``PYTHONPATH=src python scripts/check_docs.py`` (CI does).
 """
@@ -24,6 +27,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cli import make_parser  # noqa: E402
+
+#: Trees whose python files may cite markdown docs, and the pattern of a cite.
+CODE_TREES = ("src", "tests", "benchmarks", "scripts")
+MARKDOWN_NAME = re.compile(r"\b\w[\w./-]*\.md\b")
 
 ARCHITECTURE_MUST_MENTION = [
     "repro/graphs/graph.py",
@@ -44,6 +51,24 @@ def cli_subcommands() -> list:
         if isinstance(action, argparse._SubParsersAction)
     )
     return sorted(subparsers.choices)
+
+
+def dangling_doc_references() -> list:
+    """``path:line: NAME`` for each cited markdown name that resolves
+    neither at the repo root nor under ``docs/``."""
+    found = []
+    for tree in CODE_TREES:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for name in MARKDOWN_NAME.findall(line):
+                    if not any(
+                        (base / name).is_file()
+                        for base in (REPO_ROOT, REPO_ROOT / "docs")
+                    ):
+                        rel = path.relative_to(REPO_ROOT)
+                        found.append(f"{rel}:{lineno}: {name}")
+    return found
 
 
 def main() -> int:
@@ -76,6 +101,9 @@ def main() -> int:
     for command in commands:
         if f"``{command}``" not in usage:
             problems.append(f"repro.cli docstring does not document ``{command}``")
+
+    for reference in dangling_doc_references():
+        problems.append(f"dangling markdown reference {reference}")
 
     if problems:
         for problem in problems:

@@ -18,7 +18,8 @@ Quickstart
 The result's :class:`~repro.congest.ledger.RoundLedger` decomposes the
 simulated CONGEST round cost by algorithm phase, mirroring the paper's
 analysis.  See README.md / docs/architecture.md for the architecture and
-EXPERIMENTS.md for the theorem-by-theorem reproduction.
+the tables ``python -m repro.analysis.report`` prints for the
+theorem-by-theorem reproduction.
 
 Workloads
 ---------

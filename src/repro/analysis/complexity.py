@@ -3,10 +3,12 @@
 The theorems predict power laws (rounds ≈ C·n^e up to polylog factors).
 Given a sweep of (n, rounds) measurements, :func:`fit_exponent` performs
 an ordinary least-squares fit in log–log space and returns the slope with
-its residual, which EXPERIMENTS.md reports next to the theoretical
-exponent.  At the finite n of a simulation the polylog factors inflate
-fitted slopes (d log(polylog)/d log n > 0), so the comparison is always
-"measured slope vs theory slope, with polylog caveat" — see DESIGN.md §6.
+its residual, which the tables ``python -m repro.analysis.report`` prints
+report next to the theoretical exponent.  At the finite n of a simulation
+the polylog factors inflate fitted slopes (d log(polylog)/d log n > 0), so
+the comparison is always "measured slope vs theory slope, with polylog
+caveat" — see README.md, "How round counts relate to the paper's
+theorems".
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Shared experiment driver used by the benchmarks and EXPERIMENTS.md.
+"""Shared experiment driver used by the benchmarks and by the tables
+``python -m repro.analysis.report`` prints.
 
-Each experiment (E1–E10 of DESIGN.md §5) is a function that runs a sweep,
-verifies correctness, and returns a table of rows.  Benchmarks wrap these
-with pytest-benchmark; the ``__main__`` entry point prints the tables for
-EXPERIMENTS.md.
+Each experiment (E1–E10) is a function that runs a sweep, verifies
+correctness, and returns a table of rows.  Benchmarks wrap these with
+pytest-benchmark; the ``__main__`` entry point prints the tables.
 """
 
 from __future__ import annotations

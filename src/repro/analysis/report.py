@@ -1,8 +1,9 @@
-"""EXPERIMENTS.md report generation.
+"""Experiment report generation.
 
 ``python -m repro.analysis.report`` runs every experiment sweep (E1–E10 of
-DESIGN.md §5) at a laptop-scale configuration, verifies correctness on
-each run, and prints the markdown tables that EXPERIMENTS.md embeds.
+:mod:`repro.analysis.experiments`) at a laptop-scale configuration,
+verifies correctness on each run, and prints the results as markdown
+tables.
 """
 
 from __future__ import annotations

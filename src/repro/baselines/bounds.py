@@ -3,7 +3,7 @@
 Pure functions of (n, p, m) used by the comparison benchmarks (E4, E9)
 to draw the theory curves next to the measured round counts.  Polylog and
 n^{o(1)} factors are set to 1 unless a ``polylog`` argument is supplied —
-EXPERIMENTS.md reports both.
+the tables ``python -m repro.analysis.report`` prints report both.
 """
 
 from __future__ import annotations

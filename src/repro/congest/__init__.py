@@ -1,6 +1,7 @@
 """CONGEST and CONGESTED CLIQUE model substrate.
 
-Two execution fidelities, both producing round counts (see DESIGN.md §4):
+Two execution fidelities, both producing round counts (see
+docs/architecture.md §2):
 
 - :mod:`~repro.congest.network` — a *faithful* synchronous message-passing
   engine: node programs exchange real messages, and each edge carries at

@@ -6,8 +6,8 @@ The paper's round-complexity proofs decompose into named phases
 that structure: every phase of every algorithm charges its rounds under a
 name, together with the measured loads that justify the charge.  Benchmark
 output then reports both the total and the per-phase breakdown, which is
-what EXPERIMENTS.md compares against the paper's terms
-(n^{3/4} vs n^{p/(p+2)} etc.).
+what the tables ``python -m repro.analysis.report`` prints compare against
+the paper's terms (n^{3/4} vs n^{p/(p+2)} etc.).
 """
 
 from __future__ import annotations

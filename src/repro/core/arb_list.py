@@ -28,9 +28,11 @@ from repro.congest.ledger import RoundLedger
 from repro.core.cluster_task import ClusterOutcome, process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
+from repro.core.result import attribution_arrays
 from repro.decomposition.expander import DecompositionParams, expander_decomposition
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
+from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
 
@@ -73,9 +75,14 @@ class ArbListState:
 
 @dataclass
 class ArbListOutcome:
-    """Result of one ARB-LIST invocation."""
+    """Result of one ARB-LIST invocation.
 
-    listed: Dict[int, Set[Clique]]
+    Row ``i`` of the ``(c, p)`` int64 ``table`` is a clique output by
+    node ``owners[i]``: every cluster's listing, then the K4 light phase.
+    """
+
+    owners: np.ndarray
+    table: np.ndarray
     goal_edges: Set[Edge]
     bad_edges: Set[Edge]
     num_clusters: int
@@ -83,10 +90,7 @@ class ArbListOutcome:
 
     @property
     def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
+        return materialize_rows(self.table)
 
 
 def arb_list(
@@ -123,7 +127,8 @@ def arb_list(
     )
 
     current = state.current_graph()
-    listed: Dict[int, Set[Clique]] = {}
+    # (owners, table) chunks; the empty first one keeps concatenation total.
+    chunks = [attribution_arrays({}, params.p)]
     goal_edges: Set[Edge] = set()
     bad_edges: Set[Edge] = set()
     phase_max: Dict[str, float] = {}
@@ -139,8 +144,7 @@ def arb_list(
             current, state.orientation, cluster, state.arboricity, params, rng
         )
         cluster_outcomes.append((cluster, outcome))
-        for member, cliques in outcome.listed.items():
-            listed.setdefault(member, set()).update(cliques)
+        chunks.append((outcome.owners, outcome.table))
         goal_edges |= outcome.goal_edges
         bad_edges |= outcome.bad_edges
         for phase, rounds in outcome.phase_rounds.items():
@@ -189,8 +193,7 @@ def arb_list(
             ledger,
             f"{phase_prefix}/light_listing",
         )
-        for node, cliques in light_listed.items():
-            listed.setdefault(node, set()).update(cliques)
+        chunks.append(attribution_arrays(light_listed, params.p))
 
     # New Êr: leftover of the decomposition plus the demoted bad edges.
     state.er_edges = set(decomposition.er_edges) | bad_edges
@@ -201,8 +204,10 @@ def arb_list(
     stats["goal_edges"] = float(len(goal_edges))
     stats["bad_edges"] = float(len(bad_edges))
     stats["er_out"] = float(len(state.er_edges))
+    owners, table = (np.concatenate(column) for column in zip(*chunks))
     return ArbListOutcome(
-        listed=listed,
+        owners=owners,
+        table=table,
         goal_edges=goal_edges,
         bad_edges=bad_edges,
         num_clusters=len(decomposition.clusters),

@@ -34,6 +34,7 @@ from repro.core.sparsity_aware import sparsity_aware_listing
 from repro.decomposition.cluster import Cluster
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
+from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
 
@@ -44,8 +45,10 @@ class ClusterOutcome:
 
     Attributes
     ----------
-    listed:
-        member -> cliques output by that member.
+    owners / table:
+        The sparsity-aware listing's output pair: row ``i`` of the
+        ``(c, p)`` int64 ``table`` is a clique output by member
+        ``owners[i]``.
     bad_edges:
         Cluster edges demoted to Êr (empty in the K4 variant).
     goal_edges:
@@ -56,7 +59,8 @@ class ClusterOutcome:
         Measured quantities for reports.
     """
 
-    listed: Dict[int, Set[Clique]]
+    owners: np.ndarray
+    table: np.ndarray
     bad_edges: FrozenSet[Edge]
     goal_edges: FrozenSet[Edge]
     phase_rounds: Dict[str, float]
@@ -66,10 +70,7 @@ class ClusterOutcome:
 
     @property
     def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
+        return materialize_rows(self.table)
 
 
 def process_cluster(
@@ -198,7 +199,8 @@ def process_cluster(
         )
 
     return ClusterOutcome(
-        listed=outcome.listed,
+        owners=outcome.owners,
+        table=outcome.table,
         bad_edges=bad.bad_edges,
         goal_edges=bad.goal_edges,
         phase_rounds=phase_rounds,

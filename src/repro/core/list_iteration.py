@@ -17,16 +17,18 @@ CONGEST cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
+from repro.core.result import attribution_arrays
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.orientation import Orientation
+from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
 
@@ -36,10 +38,12 @@ class ListOutcome:
     """Result of one LIST call (Theorem 2.8).
 
     ``es_edges`` / ``es_orientation`` are the Ẽs the caller recurses on;
-    every Kp of the input graph with an edge outside Ẽs is in ``listed``.
+    every Kp of the input graph with an edge outside Ẽs is a row of the
+    ``(c, p)`` int64 ``table``, output by node ``owners[i]`` for row ``i``.
     """
 
-    listed: Dict[int, Set[Clique]]
+    owners: np.ndarray
+    table: np.ndarray
     es_edges: Set[Edge]
     es_orientation: Orientation
     iterations: int
@@ -47,10 +51,7 @@ class ListOutcome:
 
     @property
     def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
+        return materialize_rows(self.table)
 
 
 def list_once(
@@ -84,7 +85,8 @@ def list_once(
         arboricity=arboricity,
         threshold=threshold,
     )
-    listed: Dict[int, Set[Clique]] = {}
+    # (owners, table) chunks; the empty first one keeps concatenation total.
+    chunks = [attribution_arrays({}, params.p)]
     budget = params.arb_iteration_budget(n)
     iterations = 0
     er_trace = [len(state.er_edges)]
@@ -94,8 +96,7 @@ def list_once(
         outcome = arb_list(
             state, params, rng, ledger, phase_prefix=f"{phase_prefix}/arb[{iterations}]"
         )
-        for member, cliques in outcome.listed.items():
-            listed.setdefault(member, set()).update(cliques)
+        chunks.append((outcome.owners, outcome.table))
         iterations += 1
         er_trace.append(len(state.er_edges))
         progressed = len(state.er_edges) < er_before or outcome.goal_edges
@@ -103,10 +104,14 @@ def list_once(
             break
 
     if state.er_edges:
-        _fallback_broadcast(state, params, listed, ledger, f"{phase_prefix}/fallback")
+        chunks.append(
+            _fallback_broadcast(state, params, ledger, f"{phase_prefix}/fallback")
+        )
 
+    owners, table = (np.concatenate(column) for column in zip(*chunks))
     return ListOutcome(
-        listed=listed,
+        owners=owners,
+        table=table,
         es_edges=state.es_edges,
         es_orientation=state.es_orientation,
         iterations=iterations,
@@ -123,10 +128,9 @@ def list_once(
 def _fallback_broadcast(
     state: ArbListState,
     params: AlgorithmParameters,
-    listed: Dict[int, Set[Clique]],
     ledger: RoundLedger,
     phase: str,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Discharge leftover Êr obligations by direct neighborhood broadcast.
 
     Every node broadcasts its remaining out-edges to all neighbors; each
@@ -134,6 +138,7 @@ def _fallback_broadcast(
     is oriented away from one of its two endpoints, both neighbors of any
     clique member), so the minimum member can list it.  Cost: 2·(max
     out-degree) words per link, the exact pipelined CONGEST cost.
+    Returns the listed cliques as an ``(owners, table)`` pair.
     """
     current = state.current_graph()
     rounds = 2.0 * max(1, state.orientation.max_out_degree)
@@ -141,8 +146,10 @@ def _fallback_broadcast(
     remaining_cliques = cliques_touching_edges(
         enumerate_cliques(current, params.p), state.er_edges
     )
+    listed: Dict[int, Set[Clique]] = {}
     for clique in remaining_cliques:
         listed.setdefault(min(clique), set()).add(clique)
     # All Êr obligations fulfilled; those edges retire from the graph.
     state.er_edges = set()
     state.orientation = state.orientation.restricted_to(state.es_edges)
+    return attribution_arrays(listed, params.p)

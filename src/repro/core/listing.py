@@ -109,9 +109,7 @@ def list_cliques_congest(
             ledger,
             phase_prefix=f"outer[{outer}]",
         )
-        for node, cliques in outcome.listed.items():
-            for clique in cliques:
-                result.attribute(node, clique)
+        result.attribute_table(outcome.owners, outcome.table)
         current = Graph(n, outcome.es_edges)
         orientation = outcome.es_orientation
         new_arboricity = max(1, orientation.max_out_degree)

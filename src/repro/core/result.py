@@ -11,7 +11,7 @@ never builds a frozenset unless the caller asks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +19,24 @@ from repro.congest.ledger import RoundLedger
 from repro.graphs.table import CliqueTable, frozenset_rows
 
 Clique = FrozenSet[int]
+
+
+def attribution_arrays(
+    listed: Mapping[int, Iterable[Clique]], p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A node -> cliques map as the ``(owners, table)`` int64 pair that
+    :meth:`ListingResult.attribute_table` takes: one row per (node,
+    clique), members ascending within each row."""
+    owners: List[int] = []
+    flat: List[int] = []
+    for node, cliques in listed.items():
+        for clique in cliques:
+            owners.append(node)
+            flat.extend(sorted(clique))
+    return (
+        np.asarray(owners, dtype=np.int64),
+        np.asarray(flat, dtype=np.int64).reshape(len(owners), p),
+    )
 
 
 class ListingResult:

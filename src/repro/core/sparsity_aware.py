@@ -15,12 +15,15 @@ The steps are then
 4. **local listing** — member i enumerates Kp in its learned edge set and
    outputs those containing a goal edge.
 
-Execution note (DESIGN.md §4): outputs and loads are computed in
-aggregate — per-pair edge counts drive the exact Theorem 2.4 charges, and
-each clique is attributed to the member whose digit sequence equals the
-clique's sorted part multiset, which is precisely the node that lists it
-in the message-level execution.  This is an optimization of the
-simulation, not of the algorithm: outputs and round charges are identical.
+Execution note (docs/architecture.md §3): outputs and loads are computed
+in aggregate — per-pair edge counts drive the exact Theorem 2.4 charges,
+and each clique is attributed to the member whose digit sequence equals
+the clique's sorted part multiset, which is precisely the node that lists
+it in the message-level execution.  The attributed cliques leave as one
+``(owners, table)`` array pair, the form
+:meth:`~repro.core.result.ListingResult.attribute_table` takes.  This is
+an optimization of the simulation, not of the algorithm: outputs and
+round charges are identical.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ from repro.core.partition import (
     responsible_index_array,
     responsible_new_id,
 )
+from repro.core.result import attribution_arrays
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import clique_table_from_edge_array
 from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
 
@@ -61,26 +66,25 @@ class SparsityAwareOutcome:
 
     Attributes
     ----------
-    listed:
-        member node -> cliques it outputs (each clique attributed to the
-        member owning its part multiset).
+    owners / table:
+        ``(c,)`` and ``(c, p)`` int64 arrays: row ``i`` of ``table`` (members
+        ascending) is a clique output by member ``owners[i]``, the member
+        owning its part multiset.
     partition_rounds / learning_rounds:
         Theorem 2.4 charges of the two communication steps.
     stats:
         Measured loads (max send/recv words, edges known, parts).
     """
 
-    listed: Dict[int, Set[Clique]]
+    owners: np.ndarray
+    table: np.ndarray
     partition_rounds: float
     learning_rounds: float
     stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def cliques(self) -> Set[Clique]:
-        result: Set[Clique] = set()
-        for cliques in self.listed.values():
-            result |= cliques
-        return result
+        return materialize_rows(self.table)
 
 
 def sparsity_aware_listing(
@@ -195,15 +199,17 @@ def sparsity_aware_listing(
         member = members[new_id - 1]
         listed.setdefault(member, set()).add(clique)
 
+    owners, table = attribution_arrays(listed, p)
     stats = {
         "parts": float(s),
         "known_edges": float(len(all_edges)),
         "max_send_words": float(max_send),
         "max_recv_words": float(max_recv),
-        "cliques_listed": float(sum(len(c) for c in listed.values())),
+        "cliques_listed": float(owners.size),
     }
     return SparsityAwareOutcome(
-        listed=listed,
+        owners=owners,
+        table=table,
         partition_rounds=partition_rounds,
         learning_rounds=learning_rounds,
         stats=stats,
@@ -307,13 +313,12 @@ def _sparsity_aware_batch(
 
     # -- Step 4: list the learned subgraph, filter to goal-touching rows,
     # attribute each row to the member owning its part multiset.
-    listed: Dict[int, Set[Clique]] = {}
-    cliques_listed = 0
     executor = params.execution.resolve_executor()
     if executor is not None:
         table = executor.clique_table(known, p)
     else:
         table = clique_table_from_edge_array(known, p)
+    kept = np.empty((0, p), dtype=np.int64)
     if table.shape[0] and goal_edges:
         goal_keys = np.sort(
             np.asarray([u * n + v for u, v in goal_edges], dtype=np.int64)
@@ -329,22 +334,21 @@ def _sparsity_aware_batch(
                     & (goal_keys[np.minimum(idx, goal_keys.size - 1)] == enc),
                     out=touches,
                 )
-        kept = table[touches]
-        if kept.shape[0]:
-            new_index = responsible_index_array(part_arr[kept], s)
-            for member_index, row in zip(new_index.tolist(), kept.tolist()):
-                listed.setdefault(members[member_index], set()).add(frozenset(row))
-            cliques_listed = kept.shape[0]
+        kept = np.asarray(table[touches], dtype=np.int64)
+    owners = np.asarray(members, dtype=np.int64)[
+        responsible_index_array(part_arr[kept], s)
+    ]
 
     stats = {
         "parts": float(s),
         "known_edges": float(known.shape[0]),
         "max_send_words": float(max_send),
         "max_recv_words": float(max_recv),
-        "cliques_listed": float(cliques_listed),
+        "cliques_listed": float(kept.shape[0]),
     }
     return SparsityAwareOutcome(
-        listed=listed,
+        owners=owners,
+        table=kept,
         partition_rounds=partition_rounds,
         learning_rounds=learning_rounds,
         stats=stats,

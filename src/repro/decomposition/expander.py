@@ -108,7 +108,8 @@ class Decomposition:
         return cluster_membership(self.clusters)
 
     def stats(self) -> Dict[str, float]:
-        """Summary quantities used by benchmarks and EXPERIMENTS.md."""
+        """Summary quantities used by benchmarks and by the tables
+        ``python -m repro.analysis.report`` prints."""
         total = len(self.em_edges) + len(self.es_edges) + len(self.er_edges)
         return {
             "num_clusters": len(self.clusters),

@@ -2,8 +2,8 @@
 
 These are the graph families used by the examples, tests and benchmark
 harness.  All generators take an explicit ``seed`` (or a
-``numpy.random.Generator``) so every experiment in EXPERIMENTS.md is
-reproducible bit-for-bit.
+``numpy.random.Generator``) so every experiment in the tables
+``python -m repro.analysis.report`` prints is reproducible bit-for-bit.
 
 The families mirror the regimes the paper's analysis distinguishes:
 

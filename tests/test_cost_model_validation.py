@@ -1,7 +1,8 @@
 """Cross-validation: the analytic round charges match faithful executions.
 
-DESIGN.md §4 promises that the charged primitives are honest: a phase
-charged R rounds must execute in Θ(R) rounds on the message-level engine.
+The cost model of docs/architecture.md §2 rests on the charged primitives
+being honest: a phase charged R rounds must execute in Θ(R) rounds on the
+message-level engine.
 These tests run both on the same inputs and compare.
 """
 

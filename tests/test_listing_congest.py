@@ -1,11 +1,14 @@
 """Integration tests: end-to-end CONGEST Kp listing (Theorems 1.1 / 1.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import list_cliques
 from repro.analysis.verification import verify_listing, verify_per_node_consistency
 from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters
+from repro.core.result import ListingResult
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.generators import (
     clustered_graph,
@@ -165,4 +168,22 @@ class TestBadNodePath:
         g = erdos_renyi(70, 0.5, seed=13)
         params = AlgorithmParameters(p=4, variant="generic", heavy_scale=1e-9)
         result = list_cliques_congest(g, 4, params=params, seed=13)
+        verify_listing(g, result).raise_if_failed()
+
+
+class TestColumnarHandOff:
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_pipeline_never_attributes_per_clique(self, monkeypatch, p):
+        """The cluster pipeline hands ``(owners, table)`` arrays up to one
+        ``attribute_table`` call per outer iteration: no clique is
+        recorded one at a time on the batch plane."""
+
+        def refuse(self, node, clique):
+            raise AssertionError(f"per-clique attribute({node}, {sorted(clique)})")
+
+        monkeypatch.setattr(ListingResult, "attribute", refuse)
+        g = create_workload("er").instance(40, seed=0)
+        params = replace(default_parameters(p), stop_scale=0.1)
+        result = list_cliques_congest(g, p, params=params, seed=0)
+        assert result.stats["outer_iterations"] >= 1
         verify_listing(g, result).raise_if_failed()

@@ -6,6 +6,8 @@ multisets out of the routers, and identical ``ListingResult`` outputs
 from both end-to-end drivers — across all workload families and seeds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.congest.message import Message, payload_words
 from repro.congest.routing import ClusterRouter
 from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
-from repro.core.listing import list_cliques_congest
+from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import enumerate_cliques
 from repro.workloads import available_workloads, create_workload
@@ -114,13 +116,23 @@ class TestDriverParity:
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_congest_driver(self, family, seed):
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("stop_scale", [1.0, 0.1])
+    def test_congest_driver(self, family, seed, p, stop_scale):
+        # stop_scale=0.1 lowers the outer loop's stop so the cluster
+        # pipeline runs at n=40; at 1.0 only the local tail does.
         g = create_workload(family).instance(40, seed=seed)
-        batch = list_cliques_congest(g, 3, seed=seed)
-        obj = list_cliques_congest(g, 3, seed=seed, params=on_object(3))
-        assert batch.cliques == obj.cliques == enumerate_cliques(g, 3)
+        params = replace(default_parameters(p), stop_scale=stop_scale)
+        batch = list_cliques_congest(g, p, seed=seed, params=params)
+        obj = list_cliques_congest(
+            g, p, seed=seed,
+            params=replace(params, execution=ExecutionConfig(plane="object")),
+        )
+        assert batch.cliques == obj.cliques == enumerate_cliques(g, p)
         assert batch.per_node == obj.per_node
         assert ledger_rows(batch) == ledger_rows(obj)
+        if stop_scale < 1.0 and family != "zipfian":  # zipfian: no cluster
+            assert batch.stats["outer_iterations"] >= 1
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_higher_p_parity(self, p):
