@@ -253,11 +253,12 @@ class Router:
     ) -> MessageBatch:
         """Validate and charge a batch pattern without central delivery.
 
-        The parallel and dist planes' charging endpoint: the ledger rows
-        are exactly :meth:`route_batch`'s, and the returned batch is the
-        one the network delivered (silently corrupted rows mangled), from
-        which the shard workers fill their own destination ranges
-        (:mod:`repro.parallel`).
+        The charge-only endpoint: the ledger rows are exactly
+        :meth:`route_batch`'s, and the returned batch is the one the
+        network delivered (silently corrupted rows mangled).  The
+        Theorem 1.3 driver charges its fan-out here on every array plane,
+        then keeps only the owner rows of that batch
+        (:func:`repro.core.partition.owner_rows`) for its own delivery.
         """
         return self._charge_batch(
             batch, ledger, phase, extra_send_words, extra_recv_words, stats

@@ -7,13 +7,17 @@ The §2.4.3 machinery run on the whole clique of n nodes:
 2. the n nodes partition into s = ⌊n^{1/p}⌋ parts uniformly at random;
    one round announces everyone's part;
 3. node with ID i takes the p parts spelled by the base-s digits of i and
-   must learn every edge between them; owners send each of their out-
-   edges to the O(p²·n^{1−2/p}) responsible nodes — one Lenzen routing
+   must learn every edge between them; every node sends each of its
+   out-edges to the O(p²·n^{1−2/p}) responsible nodes — one Lenzen routing
    step whose measured load is O(p²·m/n^{2/p}) w.h.p. (Lemma 2.7), i.e.
    Θ̃(1 + m/n^{1+2/p}) rounds;
-4. each responsible node reconstructs the subgraph it learned and lists
-   the Kp it sees; every Kp's part multiset is some node's digit
-   sequence, so the union is complete.
+4. each Kp is kept by exactly one node: the owner whose ascending digit
+   sequence is the clique's sorted part multiset.  Every multiset of p
+   parts is some owner's digits, so the union is complete.  Only the
+   C(s+p−1, p) owners list: each reconstructs the part of its learned
+   subgraph a kept Kp can use and lists the Kp in it.  The other nodes
+   receive their share of step 3 (it is charged) but can never keep a
+   Kp, so they list nothing.
 
 The data movement of step 3 *executes* on the routing plane
 ``params.execution.plane`` selects (``docs/architecture.md`` § routing
@@ -21,21 +25,23 @@ planes):
 
 - ``plane="batch"`` (default) — the fan-out pattern is built as numpy
   arrays straight from the CSR forward adjacency (p²-recipient
-  replication via ``np.repeat``/``np.tile``), routed through
-  :meth:`CongestedClique.route_batch`, and each node's learned subgraph
-  is reconstructed and listed without intermediate Python sets;
+  replication via ``np.repeat``/``np.tile``) and charged through
+  :meth:`CongestedClique.charge_batch` (the ledger rows of
+  ``route_batch``).  The rows an owner can keep
+  (:func:`~repro.core.partition.owner_rows`) are delivered into one
+  mailbox per owner and listed by one block-diagonal pipeline, without
+  intermediate Python sets;
 - ``plane="object"`` — every (edge, recipient) pair becomes one Python
-  tuple through :meth:`CongestedClique.route` dict mailboxes and each
-  learned subgraph is rebuilt set-by-set.  This is the reference
-  semantics the differential tests pin the batch plane against;
-- ``plane="parallel"`` — the batch plane's fan-out columns, with the
-  mailbox fill *and* the per-node learned-subgraph listing sharded by
-  destination ranges across a worker-process pool
+  tuple through :meth:`CongestedClique.route` dict mailboxes and every
+  learned subgraph, owner or not, is rebuilt set-by-set and listed.
+  This is the unfiltered reference the differential tests pin the
+  array planes against;
+- ``plane="parallel"`` / ``"dist"`` — the batch plane's charge and owner
+  mask, with the mailbox fill *and* the owner listing sharded by owner
+  ranges across a worker-process pool
   (:class:`repro.parallel.ShardExecutor`, ``execution.workers``
-  processes).  The ledger is charged through
-  :meth:`CongestedClique.charge_batch` — the same validation, loads and
-  stats as the central ``route_batch`` — and each worker delivers and
-  lists only its own destinations.
+  processes) or a cluster (:mod:`repro.dist`); each worker delivers and
+  lists only its own owners.
 
 All planes charge **identical** ledger rounds: the charge is a function
 of the measured per-node word loads, which every plane counts through
@@ -51,17 +57,22 @@ routed and never listed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES, fanout_edges_by_pair
+from repro.congest.batch import (
+    ARRAY_PLANES,
+    MessageBatch,
+    deliver,
+    fanout_edges_by_pair,
+)
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
-from repro.congest.ledger import RoundLedger
 from repro.congest.topology import makespan_for_rounds
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
+    owner_rows,
     pair_index_array,
     pair_recipient_count,
     pair_recipient_lists,
@@ -292,31 +303,32 @@ def _route_and_list_arrays(
     precomputed_table: Optional[np.ndarray] = None,
     executor=None,
 ) -> None:
-    """Columnar edge distribution + per-node listing (zero Python sets).
+    """Columnar edge distribution + owner-only listing (zero Python sets).
 
     One implementation serves every array plane — the fan-out batch,
-    the charge, and the responsible-node attribution are shared, so the
-    planes cannot drift apart:
+    the charge, the owner mask and the responsible-node attribution are
+    shared, so the planes cannot drift apart:
 
-    - ``executor=None`` (the batch plane): the pattern routes through
-      :meth:`CongestedClique.route_batch` and one block-diagonal level
-      pipeline lists every node's learned subgraph straight off the
-      delivered columns;
-    - ``executor`` set (the parallel plane's process pool or the dist
-      plane's cluster — both expose the same four shard kernels): the
-      identical pattern is charged via
-      :meth:`CongestedClique.charge_batch` (same validation, loads,
-      rounds, stats), which returns the batch as the network delivered
-      it, and delivery + listing shard across the executor —
-      each shard masks out its destination range of those columns,
-      fills its own mailboxes, and lists them through the same grouped
-      pipeline.  Destination ranges partition both the mailboxes and the
-      responsible nodes, so the merged rows equal the central path's
-      rows exactly, wherever the shards physically ran.
+    1. **charge** — the full §2.4.3 pattern goes through
+       :meth:`CongestedClique.charge_batch` (the ledger rows of
+       :meth:`~CongestedClique.route_batch`), which returns the batch as
+       the network delivered it;
+    2. **mask** — :func:`~repro.core.partition.owner_rows` keeps the rows
+       that can reach a kept Kp: those addressed to one of the
+       C(s+p−1, p) owning IDs, minus edges inside a part the owner
+       holds once.  Every other row lands where no Kp is ever kept, so
+       only local work goes away; the rounds stay the full pattern's;
+    3. **list** — the kept rows, addressed by owner rank, are either
+       delivered centrally and listed by one block-diagonal
+       ``grouped_clique_tables`` pipeline (``executor=None``, the batch
+       plane) or handed to ``executor.fanout_tables`` (the parallel
+       plane's process pool or the dist plane's cluster), which shards
+       delivery + listing by rank ranges.  Rank ranges partition the
+       mailboxes, so the merged rows equal the central path's exactly.
 
-    Either way the responsible-node filter keeps exactly the rows whose
-    part multiset is the lister's own digit sequence (each Kp survives
-    at precisely one node).
+    Ranks map back to node IDs before the responsible-node filter keeps
+    exactly the rows whose part multiset is the lister's own digit
+    sequence (each Kp survives at precisely one node).
     """
     n = part_arr.size
     edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
@@ -327,31 +339,35 @@ def _route_and_list_arrays(
         pair_index_array(part_arr[edge_src], part_arr[edge_dst], s),
         pair_recipient_lists(s, p),
     )
-    charge_kwargs = dict(
+    batch = clique_net.charge_batch(
+        batch,
+        result.ledger,
+        "learn_edges",
         extra_send_words=extra_send,
         extra_recv_words=extra_recv,
         fake_edges=fake_total,
         parts=s,
     )
-    if executor is None:
-        delivered = clique_net.route_batch(
-            batch, result.ledger, "learn_edges", **charge_kwargs
-        )
-    else:
-        batch = clique_net.charge_batch(
-            batch, result.ledger, "learn_edges", **charge_kwargs
-        )
     if precomputed_table is not None:
         _attribute_precomputed(result, precomputed_table, part_arr, s)
         return
+    owning, rows, rank = owner_rows(batch.dst, batch.payload, part_arr, s, p)
+    owned = MessageBatch(
+        src=batch.src[rows],
+        dst=rank,
+        payload=batch.payload[rows],
+        words_per_message=batch.words_per_message,
+    )
     if executor is None:
+        mailboxes = deliver(owned, owning.size)
         owners, table = grouped_clique_tables(
-            delivered.indptr, delivered.payload, p, assume_unique=True
+            mailboxes.indptr, mailboxes.payload, p, assume_unique=True
         )
     else:
-        owners, table = executor.fanout_tables(batch, n, p)
+        owners, table = executor.fanout_tables(owned, owning.size, p)
     if table.shape[0] == 0:
         return
+    owners = owning[owners]
     mine = responsible_index_array(part_arr[table], s) == owners
     result.attribute_table(owners[mine], table[mine])
 

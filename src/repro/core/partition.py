@@ -1,6 +1,6 @@
 """Random vertex partition and radix part assignment (§2.4.3, Lemma 2.7).
 
-Two pieces:
+Three pieces:
 
 - :func:`random_partition` — every graph node joins one of ``s`` parts
   uniformly at random.  Lemma 2.7 (with a union bound over part pairs)
@@ -11,7 +11,9 @@ Two pieces:
   spelled by the base-s digits of i−1.  Because s = ⌊k^{1/p}⌋, all s^p
   digit sequences are covered by the k IDs, so *every multiset of ≤ p
   parts is some node's responsibility* — the completeness backbone of the
-  in-cluster listing.
+  in-cluster listing.  :func:`owner_indices` names the IDs that keep
+  cliques (ascending digits) and :func:`owner_rows` masks a fan-out down
+  to the rows they can use.
 - :func:`sample_induced_edges` — the literal Lemma 2.7 experiment
   (independent q-sampling of vertices), used by the E7 benchmark.
 """
@@ -140,6 +142,48 @@ def radix_digit_table(s: int, p: int) -> np.ndarray:
         digits[:, j] = index % s
         index //= s
     return digits
+
+
+def owner_indices(s: int, p: int) -> np.ndarray:
+    """The 0-based new-ID indices that own a part multiset, ascending.
+
+    Index i owns one iff its digits ascend (least-significant first), i.e.
+    it is :func:`responsible_index_array` of its own digits.  There are
+    C(s+p−1, p) of them, one per multiset of p parts; every other index
+    learns edges in §2.4.3 but can never keep a Kp.
+    """
+    digits = radix_digit_table(s, p)
+    return np.flatnonzero((np.diff(digits, axis=1) >= 0).all(axis=1))
+
+
+def owner_rows(
+    dst: np.ndarray, edges: np.ndarray, part_arr: np.ndarray, s: int, p: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a §2.4.3 fan-out that can reach a kept Kp.
+
+    ``dst`` are the recipients (0-based new-ID indices below s^p) and
+    ``edges`` the ``(rows, 2)`` edge endpoints as delivered.  A row is
+    kept iff its recipient is an owner (:func:`owner_indices`) and the
+    edge does not lie inside a part the owner's digits hold only once —
+    a Kp using such an edge has that part twice, so its multiset is not
+    the owner's.  Returns ``(owners, rows, rank)``: the owning indices
+    (:func:`owner_indices`), the kept row indices in batch order, and
+    each kept row's recipient as a rank into ``owners``.
+    """
+    owners = owner_indices(s, p)
+    lookup = np.full(s**p, -1, dtype=np.int64)
+    lookup[owners] = np.arange(owners.size, dtype=np.int64)
+    rank = lookup[dst]
+    rows = np.flatnonzero(rank >= 0)
+    rank = rank[rows]
+    ends = part_arr[edges[rows]]
+    # repeated[r, a] <=> owner r's (ascending) digits hold part a twice.
+    digits = radix_digit_table(s, p)[owners]
+    r, j = np.nonzero(digits[:, 1:] == digits[:, :-1])
+    repeated = np.zeros((owners.size, s), dtype=bool)
+    repeated[r, digits[r, j]] = True
+    keep = (ends[:, 0] != ends[:, 1]) | repeated[rank, ends[:, 0]]
+    return owners, rows[keep], rank[keep]
 
 
 def pair_index_array(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:

@@ -26,11 +26,12 @@ little-endian bit order: node ``j`` lives in byte ``j >> 3``, bit
 ``j & 7``).  Cliques are grown level-synchronously: level ``k`` holds a
 table of all position-ordered K\\ :sub:`k` prefixes plus one
 candidate-bitset row per prefix, and one vectorized 64-bit AND narrows
-every candidate set at once.  Members are extracted byte-sparsely
-(``nonzero`` on a ``uint8`` view of the packed words, then an 8-way bit
-expansion), so work scales with the number of set bits, not with ``n``.
-Counting replaces the last level with a cache-blocked 64-bit popcount
-reduction and never materializes leaf objects.  Beyond
+every candidate set at once.  Members are extracted word-first
+(``nonzero`` over the ``uint64`` words, then an 8-way bit expansion of
+only those words' nonzero bytes), so work scales with the number of set
+bits, not with ``n``.  Counting replaces the last level with a
+cache-blocked 64-bit popcount reduction and never materializes leaf
+objects.  Beyond
 ``BITSET_MAX_NODES`` the kernels fall back to an explicit-stack search
 over sorted index arrays (:func:`intersect_sorted`), which needs no
 quadratic bit matrix.
@@ -76,12 +77,11 @@ CHUNK_EDGES = 16384
 POPCOUNT_BLOCK_BYTES = 1 << 22
 
 _ARANGE8 = np.arange(8, dtype=np.uint8)
-_ARANGE64 = np.arange(64, dtype=np.uint64)
 
-#: Word byte order of the host.  The packed layout is defined byte-wise
-#: (node j -> byte j >> 3, bit j & 7), so on little-endian hosts a
-#: ``uint64`` word row and its ``uint8`` view agree on which node each
-#: bit encodes; big-endian hosts take explicit byte-permutation paths.
+#: Word byte order of the host.  Node j is bit j & 63 of word j >> 6, so
+#: on little-endian hosts it is also byte j >> 3, bit j & 7 of the row's
+#: ``uint8`` view; big-endian hosts permute bytes within each word
+#: (:func:`_byte_columns`) or read words as ``<u8`` (:func:`_expand_members`).
 _LITTLE = sys.byteorder == "little"
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -412,32 +412,26 @@ pack_bitset_rows = _pack_bitset_rows
 
 
 def _expand_members(cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Set bits of a stack of bitset rows, as ``(row_index, node_id)``.
+    """Set bits of a stack of uint64 bitset rows, as ``(row_index, node_id)``.
 
-    Byte-sparse: only nonzero bytes (of the uint8 view) are expanded, so
-    cost tracks the number of set bits.  Within one row the returned
-    node ids ascend, and rows appear in ascending order — the level
-    pipeline relies on this to keep prefix groups contiguous.
+    Word-first: ``nonzero`` runs over the words, and only the nonzero
+    words' bytes are expanded, so cost tracks the number of set bits.
+    The selected words are read as little-endian (``<u8``, a no-op on
+    little-endian hosts) so byte k of a word holds nodes 8k..8k+7 on
+    either byte order.  Within one row the returned node ids ascend,
+    and rows appear in ascending order — the level pipeline relies on
+    this to keep prefix groups contiguous.
     """
-    if cand.dtype == np.uint64 and not _LITTLE:  # pragma: no cover
-        # Big-endian: the uint8 view's byte order would descend within
-        # each word and break the ascending-node invariant; expand the
-        # words directly instead.
-        ri, wj = np.nonzero(cand)
-        if ri.size == 0:
-            return ri, wj
-        vals = cand[ri, wj]
-        wide = (vals[:, None] >> _ARANGE64) & np.uint64(1)
-        ki, bit = np.nonzero(wide)
-        return ri[ki], (wj[ki] << 6) + bit
-    cand8 = cand.view(np.uint8) if cand.dtype != np.uint8 else cand
-    ri, bj = np.nonzero(cand8)
+    ri, wj = np.nonzero(cand)
     if ri.size == 0:
-        return ri, bj
-    vals = cand8[ri, bj]
-    eight = (vals[:, None] >> _ARANGE8) & 1
+        return ri, wj
+    words = cand[ri, wj].astype("<u8", copy=False)
+    word_bytes = words.view(np.uint8).reshape(-1, 8)
+    wi, bk = np.nonzero(word_bytes)
+    eight = (word_bytes[wi, bk][:, None] >> _ARANGE8) & 1
     ki, bit = np.nonzero(eight)
-    return ri[ki], (bj[ki] << 3) + bit
+    wi = wi[ki]
+    return ri[wi], (wj[wi] << 6) + (bk[ki] << 3) + bit
 
 
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@
 parallel twins of the batch plane's hot kernels:
 
 - :meth:`fanout_tables` — the Theorem 1.3 step-3/4 tail: split the
-  fan-out :class:`~repro.congest.batch.MessageBatch` columns by
-  destination ranges, deliver and list every learned subgraph
+  owner-masked fan-out :class:`~repro.congest.batch.MessageBatch`
+  columns by destination ranges, deliver and list every mailbox
   worker-side, concatenate the per-shard ``(owners, table)`` results;
 - :meth:`grouped_tables` — sharded
   :func:`repro.graphs.csr.grouped_clique_tables` over group ranges;
@@ -180,11 +180,12 @@ class ShardExecutor:
         """Deliver-and-list a fan-out batch, sharded by destination.
 
         ``batch`` is an *undelivered* edge-carrying
-        :class:`~repro.congest.batch.MessageBatch` (the §2.4.3 fan-out);
-        ``n`` the destination space.  Shards are contiguous destination
-        ranges balanced by received-message weight (the fan-out
-        concentrates load on the s^p responsible nodes); each worker
-        fills and lists only its own mailboxes.  Returns the same
+        :class:`~repro.congest.batch.MessageBatch` (the Theorem 1.3
+        driver passes its §2.4.3 fan-out masked to owner rows, addressed
+        by owner rank); ``n`` the destination space.  Shards are
+        contiguous destination ranges balanced by received-message
+        weight (owners differ in load); each worker fills and lists only
+        its own mailboxes.  Returns the same
         ``(owners, table)`` the batch plane's central
         ``deliver`` + ``grouped_clique_tables`` produces, up to row
         order.

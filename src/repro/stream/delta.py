@@ -22,7 +22,7 @@ batched: a K_p containing edge ``(u, v)`` is ``{u, v}`` plus a
 K\\ :sub:`p-2` of the subgraph induced on ``S = N(u) ∩ N(v)``.  The
 bitset path computes every intersection row with one vectorized AND
 over the overlay's full-adjacency bitsets, expands members and induced
-edges byte-sparsely, and — for p ≥ 5 — lists every touched edge's
+edges word-first, and — for p ≥ 5 — lists every touched edge's
 K\\ :sub:`p-2` in a single block-diagonal
 :func:`~repro.graphs.csr.grouped_clique_tables` pipeline (one group per
 touched edge), instead of one kernel launch per edge.  A final

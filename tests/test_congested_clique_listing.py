@@ -2,14 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import repro.core.congested_clique_listing as cc_listing
 from repro.analysis.verification import verify_listing
+from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import (
     list_cliques_congested_clique,
     num_parts_for_clique,
 )
 from repro.core.params import AlgorithmParameters
+from repro.core.partition import (
+    radix_digit_table,
+    random_partition,
+    responsible_index_array,
+)
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.generators import (
     bounded_arboricity_graph,
@@ -115,3 +123,74 @@ class TestLoadBounds:
         learn = [ph for ph in result.ledger.phases() if ph.name == "learn_edges"][0]
         bound = 8 * p * p * 2 * g.num_edges / (n ** (2 / p))
         assert learn.stats["max_recv_words"] <= bound
+
+
+class TestOwnerOnlyListing:
+    """The array planes charge the full fan-out but list only rows an
+    owning node can keep; the object plane lists every mailbox."""
+
+    @staticmethod
+    def _ledger_rows(result):
+        return [(ph.name, ph.rounds, ph.stats) for ph in result.ledger.phases()]
+
+    @pytest.mark.parametrize("n,p,seed", [(60, 3, 1), (81, 4, 2), (64, 3, 5)])
+    def test_kernel_sees_only_owner_rows(self, monkeypatch, n, p, seed):
+        g = erdos_renyi(n, 0.3, seed=seed)
+        s = num_parts_for_clique(n, p)
+        part = random_partition(n, s, np.random.default_rng(seed)).part_array()
+        digits = radix_digit_table(s, p)
+        # Owners, independently of the driver's helper: the IDs that are
+        # the responsible index of their own digits.
+        owned_digits = digits[responsible_index_array(digits, s) == np.arange(s**p)]
+        calls = []
+        kernel = cc_listing.grouped_clique_tables
+
+        def spy(indptr, edges, p_, assume_unique=False):
+            calls.append((np.asarray(indptr).copy(), np.asarray(edges).copy()))
+            return kernel(indptr, edges, p_, assume_unique)
+
+        monkeypatch.setattr(cc_listing, "grouped_clique_tables", spy)
+        batch = list_cliques_congested_clique(g, p, seed=seed)
+        assert len(calls) == 1
+        indptr, edges = calls[0]
+        # One mailbox per owning ID, none for the other n - C(s+p-1, p).
+        assert indptr.size - 1 == math.comb(s + p - 1, p)
+        for rank, digits in enumerate(owned_digits.tolist()):
+            for u, v in edges[indptr[rank] : indptr[rank + 1]].tolist():
+                a, b = part[u], part[v]
+                assert a in digits and b in digits
+                if a == b:  # an owner holding part a once never needs it
+                    assert digits.count(a) >= 2
+
+        obj = list_cliques_congested_clique(
+            g, p, seed=seed,
+            params=AlgorithmParameters(p=p, execution=ExecutionConfig(plane="object")),
+        )
+        assert batch.table() == obj.table()
+        assert batch.per_node == obj.per_node
+        assert self._ledger_rows(batch) == self._ledger_rows(obj)
+
+    def test_shard_planes_receive_the_masked_batch(self, monkeypatch):
+        from repro.parallel.executor import ShardExecutor
+
+        n, p, seed = 81, 4, 3
+        g = erdos_renyi(n, 0.3, seed=seed)
+        s = num_parts_for_clique(n, p)
+        seen = []
+        fanout = ShardExecutor.fanout_tables
+
+        def spy(self, batch, space, p_):
+            seen.append((space, int(batch.dst.max(initial=-1))))
+            return fanout(self, batch, space, p_)
+
+        monkeypatch.setattr(ShardExecutor, "fanout_tables", spy)
+        params = AlgorithmParameters(
+            p=p, execution=ExecutionConfig(plane="parallel", workers=2)
+        )
+        sharded = list_cliques_congested_clique(g, p, params=params, seed=seed)
+        owners = math.comb(s + p - 1, p)
+        assert len(seen) == 1
+        assert seen[0][0] == owners and seen[0][1] < owners
+        batch = list_cliques_congested_clique(g, p, seed=seed)
+        assert sharded.table() == batch.table()
+        assert sharded.per_node == batch.per_node

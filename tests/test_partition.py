@@ -11,10 +11,16 @@ from repro.core.partition import (
     lemma_2_7_bound,
     lemma_2_7_conditions,
     max_pair_load,
+    owner_indices,
+    owner_rows,
     pair_edge_counts,
+    pair_index_array,
     pair_recipient_count,
+    pair_recipient_lists,
     radix_assignment,
+    radix_digit_table,
     random_partition,
+    responsible_index_array,
     responsible_new_id,
     sample_induced_edges,
 )
@@ -123,6 +129,45 @@ class TestResponsibleNewId:
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):
             responsible_new_id([0] * 5, 2, 3)
+
+
+class TestOwners:
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_owners_are_their_own_responsible_index(self, s, p):
+        digits = radix_digit_table(s, p)
+        expected = np.flatnonzero(
+            responsible_index_array(digits, s) == np.arange(s**p)
+        )
+        owners = owner_indices(s, p)
+        assert owners.tolist() == expected.tolist()
+        assert owners.size == math.comb(s + p - 1, p)
+
+    @pytest.mark.parametrize("s,p", [(2, 3), (3, 3), (3, 4), (2, 5)])
+    def test_rows_kept_iff_an_owned_clique_can_use_them(self, s, p):
+        """Brute force over a random fan-out: a row survives iff its
+        recipient owns a multiset and that multiset holds both of the
+        edge's parts (twice, for an edge inside one part)."""
+        rng = np.random.default_rng(s * 10 + p)
+        n = 40
+        part_arr = rng.integers(0, s, size=n)
+        edges = rng.integers(0, n, size=(300, 2)).astype(np.uint32)
+        recipients = pair_recipient_lists(s, p)
+        pair = pair_index_array(part_arr[edges[:, 0]], part_arr[edges[:, 1]], s)
+        dst = np.array([rng.choice(recipients[g]) for g in pair])
+        owners, rows, rank = owner_rows(dst, edges, part_arr, s, p)
+        assert owners.tolist() == owner_indices(s, p).tolist()
+        digits = radix_digit_table(s, p)
+        expected = []
+        for i, (d, (u, v)) in enumerate(zip(dst.tolist(), edges.tolist())):
+            held = list(digits[d])
+            a, b = part_arr[u], part_arr[v]
+            need = 2 if a == b else 1
+            owns = held == sorted(held)
+            if owns and held.count(a) >= need and held.count(b) >= 1:
+                expected.append(i)
+        assert rows.tolist() == expected
+        assert owners[rank].tolist() == dst[rows].tolist()
 
 
 class TestPairRecipientCount:

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import AlgorithmParameters
@@ -321,6 +321,16 @@ class TestCliqueTableProperties:
             assert (clique in b) == (clique in b.as_frozenset())
 
 
+ALL_ONES = 2**64 - 1
+
+#: Packed bitset words, weighted toward the edge cases of the expand
+#: kernel: empty words, all-ones words and the top bit (node 63).
+bitset_words = st.one_of(
+    st.sampled_from([0, ALL_ONES, 1 << 63, 1]),
+    st.integers(min_value=0, max_value=ALL_ONES),
+)
+
+
 class TestPopcountProperties:
     @given(
         st.lists(
@@ -345,28 +355,33 @@ class TestPopcountProperties:
         assert int(_popcount_sum(as_bytes.reshape(1, -1))) == sum(expected)
 
     @given(
-        st.integers(min_value=1, max_value=300),
-        st.lists(st.integers(min_value=0, max_value=299), unique=True, max_size=40),
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(
+                st.lists(bitset_words, min_size=width, max_size=width),
+                min_size=1,
+                max_size=8,
+            )
+        )
     )
+    @example([[0, 0], [ALL_ONES, 1 << 63], [0, 0], [1, 0]])
     @settings(max_examples=80, deadline=None)
-    def test_packed_rows_round_trip_members(self, n, cols):
-        """Packing bits into uint64 words and expanding them back yields
-        exactly the original columns, in ascending order."""
+    def test_packed_rows_round_trip_members(self, matrix):
+        """Expanding a (rows, words) matrix yields the set bits that
+        ``np.unpackbits`` sees, row-major and node-ascending, on either
+        word byte order; scattering them back rebuilds the matrix."""
         from repro.graphs.csr import _expand_members, _scatter_bits
 
-        cols = [c for c in cols if c < n]
-        width = max(1, (n + 63) // 64)
-        bits = np.zeros((1, width), dtype=np.uint64)
-        _scatter_bits(
-            bits,
-            np.zeros(len(cols), dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-        )
-        assert bits.dtype == np.uint64
-        ri, ci = _expand_members(bits)
-        assert ri.tolist() == [0] * len(cols)
-        assert sorted(ci.tolist()) == sorted(cols)
-        assert ci.tolist() == sorted(cols)  # ascending within the row
+        bits = np.asarray(matrix, dtype=np.uint64)
+        # Node j is bit j & 63 of word j >> 6: little-endian bytes, low bit first.
+        as_bytes = bits.astype("<u8").view(np.uint8)
+        unpacked = np.unpackbits(as_bytes, axis=1, bitorder="little")
+        expected = [r.tolist() for r in np.nonzero(unpacked)]
+        for words in (bits, bits.astype(">u8")):
+            ri, ci = _expand_members(words)
+            assert [ri.tolist(), ci.tolist()] == expected
+        rebuilt = np.zeros_like(bits)
+        _scatter_bits(rebuilt, ri, ci)
+        assert np.array_equal(rebuilt, bits)
 
 
 # ----------------------------------------------------------------------
