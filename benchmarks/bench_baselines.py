@@ -5,78 +5,40 @@ against Eden et al.'s O(n^{5/6+o(1)}) and the trivial bounds, measured on
 identical workloads with identical accounting rules, plus the analytic
 curves for the asymptotic picture.
 
-Our side of the table is driven through the batched sweep runner
-(:mod:`repro.analysis.sweeps`) — the same grid-expansion, execution and
-verification path as ``python -m repro.cli sweep`` — so the measured
-rounds are the sweep runner's, not an ad-hoc loop's.  The baselines run
-on the *identical* workload instances (same family, params and seed as
-the sweep cells) and are verified against the same ground truth.
+The grids are the report's E4 declaration (``repro.analysis.report.e4_specs``):
+our K4 driver and the ``eden-k4``, ``broadcast`` and
+``neighborhood-broadcast`` comparator models on the identical sweep cells,
+each verified against ground truth by the sweep runner.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.complexity import crossover_size
-from repro.analysis.sweeps import SweepSpec, run_sweep
-from repro.analysis.verification import verify_listing
+from repro.analysis.report import e4_specs, e4_table, sweep_rows
 from repro.baselines import bounds
-from repro.baselines.broadcast import broadcast_listing, neighborhood_broadcast_listing
-from repro.baselines.eden import eden_k4_listing
-from repro.graphs.cliques import enumerate_cliques
-from repro.workloads import create_workload
-
-DENSITY = 0.5
-SEED = 0
 
 
 def test_k4_baseline_showdown(benchmark, congest_sizes):
-    rows = {}
-    spec = SweepSpec(
-        workloads=[("er", {"density": DENSITY})],
-        sizes=congest_sizes,
-        ps=[4],
-        variants=["k4"],
-        seed=SEED,
-        verify=True,
-    )
-
-    def sweep():
-        ours_by_n = {
-            row["n"]: row["rounds"] for row in run_sweep(spec, cache_dir=None).rows
-        }
-        workload = create_workload("er", density=DENSITY)
-        for n in congest_sizes:
-            g = workload.instance(n, seed=SEED)  # the sweep cell's instance
-            truth = enumerate_cliques(g, 4)
-            eden = eden_k4_listing(g, seed=n)
-            oriented = broadcast_listing(g, 4)
-            neighborhood = neighborhood_broadcast_listing(g, 4)
-            for result in (eden, oriented, neighborhood):
-                verify_listing(g, result, truth=truth).raise_if_failed()
-            rows[n] = {
-                "ours": ours_by_n[n],
-                "eden": eden.rounds,
-                "broadcast_orientation": oriented.rounds,
-                "broadcast_neighborhood": neighborhood.rounds,
-            }
-        return rows
-
-    benchmark.pedantic(sweep, iterations=1, rounds=1)
-    sizes = sorted(rows)
+    specs = tuple(e4_specs(congest_sizes))
+    rows = benchmark.pedantic(sweep_rows, args=specs, iterations=1, rounds=1)
+    # execute_run raised on any listing that missed or invented a K4.
+    assert all(spec.verify for spec in specs)
+    assert {row["model"] for row in rows} == {spec.model for spec in specs}
+    assert all(row["verified"] for row in rows)
+    table = e4_table(rows)
     benchmark.extra_info.update(
         {
             "measured": {
-                str(n): {k: round(v, 1) for k, v in rows[n].items()} for n in sizes
+                str(row["n"]): {k: round(v, 1) for k, v in row.items() if k != "n"}
+                for row in table.rows
             },
             "analytic_exponents": {
                 "ours_k4": round(2 / 3, 3),
                 "eden_k4": round(5 / 6, 3),
                 "trivial": 1.0,
             },
-            "measured_crossover_ours_vs_eden": crossover_size(
-                sizes, [rows[n]["ours"] for n in sizes], [rows[n]["eden"] for n in sizes]
-            ),
+            # The measured ours <= Eden crossover, and why it lies
+            # beyond simulation n.
+            "notes": table.notes,
         }
     )
 

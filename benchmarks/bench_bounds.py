@@ -8,10 +8,9 @@ between the two curves on the bench workloads.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
+from repro.analysis.report import experiment_e9
 from repro.analysis.verification import verify_listing
 from repro.baselines import bounds
 from repro.core.listing import list_cliques_congest
@@ -19,19 +18,9 @@ from repro.graphs.generators import erdos_renyi
 
 
 def test_exponent_gap_ladder(benchmark):
-    def compute():
-        return {
-            p: {
-                "upper": round(max(0.75, p / (p + 2)), 4),
-                "lower": round((p - 2) / p, 4),
-                "gap": round(bounds.optimality_gap(0, p), 4),
-            }
-            for p in (4, 5, 6, 8, 10, 14, 20)
-        }
-
-    ladder = benchmark.pedantic(compute, iterations=1, rounds=1)
-    benchmark.extra_info["ladder"] = ladder
-    gaps = [row["gap"] for row in ladder.values()]
+    table = benchmark.pedantic(experiment_e9, iterations=1, rounds=1)
+    benchmark.extra_info["ladder"] = table.rows
+    gaps = [row["gap"] for row in table.rows]
     assert gaps == sorted(gaps, reverse=True), "gap must shrink as p grows"
 
 

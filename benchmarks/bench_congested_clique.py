@@ -3,69 +3,45 @@
 Two claims to regenerate: (a) rounds are O(1) below the knee
 m = n^{1+2/p} and grow ~linearly in m above it; (b) the sparsity-aware
 algorithm beats the density-blind general baseline on sparse inputs.
+
+The grids are the report's E3 declaration (``repro.analysis.report.e3_specs``):
+ER instances at densities m/C(n,2), listed by our driver and by the
+``cc-general`` comparator, every run verified by the sweep runner.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.complexity import fit_exponent
-from repro.analysis.verification import verify_listing
-from repro.baselines import bounds
-from repro.baselines.cc_general import general_congested_clique_listing
-from repro.core.congested_clique_listing import list_cliques_congested_clique
-from repro.graphs.generators import gnm_random_graph
+from repro.analysis.report import e3_specs, e3_table, sweep_rows
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_cc_rounds_vs_m(benchmark, cc_sizes, p):
     n = cc_sizes[-1]
-    knee = n ** (1.0 + 2.0 / p)
-    edge_counts = [max(8, int(knee * f)) for f in (0.1, 0.5, 1.0, 2.0)]
-    # Cap the densest point: beyond ~60% density the ground-truth clique
-    # count (not the algorithm) dominates bench wall-clock.
-    max_edges = int(0.6 * n * (n - 1) / 2)
-    edge_counts = sorted({min(m, max_edges) for m in edge_counts})
-    rows = {}
-
-    def sweep():
-        for m in edge_counts:
-            g = gnm_random_graph(n, m, seed=m)
-            result = list_cliques_congested_clique(g, p, seed=m)
-            verify_listing(g, result).raise_if_failed()
-            rows[m] = {
-                "rounds": result.rounds,
-                "theory": bounds.this_paper_congested_clique(n, p, m),
-            }
-        return rows
-
-    benchmark.pedantic(sweep, iterations=1, rounds=1)
+    specs = tuple(e3_specs(p, n))
+    rows = benchmark.pedantic(sweep_rows, args=specs, iterations=1, rounds=1)
+    table = sorted(e3_table(rows).rows, key=lambda row: row["m"])
     benchmark.extra_info.update(
-        {
-            "n": n,
-            "knee_m": round(knee),
-            "rows": {str(m): {k: round(v, 2) for k, v in r.items()} for m, r in rows.items()},
-        }
+        {"n": n, "knee_m": round(n ** (1.0 + 2.0 / p)), "rows": table}
     )
     # Shape gates: monotone in m, and the dense end costs strictly more
     # than the sparse end (the knee exists).
-    measured = [rows[m]["rounds"] for m in edge_counts]
+    measured = [row["rounds"] for row in table]
     assert all(a <= b + 1e-9 for a, b in zip(measured, measured[1:]))
     assert measured[-1] > measured[0]
 
 
 def test_cc_sparsity_aware_beats_general(benchmark, cc_sizes):
     n, p = cc_sizes[-1], 4
-    sparse_m = n  # far below the knee n^{1.5}
-
-    def run():
-        g = gnm_random_graph(n, sparse_m, seed=1)
-        ours = list_cliques_congested_clique(g, p, seed=1)
-        general = general_congested_clique_listing(g, p)
-        verify_listing(g, ours).raise_if_failed()
-        verify_listing(g, general).raise_if_failed()
-        return ours.rounds, general.rounds
-
-    ours_rounds, general_rounds = benchmark.pedantic(run, iterations=1, rounds=1)
-    benchmark.extra_info.update({"ours": ours_rounds, "general": general_rounds})
-    assert ours_rounds < general_rounds
+    # Expected m = n: far below the knee n^{1.5}.
+    sparse = [("er", {"density": 2 / (n - 1)})]
+    specs = tuple(replace(spec, workloads=sparse) for spec in e3_specs(p, n))
+    rows = benchmark.pedantic(sweep_rows, args=specs, iterations=1, rounds=1)
+    (row,) = e3_table(rows).rows
+    benchmark.extra_info.update(
+        {"m": row["m"], "ours": row["rounds"], "general": row["general_measured"]}
+    )
+    assert row["rounds"] < row["general_measured"]

@@ -3,62 +3,21 @@
 Regenerates the structural guarantees the listing algorithm consumes:
 |Er| ≤ |E|/6, arboricity(Es) ≤ n^δ with a witness orientation, cluster
 min internal degree ≥ n^δ, and polylog cluster mixing times — across
-three structurally different graph families.
+three structurally different graph families — the report's E5 table
+(``repro.analysis.report.E5_FAMILIES``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.congest.ledger import RoundLedger
-from repro.decomposition import expander_decomposition, validate_decomposition
-from repro.decomposition.mixing import polylog_mixing_budget
-from repro.graphs.generators import (
-    bounded_arboricity_graph,
-    clustered_graph,
-    erdos_renyi,
-)
-
-FAMILIES = {
-    "dense_er": lambda: (erdos_renyi(128, 0.4, seed=1), 10, None),
-    "caveman": lambda: (
-        clustered_graph(4, 32, intra_p=0.8, inter_edges_per_pair=2, seed=1),
-        8,
-        0.05,
-    ),
-    "sparse": lambda: (bounded_arboricity_graph(256, 3, seed=1), 8, None),
-}
+from repro.analysis.report import E5_FAMILIES, e5_row
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(E5_FAMILIES))
 def test_decomposition_quality(benchmark, family):
-    graph, threshold, phi = FAMILIES[family]()
-
-    def run():
-        ledger = RoundLedger()
-        decomposition = expander_decomposition(
-            graph, threshold=threshold, phi=phi, ledger=ledger
-        )
-        validate_decomposition(graph, decomposition, strict_mixing=True)
-        return decomposition, ledger
-
-    decomposition, ledger = benchmark.pedantic(run, iterations=1, rounds=1)
-    stats = decomposition.stats()
-    mixing = [
-        c.mixing_time for c in decomposition.clusters if c.mixing_time is not None
-    ]
-    benchmark.extra_info.update(
-        {
-            "n": graph.num_nodes,
-            "m": graph.num_edges,
-            "clusters": stats["num_clusters"],
-            "er_fraction": round(stats["er_fraction"], 4),
-            "es_out_degree": stats["es_out_degree"],
-            "threshold": threshold,
-            "worst_mixing_time": round(max(mixing), 1) if mixing else None,
-            "mixing_budget": round(polylog_mixing_budget(graph.num_nodes), 1),
-            "charged_rounds": round(ledger.total_rounds, 1),
-        }
-    )
-    assert stats["er_fraction"] <= 1 / 6
-    assert stats["es_out_degree"] <= threshold
+    # e5_row validates the decomposition with strict_mixing=True.
+    row = benchmark.pedantic(e5_row, args=(family,), iterations=1, rounds=1)
+    benchmark.extra_info.update(row)
+    assert row["er_frac"] <= 1 / 6
+    assert row["es_outdeg"] <= row["threshold"]

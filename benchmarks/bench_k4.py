@@ -5,41 +5,23 @@ The bench measures both on identical dense workloads and reports the
 per-phase breakdown showing *where* the variant saves (no gather_light
 phase; light K4s listed by the light nodes themselves).
 
-Driven through the batched sweep runner: one grid over
-workload × n × {generic, k4}, with per-phase rounds taken from the
-``phases`` column of each result row.  Every run is verified against
-ground truth, so both variants' outputs equal the true K4 set.
+The grids are the report's declarations — E1's p = 4 spec and E2's
+(the same cells with ``variant="k4"``) — run through the batched sweep
+runner, with per-phase rounds taken from the ``phases`` column of each
+result row.  Every run is verified against ground truth, so both
+variants' outputs equal the true K4 set.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.sweeps import SweepSpec, run_sweep
-
-DENSITY = 0.5
-
-
-def _phase_total(row, suffix):
-    return sum(r for name, r in row["phases"].items() if name.endswith(suffix))
+from repro.analysis.report import e1_spec, e2_spec, phase_rounds, sweep_rows
 
 
 def test_k4_variant_vs_generic(benchmark, congest_sizes):
-    spec = SweepSpec(
-        workloads=[("er", {"density": DENSITY})],
-        sizes=congest_sizes,
-        ps=[4],
-        variants=["generic", "k4"],
-        seed=0,
-        verify=True,
-    )
-
-    def sweep():
-        return run_sweep(spec, cache_dir=None, jobs=1)
-
-    result = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    specs = (e1_spec(4, congest_sizes), e2_spec(congest_sizes))
+    rows = benchmark.pedantic(sweep_rows, args=specs, iterations=1, rounds=1)
     by_size = {}
-    for row in result.rows:
+    for row in rows:
         by_size.setdefault(row["n"], {})[row["variant"]] = row
 
     comparison = {}
@@ -51,8 +33,8 @@ def test_k4_variant_vs_generic(benchmark, congest_sizes):
         comparison[n] = {
             "generic": generic["rounds"],
             "k4": k4["rounds"],
-            "generic_gather_light": _phase_total(generic, "gather_light"),
-            "k4_light_listing": _phase_total(k4, "light_listing"),
+            "generic_gather_light": phase_rounds(generic, "gather_light"),
+            "k4_light_listing": phase_rounds(k4, "light_listing"),
         }
 
     benchmark.extra_info["comparison"] = {

@@ -3,8 +3,10 @@
 Every benchmark verifies correctness before reporting timings, and
 records the *simulated round counts* (the paper's metric) in
 ``benchmark.extra_info`` — wall-clock time of the simulator is secondary.
-Sizes are kept laptop-scale; ``--bench-scale full`` runs the sweeps
-behind the tables ``python -m repro.analysis.report`` prints.
+Sizes are kept laptop-scale.  ``--bench-scale full`` runs the same
+experiment declarations as ``python -m repro.analysis.report`` on larger
+grids than the report's: CONGEST n = 64…256 (the report: 64…160) and
+CONGESTED CLIQUE n = 256 (the report: 128).
 
 Gate policy: the gated benches (kernel / routing / stream / parallel)
 record raw best-of-N samples, wall-clock timestamps and cpu/worker
@@ -94,7 +96,7 @@ def pytest_addoption(parser):
         action="store",
         default="small",
         choices=["small", "full"],
-        help="small: CI-friendly sizes; full: the report-table sweeps",
+        help="small: CI-friendly sizes; full: larger grids than the report's",
     )
 
 

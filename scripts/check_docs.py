@@ -11,7 +11,9 @@ Fails (exit 1) when:
 - the usage docstring of ``repro.cli`` itself omits a subcommand;
 - a ``.py`` file under ``src/``, ``tests/``, ``benchmarks/`` or
   ``scripts/`` names a markdown file that exists neither at the repo
-  root nor under ``docs/`` (a dangling doc reference).
+  root nor under ``docs/`` (a dangling doc reference);
+- a relative markdown link in README.md or ``docs/*.md`` points at a
+  path that does not exist (a dangling link).
 
 Run as ``PYTHONPATH=src python scripts/check_docs.py`` (CI does).
 """
@@ -31,6 +33,8 @@ from repro.cli import make_parser  # noqa: E402
 #: Trees whose python files may cite markdown docs, and the pattern of a cite.
 CODE_TREES = ("src", "tests", "benchmarks", "scripts")
 MARKDOWN_NAME = re.compile(r"\b\w[\w./-]*\.md\b")
+#: The target of an inline markdown link ``[text](target)``.
+LINK_TARGET = re.compile(r"\]\(([^)\s]+)\)")
 
 ARCHITECTURE_MUST_MENTION = [
     "repro/graphs/graph.py",
@@ -71,6 +75,23 @@ def dangling_doc_references() -> list:
     return found
 
 
+def dangling_links() -> list:
+    """``path:line: TARGET`` for each relative link in README.md or
+    ``docs/*.md`` whose target (minus any ``#anchor``) does not exist."""
+    found = []
+    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for target in LINK_TARGET.findall(line):
+                relative = target.split("#", 1)[0]
+                if not relative or re.match(r"[a-z][a-z0-9+.-]*:", relative):
+                    continue  # an in-page anchor or a URL
+                if not (path.parent / relative).exists():
+                    rel = path.relative_to(REPO_ROOT)
+                    found.append(f"{rel}:{lineno}: {target}")
+    return found
+
+
 def main() -> int:
     problems = []
     commands = cli_subcommands()
@@ -104,6 +125,9 @@ def main() -> int:
 
     for reference in dangling_doc_references():
         problems.append(f"dangling markdown reference {reference}")
+
+    for link in dangling_links():
+        problems.append(f"dangling link {link}")
 
     if problems:
         for problem in problems:

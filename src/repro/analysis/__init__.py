@@ -3,11 +3,13 @@
 - :mod:`repro.analysis.verification` — check listing output against
   sequential ground truth.
 - :mod:`repro.analysis.complexity` — exponent fits and theory curves.
-- :mod:`repro.analysis.experiments` — the E1–E10 experiment drivers.
 - :mod:`repro.analysis.sweeps` — the batched sweep runner (grid specs,
-  JSON result cache, multiprocessing fan-out).
-- :mod:`repro.analysis.report` — markdown rendering for experiment and
-  sweep tables.
+  one model table for the paper's drivers and the comparators, JSON
+  result cache, multiprocessing fan-out) and the markdown
+  ``ExperimentTable``.
+- :mod:`repro.analysis.report` — the paper's experiment tables: E1–E4
+  declared once as sweep specs (which the E1–E4 benchmarks run too),
+  plus E5–E7 and E9.
 """
 
 from repro.analysis.verification import (

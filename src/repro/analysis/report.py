@@ -1,31 +1,28 @@
-"""Experiment report generation.
+"""The paper's experiment tables: ``python -m repro.analysis.report``.
 
-``python -m repro.analysis.report`` runs every experiment sweep (E1–E10 of
-:mod:`repro.analysis.experiments`) at a laptop-scale configuration,
-verifies correctness on each run, and prints the results as markdown
-tables.
+E1–E4, the paper's measured claims, are each declared once here: one
+function returns the experiment's sweep specs and one turns their rows
+into an :class:`~repro.analysis.sweeps.ExperimentTable`.  :func:`main`
+and the E1–E4 benchmarks run the same specs through
+:func:`~repro.analysis.sweeps.run_sweep`, so a table and its bench share
+cells and cache keys.  E5–E7 and E9 follow; every listing run is
+verified against sequential ground truth.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from typing import List
+from dataclasses import replace
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis.complexity import fit_exponent
-from repro.analysis.experiments import (
-    ExperimentTable,
-    run_baseline_comparison,
-    run_congest_sweep,
-    run_congested_clique_sweep,
-)
-from repro.analysis.verification import verify_listing
+from repro.analysis.complexity import crossover_size, fit_exponent
+from repro.analysis.sweeps import ExperimentTable, SweepSpec, run_sweep
 from repro.baselines import bounds
 from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
-from repro.core.params import AlgorithmParameters
+from repro.core.params import GENERIC_VARIANT, K4_VARIANT, AlgorithmParameters
 from repro.decomposition import expander_decomposition, validate_decomposition
 from repro.decomposition.mixing import polylog_mixing_budget
 from repro.graphs.generators import (
@@ -36,30 +33,109 @@ from repro.graphs.generators import (
 )
 from repro.graphs.orientation import Orientation, degeneracy_orientation
 
+Row = Dict[str, Any]
 
-def experiment_e1_e2(sizes: List[int]) -> List[ExperimentTable]:
-    """E1/E2: CONGEST rounds vs n for p ∈ {4,5,6} + the K4 variant."""
-    tables = []
-    for p in (4, 5, 6):
-        params = AlgorithmParameters(p=p, variant="generic", stop_scale=0.5)
-        tables.append(
-            _congest_sweep_with_params(p, sizes, params, f"E1 p={p} (generic)")
+#: The report's n axis for E1/E2; E4 runs the first three sizes.
+SIZES = (64, 96, 128, 160)
+E1_PS = (4, 5, 6)
+#: The dense regime the sub-linear claims are about.
+DENSE_ER = ("er", {"density": 0.5})
+#: At these n the initial arboricity (~n/4) sits right at the paper's
+#: stop threshold n^{3/4}; halving the stop keeps the full pipeline
+#: engaged at every size, so the fit measures one regime, not the
+#: engage/skip transition.
+STOP_SCALE = 0.5
+
+
+def sweep_rows(*specs: SweepSpec) -> List[Row]:
+    """Every row of ``specs``, each run through :func:`run_sweep`."""
+    return [row for spec in specs for row in run_sweep(spec).rows]
+
+
+def comparator_spec(spec: SweepSpec, model: str) -> SweepSpec:
+    """``spec``'s instances under the comparator ``model``, which takes
+    no overrides or variant."""
+    return replace(spec, model=model, variants=[None], algo_overrides={})
+
+
+def phase_rounds(row: Row, suffix: str) -> float:
+    """A sweep row's rounds summed over the phases named ``...suffix``."""
+    return sum(r for name, r in row["phases"].items() if name.endswith(suffix))
+
+
+def _by_model(rows: Sequence[Row], key) -> List[Dict[str, Row]]:
+    """The rows grouped by ascending ``key(row)``, each as ``{model: row}``."""
+    groups: Dict[Any, Dict[str, Row]] = {}
+    for row in rows:
+        groups.setdefault(key(row), {})[row["model"]] = row
+    return [groups[k] for k in sorted(groups)]
+
+
+# ----------------------------------------------------------------------
+# E1–E4 — Theorems 1.1–1.3 and the comparison with Eden et al.
+# ----------------------------------------------------------------------
+def e1_spec(p: int, sizes: Sequence[int] = SIZES) -> SweepSpec:
+    """E1 (Theorem 1.1): generic CONGEST K_p rounds vs n on dense ER."""
+    return SweepSpec(
+        workloads=[DENSE_ER],
+        sizes=list(sizes),
+        ps=[p],
+        variants=[GENERIC_VARIANT],
+        algo_overrides={"stop_scale": STOP_SCALE},
+    )
+
+
+def e2_spec(sizes: Sequence[int] = SIZES) -> SweepSpec:
+    """E2 (Theorem 1.2): E1's p = 4 grid with the K4 variant."""
+    return replace(e1_spec(4, sizes), variants=[K4_VARIANT])
+
+
+def e1_table(rows: Sequence[Row]) -> ExperimentTable:
+    """Rounds vs n for E1's rows of one p, or E2's, with the fitted
+    exponent against the theorem's."""
+    rows = sorted(rows, key=lambda row: row["n"])
+    p, k4 = rows[0]["p"], rows[0]["variant"] == K4_VARIANT
+    table = ExperimentTable(
+        name="E2 p=4 (k4 variant)" if k4 else f"E1 p={p} (generic)",
+        description=(
+            f"Rounds vs n (ER density 0.5, stop_scale={STOP_SCALE}); "
+            f"theory exponent {'2/3' if k4 else 'max(3/4, p/(p+2))'}."
+        ),
+    )
+    for row in rows:
+        table.add(
+            n=row["n"],
+            m=row["m"],
+            rounds=round(row["rounds"], 1),
+            cliques=row["cliques"],
+            outer=row["stats"]["outer_iterations"],
+            theory_n_e=round(row["theory"], 1),
         )
-    k4_params = AlgorithmParameters(p=4, variant="k4", stop_scale=0.5)
-    tables.append(_congest_sweep_with_params(4, sizes, k4_params, "E2 p=4 (k4 variant)"))
-    tables.append(experiment_e2_phase_swap())
-    return tables
+    fit = fit_exponent([row["n"] for row in rows], [row["rounds"] for row in rows])
+    theory_exp = 2 / 3 if k4 else max(0.75, p / (p + 2))
+    table.notes.append(
+        f"fitted exponent **{fit.slope:.2f}** (R²={fit.r_squared:.3f}) vs theory "
+        f"**{theory_exp:.2f}** + polylog"
+    )
+    return table
 
 
-def experiment_e2_phase_swap() -> ExperimentTable:
-    """E2b: the structural difference between the variants (§3).
+def e2b_spec() -> SweepSpec:
+    """E2b (§3): both variants on 4 × 32 caveman blocks whose sparse
+    boundaries leave C-light nodes."""
+    caveman = {"block_size": 32, "intra_p": 0.85, "inter_edges_per_pair": 10}
+    return SweepSpec(
+        workloads=[("caveman", caveman)],
+        sizes=[128],
+        ps=[4],
+        variants=[GENERIC_VARIANT, K4_VARIANT],
+        seed=9,
+        algo_overrides={"stop_scale": STOP_SCALE, "phi": 0.05},
+    )
 
-    On a clustered workload with sparse cluster boundaries (so C-light
-    nodes exist), the generic variant pays the light-gather phase while
-    the K4 variant replaces it with the sequential light-node listing.
-    """
-    from repro.core.listing import list_cliques_congest
 
+def e2b_table(rows: Sequence[Row]) -> ExperimentTable:
+    """Where each variant pays: the light gather, or the light listing."""
     table = ExperimentTable(
         name="E2b K4-variant phase swap",
         description=(
@@ -68,85 +144,143 @@ def experiment_e2_phase_swap() -> ExperimentTable:
             "— the mechanism behind the Õ(n^{3/4}) → Õ(n^{2/3}) improvement."
         ),
     )
-    g = clustered_graph(4, 32, intra_p=0.85, inter_edges_per_pair=10, seed=9)
-    for variant in ("generic", "k4"):
-        params = AlgorithmParameters(
-            p=4, variant=variant, stop_scale=0.5, phi=0.05
-        )
-        result = list_cliques_congest(g, 4, params=params, seed=9)
-        verify_listing(g, result).raise_if_failed()
-        gather_light = sum(
-            ph.rounds
-            for ph in result.ledger.phases()
-            if ph.name.endswith("gather_light")
-        )
-        light_listing = sum(
-            ph.rounds
-            for ph in result.ledger.phases()
-            if ph.name.endswith("light_listing")
-        )
+    for row in rows:
         table.add(
-            variant=variant,
-            rounds=round(result.rounds, 1),
-            gather_light=round(gather_light, 1),
-            light_listing=round(light_listing, 1),
-            cliques=len(result.cliques),
+            variant=row["variant"],
+            rounds=round(row["rounds"], 1),
+            gather_light=round(phase_rounds(row, "gather_light"), 1),
+            light_listing=round(phase_rounds(row, "light_listing"), 1),
+            cliques=row["cliques"],
         )
     return table
 
 
-def _congest_sweep_with_params(p, sizes, params, name) -> ExperimentTable:
-    from repro.core.listing import list_cliques_congest
+def e3_specs(p: int, n: int = 128) -> List[SweepSpec]:
+    """E3 (Theorem 1.3): CONGESTED CLIQUE rounds vs m at fixed n — ours
+    and the density-blind ``cc-general`` on the same ER instances, at
+    0.1…4 times the knee m = n^{1+2/p}.  Densities are capped at 0.55:
+    beyond that the ground-truth count, not the algorithm, dominates
+    wall time."""
+    knee, pairs = n ** (1 + 2 / p), n * (n - 1) / 2
+    densities = sorted(
+        {min(round(knee * f / pairs, 4), 0.55) for f in (0.1, 0.5, 1.0, 2.0, 4.0)}
+    )
+    ours = SweepSpec(
+        workloads=[("er", {"density": d}) for d in densities],
+        sizes=[n],
+        ps=[p],
+        model="congested-clique",
+    )
+    return [ours, comparator_spec(ours, "cc-general")]
 
+
+def e3_table(rows: Sequence[Row]) -> ExperimentTable:
+    """Rounds and their learn_edges share vs m, next to ``cc-general``."""
+    cells = _by_model(rows, lambda row: row["workload_params"]["density"])
+    n, p = rows[0]["n"], rows[0]["p"]
     table = ExperimentTable(
-        name=name,
-        description=(
-            f"Rounds vs n (ER density 0.5, stop_scale={params.stop_scale}); "
-            f"theory exponent {'2/3' if params.variant == 'k4' else 'max(3/4, p/(p+2))'}."
-        ),
+        name=f"E3 p={p}, n={n} (CONGESTED CLIQUE)",
+        description=f"Sparsity-aware CONGESTED CLIQUE Kp rounds vs m (p={p}, n={n}).",
     )
-    rounds_list = []
-    for n in sizes:
-        g = erdos_renyi(n, 0.5, seed=n)
-        result = list_cliques_congest(g, p, params=params, seed=n)
-        verify_listing(g, result).raise_if_failed()
-        rounds_list.append(result.rounds)
-        theory = (
-            bounds.this_paper_k4(n)
-            if params.variant == "k4"
-            else bounds.this_paper_congest(n, p)
-        )
+    for cell in cells:
+        ours = cell["congested-clique"]
         table.add(
-            n=n,
-            m=g.num_edges,
-            rounds=round(result.rounds, 1),
-            cliques=len(result.cliques),
-            outer=result.stats["outer_iterations"],
-            theory_n_e=round(theory, 1),
+            m=ours["m"],
+            rounds=ours["rounds"],
+            learn_rounds=phase_rounds(ours, "learn_edges"),
+            cliques=ours["cliques"],
+            theory=ours["theory"],
+            general_measured=cell["cc-general"]["rounds"],
         )
-    fit = fit_exponent(sizes, rounds_list)
-    theory_exp = 2 / 3 if params.variant == "k4" else max(0.75, p / (p + 2))
     table.notes.append(
-        f"fitted exponent **{fit.slope:.2f}** (R²={fit.r_squared:.3f}) vs theory "
-        f"**{theory_exp:.2f}** + polylog"
+        "theory = 1 + m/n^{1+2/p}; the O(1) regime is m ≤ n^{1+2/p} "
+        f"= {n ** (1 + 2 / p):.0f} edges here"
     )
     return table
 
 
-def experiment_e3() -> List[ExperimentTable]:
-    tables = []
-    for p, n in ((3, 128), (4, 128), (5, 128)):
-        knee = n ** (1 + 2 / p)
-        max_edges = int(0.55 * n * (n - 1) / 2)
-        edge_counts = sorted(
-            {min(max(8, int(knee * f)), max_edges) for f in (0.1, 0.5, 1.0, 2.0, 4.0)}
+def e4_specs(sizes: Sequence[int] = SIZES[:3]) -> List[SweepSpec]:
+    """E4: our K4 listing against Eden et al. [DISC 2019] and the two
+    broadcasts, on the same dense ER cells."""
+    ours = SweepSpec(
+        workloads=[DENSE_ER], sizes=list(sizes), ps=[4], variants=[K4_VARIANT]
+    )
+    comparators = ("eden-k4", "broadcast", "neighborhood-broadcast")
+    return [ours] + [comparator_spec(ours, model) for model in comparators]
+
+
+def e4_table(rows: Sequence[Row]) -> ExperimentTable:
+    """Every model's rounds per n, the two sub-linear theory curves, and
+    the measured ours ≤ Eden crossover."""
+    table = ExperimentTable(
+        name="E4 K4 baselines",
+        description="K4 listing round comparison (measured, same workloads).",
+    )
+    for cell in _by_model(rows, lambda row: row["n"]):
+        table.add(
+            n=cell["congest"]["n"],
+            ours_k4=cell["congest"]["rounds"],
+            eden_k4=cell["eden-k4"]["rounds"],
+            broadcast_orientation=cell["broadcast"]["rounds"],
+            broadcast_neighborhood=cell["neighborhood-broadcast"]["rounds"],
+            theory_ours=cell["congest"]["theory"],
+            theory_eden=cell["eden-k4"]["theory"],
         )
-        tables.append(run_congested_clique_sweep(p, n, edge_counts, seed=2))
-    return tables
+    column = {k: [row[k] for row in table.rows] for k in ("n", "ours_k4", "eden_k4")}
+    crossover = crossover_size(column["n"], column["ours_k4"], column["eden_k4"])
+    table.notes.append(
+        f"measured crossover ours<=eden at n={crossover} (inf = not within the sweep)"
+    )
+    table.notes.append(
+        "At simulation scale the polylog routing slack dominates all sub-linear "
+        "algorithms, so the trivial broadcasts win and the Eden comparator "
+        "(a coarser operational model with fewer charged phases) sits below "
+        "ours; the asymptotic ordering is carried by the theory columns "
+        "(exponents 2/3 < 5/6 < 1)."
+    )
+    return table
 
 
-def experiment_e4(sizes: List[int]) -> ExperimentTable:
-    return run_baseline_comparison(sizes, density=0.5, seed=3)
+# ----------------------------------------------------------------------
+# E5–E9 — the lemmas the listing consumes
+# ----------------------------------------------------------------------
+#: E5's graph families: name → (graph, threshold, phi), built on demand.
+E5_FAMILIES = {
+    "dense_er": lambda: (erdos_renyi(192, 0.4, seed=4), 12, None),
+    "caveman": lambda: (
+        clustered_graph(4, 48, intra_p=0.8, inter_edges_per_pair=2, seed=4),
+        10,
+        0.05,
+    ),
+    "sparse_arb3": lambda: (bounded_arboricity_graph(384, 3, seed=4), 8, None),
+}
+
+
+def e5_row(family: str) -> Row:
+    """Decompose one :data:`E5_FAMILIES` graph, check Definition 2.2
+    strictly (mixing included), and return its E5 row."""
+    graph, threshold, phi = E5_FAMILIES[family]()
+    ledger = RoundLedger()
+    decomposition = expander_decomposition(
+        graph, threshold=threshold, phi=phi, ledger=ledger
+    )
+    validate_decomposition(graph, decomposition, strict_mixing=True)
+    stats = decomposition.stats()
+    mixing = [
+        c.mixing_time for c in decomposition.clusters if c.mixing_time is not None
+    ]
+    return dict(
+        family=family,
+        n=graph.num_nodes,
+        m=graph.num_edges,
+        clusters=int(stats["num_clusters"]),
+        er_frac=stats["er_fraction"],
+        es_outdeg=int(stats["es_out_degree"]),
+        threshold=threshold,
+        worst_mix=max(mixing) if mixing else "-",
+        budget=polylog_mixing_budget(graph.num_nodes),
+        charged_rounds=ledger.total_rounds,
+    )
 
 
 def experiment_e5() -> ExperimentTable:
@@ -154,36 +288,7 @@ def experiment_e5() -> ExperimentTable:
         name="E5 decomposition quality",
         description="Definition 2.2 guarantees, measured per graph family.",
     )
-    for name, (graph, threshold, phi) in {
-        "dense_er": (erdos_renyi(192, 0.4, seed=4), 12, None),
-        "caveman": (
-            clustered_graph(4, 48, intra_p=0.8, inter_edges_per_pair=2, seed=4),
-            10,
-            0.05,
-        ),
-        "sparse_arb3": (bounded_arboricity_graph(384, 3, seed=4), 8, None),
-    }.items():
-        ledger = RoundLedger()
-        decomposition = expander_decomposition(
-            graph, threshold=threshold, phi=phi, ledger=ledger
-        )
-        validate_decomposition(graph, decomposition, strict_mixing=True)
-        stats = decomposition.stats()
-        mixing = [
-            c.mixing_time for c in decomposition.clusters if c.mixing_time is not None
-        ]
-        table.add(
-            family=name,
-            n=graph.num_nodes,
-            m=graph.num_edges,
-            clusters=int(stats["num_clusters"]),
-            er_frac=round(stats["er_fraction"], 3),
-            es_outdeg=int(stats["es_out_degree"]),
-            threshold=threshold,
-            worst_mix=round(max(mixing), 1) if mixing else "-",
-            budget=round(polylog_mixing_budget(graph.num_nodes), 1),
-            charged_rounds=round(ledger.total_rounds, 1),
-        )
+    table.rows.extend(e5_row(family) for family in E5_FAMILIES)
     table.notes.append("All rows satisfy |Er| ≤ |E|/6, out-deg(Es) ≤ n^δ, mixing ≤ polylog budget.")
     return table
 
@@ -280,39 +385,24 @@ def experiment_e9() -> ExperimentTable:
     return table
 
 
-def sweep_report(result) -> str:
-    """Render a :class:`~repro.analysis.sweeps.SweepResult` as markdown.
-
-    One detail table per workload family, a cross-family summary table,
-    and a cache-accounting footer (the sweep runner's cache hit/miss
-    counters are part of the report so batch jobs can confirm reuse).
-    """
-    sections = [table.to_markdown() for table in result.tables()]
-    sections.append(
-        f"cache: {result.cache_hits} hit(s), {result.cache_misses} miss(es)"
-        + (f" in {result.cache_dir}" if result.cache_dir else " (caching disabled)")
-        + f"; total wall {result.total_wall_seconds:.2f}s\n"
-    )
-    return "\n".join(sections)
-
-
 def main() -> None:
-    sizes = [64, 96, 128, 160]
-    sections: List[ExperimentTable] = []
+    tables: List[ExperimentTable] = []
     print("running E1/E2 (CONGEST sweeps)...", file=sys.stderr)
-    sections.extend(experiment_e1_e2(sizes))
+    tables.extend(e1_table(sweep_rows(e1_spec(p))) for p in E1_PS)
+    tables.append(e1_table(sweep_rows(e2_spec())))
+    tables.append(e2b_table(sweep_rows(e2b_spec())))
     print("running E3 (CONGESTED CLIQUE)...", file=sys.stderr)
-    sections.extend(experiment_e3())
+    tables.extend(e3_table(sweep_rows(*e3_specs(p))) for p in (3, 4, 5))
     print("running E4 (baselines)...", file=sys.stderr)
-    sections.append(experiment_e4(sizes[:3]))
+    tables.append(e4_table(sweep_rows(*e4_specs())))
     print("running E5 (decomposition)...", file=sys.stderr)
-    sections.append(experiment_e5())
+    tables.append(experiment_e5())
     print("running E6 (ARB-LIST)...", file=sys.stderr)
-    sections.append(experiment_e6())
+    tables.append(experiment_e6())
     print("running E7 (Lemma 2.7)...", file=sys.stderr)
-    sections.append(experiment_e7())
-    sections.append(experiment_e9())
-    for table in sections:
+    tables.append(experiment_e7())
+    tables.append(experiment_e9())
+    for table in tables:
         print(table.to_markdown())
 
 

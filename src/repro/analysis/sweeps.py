@@ -10,13 +10,15 @@ workload families × sizes × clique sizes × variants — and it
    spec (same spec ⇒ same result, because workloads are seeded and the
    simulators are deterministic),
 3. fans the remaining cells out over a ``multiprocessing`` pool,
-4. verifies every run against sequential ground truth (unless disabled),
-5. aggregates everything into per-workload tables rendered through
-   :func:`repro.analysis.report.sweep_report`.
+4. runs each cell through one entry of the :data:`MODELS` table — the
+   paper's two drivers or one of the comparators — and verifies it
+   against sequential ground truth (unless disabled),
+5. aggregates everything into one :class:`ExperimentTable` per
+   workload, rendered by :meth:`SweepResult.to_markdown`.
 
-The CLI front-end is ``python -m repro.cli sweep``; the benchmarks in
-``benchmarks/bench_congest_listing.py`` and ``benchmarks/bench_k4.py``
-drive the same entry points.
+The CLI front-end is ``python -m repro.cli sweep``;
+:mod:`repro.analysis.report` declares the paper's experiments E1–E4 as
+specs, and the E1–E4 benchmarks run those same declarations.
 
 >>> from repro.analysis.sweeps import SweepSpec, run_sweep
 >>> spec = SweepSpec(workloads=["sparse"], sizes=[24], ps=[3], verify=False)
@@ -34,15 +36,19 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.experiments import ExperimentTable
 from repro.analysis.verification import verify_listing
 from repro.baselines import bounds
+from repro.baselines.broadcast import broadcast_listing, neighborhood_broadcast_listing
+from repro.baselines.cc_general import general_congested_clique_listing
+from repro.baselines.eden import eden_k4_listing
 from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
+from repro.core.result import ListingResult
+from repro.graphs.graph import Graph
 from repro.workloads import create_workload
 
 # Bump when the row schema or run semantics change; stale cache entries
@@ -151,8 +157,10 @@ class SweepSpec:
         p), ``"generic"`` or ``"k4"``; ``"k4"`` cells with p ≠ 4 are
         dropped from the grid rather than erroring.
     model:
-        ``"congest"`` or ``"congested-clique"`` (variants apply only to
-        the former).
+        A :data:`MODELS` key: ``"congest"`` (the only model variants
+        apply to), ``"congested-clique"``, or a comparator.  Comparator
+        grids with overrides, a variant or a topology raise rather than
+        drop them, as does ``"eden-k4"`` with p ≠ 4.
     seed:
         Base seed; workload instances further mix in family and n.
     verify:
@@ -195,6 +203,15 @@ class SweepSpec:
                     f"unknown variant {variant!r}; use None, "
                     f"{GENERIC_VARIANT!r} or {K4_VARIANT!r}"
                 )
+        if self.model in COMPARATORS and (
+            self.algo_overrides or {*self.variants, *self.topologies} != {None}
+        ):
+            raise ValueError(
+                f"comparator model {self.model!r} runs on the instance alone: "
+                "it takes no algo_overrides, variant or topology"
+            )
+        if self.model == "eden-k4" and {int(p) for p in self.ps} != {4}:
+            raise ValueError(f"model 'eden-k4' lists K4 only; got ps={list(self.ps)}")
         from repro.congest.topology import parse_topology
 
         # Normalize every topology entry to its canonical spec string so
@@ -273,25 +290,59 @@ def _run_params(spec: RunSpec, params: AlgorithmParameters) -> AlgorithmParamete
     return replace(params, execution=replace(params.execution, **execution), **extra)
 
 
+def _congest(spec: RunSpec, graph: Graph) -> Tuple[ListingResult, str, float]:
+    params = _run_params(spec, default_parameters(spec.p, spec.variant))
+    result = list_cliques_congest(graph, spec.p, params=params, seed=spec.seed)
+    return result, params.variant, _congest_theory(spec.n, spec.p, params.variant)
+
+
+def _congested_clique(spec: RunSpec, graph: Graph) -> Tuple[ListingResult, str, float]:
+    params = _run_params(spec, AlgorithmParameters(p=spec.p))
+    result = list_cliques_congested_clique(graph, spec.p, params=params, seed=spec.seed)
+    theory = bounds.this_paper_congested_clique(spec.n, spec.p, graph.num_edges)
+    return result, "-", theory
+
+
+#: Model name → ``(cell, instance) -> (result, variant label, theory)``.
+#: The comparators run on the same instance, verification and cache as
+#: the paper's drivers, each against its own bound in
+#: :mod:`repro.baselines.bounds`.
+MODELS: Dict[str, Callable[[RunSpec, Graph], Tuple[ListingResult, str, float]]] = {
+    "congest": _congest,
+    "congested-clique": _congested_clique,
+    "congested_clique": _congested_clique,
+    "eden-k4": lambda spec, g: (
+        eden_k4_listing(g, seed=spec.seed), "-", bounds.eden_k4(spec.n)
+    ),
+    "broadcast": lambda spec, g: (
+        broadcast_listing(g, spec.p), "-", bounds.trivial_broadcast(spec.n)
+    ),
+    "neighborhood-broadcast": lambda spec, g: (
+        neighborhood_broadcast_listing(g, spec.p), "-", bounds.trivial_broadcast(spec.n)
+    ),
+    "cc-general": lambda spec, g: (
+        general_congested_clique_listing(g, spec.p),
+        "-",
+        bounds.congested_clique_general(spec.n, spec.p),
+    ),
+}
+
+#: The models that take neither overrides, a variant nor a topology.
+COMPARATORS = frozenset(
+    {"eden-k4", "broadcast", "neighborhood-broadcast", "cc-general"}
+)
+
+
 def execute_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one grid cell and return its JSON-serializable result row."""
+    if spec.model not in MODELS:
+        raise ValueError(
+            f"unknown model {spec.model!r}; use one of {', '.join(sorted(MODELS))}"
+        )
     workload = create_workload(spec.workload, **dict(spec.params))
     graph = workload.instance(spec.n, seed=spec.seed)
     start = time.perf_counter()
-    if spec.model == "congest":
-        params = _run_params(spec, default_parameters(spec.p, spec.variant))
-        result = list_cliques_congest(graph, spec.p, params=params, seed=spec.seed)
-        variant = params.variant
-        theory = _congest_theory(spec.n, spec.p, variant)
-    elif spec.model in ("congested-clique", "congested_clique"):
-        params = _run_params(spec, AlgorithmParameters(p=spec.p))
-        result = list_cliques_congested_clique(
-            graph, spec.p, params=params, seed=spec.seed
-        )
-        variant = "-"
-        theory = bounds.this_paper_congested_clique(spec.n, spec.p, graph.num_edges)
-    else:
-        raise ValueError(f"unknown model {spec.model!r}")
+    result, variant, theory = MODELS[spec.model](spec, graph)
     wall = time.perf_counter() - start
     if spec.verify:
         if spec.materialize:
@@ -361,6 +412,43 @@ class SweepCache:
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(dict(row), indent=1, sort_keys=True))
         os.replace(tmp, path)
+
+
+# ----------------------------------------------------------------------
+# Tables
+# ----------------------------------------------------------------------
+@dataclass
+class ExperimentTable:
+    """A named table of result rows (dicts), printable as markdown."""
+
+    name: str
+    description: str
+    rows: List[Dict[str, object]] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
+
+    def add(self, **row: object) -> None:
+        self.rows.append(row)
+
+    def to_markdown(self) -> str:
+        if not self.rows:
+            return f"### {self.name}\n\n(no rows)\n"
+        headers = list(self.rows[0].keys())
+        lines = [f"### {self.name}", "", self.description, ""]
+        lines.append("| " + " | ".join(headers) + " |")
+        lines.append("|" + "|".join("---" for _ in headers) + "|")
+        for row in self.rows:
+            cells = []
+            for h in headers:
+                value = row.get(h, "")
+                if isinstance(value, float):
+                    cells.append(f"{value:.3g}")
+                else:
+                    cells.append(str(value))
+            lines.append("| " + " | ".join(cells) + " |")
+        for note in self.notes:
+            lines.append("")
+            lines.append(f"*{note}*")
+        return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -467,9 +555,15 @@ class SweepResult:
         return tables
 
     def to_markdown(self) -> str:
-        from repro.analysis.report import sweep_report
-
-        return sweep_report(self)
+        """The :meth:`tables` as markdown, then a cache-accounting footer
+        (so batch jobs can confirm reuse)."""
+        sections = [table.to_markdown() for table in self.tables()]
+        sections.append(
+            f"cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es)"
+            + (f" in {self.cache_dir}" if self.cache_dir else " (caching disabled)")
+            + f"; total wall {self.total_wall_seconds:.2f}s\n"
+        )
+        return "\n".join(sections)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -1,14 +1,15 @@
-"""Tests for the experiment driver (tables, sweeps) and report helpers."""
+"""Tests for the experiment tables and the report's experiment declarations."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentTable,
-    dense_workload,
-    run_congest_sweep,
-    run_congested_clique_sweep,
-)
+from repro.analysis import report
 from repro.analysis.report import experiment_e9
+from repro.analysis.sweeps import ExperimentTable, SweepSpec
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestExperimentTable:
@@ -40,22 +41,73 @@ class TestExperimentTable:
         assert md.count("|  |") >= 1
 
 
-class TestSweeps:
-    def test_congest_sweep_small(self):
-        table = run_congest_sweep(4, [24, 32], density=0.5, seed=1)
-        assert len(table.rows) == 2
+class _Captured(Exception):
+    pass
+
+
+class _InlineBenchmark:
+    """The slice of pytest-benchmark's fixture the E1 bench uses."""
+
+    def __init__(self):
+        self.extra_info = {}
+
+    def pedantic(self, fn, args=(), iterations=1, rounds=1):
+        return fn(*args)
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDeclarations:
+    def test_e1_renders_one_row_per_n_and_the_exponent_note(self):
+        table = report.e1_table(report.sweep_rows(report.e1_spec(4, [24, 32])))
+        assert [row["n"] for row in table.rows] == [24, 32]
         assert all(row["rounds"] > 0 for row in table.rows)
-        assert table.notes  # exponent note
+        assert table.name == "E1 p=4 (generic)"
+        assert len(table.notes) == 1 and "fitted exponent" in table.notes[0]
 
-    def test_congested_clique_sweep_small(self):
-        table = run_congested_clique_sweep(3, 32, [16, 64], seed=1)
-        assert len(table.rows) == 2
-        assert table.rows[0]["m"] == 16
-        assert "general_measured" in table.rows[0]
+    def test_e3_rows_carry_m_learn_rounds_and_the_general_comparator(self):
+        table = report.e3_table(report.sweep_rows(*report.e3_specs(3, n=32)))
+        assert table.rows
+        for row in table.rows:
+            assert row["m"] > 0
+            assert 0 < row["learn_rounds"] <= row["rounds"]
+            assert row["general_measured"] > 0
+        edges = [row["m"] for row in table.rows]
+        assert edges == sorted(edges)
 
-    def test_dense_workload_density(self):
-        g = dense_workload(40, seed=2)
-        assert 0.35 < g.num_edges / (40 * 39 / 2) < 0.65
+    def test_e4_joins_every_model_per_n(self):
+        table = report.e4_table(report.sweep_rows(*report.e4_specs([20])))
+        (row,) = table.rows
+        assert row["n"] == 20
+        for column in ("ours_k4", "eden_k4", "broadcast_orientation"):
+            assert row[column] > 0, column
+        assert row["broadcast_neighborhood"] > 0
+
+    def test_report_e1_cells_are_the_bench_cells(self, monkeypatch):
+        """The report and bench_congest_listing.py run the same E1 cells:
+        one seed convention, one cache entry per cell."""
+        bench = _load_bench("bench_congest_listing")
+        expand = SweepSpec.runs
+        captured = []
+
+        def capture(spec):
+            captured.extend(expand(spec))
+            raise _Captured
+
+        monkeypatch.setattr(SweepSpec, "runs", capture)
+        sizes = [48, 72, 96]
+        for p in report.E1_PS:
+            with pytest.raises(_Captured):
+                bench.test_congest_rounds_vs_n(_InlineBenchmark(), sizes, p)
+        monkeypatch.undo()
+        expected = [c for p in report.E1_PS for c in report.e1_spec(p, sizes).runs()]
+        assert [c.cache_key() for c in captured] == [c.cache_key() for c in expected]
+        assert {c.seed for c in captured} == {0}
 
 
 class TestReportPieces:

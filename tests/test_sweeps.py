@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.sweeps import (
+    COMPARATORS,
     RunSpec,
     SweepSpec,
     _run_params,
@@ -12,6 +13,7 @@ from repro.analysis.sweeps import (
     resolve_jobs,
     run_sweep,
 )
+from repro.baselines import bounds
 from repro.core.config import ExecutionConfig
 from repro.core.params import AlgorithmParameters
 from repro.faults import FaultModel
@@ -54,6 +56,19 @@ class TestGridExpansion:
     def test_unknown_variant_fails_fast(self):
         with pytest.raises(ValueError, match="unknown variant"):
             small_spec(variants=["bogus"]).runs()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            dict(model="eden-k4", ps=[3]),
+            dict(model="broadcast", algo_overrides={"stop_scale": 0.5}),
+            dict(model="cc-general", topologies=["ring"]),
+            dict(model="neighborhood-broadcast", variants=["generic"]),
+        ],
+    )
+    def test_comparator_cells_that_would_drop_a_setting_are_rejected(self, cell):
+        with pytest.raises(ValueError, match="eden-k4|comparator"):
+            small_spec(**cell).runs()
 
 
 class TestCacheKey:
@@ -194,6 +209,20 @@ class TestExecution:
         )
         with pytest.raises(ValueError, match="unknown model"):
             execute_run(spec)
+
+    @pytest.mark.parametrize("model", sorted(COMPARATORS))
+    def test_comparator_models_run_verified(self, model):
+        p, theory = {
+            "eden-k4": (4, bounds.eden_k4(24)),
+            "broadcast": (4, bounds.trivial_broadcast(24)),
+            "neighborhood-broadcast": (3, bounds.trivial_broadcast(24)),
+            "cc-general": (3, bounds.congested_clique_general(24, 3)),
+        }[model]
+        (cell,) = SweepSpec(workloads=["er"], sizes=[24], ps=[p], model=model).runs()
+        row = execute_run(cell)
+        assert row["verified"] and row["model"] == model and row["variant"] == "-"
+        assert row["cliques"] > 0 and row["rounds"] > 0
+        assert row["theory"] == theory
 
     def test_resolve_jobs(self):
         assert resolve_jobs(1, 100) == 1
