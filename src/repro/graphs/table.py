@@ -6,9 +6,10 @@ rows are unique and sorted lexicographically.  Canonical form makes
 structural operations cheap numpy work instead of python-set work:
 
 - equality is ``np.array_equal`` on the raw matrix,
-- membership is a per-column ``searchsorted`` window narrowing,
-- set difference/union are vectorized structured-view ``np.isin`` and
-  merge-sorts,
+- membership, set difference and union binary-search one table's rows
+  in the other's canonical order (``searchsorted`` on
+  :func:`structured_view`) — O(k log N) for k rows against N, with no
+  re-sort — and then move whole rows as single ``V{4p}`` elements,
 - per-owner attribution is a column slice (``rows[:, 0]`` is the
   minimum member of each clique).
 
@@ -23,7 +24,7 @@ cached frozenset) without copying.
 from __future__ import annotations
 
 import gc
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,17 +46,42 @@ def structured_view(rows: np.ndarray) -> np.ndarray:
 
     Structured dtypes compare field-by-field (numerically), unlike raw
     ``np.void`` byte views which compare by memcmp and would mis-sort
-    little-endian integers.  Works for ``sort``/``searchsorted``/
-    ``isin`` on any contiguous 2-D integer matrix.
+    little-endian integers.  Works for ``sort``/``searchsorted`` on any
+    contiguous 2-D integer matrix.
     """
     rows = np.ascontiguousarray(rows)
     dtype = np.dtype([(f"f{k}", rows.dtype) for k in range(rows.shape[1])])
     return rows.view(dtype)[:, 0]
 
 
+def _row_view(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous ``(count, p)`` uint32 matrix as one
+    ``V{4p}`` element, so a gather or an insert moves whole rows with
+    one memcpy each.  Equal rows are equal elements, but the element
+    order is memcmp order, not numeric (see :func:`structured_view`)."""
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1])))[:, 0]
+
+
+def _from_row_view(view: np.ndarray, p: int) -> np.ndarray:
+    return view.view(np.uint32).reshape(-1, p)
+
+
+def _search(needles: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Binary-search canonical ``needles`` in canonical ``rows``: the
+    insertion point of each needle and whether the row there equals it."""
+    pos = np.searchsorted(structured_view(rows), structured_view(needles))
+    found = np.zeros(needles.shape[0], dtype=bool)
+    inside = pos < rows.shape[0]
+    found[inside] = _row_view(rows)[pos[inside]] == _row_view(needles)[inside]
+    return pos, found
+
+
 def canonical_rows(rows: np.ndarray, p: Optional[int] = None) -> np.ndarray:
     """Canonicalize a clique matrix: sort members within each row,
-    lex-sort the rows, drop duplicates, cast to ``uint32``."""
+    lex-sort the rows, drop duplicates, cast to ``uint32``.
+
+    Raises ``ValueError`` for a member outside ``[0, 2**32)``: a cast
+    would wrap it onto another id and break the canonical order."""
     rows = np.asarray(rows)
     if rows.ndim != 2:
         if rows.size == 0 and p is not None:
@@ -69,6 +95,11 @@ def canonical_rows(rows: np.ndarray, p: Optional[int] = None) -> np.ndarray:
         return np.empty((0, rows.shape[1]), dtype=np.uint32)
     if not np.issubdtype(rows.dtype, np.integer):
         raise TypeError(f"clique table must be integral, got {rows.dtype}")
+    if not np.can_cast(rows.dtype, np.uint32):
+        low, high = rows.min(), rows.max()
+        if low < 0 or high > np.iinfo(np.uint32).max:
+            bad = int(low) if low < 0 else int(high)
+            raise ValueError(f"clique member {bad} is outside [0, 2**32)")
     rows = np.sort(rows, axis=1).astype(np.uint32, copy=False)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
@@ -211,25 +242,14 @@ class CliqueTable:
         return iter(frozenset_rows(self.rows))
 
     def __contains__(self, clique: object) -> bool:
-        """Row binary search: narrow a ``[lo, hi)`` window column by
-        column with ``searchsorted`` — no set materialization."""
+        """One-row binary search — no set materialization.  Anything
+        that is not ``p`` integer ids in ``[0, 2**32)`` is absent."""
         try:
-            members = sorted(clique)  # type: ignore[arg-type]
-        except TypeError:
+            members = np.array([sorted(clique)])  # type: ignore[arg-type]
+            needle = canonical_rows(members, p=self.p)
+        except (TypeError, ValueError):
             return False
-        if len(members) != self.p:
-            return False
-        if any(m < 0 or m != int(m) for m in members):
-            return False
-        lo, hi = 0, len(self)
-        for col, value in enumerate(members):
-            column = self.rows[lo:hi, col]
-            lo_off = int(np.searchsorted(column, value, side="left"))
-            hi_off = int(np.searchsorted(column, value, side="right"))
-            lo, hi = lo + lo_off, lo + hi_off
-            if lo >= hi:
-                return False
-        return True
+        return bool(_search(needle, self.rows)[1][0])
 
     def as_frozenset(self) -> FrozenSet[Clique]:
         """The table as ``frozenset[frozenset[int]]``, materialized at
@@ -265,27 +285,35 @@ class CliqueTable:
         rows = self._other_rows(other)
         if len(self) == 0 or rows.shape[0] == 0:
             return np.zeros(len(self), dtype=bool)
-        return np.isin(structured_view(self.rows), structured_view(rows))
+        return _search(self.rows, rows)[1]
 
     def difference(self, other) -> "CliqueTable":
         """Rows of ``self`` not in ``other`` (canonical order kept)."""
         rows = self._other_rows(other)
         if len(self) == 0 or rows.shape[0] == 0:
             return self
-        keep = ~np.isin(structured_view(self.rows), structured_view(rows))
-        if keep.all():
+        pos, found = _search(rows, self.rows)
+        if not found.any():
             return self
-        return CliqueTable(np.ascontiguousarray(self.rows[keep]), _trusted=True)
+        kept = np.delete(_row_view(self.rows), pos[found])
+        return CliqueTable(_from_row_view(kept, self.p), _trusted=True)
 
     def union(self, other) -> "CliqueTable":
-        """Merge of ``self`` and ``other`` (deduplicated, canonical)."""
+        """Merge of ``self`` and ``other`` (deduplicated, canonical):
+        each missing row goes in at its search position."""
         rows = self._other_rows(other)
         if rows.shape[0] == 0:
             return self
         if len(self) == 0:
             return CliqueTable(rows, _trusted=True)
-        merged = canonical_rows(np.concatenate([self.rows, rows]))
-        return CliqueTable(merged, _trusted=True)
+        pos, found = _search(rows, self.rows)
+        if found.all():
+            return self
+        missing = ~found
+        merged = np.insert(
+            _row_view(self.rows), pos[missing], _row_view(rows)[missing]
+        )
+        return CliqueTable(_from_row_view(merged, self.p), _trusted=True)
 
     def owners(self) -> np.ndarray:
         """The minimum member of every clique — rows ascend, so this is

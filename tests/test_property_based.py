@@ -259,6 +259,12 @@ def clique_matrices(draw, max_p=5, max_rows=40, max_node=200):
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), p), p
 
 
+#: An injective relabelling of the strategy's ids 0..200 onto uint32 ids:
+#: id v moves into byte v % 4, so rows mix ids below 2**8 with ids up to
+#: 199 * 2**24 and every comparison can cross a byte boundary.
+WIDE_IDS = np.array([v << (8 * (v % 4)) for v in range(201)], dtype=np.int64)
+
+
 class TestCliqueTableProperties:
     @given(clique_matrices())
     @settings(max_examples=80, deadline=None)
@@ -304,21 +310,36 @@ class TestCliqueTableProperties:
         )
         assert np.array_equal(direct.rows, via_set.rows)
 
-    @given(clique_matrices(max_p=4), clique_matrices(max_p=4))
+    @given(clique_matrices(), clique_matrices(), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
-    def test_set_algebra_matches_python_sets(self, a_spec, b_spec):
+    def test_set_algebra_matches_python_sets(self, a_spec, b_spec, shared):
+        """difference / union / membership agree with the python set
+        operators byte for byte, for a table and a raw-matrix operand,
+        on ids spread over all four bytes of a uint32."""
         from repro.graphs.table import CliqueTable
 
         (a_rows, p), (b_rows, q) = a_spec, b_spec
         if p != q:
             b_rows = np.empty((0, p), dtype=np.int64)
+        b_rows = np.concatenate([b_rows, a_rows[:shared]])  # overlap
+        a_rows, b_rows = WIDE_IDS[a_rows], WIDE_IDS[b_rows]
         a = CliqueTable.from_rows(a_rows, p=p)
         b = CliqueTable.from_rows(b_rows, p=p)
-        assert a.difference(b).as_frozenset() == a.as_frozenset() - b.as_frozenset()
-        assert a.union(b).as_frozenset() == a.as_frozenset() | b.as_frozenset()
-        for clique in list(a.as_frozenset())[:10]:
+        a_set, b_set = a.as_frozenset(), b.as_frozenset()
+        for operand in (b, b_rows):
+            for got, want in (
+                (a.difference(operand), a_set - b_set),
+                (a.union(operand), a_set | b_set),
+            ):
+                expected = CliqueTable.from_cliques(want, p).rows
+                assert got.rows.dtype == np.uint32
+                assert got.rows.shape == expected.shape
+                assert got.rows.tobytes() == expected.tobytes()
+            mask = a.membership(operand)
+            assert mask.tolist() == [frozenset(r) in b_set for r in a.rows.tolist()]
+        for clique in list(a_set)[:10]:
             assert clique in a
-            assert (clique in b) == (clique in b.as_frozenset())
+            assert (clique in b) == (clique in b_set)
 
 
 ALL_ONES = 2**64 - 1

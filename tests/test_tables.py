@@ -69,6 +69,21 @@ class TestCanonicalRows:
         with pytest.raises(TypeError):
             canonical_rows(np.zeros((2, 3), dtype=np.float64))
 
+    def test_out_of_range_ids_rejected(self):
+        # A uint32 cast would wrap these onto other ids: -1 -> 2**32 - 1,
+        # 2**32 -> 0, and 2**32 + 2 -> 2 (deleting the real (0, 1, 2)).
+        for row, bad in (([-1, 2, 3], -1), ([1, 2, 2**32], 2**32)):
+            with pytest.raises(ValueError, match=str(bad)):
+                canonical_rows(np.array([row], dtype=np.int64))
+        with pytest.raises(ValueError, match=str(2**63)):
+            canonical_rows(np.array([[1, 2, 2**63]], dtype=np.uint64))
+        table = CliqueTable.from_rows(np.array([[0, 1, 2], [0, 1, 5]]), p=3)
+        with pytest.raises(ValueError, match=str(2**32 + 2)):
+            table.difference(np.array([[0, 1, 2**32 + 2]]))
+        assert table.rows.tolist() == [[0, 1, 2], [0, 1, 5]]
+        top = canonical_rows(np.array([[2**32 - 1, 0]], dtype=np.int64))
+        assert top.tolist() == [[0, 2**32 - 1]]
+
     def test_structured_view_orders_like_rows(self):
         rows = canonical_rows(
             np.array([[5, 6, 7], [1, 2, 3], [1, 2, 9]], dtype=np.int64)
@@ -171,6 +186,11 @@ class TestSetAlgebra:
         assert frozenset({10_000, 10_001, 10_002}) not in table
         assert "junk" not in table
         assert frozenset({-1, 0, 1}) not in table
+        assert frozenset({0.5, 1, 2}) not in table  # non-integer
+        wrapped = CliqueTable.from_rows(np.array([[0, 1, 2], [0, 1, 5]]), p=3)
+        assert frozenset({0, 1, 2}) in wrapped
+        assert frozenset({0, 1, 2**32 + 2}) not in wrapped  # cast -> (0, 1, 2)
+        assert frozenset({0, 1, 2**32}) not in wrapped
 
     def test_p_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -197,6 +217,8 @@ class TestSharing:
         empty = CliqueTable.empty(3)
         assert a.difference(empty) is a
         assert a.union(empty) is a
+        assert a.union(a) is a  # every row already present
+        assert a.union(a.rows[::2]) is a
         assert empty.union(a).as_frozenset() == a.as_frozenset()
 
     def test_csr_clique_result_is_memoized(self):
@@ -249,6 +271,32 @@ class TestStreamTables:
             truth = clique_table(engine.graph(), 3)
             assert maintained.rows.tobytes() == truth.rows.tobytes()
             assert maintained.rows.dtype == truth.rows.dtype == np.uint32
+
+    def test_fold_canonicalizes_only_the_delta(self, monkeypatch):
+        """The maintained table absorbs a batch by binary search: no
+        canonicalization during ``apply`` sees more rows than the delta."""
+        import repro.graphs.table as table_module
+        from repro.stream import StreamEngine
+
+        real = table_module.canonical_rows
+        seen = []
+
+        def spy(rows, p=None):
+            seen.append(len(rows))
+            return real(rows, p)
+
+        instance = create_workload("stream_churn").stream(48, seed=0)
+        engine = StreamEngine(instance.base, compact_every=64)
+        engine.track(3, listing=True)
+        monkeypatch.setattr(table_module, "canonical_rows", spy)
+        folded = 0
+        for batch in instance.batches:
+            seen.clear()
+            delta = engine.apply(batch).deltas[3]
+            largest = max(delta.removed.shape[0], delta.added.shape[0])
+            assert max(seen, default=0) <= largest
+            folded += delta.added.shape[0] > 0
+        assert folded and len(engine.clique_result(3)) > largest
 
     def test_query_engine_caches_table_objects(self):
         from repro.stream import QueryEngine, StreamEngine
