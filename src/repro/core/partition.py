@@ -234,12 +234,24 @@ def responsible_index_array(
     clique, any order).  Each row is sorted ascending and read as a
     base-s number least-significant-digit-first — exactly the scalar
     function's ``index = index*s + digit`` over the reversed sorted
-    multiset — yielding the 0-based responsible index.
+    multiset — yielding the 0-based responsible index.  The sort is a
+    column sorting network (odd–even transposition: p rounds of
+    adjacent compare-exchanges, each one ``np.minimum``/``np.maximum``
+    over two whole columns), not a per-row sort.
     """
     part_digits = np.asarray(part_digits, dtype=np.int64)
-    ascending = np.sort(part_digits, axis=1)
-    powers = s ** np.arange(part_digits.shape[1], dtype=np.int64)
-    return ascending @ powers
+    p = part_digits.shape[1]
+    cols = [part_digits[:, j].copy() for j in range(p)]
+    for r in range(p):
+        for j in range(r % 2, p - 1, 2):
+            low = np.minimum(cols[j], cols[j + 1])
+            np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+            cols[j] = low
+    index = cols[-1]
+    for digit in reversed(cols[:-1]):
+        index *= s
+        index += digit
+    return index
 
 
 def pair_recipient_count(s: int, p: int, a: int, b: int) -> int:

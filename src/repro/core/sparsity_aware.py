@@ -13,7 +13,11 @@ The steps are then
    assigned parts contain both endpoint parts; member i thus learns *all*
    known edges between its parts;
 4. **local listing** — member i enumerates Kp in its learned edge set and
-   outputs those containing a goal edge.
+   outputs those containing a goal edge.  On the array planes the goal
+   test rides the listing kernel: each partial clique carries whether a
+   goal edge is among its edges so far and the goal neighbours of its
+   members, so the kernel emits only goal-touching rows
+   (:func:`~repro.graphs.csr.clique_table_from_edge_array`'s ``goal``).
 
 Execution note (docs/architecture.md §3): outputs and loads are computed
 in aggregate — per-pair edge counts drive the exact Theorem 2.4 charges,
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -311,30 +316,17 @@ def _sparsity_aware_batch(
         known_edges=known.shape[0],
     )
 
-    # -- Step 4: list the learned subgraph, filter to goal-touching rows,
-    # attribute each row to the member owning its part multiset.
+    # -- Step 4: list the learned subgraph's goal-touching cliques (the
+    # goal test rides the level pipeline), attribute each row to the
+    # member owning its part multiset.
+    goal = np.fromiter(
+        chain.from_iterable(goal_edges), dtype=np.int64, count=2 * len(goal_edges)
+    ).reshape(-1, 2)
     executor = params.execution.resolve_executor()
     if executor is not None:
-        table = executor.clique_table(known, p)
+        kept = executor.clique_table(known, p, goal)
     else:
-        table = clique_table_from_edge_array(known, p)
-    kept = np.empty((0, p), dtype=np.int64)
-    if table.shape[0] and goal_edges:
-        goal_keys = np.sort(
-            np.asarray([u * n + v for u, v in goal_edges], dtype=np.int64)
-        )
-        touches = np.zeros(table.shape[0], dtype=bool)
-        for i in range(p):
-            for j in range(i + 1, p):
-                enc = table[:, i] * n + table[:, j]  # rows ascend: u < v
-                idx = np.searchsorted(goal_keys, enc)
-                np.logical_or(
-                    touches,
-                    (idx < goal_keys.size)
-                    & (goal_keys[np.minimum(idx, goal_keys.size - 1)] == enc),
-                    out=touches,
-                )
-        kept = np.asarray(table[touches], dtype=np.int64)
+        kept = clique_table_from_edge_array(known, p, goal)
     owners = np.asarray(members, dtype=np.int64)[
         responsible_index_array(part_arr[kept], s)
     ]

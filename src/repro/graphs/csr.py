@@ -52,6 +52,7 @@ mutable graph and invalidating it on edge mutation.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -398,17 +399,30 @@ def _scatter_bits(
         np.bitwise_or.at(view8, where, masks)
 
 
-def _pack_bitset_rows(fptr: np.ndarray, findices: np.ndarray, n: int) -> np.ndarray:
+def _pack_pairs(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """An ``n``-node bitset matrix with bit ``cols[i]`` of row ``rows[i]`` set."""
     width = max(1, (n + 63) // 64)
     bits = np.zeros((max(1, n), width), dtype=np.uint64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    _scatter_bits(bits, rows, findices)
+    _scatter_bits(bits, rows, cols)
     return bits
+
+
+def _pack_bitset_rows(fptr: np.ndarray, findices: np.ndarray, n: int) -> np.ndarray:
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
+    return _pack_pairs(rows, findices, n)
 
 
 #: Public name for the row packer — the shard executor packs bitsets on
 #: the parent once and ships them to workers as one shared block.
 pack_bitset_rows = _pack_bitset_rows
+
+
+def _test_bits(bits: np.ndarray, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Bit ``nodes[i]`` of row ``rows[i]`` of a uint64 bitset matrix, read
+    as one byte of the flat ``uint8`` view (cheaper than a word gather)."""
+    view8 = bits.view(np.uint8)
+    byte = view8.ravel()[rows * view8.shape[1] + _byte_columns(nodes)]
+    return ((byte >> (nodes & 7).astype(np.uint8)) & 1) != 0
 
 
 def _expand_members(cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -468,6 +482,7 @@ def table_from_forward_bits(
     p: int,
     start: int = 0,
     stop: Optional[int] = None,
+    goal_bits: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The Kp table via the level pipeline over candidate bitset rows.
 
@@ -482,14 +497,34 @@ def table_from_forward_bits(
     two earliest members) — so the shard executor can fan disjoint
     slices across workers and concatenate: the union equals the full
     table, with no duplicates and no misses.
+
+    ``goal_bits`` (same shape as ``bits``, oriented like it: a goal pair
+    sets the later endpoint's bit in the earlier endpoint's row) keeps
+    only the cliques with a goal pair among their edges.  Each partial
+    row carries ``touched`` (a goal pair seen so far) and ``reach`` (the
+    OR of its members' goal rows); a new member ``w`` touches the row
+    iff ``reach`` holds bit ``w``, because every earlier member precedes
+    ``w``.  The last level masks an untouched row's candidates with its
+    ``reach``, so only touched rows are ever built.  Rows come out in
+    the unfiltered table's order.
     """
     edges = _forward_edge_pairs(fptr, findices)[start:stop]
     out: List[np.ndarray] = []
     for lo in range(0, edges.shape[0], CHUNK_EDGES):
         table = edges[lo : lo + CHUNK_EDGES]
         cand = bits[table[:, 0]] & bits[table[:, 1]]
+        if goal_bits is not None:
+            touched = _test_bits(goal_bits, table[:, 0], table[:, 1])
+            reach = goal_bits[table[:, 0]] | goal_bits[table[:, 1]]
         for size in range(3, p + 1):
+            if goal_bits is not None and size == p:
+                # A last member must close a goal pair unless one is in.
+                untouched = ~touched
+                cand[untouched] &= reach[untouched]
             rows, nodes = _expand_members(cand)
+            if goal_bits is not None and size < p:
+                touched = touched[rows] | _test_bits(reach, rows, nodes)
+                reach = reach[rows] | goal_bits[nodes]
             grown = np.empty((rows.size, size), dtype=np.int64)
             grown[:, :-1] = table[rows]
             grown[:, -1] = nodes
@@ -607,10 +642,11 @@ def grouped_clique_tables(
     share one level pipeline (a clique can never cross groups because
     edges never do).  Returns ``(owners, table)``: row ``i`` of the
     id-ascending ``(count, p)`` table is a Kp found inside group
-    ``owners[i]``'s edge set.  ``assume_unique=True`` skips the edge
-    dedup sort — correct whenever no group receives the same undirected
-    edge twice, which the §2.4.3 fan-out guarantees (one message per
-    (edge, recipient) pair).
+    ``owners[i]``'s edge set (rows ascend without a sort: ``vert_of``
+    ascends within a group and the pipeline only grows to higher ids).
+    ``assume_unique=True`` skips the edge dedup sort — correct whenever
+    no group receives the same undirected edge twice, which the §2.4.3
+    fan-out guarantees (one message per (edge, recipient) pair).
 
     Falls back to per-group :func:`clique_table_from_edge_array` in the
     (never hit by learned subgraphs) case of a group with more than
@@ -685,7 +721,7 @@ def grouped_clique_tables(
                 break
         if table.shape[0] and table.shape[1] == p:
             out_owner.append(owner_of[table[:, 0]])
-            out_table.append(np.sort(vert_of[table], axis=1))
+            out_table.append(vert_of[table])
     if not out_table:
         return empty
     return np.concatenate(out_owner), np.concatenate(out_table)
@@ -717,7 +753,29 @@ def compact_edge_array(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nd
     return verts, fptr, hi  # np.unique sorted by (lo, hi): grouped+sorted
 
 
-def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
+def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
+    """Goal pairs as ``(lower, higher)`` compact ids of ``verts``.
+
+    ``goal`` is a ``(g, 2)`` array of undirected pairs in original ids;
+    a pair with an endpoint outside ``verts`` (an edge a faulted
+    delivery never brought) is dropped.
+    """
+    goal = np.asarray(goal, dtype=np.int64).reshape(-1, 2)
+    idx = np.searchsorted(verts, goal[np.isin(goal, verts).all(axis=1)])
+    return idx.min(axis=1), idx.max(axis=1)
+
+
+def pack_goal_bits(verts: np.ndarray, goal) -> np.ndarray:
+    """The ``goal_bits`` of :func:`table_from_forward_bits` for an
+    identity-order adjacency over compact ids ``verts``: bit ``hi`` of
+    row ``lo`` per goal pair (same shape as the adjacency's bit rows)."""
+    lo, hi = _compact_goal(verts, goal)
+    return _pack_pairs(lo, hi, verts.size)
+
+
+def clique_table_from_edge_array(
+    edges: np.ndarray, p: int, goal: Optional[np.ndarray] = None
+) -> np.ndarray:
     """All Kp of an edge array, as an id-ascending ``(count, p)`` table.
 
     ``edges`` is a ``(k, 2)`` array of undirected edges (any orientation,
@@ -728,6 +786,12 @@ def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
     subgraphs are small and the pipeline only needs some total order),
     and the usual bitset level pipeline (sorted-array fallback past
     :data:`BITSET_MAX_NODES`) emits the table in original vertex ids.
+    Rows ascend without a sort: ``verts`` ascends and the pipeline only
+    grows a row by higher ids.
+
+    ``goal`` (a ``(g, 2)`` array of undirected pairs) keeps only the
+    cliques with a goal pair among their edges — the §2.4.3 listing
+    obligation, tested inside the level pipeline (``goal_bits``).
     """
     if p < 3:
         raise ValueError("clique tables exist for p >= 3 only")
@@ -740,16 +804,17 @@ def clique_table_from_edge_array(edges: np.ndarray, p: int) -> np.ndarray:
     k = verts.size
     if k <= BITSET_MAX_NODES:
         bits = _pack_bitset_rows(fptr, findices, k)
-        table = table_from_forward_bits(fptr, findices, bits, p)
-    else:  # pragma: no cover - learned subgraphs stay far below the cap
-        rows: List[Tuple[int, ...]] = []
-        _search_forward_sorted(fptr, findices, p, rows.append)
-        table = (
-            np.asarray(rows, dtype=np.int64)
-            if rows
-            else np.empty((0, p), dtype=np.int64)
-        )
-    return np.sort(verts[table], axis=1)
+        goal_bits = None if goal is None else pack_goal_bits(verts, goal)
+        table = table_from_forward_bits(fptr, findices, bits, p, goal_bits=goal_bits)
+    else:
+        table = table_from_forward_sorted(fptr, findices, p)
+        if goal is not None:  # a sorted-key test on every member pair
+            lo, hi = _compact_goal(verts, goal)
+            touched = np.zeros(table.shape[0], dtype=bool)
+            for i, j in itertools.combinations(range(p), 2):
+                touched |= np.isin(table[:, i] * k + table[:, j], lo * k + hi)
+            table = table[touched]
+    return verts[table]
 
 
 def _count_bitset(csr: CSRGraph, p: int) -> int:

@@ -55,6 +55,7 @@ from repro.graphs.csr import (
     count_cliques_csr,
     grouped_clique_tables,
     pack_bitset_rows,
+    pack_goal_bits,
 )
 from repro.parallel import tasks
 from repro.parallel.shard import balanced_ranges, indptr_ranges
@@ -232,32 +233,41 @@ class ShardExecutor:
         )
         return _merge_owner_tables(results, p)
 
-    def clique_table(self, edges: np.ndarray, p: int) -> np.ndarray:
+    def clique_table(
+        self, edges: np.ndarray, p: int, goal: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Sharded :func:`~repro.graphs.csr.clique_table_from_edge_array`.
 
         The parent compacts the edge array once (vertex relabelling,
-        dedup, identity-order forward CSR, bitset rows); workers run the
-        level pipeline over disjoint root-edge slices.  Root edges
-        partition the cliques, so concatenation is exact.
+        dedup, identity-order forward CSR, bitset rows, and the goal
+        bitset when ``goal`` is given); workers run the level pipeline
+        over disjoint root-edge slices.  Root edges partition the
+        cliques, so concatenation is exact.
         """
         edges = np.asarray(edges, dtype=np.int64)
         if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
-            return clique_table_from_edge_array(edges, p)
+            return clique_table_from_edge_array(edges, p, goal)
         verts, fptr, findices = compact_edge_array(edges)
         if verts.size > BITSET_MAX_NODES:  # pragma: no cover - huge subgraphs
-            return clique_table_from_edge_array(edges, p)
-        bits = pack_bitset_rows(fptr, findices, verts.size)
+            return clique_table_from_edge_array(edges, p, goal)
+        arrays = {
+            "fptr": fptr,
+            "findices": findices,
+            "bits": pack_bitset_rows(fptr, findices, verts.size),
+        }
+        if goal is not None:
+            arrays["goal_bits"] = pack_goal_bits(verts, goal)
         ranges = balanced_ranges(np.ones(findices.size), self.workers)
         results = self._run(
             tasks.forward_table_shard,
-            {"fptr": fptr, "findices": findices, "bits": bits},
+            arrays,
             [(lo, hi, p) for lo, hi in ranges if hi > lo],
         )
         tables = [t for t in results if t.shape[0]]
         if not tables:
             return np.empty((0, p), dtype=np.int64)
         local = np.concatenate(tables) if len(tables) > 1 else tables[0]
-        return np.sort(verts[local], axis=1)
+        return verts[local]
 
     def count_csr(self, csr: CSRGraph, p: int) -> int:
         """Sharded Kp count of a snapshot (exact: per-slice counts sum).

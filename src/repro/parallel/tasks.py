@@ -96,13 +96,15 @@ def forward_table_shard(
 ) -> np.ndarray:
     """Kp table of root edges ``[lo, hi)`` of one forward adjacency.
 
-    Inputs: ``fptr``/``findices`` (the forward CSR) and ``bits`` (its
-    packed bitset rows).  Output rows are in the adjacency's *local* id
-    space; the parent maps them through its vertex table.
+    Inputs: ``fptr``/``findices`` (the forward CSR), ``bits`` (its
+    packed bitset rows) and, optionally, ``goal_bits`` (keep only the
+    cliques holding a goal pair).  Output rows are in the adjacency's
+    *local* id space; the parent maps them through its vertex table.
     """
     with resolved(refs) as a:
         return table_from_forward_bits(
-            a["fptr"], a["findices"], a["bits"], p, start=lo, stop=hi
+            a["fptr"], a["findices"], a["bits"], p, start=lo, stop=hi,
+            goal_bits=a.get("goal_bits"),
         )
 
 

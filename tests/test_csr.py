@@ -11,6 +11,7 @@ recursive ``extend``).
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import sys
 
@@ -21,6 +22,7 @@ import repro.graphs.csr as csr_module
 from repro.graphs.cliques import count_cliques, enumerate_cliques
 from repro.graphs.csr import (
     CSRGraph,
+    clique_table_from_edge_array,
     count_cliques_csr,
     degeneracy_csr,
     degeneracy_order,
@@ -147,6 +149,44 @@ class TestSortedFallback:
         for p in (3, 4, 5):
             assert enumerate_cliques_csr(snap, p) == expected[p]
             assert count_cliques_csr(snap, p) == len(expected[p])
+
+    def test_edge_array_fallback_honours_goal(self, monkeypatch):
+        g = erdos_renyi(40, 0.3, seed=11)
+        edges = g.to_csr().edge_table()
+        rng = np.random.default_rng(5)
+        goal = np.concatenate(
+            [
+                edges[rng.random(edges.shape[0]) < 0.2][:, ::-1],  # either orientation
+                [[0, 0], [3, 97], [97, 98]],  # a loop, outside ids
+            ]
+        )
+        goal_set = {frozenset(pair) for pair in goal.tolist()}
+        bitset = {p: clique_table_from_edge_array(edges, p, goal) for p in (3, 4, 5)}
+        monkeypatch.setattr(csr_module, "BITSET_MAX_NODES", 4)
+        for p in (3, 4, 5):
+            expected = {
+                c
+                for c in enumerate_cliques(g, p, backend="python")
+                if any(frozenset(e) in goal_set for e in itertools.combinations(c, 2))
+            }
+            for table in (clique_table_from_edge_array(edges, p, goal), bitset[p]):
+                assert (np.diff(table, axis=1) > 0).all()
+                assert {frozenset(row) for row in table.tolist()} == expected
+
+
+class TestGoalKernel:
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_one_goal_pair_in_every_position(self, p):
+        """On K_{p+2} a one-pair goal keeps exactly the Kp holding that
+        pair, whether its endpoints join as root, middle or last members."""
+        n = p + 2
+        edges = np.array(list(itertools.combinations(range(n), 2)))
+        for pair in edges.tolist():
+            table = clique_table_from_edge_array(edges, p, np.array([pair]))
+            expected = [
+                c for c in itertools.combinations(range(n), p) if set(pair) <= set(c)
+            ]
+            assert table.tolist() == [list(c) for c in expected]
 
 
 class TestDeepSearchSafety:

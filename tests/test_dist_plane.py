@@ -457,6 +457,12 @@ class TestClusterKernels:
         serial = clique_table_from_edge_array(edges, 3)
         dist_table = cluster.clique_table(edges, 3)
         assert rows_sorted(serial) == rows_sorted(dist_table)
+        # A goal subset rides to the nodes as the named goal_bits array.
+        goal = edges[np.random.default_rng(2).random(edges.shape[0]) < 0.3]
+        serial = clique_table_from_edge_array(edges, 3, goal)
+        dist_table = cluster.clique_table(edges, 3, goal)
+        assert 0 < serial.shape[0] < clique_table_from_edge_array(edges, 3).shape[0]
+        assert rows_sorted(serial) == rows_sorted(dist_table)
 
     def test_count_parity(self, force_sharding, two_locals):
         _, cluster = two_locals

@@ -194,6 +194,14 @@ class TestExecutorKernels:
         assert sorted(map(tuple, serial.tolist())) == sorted(
             map(tuple, sharded.tolist())
         )
+        # A goal subset rides to the workers as the named goal_bits array.
+        goal = edges[np.random.default_rng(workers).random(edges.shape[0]) < 0.3]
+        serial = clique_table_from_edge_array(edges, 3, goal)
+        sharded = get_executor(workers).clique_table(edges, 3, goal)
+        assert 0 < serial.shape[0] < clique_table_from_edge_array(edges, 3).shape[0]
+        assert sorted(map(tuple, serial.tolist())) == sorted(
+            map(tuple, sharded.tolist())
+        )
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("p", [3, 4, 5])

@@ -130,6 +130,20 @@ class TestResponsibleNewId:
         with pytest.raises(ValueError):
             responsible_new_id([0] * 5, 2, 3)
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_index_array_matches_scalar(self, s, p):
+        """The column sorting network agrees with the scalar sort on
+        unsorted rows with repeated digits, and leaves its input alone."""
+        rng = np.random.default_rng(10 * s + p)
+        rows = rng.integers(0, s, size=(300, p))
+        rows[:100, -1] = rows[:100, 0]  # a repeat in every row of the block
+        expected = [responsible_new_id(row, s, p) - 1 for row in rows.tolist()]
+        for layout in (rows, np.asfortranarray(rows)):
+            before = layout.copy()
+            assert responsible_index_array(layout, s).tolist() == expected
+            assert np.array_equal(layout, before)
+
 
 class TestOwners:
     @pytest.mark.parametrize("p", [3, 4, 5])

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.core.partition import (
 from repro.core.reshuffle import owner_assignment
 from repro.decomposition.arboricity import peel_low_degree, validate_peeling
 from repro.graphs.cliques import enumerate_cliques
-from repro.graphs.csr import intersect_sorted
+from repro.graphs.csr import clique_table_from_edge_array, intersect_sorted
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.orientation import degeneracy_orientation, validate_orientation
 
@@ -169,6 +170,77 @@ class TestCSRProperties:
         assert enumerate_cliques(g, p, backend="csr") == enumerate_cliques(
             g, p, backend="python"
         )
+
+
+@st.composite
+def dense_graphs(draw, max_nodes=12):
+    """Graphs dense enough to hold K5 and K6: every pair is an edge with a
+    drawn probability of at least one half."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    density = draw(st.floats(min_value=0.5, max_value=1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [e for e in pairs if rng.random() < density])
+
+
+class TestGoalTableProperties:
+    """``clique_table_from_edge_array(edges, p, goal)`` against brute force:
+    the Kp of the edge set with at least one goal pair among their edges."""
+
+    @given(
+        st.one_of(graphs(max_nodes=12), dense_graphs()),
+        st.integers(min_value=3, max_value=6),
+        st.sampled_from(["empty", "all", "subset", "non_edges", "outside"]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_goal_kernel_matches_brute_force(self, g, p, kind, data):
+        n = g.num_nodes
+        edges = g.to_csr().edge_table()
+        edge_list = [tuple(e) for e in edges.tolist()]
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        if kind == "empty":
+            goal = []
+        elif kind == "all":
+            goal = edge_list
+        elif kind == "subset":
+            goal = data.draw(st.lists(st.sampled_from(edge_list))) if edge_list else []
+        elif kind == "non_edges":
+            goal = [
+                (u, v)
+                for u, v in data.draw(st.lists(pairs, max_size=10))
+                if u != v and not g.has_edge(u, v)
+            ]
+        else:  # an endpoint no edge touches: isolated, or past every id
+            outside = [v for v in range(n) if g.degree(v) == 0] + [n, n + 5]
+            goal = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.sampled_from(outside)),
+                    max_size=10,
+                )
+            )
+        if data.draw(st.booleans()):
+            goal = [(v, u) for u, v in goal]  # orientation must not matter
+        goal_set = {frozenset(pair) for pair in goal}
+
+        cliques = [
+            frozenset(c)
+            for c in itertools.combinations(range(n), p)
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))
+        ]
+        touching = {
+            c
+            for c in cliques
+            if any(frozenset(e) in goal_set for e in itertools.combinations(c, 2))
+        }
+        full = clique_table_from_edge_array(edges, p)
+        kept = clique_table_from_edge_array(
+            edges, p, np.asarray(goal, dtype=np.int64).reshape(-1, 2)
+        )
+        for table, expected in ((full, set(cliques)), (kept, touching)):
+            assert table.shape == (len(expected), p)
+            assert (np.diff(table, axis=1) > 0).all()  # rows ascend unsorted
+            assert {frozenset(row) for row in table.tolist()} == expected
 
 
 class TestRadixProperties:

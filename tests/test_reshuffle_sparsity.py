@@ -86,7 +86,9 @@ class TestReshuffle:
 
 
 class TestSparsityAwareListing:
-    def _cluster_listing(self, graph, members, p, goal_edges=None, seed=0):
+    def _cluster_listing(
+        self, graph, members, p, goal_edges=None, seed=0, plane="object"
+    ):
         orientation = degeneracy_orientation(graph)
         router = ClusterRouter(
             members, capacity=4, n=graph.num_nodes, cost_model=CostModel(routing_slack=1)
@@ -98,11 +100,17 @@ class TestSparsityAwareListing:
         gathered[members[0]] = {
             orientation.direction(u, v) for u, v in graph.edges()
         }
+        # Tuple sets in and out on the object plane, (k, 2) arrays on
+        # the batch plane; the listing runs on the reshuffle's plane.
+        if plane != "object":
+            gathered = {
+                u: np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+                for u, pairs in gathered.items()
+            }
         reshuffled = reshuffle_edges(
-            graph, orientation, members, gathered, router, ledger, "r"
+            graph, orientation, members, gathered, router, ledger, "r", plane=plane
         )
-        # The reshuffle above hands out tuple sets: the object plane.
-        params = AlgorithmParameters(p=p, execution=ExecutionConfig(plane="object"))
+        params = AlgorithmParameters(p=p, execution=ExecutionConfig(plane=plane))
         if goal_edges is None:
             goal_edges = frozenset(graph.edges())
         rng = np.random.default_rng(seed)
@@ -126,10 +134,13 @@ class TestSparsityAwareListing:
         outcome, _ = self._cluster_listing(g, list(range(16)), p=4)
         assert outcome.cliques == enumerate_cliques(g, 4)
 
-    def test_respects_goal_edge_filter(self):
+    @pytest.mark.parametrize("plane", ["object", "batch"])
+    def test_respects_goal_edge_filter(self, plane):
         g = complete_graph(6)
         goal = frozenset({(0, 1)})
-        outcome, _ = self._cluster_listing(g, list(range(6)), p=3, goal_edges=goal)
+        outcome, _ = self._cluster_listing(
+            g, list(range(6)), p=3, goal_edges=goal, plane=plane
+        )
         truth = cliques_touching_edges(enumerate_cliques(g, 3), goal)
         assert outcome.cliques == truth
 
