@@ -25,6 +25,7 @@ numpy arrays — identical ledger charges, very different wall-clock.
 
 from repro.congest.batch import (
     DeliveredBatch,
+    FanoutBatch,
     MessageBatch,
     bincount_loads,
     deliver,
@@ -55,6 +56,7 @@ from repro.congest.topology import (
 
 __all__ = [
     "DeliveredBatch",
+    "FanoutBatch",
     "MessageBatch",
     "bincount_loads",
     "deliver",

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.congest.batch import DeliveredBatch, MessageBatch, bincount_loads, deliver
+from repro.congest.batch import DeliveredBatch, FanoutBatch, MessageBatch, deliver
 from repro.congest.ledger import RoundLedger
 from repro.congest.topology import Topology, makespan_charge, makespan_for_rounds
 from repro.faults.heal import heal_pattern
@@ -209,11 +209,14 @@ class Router:
                 flat_src.append(src)
                 flat_dst.append(dst)
                 flat_payload.append(payload)
+        pattern = MessageBatch(
+            src=flat_src,
+            dst=flat_dst,
+            payload=np.empty((len(flat_src), 0), dtype=np.uint32),
+            words_per_message=words_per_message,
+        )
         silent = self._charge(
-            ledger, phase,
-            np.asarray(flat_src, dtype=np.int64),
-            np.asarray(flat_dst, dtype=np.int64),
-            words_per_message, extra_send_words, extra_recv_words, stats,
+            ledger, phase, pattern, extra_send_words, extra_recv_words, stats
         )
         delivered: Dict[int, List[Any]] = {v: [] for v in self._members}
         for i, (dst, payload) in enumerate(zip(flat_dst, flat_payload)):
@@ -224,7 +227,7 @@ class Router:
 
     def route_batch(
         self,
-        batch: MessageBatch,
+        batch: MessageBatch | FanoutBatch,
         ledger: RoundLedger,
         phase: str,
         extra_send_words: Optional[np.ndarray] = None,
@@ -234,8 +237,9 @@ class Router:
         """Columnar twin of :meth:`route`: same ledger charge, zero
         per-payload Python objects.
 
-        Delivery is an argsort-group on ``dst``
-        (:func:`repro.congest.batch.deliver`).
+        ``batch`` is a :class:`~repro.congest.batch.MessageBatch` or a
+        :class:`~repro.congest.batch.FanoutBatch`.  Delivery is an
+        argsort-group on ``dst`` (:func:`repro.congest.batch.deliver`).
         """
         batch = self._charge_batch(
             batch, ledger, phase, extra_send_words, extra_recv_words, stats
@@ -244,21 +248,23 @@ class Router:
 
     def charge_batch(
         self,
-        batch: MessageBatch,
+        batch: MessageBatch | FanoutBatch,
         ledger: RoundLedger,
         phase: str,
         extra_send_words: Optional[np.ndarray] = None,
         extra_recv_words: Optional[np.ndarray] = None,
         **stats: Any,
-    ) -> MessageBatch:
+    ) -> MessageBatch | FanoutBatch:
         """Validate and charge a batch pattern without central delivery.
 
         The charge-only endpoint: the ledger rows are exactly
         :meth:`route_batch`'s, and the returned batch is the one the
-        network delivered (silently corrupted rows mangled).  The
-        Theorem 1.3 driver charges its fan-out here on every array plane,
-        then keeps only the owner rows of that batch
-        (:func:`repro.core.partition.owner_rows`) for its own delivery.
+        network delivered (silently corrupted rows mangled), of the
+        kind passed in.  The Theorem 1.3 driver charges its factored
+        fan-out (:class:`~repro.congest.batch.FanoutBatch`) here on
+        every array plane, then gathers only the owners' mailboxes
+        (:func:`repro.core.partition.owner_mailboxes`) for its own
+        delivery.
         """
         return self._charge_batch(
             batch, ledger, phase, extra_send_words, extra_recv_words, stats
@@ -266,15 +272,15 @@ class Router:
 
     def _charge_batch(
         self,
-        batch: MessageBatch,
+        batch: MessageBatch | FanoutBatch,
         ledger: RoundLedger,
         phase: str,
         extra_send_words: Optional[np.ndarray],
         extra_recv_words: Optional[np.ndarray],
         stats: Dict[str, Any],
-    ) -> MessageBatch:
+    ) -> MessageBatch | FanoutBatch:
         """Validate and charge a batch; return it as delivered."""
-        for role, ids in (("source", batch.src), ("destination", batch.dst)):
+        for role, ids in batch.endpoints():
             if ids.size and (
                 ids.min() < self._lo
                 or ids.max() >= self._space
@@ -282,8 +288,7 @@ class Router:
             ):
                 raise ValueError(f"a batch {role} is outside the {self._scope}")
         silent = self._charge(
-            ledger, phase, batch.src, batch.dst, batch.words_per_message,
-            extra_send_words, extra_recv_words, stats,
+            ledger, phase, batch, extra_send_words, extra_recv_words, stats
         )
         if silent is not None and silent.any():
             batch = corrupt_batch(batch, silent, self.n)
@@ -293,20 +298,22 @@ class Router:
         self,
         ledger: RoundLedger,
         phase: str,
-        src: np.ndarray,
-        dst: np.ndarray,
-        words_per_message: int,
+        batch: MessageBatch | FanoutBatch,
         extra_send_words: Optional[np.ndarray],
         extra_recv_words: Optional[np.ndarray],
         stats: Dict[str, Any],
     ) -> Optional[np.ndarray]:
         """Charge one validated pattern, then run the healing loop.
 
-        The primary charge is always computed on the intended pattern —
-        faults only ever *add* tagged recovery rows after it.  Returns
-        the silent-corruption mask (None without an active fault seam).
+        The loads come from ``batch.loads``; the per-message columns
+        (``batch.materialize()``) are built only for an overlay's link
+        accounting and for the fault seam.  The primary charge is always
+        computed on the intended pattern — faults only ever *add* tagged
+        recovery rows after it.  Returns the silent-corruption mask over
+        the message rows (None without an active fault seam).
         """
-        send_load, recv_load = bincount_loads(src, dst, self._space, words_per_message)
+        words_per_message = batch.words_per_message
+        send_load, recv_load = batch.loads(self._space)
         if extra_send_words is not None:
             send_load = send_load + np.asarray(extra_send_words, dtype=np.int64)
         if extra_recv_words is not None:
@@ -314,15 +321,20 @@ class Router:
         max_send = int(send_load.max(initial=0))
         max_recv = int(recv_load.max(initial=0))
         rounds = self.rounds_for_load(max_send, max_recv)
-        makespan, overlay_stats = makespan_charge(
-            self.topology, self.n, src, dst, words_per_message, rounds
-        )
+        if self.topology is None or self.topology.is_clique:
+            makespan, overlay_stats = makespan_for_rounds(self.topology, rounds), {}
+        else:
+            pattern = batch.materialize()
+            makespan, overlay_stats = makespan_charge(
+                self.topology, self.n, pattern.src, pattern.dst,
+                words_per_message, rounds,
+            )
         ledger.charge(
             phase,
             rounds,
             makespan=makespan,
             **self._identity,
-            messages=len(src),
+            messages=len(batch),
             max_send_words=max_send,
             max_recv_words=max_recv,
             **stats,
@@ -330,12 +342,13 @@ class Router:
         )
         if self.faults is None or not self.faults.active:
             return None
+        pattern = batch.materialize()
         return heal_pattern(
             self.faults,
             ledger,
             phase,
-            src,
-            dst,
+            pattern.src,
+            pattern.dst,
             space=self._space,
             n=self.n,
             words_per_message=words_per_message,

@@ -10,38 +10,39 @@ The §2.4.3 machinery run on the whole clique of n nodes:
    must learn every edge between them; every node sends each of its
    out-edges to the O(p²·n^{1−2/p}) responsible nodes — one Lenzen routing
    step whose measured load is O(p²·m/n^{2/p}) w.h.p. (Lemma 2.7), i.e.
-   Θ̃(1 + m/n^{1+2/p}) rounds;
+   Θ̃(1 + m/n^{1+2/p}) rounds.  A node's load is a sum of per-pair edge
+   counts, so the step is charged from those counts;
 4. each Kp is kept by exactly one node: the owner whose ascending digit
    sequence is the clique's sorted part multiset.  Every multiset of p
    parts is some owner's digits, so the union is complete.  Only the
-   C(s+p−1, p) owners list: each reconstructs the part of its learned
-   subgraph a kept Kp can use and lists the Kp in it.  The other nodes
-   receive their share of step 3 (it is charged) but can never keep a
-   Kp, so they list nothing.
+   C(s+p−1, p) owners list: each takes the edges of the part pairs its
+   digits spell (the part of its learned subgraph a kept Kp can use)
+   and lists the Kp in them.  The other nodes receive their share of
+   step 3 (it is charged) but can never keep a Kp, so they list nothing.
 
 The data movement of step 3 *executes* on the routing plane
 ``params.execution.plane`` selects (``docs/architecture.md`` § routing
 planes):
 
-- ``plane="batch"`` (default) — the fan-out pattern is built as numpy
-  arrays straight from the CSR forward adjacency (p²-recipient
-  replication via ``np.repeat``/``np.tile``) and charged through
-  :meth:`CongestedClique.charge_batch` (the ledger rows of
-  ``route_batch``).  The rows an owner can keep
-  (:func:`~repro.core.partition.owner_rows`) are delivered into one
-  mailbox per owner and listed by one block-diagonal pipeline, without
-  intermediate Python sets;
+- ``plane="batch"`` (default) — the fan-out stays factored
+  (:class:`~repro.congest.batch.FanoutBatch`: the CSR forward edges
+  sorted by part pair plus one recipient list per pair) and is charged
+  through :meth:`CongestedClique.charge_batch` (the ledger rows of
+  ``route_batch``) from its per-pair counts.  Each owner's mailbox is
+  gathered straight from the edge slices of its pairs
+  (:func:`~repro.core.partition.owner_mailboxes`) and all mailboxes are
+  listed by one block-diagonal pipeline; no (edge, recipient) row and
+  no Python set is built;
 - ``plane="object"`` — every (edge, recipient) pair becomes one Python
   tuple through :meth:`CongestedClique.route` dict mailboxes and every
   learned subgraph, owner or not, is rebuilt set-by-set and listed.
   This is the unfiltered reference the differential tests pin the
   array planes against;
 - ``plane="parallel"`` / ``"dist"`` — the batch plane's charge and owner
-  mask, with the mailbox fill *and* the owner listing sharded by owner
-  ranges across a worker-process pool
-  (:class:`repro.parallel.ShardExecutor`, ``execution.workers``
-  processes) or a cluster (:mod:`repro.dist`); each worker delivers and
-  lists only its own owners.
+  gather, with the owner listing sharded by owner ranges across a
+  worker-process pool (:class:`repro.parallel.ShardExecutor`,
+  ``execution.workers`` processes) or a cluster (:mod:`repro.dist`);
+  each worker lists only its own owners' mailboxes.
 
 All planes charge **identical** ledger rounds: the charge is a function
 of the measured per-node word loads, which every plane counts through
@@ -61,18 +62,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.batch import (
-    ARRAY_PLANES,
-    MessageBatch,
-    deliver,
-    fanout_edges_by_pair,
-)
+from repro.congest.batch import ARRAY_PLANES, MessageBatch, fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
 from repro.congest.topology import makespan_for_rounds
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
-    owner_rows,
+    owner_mailboxes,
     pair_index_array,
     pair_recipient_count,
     pair_recipient_lists,
@@ -303,28 +299,33 @@ def _route_and_list_arrays(
     precomputed_table: Optional[np.ndarray] = None,
     executor=None,
 ) -> None:
-    """Columnar edge distribution + owner-only listing (zero Python sets).
+    """Factored edge distribution + owner-only listing (zero Python sets).
 
     One implementation serves every array plane — the fan-out batch,
-    the charge, the owner mask and the responsible-node attribution are
-    shared, so the planes cannot drift apart:
+    the charge, the owner gather and the responsible-node attribution
+    are shared, so the planes cannot drift apart:
 
-    1. **charge** — the full §2.4.3 pattern goes through
+    1. **charge** — the full §2.4.3 pattern, kept factored as a
+       :class:`~repro.congest.batch.FanoutBatch` (edges sorted by part
+       pair, one recipient list per pair), goes through
        :meth:`CongestedClique.charge_batch` (the ledger rows of
-       :meth:`~CongestedClique.route_batch`), which returns the batch as
-       the network delivered it;
-    2. **mask** — :func:`~repro.core.partition.owner_rows` keeps the rows
-       that can reach a kept Kp: those addressed to one of the
-       C(s+p−1, p) owning IDs, minus edges inside a part the owner
-       holds once.  Every other row lands where no Kp is ever kept, so
-       only local work goes away; the rounds stay the full pattern's;
-    3. **list** — the kept rows, addressed by owner rank, are either
-       delivered centrally and listed by one block-diagonal
-       ``grouped_clique_tables`` pipeline (``executor=None``, the batch
-       plane) or handed to ``executor.fanout_tables`` (the parallel
-       plane's process pool or the dist plane's cluster), which shards
-       delivery + listing by rank ranges.  Rank ranges partition the
-       mailboxes, so the merged rows equal the central path's exactly.
+       :meth:`~CongestedClique.route_batch`), which prices it from the
+       per-pair edge counts and returns it as the network delivered it;
+    2. **gather** — :func:`~repro.core.partition.owner_mailboxes` builds
+       each of the C(s+p−1, p) owners' mailboxes as the concatenation of
+       the edge slices of the part pairs its digits spell (an edge
+       inside a part only when the owner holds that part twice).  Every
+       other row lands where no Kp is ever kept, so only local work goes
+       away; the rounds stay the full pattern's.  Under the fault seam
+       the silently corrupted rows are judged by the payload they
+       arrived with (:func:`~repro.core.partition.owner_rows`);
+    3. **list** — the mailboxes, addressed by owner rank, are either
+       listed by one block-diagonal ``grouped_clique_tables`` pipeline
+       (``executor=None``, the batch plane) or handed to
+       ``executor.fanout_tables`` (the parallel plane's process pool or
+       the dist plane's cluster), which shards the listing by rank
+       ranges.  Rank ranges partition the mailboxes, so the merged rows
+       equal the central path's exactly.
 
     Ranks map back to node IDs before the responsible-node filter keeps
     exactly the rows whose part multiset is the lister's own digit
@@ -351,19 +352,12 @@ def _route_and_list_arrays(
     if precomputed_table is not None:
         _attribute_precomputed(result, precomputed_table, part_arr, s)
         return
-    owning, rows, rank = owner_rows(batch.dst, batch.payload, part_arr, s, p)
-    owned = MessageBatch(
-        src=batch.src[rows],
-        dst=rank,
-        payload=batch.payload[rows],
-        words_per_message=batch.words_per_message,
-    )
+    owning, indptr, payload = owner_mailboxes(batch, part_arr, s, p)
     if executor is None:
-        mailboxes = deliver(owned, owning.size)
-        owners, table = grouped_clique_tables(
-            mailboxes.indptr, mailboxes.payload, p, assume_unique=True
-        )
+        owners, table = grouped_clique_tables(indptr, payload, p, assume_unique=True)
     else:
+        rank = np.repeat(np.arange(owning.size, dtype=np.int64), np.diff(indptr))
+        owned = MessageBatch.of_edges(src=payload[:, 0], dst=rank, endpoints=payload)
         owners, table = executor.fanout_tables(owned, owning.size, p)
     if table.shape[0] == 0:
         return

@@ -12,8 +12,9 @@ Three pieces:
   digit sequences are covered by the k IDs, so *every multiset of ≤ p
   parts is some node's responsibility* — the completeness backbone of the
   in-cluster listing.  :func:`owner_indices` names the IDs that keep
-  cliques (ascending digits) and :func:`owner_rows` masks a fan-out down
-  to the rows they can use.
+  cliques (ascending digits), :func:`owner_rows` says which delivered
+  fan-out rows they can use, and :func:`owner_mailboxes` gathers those
+  rows per owner straight from a factored fan-out.
 - :func:`sample_induced_edges` — the literal Lemma 2.7 experiment
   (independent q-sampling of vertices), used by the E7 benchmark.
 """
@@ -26,6 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
+from repro.congest.batch import FanoutBatch
 from repro.graphs.graph import Edge, Graph
 
 PartPair = Tuple[int, int]
@@ -169,6 +171,10 @@ def owner_rows(
     the owner's.  Returns ``(owners, rows, rank)``: the owning indices
     (:func:`owner_indices`), the kept row indices in batch order, and
     each kept row's recipient as a rank into ``owners``.
+
+    This is the keep rule for rows judged by their delivered payload;
+    :func:`owner_mailboxes` applies it to the silently corrupted rows of
+    a factored fan-out.
     """
     owners = owner_indices(s, p)
     lookup = np.full(s**p, -1, dtype=np.int64)
@@ -184,6 +190,64 @@ def owner_rows(
     repeated[r, digits[r, j]] = True
     keep = (ends[:, 0] != ends[:, 1]) | repeated[rank, ends[:, 0]]
     return owners, rows[keep], rank[keep]
+
+
+def owner_mailboxes(
+    batch: FanoutBatch, part_arr: np.ndarray, s: int, p: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every owner's mailbox of a charged §2.4.3 fan-out, gathered by pair.
+
+    ``batch`` is :func:`~repro.congest.batch.fanout_edges_by_pair` over
+    :func:`pair_recipient_lists`\\ ``(s, p)`` (pair index
+    :func:`pair_index_array`), as the network delivered it.  Owner
+    :func:`owner_indices`\\ ``[r]`` keeps the part pairs its digits spell
+    at two positions i < j: both parts are its, and a pair inside one
+    part only when it holds that part twice — the rows
+    :func:`owner_rows` keeps.  Its mailbox is those pairs' edge slices,
+    pairs ascending, then edges: the order ``deliver`` gives the
+    ``owner_rows`` output of the materialized batch, without building it.
+
+    Silently corrupted rows (``batch.silent``) are judged by the payload
+    they arrived with, through :func:`owner_rows`: an owner's row that
+    arrived corrupted leaves its slice, and every corrupted row
+    addressed to an owner that ``owner_rows`` keeps takes its place in
+    pattern order.
+
+    Returns ``(owners, indptr, payload)``: owner ``owners[r]``'s mailbox
+    is ``payload[indptr[r]:indptr[r + 1]]``.
+    """
+    owners = owner_indices(s, p)
+    digits = radix_digit_table(s, p)[owners]
+    i, j = np.triu_indices(p, 1)
+    held = np.sort(pair_index_array(digits[:, i], digits[:, j], s), axis=1)
+    fresh = np.ones(held.shape, dtype=bool)
+    fresh[:, 1:] = held[:, 1:] != held[:, :-1]
+    rank, col = np.nonzero(fresh)
+    pair = held[rank, col]
+    start = batch.indptr[pair]
+    length = batch.indptr[pair + 1] - start
+    seg = np.zeros(length.size + 1, dtype=np.int64)
+    np.cumsum(length, out=seg[1:])
+    edge = np.arange(seg[-1], dtype=np.int64) + np.repeat(start - seg[:-1], length)
+    indptr = seg[np.searchsorted(rank, np.arange(owners.size + 1))]
+    if batch.silent is None:
+        return owners, indptr, batch.payload[edge]
+
+    # Pattern order inside one mailbox is edge order (one copy per edge),
+    # so (rank, edge) orders the merged rows.
+    edges = batch.payload.shape[0]
+    rank = np.repeat(np.arange(owners.size, dtype=np.int64), np.diff(indptr))
+    hit_edge, hit_dst = batch.locate(batch.silent)
+    intact = ~np.isin(owners[rank] * edges + edge, hit_dst * edges + hit_edge)
+    _, rows, hit_rank = owner_rows(hit_dst, batch.silent_payload, part_arr, s, p)
+    rank = np.concatenate((rank[intact], hit_rank))
+    order = np.argsort(
+        rank * edges + np.concatenate((edge[intact], hit_edge[rows])), kind="stable"
+    )
+    payload = np.concatenate((batch.payload[edge[intact]], batch.silent_payload[rows]))
+    indptr = np.zeros(owners.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rank, minlength=owners.size), out=indptr[1:])
+    return owners, indptr, payload[order]
 
 
 def pair_index_array(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:

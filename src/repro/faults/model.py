@@ -23,12 +23,12 @@ working) and only an end-of-run recount self-check can catch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Tuple
 
 import numpy as np
 
-from repro.congest.batch import MessageBatch
+from repro.congest.batch import FanoutBatch, MessageBatch
 
 
 @dataclass(frozen=True)
@@ -247,15 +247,25 @@ def mangle_payload(payload: Any, n: int) -> Any:
     return payload
 
 
-def corrupt_batch(batch: MessageBatch, silent: np.ndarray, n: int) -> MessageBatch:
+def corrupt_batch(
+    batch: MessageBatch | FanoutBatch, silent: np.ndarray, n: int
+) -> MessageBatch | FanoutBatch:
     """A copy of ``batch`` with the silently-corrupted rows mangled.
 
     Endpoint columns (src/dst) are left intact — the envelope survives,
     only the payload lies — so delivery order and loads are unchanged.
+    ``silent`` masks the message rows; a
+    :class:`~repro.congest.batch.FanoutBatch` stays factored and records
+    the mangled rows beside its edges.
     """
     rows = np.nonzero(silent)[0]
     if len(rows) == 0:
         return batch
+    if isinstance(batch, FanoutBatch):
+        payload = mangle_payload_matrix(batch.materialize().payload, rows, n)
+        if batch.silent is not None:
+            rows = np.union1d(batch.silent, rows)
+        return replace(batch, silent=rows, silent_payload=payload[rows])
     payload = mangle_payload_matrix(batch.payload, rows, n)
     obj = batch.obj
     if obj is not None:

@@ -680,8 +680,8 @@ def grouped_clique_tables(
         return np.concatenate(owners_list), np.concatenate(tables)
 
     # Identity-order forward edges per group: orient low local id → high.
-    c_lo = combined.min(axis=1)
-    c_hi = combined.max(axis=1)
+    c_lo = np.minimum(combined[:, 0], combined[:, 1])
+    c_hi = np.maximum(combined[:, 0], combined[:, 1])
     l_hi = c_hi - base[owner]
     if not assume_unique:
         fkeys = np.unique(c_lo * np.int64(group_width + 1) + l_hi)
@@ -744,8 +744,8 @@ def compact_edge_array(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nd
     verts, local = np.unique(edges, return_inverse=True)
     local = local.reshape(edges.shape)
     k = verts.size
-    lo = local.min(axis=1)
-    hi = local.max(axis=1)
+    lo = np.minimum(local[:, 0], local[:, 1])
+    hi = np.maximum(local[:, 0], local[:, 1])
     keep = np.unique(lo * max(1, k) + hi)  # collapse duplicates only
     lo, hi = keep // max(1, k), keep % max(1, k)
     fptr = np.zeros(k + 1, dtype=np.int64)
@@ -762,7 +762,7 @@ def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
     """
     goal = np.asarray(goal, dtype=np.int64).reshape(-1, 2)
     idx = np.searchsorted(verts, goal[np.isin(goal, verts).all(axis=1)])
-    return idx.min(axis=1), idx.max(axis=1)
+    return np.minimum(idx[:, 0], idx[:, 1]), np.maximum(idx[:, 0], idx[:, 1])
 
 
 def pack_goal_bits(verts: np.ndarray, goal) -> np.ndarray:

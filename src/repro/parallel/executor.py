@@ -4,9 +4,9 @@
 parallel twins of the batch plane's hot kernels:
 
 - :meth:`fanout_tables` — the Theorem 1.3 step-3/4 tail: split the
-  owner-masked fan-out :class:`~repro.congest.batch.MessageBatch`
-  columns by destination ranges, deliver and list every mailbox
-  worker-side, concatenate the per-shard ``(owners, table)`` results;
+  owner mailboxes' :class:`~repro.congest.batch.MessageBatch` columns
+  by destination ranges, deliver and list every mailbox worker-side,
+  concatenate the per-shard ``(owners, table)`` results;
 - :meth:`grouped_tables` — sharded
   :func:`repro.graphs.csr.grouped_clique_tables` over group ranges;
 - :meth:`clique_table` — sharded
@@ -181,16 +181,18 @@ class ShardExecutor:
         """Deliver-and-list a fan-out batch, sharded by destination.
 
         ``batch`` is an *undelivered* edge-carrying
-        :class:`~repro.congest.batch.MessageBatch` (the Theorem 1.3
-        driver passes its §2.4.3 fan-out masked to owner rows, addressed
-        by owner rank); ``n`` the destination space.  Shards are
-        contiguous destination ranges balanced by received-message
+        :class:`~repro.congest.batch.MessageBatch` or
+        :class:`~repro.congest.batch.FanoutBatch` (the Theorem 1.3
+        driver passes its owners' mailboxes, addressed by owner rank and
+        already in mailbox order); ``n`` the destination space.  Shards
+        are contiguous destination ranges balanced by received-message
         weight (owners differ in load); each worker fills and lists only
         its own mailboxes.  Returns the same
         ``(owners, table)`` the batch plane's central
         ``deliver`` + ``grouped_clique_tables`` produces, up to row
         order.
         """
+        batch = batch.materialize()
         if batch.obj is not None:
             raise ValueError("fanout batches carry fixed-width edge payloads only")
         if len(batch) == 0:

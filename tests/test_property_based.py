@@ -723,3 +723,140 @@ class TestFaultScheduleProperties:
             (p.name, p.rounds, p.stats) for p in fault_ledger.delivery_phases()
         ]
         assert fault_ledger.recovery_rounds >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Factored §2.4.3 fan-out vs its materialized rows (Theorem 1.3)
+# ----------------------------------------------------------------------
+def _repeat_tile_fanout(edge_src, edge_dst, pair_of_edge, recipients_of_pair):
+    """The fan-out rows as spelled out before the batch was factored:
+    edges argsort-grouped by pair, one ``np.repeat`` (sources) plus
+    ``np.tile`` (recipients) per group.  Returns ``(src, dst, payload)``."""
+    src_cols, dst_cols, pay_cols = [], [], []
+    if edge_src.size:
+        order = np.argsort(pair_of_edge, kind="stable")
+        boundaries = np.nonzero(np.diff(pair_of_edge[order]))[0] + 1
+        for group in np.split(order, boundaries):
+            recipients = recipients_of_pair[int(pair_of_edge[group[0]])]
+            if recipients.size == 0:
+                continue
+            repeated_src = np.repeat(edge_src[group], recipients.size)
+            src_cols.append(repeated_src)
+            dst_cols.append(np.tile(recipients, group.size))
+            endpoints = np.empty((repeated_src.size, 2), dtype=np.uint32)
+            endpoints[:, 0] = repeated_src
+            endpoints[:, 1] = np.repeat(edge_dst[group], recipients.size)
+            pay_cols.append(endpoints)
+    if not src_cols:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty((0, 2), dtype=np.uint32),
+        )
+    return np.concatenate(src_cols), np.concatenate(dst_cols), np.concatenate(pay_cols)
+
+
+@st.composite
+def fanout_inputs(draw):
+    """A random §2.4.3 fan-out input: n ≤ 60 nodes in s = 1…4 random
+    parts, p = 3…5, an oriented edge set from empty to dense (so some
+    part pairs carry no edge), and the generator that draws the
+    silent-corruption mask."""
+    s = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=3, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=60))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    part = rng.integers(0, s, size=n).astype(np.int64)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < density
+    flip = rng.random(int(keep.sum())) < 0.5
+    edge_src = np.where(flip, ju[keep], iu[keep]).astype(np.int64)
+    edge_dst = np.where(flip, iu[keep], ju[keep]).astype(np.int64)
+    return s, p, n, part, edge_src, edge_dst, rng
+
+
+class TestFactoredFanoutProperties:
+    @staticmethod
+    def _build(s, p, part, edge_src, edge_dst):
+        from repro.congest.batch import fanout_edges_by_pair
+        from repro.core.partition import pair_index_array, pair_recipient_lists
+
+        pair = pair_index_array(part[edge_src], part[edge_dst], s)
+        recipients = pair_recipient_lists(s, p)
+        factored = fanout_edges_by_pair(edge_src, edge_dst, pair, recipients)
+        return factored, _repeat_tile_fanout(edge_src, edge_dst, pair, recipients)
+
+    @staticmethod
+    def _expected_mailboxes(delivered, part, s, p):
+        """``deliver`` of the ``owner_rows`` output: the reference gather."""
+        from repro.congest.batch import MessageBatch, deliver
+        from repro.core.partition import owner_rows
+
+        owners, rows, rank = owner_rows(delivered.dst, delivered.payload, part, s, p)
+        owned = MessageBatch(
+            src=delivered.src[rows], dst=rank, payload=delivered.payload[rows],
+            words_per_message=2,
+        )
+        mailboxes = deliver(owned, owners.size)
+        return owners, mailboxes.indptr, mailboxes.payload
+
+    @given(fanout_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_len_and_loads_match_materialized(self, spec):
+        s, p, n, part, edge_src, edge_dst, _ = spec
+        factored, (src, dst, payload) = self._build(s, p, part, edge_src, edge_dst)
+        rows = factored.materialize()
+        assert rows.src.tobytes() == src.tobytes()
+        assert rows.dst.tobytes() == dst.tobytes()
+        assert rows.payload.tobytes() == payload.tobytes()
+        assert len(factored) == len(rows) == src.size
+        assert factored.words_per_message == rows.words_per_message == 2
+        space = max(n, s**p)
+        for got, want in zip(factored.loads(space), rows.loads(space)):
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+
+    @given(fanout_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_charge_and_validation_match_materialized(self, spec):
+        """Same ledger row, or the same validation error (recipients of
+        s**p > n ids lie outside the clique), for either batch kind."""
+        from repro.congest.congested_clique import CongestedClique
+        from repro.congest.ledger import RoundLedger
+
+        s, p, n, part, edge_src, edge_dst, _ = spec
+        factored, _ = self._build(s, p, part, edge_src, edge_dst)
+        outcomes = []
+        for batch in (factored, factored.materialize()):
+            ledger = RoundLedger()
+            try:
+                CongestedClique(n).charge_batch(batch, ledger, "learn_edges", parts=s)
+            except ValueError as exc:
+                outcomes.append(("error", str(exc)))
+            else:
+                outcomes.append([(ph.name, ph.rounds, ph.stats) for ph in ledger.phases()])
+        assert outcomes[0] == outcomes[1]
+
+    @given(fanout_inputs(), st.sampled_from([0.0, 0.1, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_owner_mailboxes_match_owner_rows_delivery(self, spec, silent_rate):
+        """The direct gather equals ``deliver`` of the ``owner_rows``
+        output on the materialized batch — clean, and with a random
+        silent mask applied through ``corrupt_batch`` to both kinds."""
+        from repro.core.partition import owner_mailboxes
+        from repro.faults.model import corrupt_batch
+
+        s, p, n, part, edge_src, edge_dst, rng = spec
+        factored, _ = self._build(s, p, part, edge_src, edge_dst)
+        silent = rng.random(len(factored)) < silent_rate
+        factored = corrupt_batch(factored, silent, n)
+        delivered = corrupt_batch(
+            self._build(s, p, part, edge_src, edge_dst)[0].materialize(), silent, n
+        )
+        assert factored.materialize().payload.tobytes() == delivered.payload.tobytes()
+        got = owner_mailboxes(factored, part, s, p)
+        want = self._expected_mailboxes(delivered, part, s, p)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()

@@ -220,6 +220,33 @@ class TestMessageBatchBasics:
                 payload=np.empty((1, 0), dtype=np.uint32),
             )
 
+    @pytest.mark.parametrize("word", [-1, 2**32, 2**32 + 5])
+    def test_out_of_range_payload_word_rejected(self, word):
+        """A word outside [0, 2**32) raises, naming the word, instead of
+        wrapping onto another word (numpy's uint32 cast turns -1 into
+        4294967295 and 2**32 + 5 into 5)."""
+        with pytest.raises(ValueError, match=rf"payload word {word} is outside"):
+            MessageBatch(
+                src=np.array([0, 1]), dst=np.array([1, 0]),
+                payload=np.array([[3, 4], [5, word]], dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match=rf"payload word {word} is outside"):
+            MessageBatch.of_edges(
+                src=np.array([0]), dst=np.array([1]), endpoints=[[word, 1]]
+            )
+
+    def test_in_range_payload_words_cast_exactly(self):
+        top = 2**32 - 1
+        wide = MessageBatch(
+            src=np.array([0]), dst=np.array([1]),
+            payload=np.array([[0, top]], dtype=np.int64),
+        )
+        assert wide.payload.dtype == np.uint32
+        assert wide.payload.tolist() == [[0, top]]
+        words = np.array([[7, top]], dtype=np.uint32)
+        narrow = MessageBatch(src=np.array([0]), dst=np.array([1]), payload=words)
+        assert narrow.payload is words  # a uint32 input is taken as is
+
     def test_empty_batch_loads(self):
         batch = MessageBatch.empty(width=2, words_per_message=2)
         send, recv = bincount_loads(batch.src, batch.dst, 5, 2)
