@@ -620,11 +620,10 @@ def run_sweep(
     jobs:
         Worker processes for the uncached cells; ``1`` runs inline in
         this process, ``0`` picks an automatic level.  Note: pool
-        workers are daemonic, so cells that request the parallel
-        routing plane (``algo_overrides={"plane": "parallel", ...}``)
-        fall back to inline shard execution inside a ``jobs > 1``
-        fan-out — run such sweeps with ``jobs=1`` to give the shard
-        executor the machine.
+        workers are daemonic, so cells that request a shard pool
+        (``algo_overrides={"workers": N}``) fall back to inline shard
+        execution inside a ``jobs > 1`` fan-out — run such sweeps with
+        ``jobs=1`` to give the shard executor the machine.
     hosts:
         Cluster host specs (``repro.dist``).  When set, the uncached
         cells dispatch as ``sweep_cell`` tasks across the cluster

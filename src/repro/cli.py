@@ -22,9 +22,11 @@ shares one *execution* flag group — declared once by
 :func:`add_execution_args` and parsed by
 :func:`execution_config_from_args` into the
 :class:`repro.core.config.ExecutionConfig` the library consumes:
-``--workers`` (parallel plane), ``--plane``/``--distributed``/
-``--hosts`` (where supported), ``--topology`` (overlay makespan
-accounting, see ``docs/topologies.md``), ``--materialize`` /
+``--plane`` (data layout: ``batch`` or ``object``, where supported),
+``--workers`` (a process pool for the batch kernels),
+``--distributed --hosts`` (a cluster instead, where supported),
+``--topology`` (overlay makespan accounting, see
+``docs/topologies.md``), ``--materialize`` /
 ``--no-materialize`` (python frozensets vs the columnar
 ``CliqueTable`` path — counts and round charges identical either
 way) and ``--fault-seed``/``--drop-rate`` (the fault seam).
@@ -59,9 +61,8 @@ from repro import list_cliques
 from repro.analysis.sweeps import SweepSpec, run_sweep
 from repro.analysis.verification import verify_listing
 from repro.baselines import bounds
-from repro.congest.batch import DEFAULT_PLANE, PLANES
 from repro.congest.ledger import RoundLedger
-from repro.core.config import ExecutionConfig
+from repro.core.config import PLANES, ExecutionConfig
 from repro.core.params import AlgorithmParameters
 from repro.decomposition import expander_decomposition, validate_decomposition
 from repro.graphs.generators import (
@@ -301,7 +302,7 @@ def add_execution_args(
     One declaration site for ``--plane/--workers/--distributed/--hosts/
     --topology/--materialize/--fault-seed/--drop-rate`` — every
     subcommand used to re-declare its own subset with drifting help
-    text.  ``plane=False`` omits the plane/cluster flags (stream/serve
+    text.  ``plane=False`` omits the layout/cluster flags (stream/serve
     run the engine single-box), ``topology=None`` omits ``--topology``,
     ``topology="list"`` documents it as a comma-separated grid axis
     (sweep), and ``faults=False`` omits the fault seam.  Parse the
@@ -316,21 +317,19 @@ def add_execution_args(
         type=_positive_int,
         default=1,
         help=(
-            "shard-executor processes; > 1 selects the parallel routing "
-            "plane (identical results and round charges, numpy work "
-            "sharded across a process pool)"
+            "shard-executor processes; > 1 runs the batch plane's kernels "
+            "on a process pool (identical results and round charges)"
         ),
     )
     if plane:
         group.add_argument(
             "--plane",
             choices=list(PLANES),
-            default=None,
+            default="batch",
             help=(
-                "routing plane override; default derives it "
-                "(dist with --distributed --hosts, parallel with "
-                "--workers > 1, otherwise %(default)s → "
-                f"{DEFAULT_PLANE!r}); charges are plane-invariant"
+                "data layout: batch (columnar numpy) or object (reference "
+                "per-message tuples, inline only); charges are "
+                "plane-invariant"
             ),
         )
         group.add_argument(
@@ -382,10 +381,10 @@ def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
 
     The single flags→config path for every subcommand: host-spec and
     flag-pairing validation (:func:`_resolve_hosts`), the fault seam
-    (:func:`_fault_model_from_args`), topology-spec parsing, and plane
-    derivation (explicit ``--plane`` wins; otherwise ``--distributed``
-    selects ``dist``, ``--workers > 1`` selects ``parallel``).  Flags a
-    subcommand did not declare fall back to the config defaults.
+    (:func:`_fault_model_from_args`) and topology-spec parsing.  Where
+    the batch kernels run follows from ``--workers``/``--hosts`` inside
+    the config.  Flags a subcommand did not declare fall back to the
+    config defaults.
     """
     hosts = _resolve_hosts(args) if hasattr(args, "distributed") else None
     faults = _fault_model_from_args(args) if hasattr(args, "fault_seed") else None
@@ -398,26 +397,10 @@ def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
             topology = parse_topology(spec)
         except ValueError as exc:
             raise SystemExit(f"invalid --topology: {exc}")
-    workers = getattr(args, "workers", 1)
-    plane = getattr(args, "plane", None)
-    if plane is None:
-        if hosts:
-            plane = "dist"
-        elif workers > 1:
-            plane = "parallel"
-        else:
-            plane = DEFAULT_PLANE
-    if plane == "dist" and not hosts:
-        raise SystemExit("--plane dist requires --distributed --hosts HOST[,HOST...]")
-    if workers > 1 and plane not in ("parallel", "dist"):
-        raise SystemExit(
-            f"--workers {workers} needs the parallel plane; "
-            f"drop --plane {plane} or use --plane parallel"
-        )
     try:
         return ExecutionConfig(
-            plane=plane,
-            workers=workers,
+            plane=getattr(args, "plane", "batch"),
+            workers=getattr(args, "workers", 1),
             hosts=hosts or (),
             faults=faults,
             materialize=getattr(args, "materialize", False),
@@ -458,11 +441,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # so the per-cell ExecutionConfig stays single-box/clique.
     topologies = _split_topology_list(args.topology) if args.topology else None
     args.topology = None
-    if args.plane == "dist":
-        raise SystemExit(
-            "sweep fans whole grid cells over --distributed --hosts; "
-            "--plane dist is not a per-cell plane"
-        )
     hosts = _resolve_hosts(args)
     args.distributed, args.hosts = False, ""
     config = execution_config_from_args(args)
@@ -472,11 +450,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # model's repr feeds the cache key, so faulted and fault-free
         # grids never share rows.
         algo_overrides["faults"] = config.faults
-    if config.plane != DEFAULT_PLANE:
-        # The parallel plane is charge- and output-identical to batch;
-        # workers only moves the numpy work onto a process pool.
-        algo_overrides.update({"plane": config.plane, "workers": config.workers})
-        if config.plane == "parallel" and hosts is None and args.jobs != 1:
+    if config.plane != "batch":
+        algo_overrides["plane"] = config.plane
+    if config.workers > 1:
+        # A pool is charge- and output-identical to inline; only the
+        # numpy work moves.
+        algo_overrides["workers"] = config.workers
+        if hosts is None and args.jobs != 1:
             # Inside a --jobs fan-out every cell runs in a daemonic pool
             # worker, where the shard executor must fall back to inline
             # execution — the requested workers would silently do

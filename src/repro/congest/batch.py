@@ -32,6 +32,12 @@ seam and non-clique overlays).  Both batch kinds answer the router's
 questions — ``len``, ``words_per_message``, :meth:`~MessageBatch.endpoints`,
 :meth:`~MessageBatch.loads`, :meth:`~MessageBatch.materialize` — the same
 way.
+
+This is the ``"batch"`` layout of
+:attr:`~repro.core.config.ExecutionConfig.plane`.  Batches are always
+built and charged in the calling process; only the listing kernels that
+consume them move to a pool or a cluster, when ``workers``/``hosts``
+ask for one (:meth:`~repro.core.config.ExecutionConfig.resolve_executor`).
 """
 
 from __future__ import annotations
@@ -40,25 +46,6 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-#: The routing planes every plane-aware entry point accepts: ``"batch"``
-#: moves columnar arrays on one core, ``"object"`` moves per-message
-#: Python tuples (the reference semantics), ``"parallel"`` moves the
-#: same columns sharded across a worker-process pool
-#: (:mod:`repro.parallel`), ``"dist"`` dispatches the identical shard
-#: kernels across cluster nodes (:mod:`repro.dist`).  All planes charge
-#: identical ledger rounds.
-PLANES = ("batch", "object", "parallel", "dist")
-
-#: The default plane of :class:`~repro.core.config.ExecutionConfig`.
-DEFAULT_PLANE = "batch"
-
-#: The planes whose data movement is columnar numpy arrays.
-#: ``"parallel"`` is the batch plane with its delivery/listing tail
-#: sharded across a local worker pool; ``"dist"`` is the same tail
-#: dispatched across cluster nodes — every array-plane code path serves
-#: all three, which is why they cannot drift apart.
-ARRAY_PLANES = ("batch", "parallel", "dist")
 
 
 def bincount_loads(

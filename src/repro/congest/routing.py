@@ -262,7 +262,7 @@ class Router:
         network delivered (silently corrupted rows mangled), of the
         kind passed in.  The Theorem 1.3 driver charges its factored
         fan-out (:class:`~repro.congest.batch.FanoutBatch`) here on
-        every array plane, then gathers only the owners' mailboxes
+        the batch plane, then gathers only the owners' mailboxes
         (:func:`repro.core.partition.owner_mailboxes`) for its own
         delivery.
         """

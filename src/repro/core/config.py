@@ -4,11 +4,11 @@
 are set — the listing drivers, the CLI subcommands and the sweep runner
 all read them from here:
 
-- ``plane`` + ``workers`` + ``hosts`` — where data movement executes
-  (:data:`repro.congest.batch.PLANES`), resolved to a shard executor
-  through the **single** plane→executor path
-  (:meth:`ExecutionConfig.resolve_executor`, a thin veneer over
-  :func:`repro.dist.resolve_executor`).
+- ``plane`` — the data layout (:data:`PLANES`): ``"batch"`` columnar
+  numpy arrays or ``"object"`` per-message Python tuples.
+- ``workers`` + ``hosts`` — where batch kernels run, resolved through
+  the **single** seam :meth:`ExecutionConfig.resolve_executor`: the
+  ``hosts`` cluster, else a ``workers``-process pool, else inline.
 - ``faults`` — the optional fault-injection seam (``docs/faults.md``).
 - ``cost_model`` — round-charge slack (:class:`repro.congest.routing.CostModel`).
 - ``topology`` — the overlay network charges are additionally priced on
@@ -20,18 +20,28 @@ all read them from here:
 :class:`~repro.core.params.AlgorithmParameters` carries one as its
 ``execution`` field::
 
-    AlgorithmParameters(p, execution=ExecutionConfig(plane="parallel", workers=2))
+    AlgorithmParameters(p, execution=ExecutionConfig(workers=2))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.congest.batch import DEFAULT_PLANE, PLANES
 from repro.congest.routing import CostModel, DEFAULT_COST_MODEL
 from repro.congest.topology import Topology, parse_topology
 from repro.faults.model import FaultModel
+
+#: The data layouts: ``"batch"`` moves columnar numpy arrays,
+#: ``"object"`` moves per-message Python tuples (the reference
+#: semantics).  Both charge identical ledger rounds.
+PLANES = ("batch", "object")
+
+#: ``"parallel"`` and ``"dist"`` once named planes that differed from
+#: ``"batch"`` only in where its kernels ran.  Saved sweep grids, the
+#: frozen benchmark and the differential suites still spell them, so
+#: both keep meaning the batch layout on a pool or a cluster.
+_LEGACY_PLANES = {"parallel": "batch", "dist": "batch"}
 
 
 @dataclass(frozen=True)
@@ -41,18 +51,17 @@ class ExecutionConfig:
     Attributes
     ----------
     plane:
-        Routing plane: ``"batch"`` (columnar numpy, default),
-        ``"object"`` (reference tuple semantics), ``"parallel"``
-        (sharded across ``workers`` processes), or ``"dist"``
-        (dispatched over the ``hosts`` cluster).  Charged rounds are
-        identical on every plane.
+        Data layout (:data:`PLANES`): ``"batch"`` (columnar numpy,
+        default) or ``"object"`` (reference tuple semantics).  Charged
+        rounds are identical on both.
     workers:
-        Worker-process count for the ``"parallel"`` plane (``1`` =
-        degenerate inline mode); ignored elsewhere.
+        Process count of the pool batch kernels run on (``1`` =
+        inline).  The object plane runs inline only.
     hosts:
-        Host specs for the ``"dist"`` plane (``local``, ``spawn``,
-        ``subprocess``, or ``host:port`` — :func:`repro.dist.parse_host`);
-        frozen to a tuple.  ``()`` is the degenerate one-node cluster.
+        Host specs of the cluster batch kernels run on (``local``,
+        ``spawn``, ``subprocess``, or ``host:port`` —
+        :func:`repro.dist.parse_host`); frozen to a tuple.  Takes
+        precedence over ``workers``; ``()`` runs no cluster.
     faults:
         Optional :class:`~repro.faults.model.FaultModel` attached to the
         run's routers; ``None`` keeps every code path byte-identical to
@@ -70,7 +79,7 @@ class ExecutionConfig:
         (byte-identical charges to the pre-topology ledger).
     """
 
-    plane: str = DEFAULT_PLANE
+    plane: str = "batch"
     workers: int = 1
     hosts: Tuple[str, ...] = ()
     faults: Optional[FaultModel] = None
@@ -79,7 +88,9 @@ class ExecutionConfig:
     topology: Optional[Union[Topology, str]] = None
 
     def __post_init__(self) -> None:
-        if self.plane not in PLANES:
+        # Old configs spell the executor as a plane; read them as batch.
+        plane = _LEGACY_PLANES.get(self.plane, self.plane)
+        if plane not in PLANES:
             raise ValueError(
                 f"unknown routing plane {self.plane!r}; use one of {PLANES}"
             )
@@ -98,6 +109,15 @@ class ExecutionConfig:
             raise ValueError(
                 f"hosts must be non-empty host-spec strings, got {self.hosts!r}"
             )
+        if self.plane == "dist" and not self.hosts:
+            # The old dist plane's empty hosts was one in-process node.
+            object.__setattr__(self, "hosts", ("local",))
+        if plane == "object" and (self.workers > 1 or self.hosts):
+            raise ValueError(
+                f"the object plane runs inline; workers={self.workers} and "
+                f"hosts={self.hosts!r} need the batch plane"
+            )
+        object.__setattr__(self, "plane", plane)
         if self.faults is not None and not isinstance(self.faults, FaultModel):
             raise TypeError(
                 f"faults must be a FaultModel or None, got {type(self.faults).__name__}"
@@ -117,18 +137,22 @@ class ExecutionConfig:
 
     # ------------------------------------------------------------------
     def resolve_executor(self):
-        """The shard executor for this plane, or ``None`` for the
-        central single-process path.
+        """Where batch kernels run: the ``hosts`` cluster, else the
+        ``workers``-process pool, else ``None`` (inline).
 
-        This is the single plane→executor resolution seam: both listing
-        drivers, the sparsity-aware lister and the CLI go through here,
-        which goes through :func:`repro.dist.resolve_executor`.
+        The single executor seam: both listing drivers and the
+        sparsity-aware lister go through here.  Both executors expose
+        the same kernels (:class:`repro.parallel.ShardExecutor`).
         """
-        if self.plane not in ("parallel", "dist"):
-            return None
-        from repro.dist.cluster import resolve_executor
+        if self.hosts:
+            from repro.dist.cluster import get_cluster
 
-        return resolve_executor(self.plane, workers=self.workers, hosts=self.hosts)
+            return get_cluster(self.hosts)
+        if self.workers > 1:
+            from repro.parallel.executor import get_executor
+
+            return get_executor(self.workers)
+        return None
 
     def topology_spec(self) -> Optional[str]:
         """The topology's canonical spec string (``None`` for clique

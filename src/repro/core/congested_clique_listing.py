@@ -20,7 +20,7 @@ The §2.4.3 machinery run on the whole clique of n nodes:
    and lists the Kp in them.  The other nodes receive their share of
    step 3 (it is charged) but can never keep a Kp, so they list nothing.
 
-The data movement of step 3 *executes* on the routing plane
+The data movement of step 3 *executes* in the layout
 ``params.execution.plane`` selects (``docs/architecture.md`` § routing
 planes):
 
@@ -32,21 +32,21 @@ planes):
   gathered straight from the edge slices of its pairs
   (:func:`~repro.core.partition.owner_mailboxes`) and all mailboxes are
   listed by one block-diagonal pipeline; no (edge, recipient) row and
-  no Python set is built;
+  no Python set is built.  With ``execution.workers > 1`` or
+  ``execution.hosts`` that listing is sharded by owner ranges across a
+  worker-process pool (:class:`repro.parallel.ShardExecutor`) or a
+  cluster (:mod:`repro.dist`), each worker listing only its own owners'
+  mailboxes;
 - ``plane="object"`` — every (edge, recipient) pair becomes one Python
   tuple through :meth:`CongestedClique.route` dict mailboxes and every
   learned subgraph, owner or not, is rebuilt set-by-set and listed.
   This is the unfiltered reference the differential tests pin the
-  array planes against;
-- ``plane="parallel"`` / ``"dist"`` — the batch plane's charge and owner
-  gather, with the owner listing sharded by owner ranges across a
-  worker-process pool (:class:`repro.parallel.ShardExecutor`,
-  ``execution.workers`` processes) or a cluster (:mod:`repro.dist`);
-  each worker lists only its own owners' mailboxes.
+  batch plane against.
 
-All planes charge **identical** ledger rounds: the charge is a function
-of the measured per-node word loads, which every plane counts through
-the same router core (:class:`~repro.congest.routing.Router`).
+Both planes, on every executor, charge **identical** ledger rounds:
+the charge is a function of the measured per-node word loads, which
+both planes count through the same router core
+(:class:`~repro.congest.routing.Router`).
 
 If m is so small that Lemma 2.7's conditions fail, the paper pads with
 *fake edges* until m/n^{1/p} = 20·n·log n — the round count is Õ(1)
@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES, MessageBatch, fanout_edges_by_pair
+from repro.congest.batch import fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.errors import CorruptionDetectedError
 from repro.congest.topology import makespan_for_rounds
@@ -133,8 +133,9 @@ def list_cliques_congested_clique(
 
     Round complexity: Θ̃(1 + m/n^{1+2/p}) (Theorem 1.3); the ledger holds
     the per-phase breakdown with the measured loads.
-    ``params.execution.plane`` selects the routing plane (default
-    ``"batch"``); every plane produces identical results and identical
+    ``params.execution.plane`` selects the layout (default ``"batch"``)
+    and ``params.execution.resolve_executor()`` where the batch plane's
+    listing runs; every choice produces identical results and identical
     ledger charges.
 
     ``precomputed_table`` is the streaming entry point: a ``(count, p)``
@@ -168,10 +169,10 @@ def list_cliques_congested_clique(
         topology=execution.topology,
     )
 
-    # -- Step 1: orientation.  The array planes read the CSR forward
+    # -- Step 1: orientation.  The batch plane reads the CSR forward
     # adjacency (the same deterministic degeneracy orientation, as
     # arrays); the object plane materializes the per-node out-sets.
-    if plane in ARRAY_PLANES:
+    if plane == "batch":
         csr = graph.to_csr()
         fptr, findices = csr.forward()
         out_degree = int(np.diff(fptr).max(initial=0))
@@ -221,7 +222,7 @@ def list_cliques_congested_clique(
                 f"precomputed_table must be a (count, {p}) array, got shape "
                 f"{precomputed_table.shape}"
             )
-    if plane in ARRAY_PLANES:
+    if plane == "batch":
         _route_and_list_arrays(
             result, clique_net, fptr, findices, partition.part_array(), s, p,
             extra_send, extra_recv, fake_total, precomputed_table,
@@ -301,9 +302,9 @@ def _route_and_list_arrays(
 ) -> None:
     """Factored edge distribution + owner-only listing (zero Python sets).
 
-    One implementation serves every array plane — the fan-out batch,
-    the charge, the owner gather and the responsible-node attribution
-    are shared, so the planes cannot drift apart:
+    One implementation serves every executor — the fan-out batch, the
+    charge, the owner gather and the responsible-node attribution are
+    shared, so inline, pool and cluster runs cannot drift apart:
 
     1. **charge** — the full §2.4.3 pattern, kept factored as a
        :class:`~repro.congest.batch.FanoutBatch` (edges sorted by part
@@ -319,13 +320,12 @@ def _route_and_list_arrays(
        away; the rounds stay the full pattern's.  Under the fault seam
        the silently corrupted rows are judged by the payload they
        arrived with (:func:`~repro.core.partition.owner_rows`);
-    3. **list** — the mailboxes, addressed by owner rank, are either
+    3. **list** — the mailboxes, grouped by owner rank, are either
        listed by one block-diagonal ``grouped_clique_tables`` pipeline
-       (``executor=None``, the batch plane) or handed to
-       ``executor.fanout_tables`` (the parallel plane's process pool or
-       the dist plane's cluster), which shards the listing by rank
-       ranges.  Rank ranges partition the mailboxes, so the merged rows
-       equal the central path's exactly.
+       (``executor=None``, inline) or handed to
+       ``executor.fanout_tables`` (a process pool or a cluster), which
+       shards the same call by rank ranges.  Rank ranges partition the
+       mailboxes, so the merged rows equal the inline path's exactly.
 
     Ranks map back to node IDs before the responsible-node filter keeps
     exactly the rows whose part multiset is the lister's own digit
@@ -356,9 +356,7 @@ def _route_and_list_arrays(
     if executor is None:
         owners, table = grouped_clique_tables(indptr, payload, p, assume_unique=True)
     else:
-        rank = np.repeat(np.arange(owning.size, dtype=np.int64), np.diff(indptr))
-        owned = MessageBatch.of_edges(src=payload[:, 0], dst=rank, endpoints=payload)
-        owners, table = executor.fanout_tables(owned, owning.size, p)
+        owners, table = executor.fanout_tables(indptr, payload, p, assume_unique=True)
     if table.shape[0] == 0:
         return
     owners = owning[owners]

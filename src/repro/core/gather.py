@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.orientation import Orientation
 
@@ -252,14 +251,14 @@ def gather_outside_edges(
 
     ``include_light=False`` is the K4 variant (§3), where light-incident
     outside edges are never brought in — C-light nodes list those K4
-    themselves.  On the array planes (``"batch"`` and its sharded twin
-    ``"parallel"``) the received pairs are ``(k, 2)`` arrays; rounds and
+    themselves.  On the batch plane the received pairs are ``(k, 2)``
+    arrays; rounds and
     stats are identical to the object plane (a member never receives
     the same pair twice: heavy rows start at a C-heavy node and light
     rows at a C-light one, so the mechanisms cannot collide, and each
     mechanism emits distinct pairs per member).
     """
-    if plane in ARRAY_PLANES:
+    if plane == "batch":
         in_cluster = np.zeros(graph.num_nodes, dtype=bool)
         if cluster_nodes:
             in_cluster[np.fromiter(cluster_nodes, np.int64, len(cluster_nodes))] = True

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES, MessageBatch
+from repro.congest.batch import MessageBatch
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.gather import GatheredPairs
@@ -94,15 +94,14 @@ def reshuffle_edges(
     Every known edge is re-keyed by the *global* orientation (so both the
     (w, v') pairs from the light pull and native incident edges route
     consistently) and sent to ``owner_of[src]``.  Each member deduplicates
-    on arrival.  The array planes (``"batch"``/``"parallel"``) perform
-    the identical movement as one
-    :class:`~repro.congest.batch.MessageBatch` through
+    on arrival.  The batch plane performs the identical movement as
+    one :class:`~repro.congest.batch.MessageBatch` through
     :meth:`ClusterRouter.route_batch` — same ledger charge, array
-    mailboxes in, array ``owned`` out.  (Cluster reshuffles stay
-    central on the parallel plane: their batches are orders of
-    magnitude below the shard threshold.)
+    mailboxes in, array ``owned`` out.  (Cluster reshuffles stay inline
+    whatever the executor: their batches are orders of magnitude below
+    the shard threshold.)
     """
-    if plane in ARRAY_PLANES:
+    if plane == "batch":
         return _reshuffle_batch(
             graph, orientation, cluster_members, gathered, router, ledger, phase
         )

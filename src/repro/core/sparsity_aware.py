@@ -13,7 +13,7 @@ The steps are then
    assigned parts contain both endpoint parts; member i thus learns *all*
    known edges between its parts;
 4. **local listing** — member i enumerates Kp in its learned edge set and
-   outputs those containing a goal edge.  On the array planes the goal
+   outputs those containing a goal edge.  On the batch plane the goal
    test rides the listing kernel: each partial clique carries whether a
    goal edge is among its edges so far and the goal neighbours of its
    members, so the kernel emits only goal-touching rows
@@ -39,7 +39,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.congest.batch import ARRAY_PLANES
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.congest.topology import makespan_for_rounds
@@ -122,12 +121,12 @@ def sparsity_aware_listing(
         on python sets.  ``"batch"`` computes the p²-fan-out loads with
         ``np.bincount`` over edge arrays and lists the learned subgraph
         through the array kernel — identical charges and outputs, no
-        Python sets.  ``"parallel"`` / ``"dist"`` serve that listing
-        from the plane's shard executor (worker processes or the hosts
-        cluster) through the identical kernels — same table, same
-        charges.
+        Python sets; with ``workers > 1`` or ``hosts`` that listing
+        runs on :meth:`~repro.core.config.ExecutionConfig.resolve_executor`'s
+        pool or cluster through the identical kernels — same table,
+        same charges.
     """
-    if params.execution.plane in ARRAY_PLANES:
+    if params.execution.plane == "batch":
         return _sparsity_aware_batch(
             n, members, owned, goal_edges, params, router, ledger, rng,
             phase_prefix,
@@ -232,9 +231,9 @@ def _sparsity_aware_batch(
     rng: np.random.Generator,
     phase_prefix: str,
 ) -> SparsityAwareOutcome:
-    """§2.4.3 on the array planes: fan-out loads via ``np.bincount`` over
+    """§2.4.3 on the batch plane: fan-out loads via ``np.bincount`` over
     edge arrays, learned-subgraph listing via the array kernel (sharded
-    by the plane's executor on ``"parallel"`` / ``"dist"``).  The rng
+    by the run's executor when it has one).  The rng
     draw, every charged round and every stat are identical to the object
     path — only the bookkeeping substrate changes."""
     members = sorted(members)

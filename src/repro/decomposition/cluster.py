@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, canonical_edge
 
 
 @dataclass
@@ -72,10 +72,6 @@ class Cluster:
         if v not in self.nodes:
             raise ValueError(f"node {v} is not a member of cluster {self.cluster_id}")
         return sum(1 for e in self.edges if v in e)
-
-    def induced_graph(self, n: int) -> Graph:
-        """The cluster as a :class:`Graph` on the global node range."""
-        return Graph(n, self.edges)
 
     def new_ids(self) -> Dict[int, int]:
         """Lemma 2.5 — fresh IDs 1..k for cluster members.

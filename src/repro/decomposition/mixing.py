@@ -42,7 +42,7 @@ def spectral_gap(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
             eigenvalues = spla.eigs(walk, k=2, which="LM", return_eigenvectors=False)
             magnitudes = np.sort(np.abs(eigenvalues))[::-1]
             lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
-        except Exception:
+        except spla.ArpackError:  # no convergence included; other errors surface
             eigenvalues = np.linalg.eigvals(walk.toarray())
             magnitudes = np.sort(np.abs(eigenvalues))[::-1]
             lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0

@@ -76,12 +76,14 @@ def normalized_laplacian_second_eigenpair(
         return float(eigenvalues[1]), np.asarray(eigenvectors[:, 1]).flatten()
     try:
         eigenvalues, eigenvectors = spla.eigsh(lap, k=2, sigma=-1e-9, which="LM")
-    except Exception:
+    except spla.ArpackError:
         # ARPACK shift-invert can fail on difficult spectra; fall back to
         # the (slower but robust) smallest-magnitude mode, then dense.
+        # Only ARPACK's own failures (no convergence included) switch
+        # solvers: any other error is a bug and must surface.
         try:
             eigenvalues, eigenvectors = spla.eigsh(lap, k=2, which="SM", maxiter=5000)
-        except Exception:
+        except spla.ArpackError:
             dense_vals, dense_vecs = np.linalg.eigh(lap.toarray())
             return float(dense_vals[1]), np.asarray(dense_vecs[:, 1]).flatten()
     order = np.argsort(eigenvalues)

@@ -1,20 +1,20 @@
-"""Distributed execution plane: remote nodes + out-of-core partitions.
+"""Distributed execution: remote nodes + out-of-core partitions.
 
-The fourth routing plane (``plane="dist"``): the existing shard kernels
-of :mod:`repro.parallel` dispatched across :class:`Node` transports —
-in-process, subprocess pipes, TCP sockets — by a :class:`Cluster` that
-health-checks nodes and retries failed shards on survivors, plus
-memory-mapped :class:`PartitionedCSR` partitions so graphs larger than
-RAM are listed one partition-range at a time.  Charges stay local and
-byte-identical to the batch/parallel planes; see ``docs/distributed.md``
-and the differential suite in ``tests/test_dist_plane.py``.
+Where the batch plane's kernels run when ``ExecutionConfig.hosts`` is
+set: the existing shard kernels of :mod:`repro.parallel` dispatched
+across :class:`Node` transports — in-process, subprocess pipes, TCP
+sockets — by a :class:`Cluster` that health-checks nodes and retries
+failed shards on survivors, plus memory-mapped :class:`PartitionedCSR`
+partitions so graphs larger than RAM are listed one partition-range at
+a time.  Charges stay local and byte-identical to inline and pool runs;
+see ``docs/distributed.md`` and the differential suite in
+``tests/test_dist_plane.py``.
 """
 
 from repro.dist.cluster import (
     Cluster,
     get_cluster,
     register_cluster,
-    resolve_executor,
     shutdown_clusters,
 )
 from repro.dist.errors import (
@@ -57,7 +57,6 @@ __all__ = [
     "parse_host",
     "parse_hosts",
     "register_cluster",
-    "resolve_executor",
     "shutdown_clusters",
     "spawn_local_tcp",
     "validate_host_specs",

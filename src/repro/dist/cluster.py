@@ -2,13 +2,12 @@
 
 :class:`Cluster` subclasses :class:`~repro.parallel.executor.
 ShardExecutor` and keeps its entire kernel surface (``fanout_tables`` /
-``grouped_tables`` / ``clique_table`` / ``count_csr``) — the shard
-*planning* (contiguous weight-balanced ranges) and the shard→merge
-concatenation discipline are inherited unchanged, so the determinism
-argument of the parallel plane carries over verbatim.  Only the
-transport differs: instead of a process pool, :meth:`_run` fans the
-shard argument tuples over :class:`~repro.dist.node.Node` objects via
-:meth:`map_task`.
+``clique_table`` / ``count_csr``) — the shard *planning* (contiguous
+weight-balanced ranges) and the shard→merge concatenation discipline
+are inherited unchanged, so the determinism argument of the parallel
+plane carries over verbatim.  Only the transport differs: instead of a
+process pool, :meth:`_run` fans the shard argument tuples over
+:class:`~repro.dist.node.Node` objects via :meth:`map_task`.
 
 Scheduling and fault handling:
 
@@ -27,14 +26,16 @@ Scheduling and fault handling:
   ``r`` distinct nodes and the replies must agree exactly.
 
 Charging stays local: the drivers charge the ledger through
-``charge_batch`` *before* dispatch (exactly like the parallel plane),
-so ledger rows are byte-identical across batch/parallel/dist by
+``charge_batch`` *before* dispatch (exactly like a pool run), so ledger
+rows are byte-identical inline, on a pool and on a cluster by
 construction — nothing about rounds ever crosses the wire.
 
 The process-wide registry (:func:`get_cluster`) mirrors
 :func:`repro.parallel.executor.get_executor`: one cluster per hosts
 tuple, nodes connected lazily on first use, torn down at interpreter
-exit.  Tests inject custom node sets with :func:`register_cluster`.
+exit.  A run reaches it through ``ExecutionConfig(hosts=...)``
+(:meth:`~repro.core.config.ExecutionConfig.resolve_executor`); tests
+inject custom node sets with :func:`register_cluster`.
 """
 
 from __future__ import annotations
@@ -317,20 +318,3 @@ def shutdown_clusters() -> None:
 
 
 atexit.register(shutdown_clusters)
-
-
-def resolve_executor(plane: str, workers: int = 1, hosts: Sequence[str] = ()):
-    """The executor object a routing plane's listing tail runs on.
-
-    ``"parallel"`` → the process-pool :class:`ShardExecutor` for
-    ``workers``; ``"dist"`` → the cluster for ``hosts``; anything else →
-    ``None`` (the central single-core path).  Both executors expose the
-    same four kernels, so the drivers hold a single seam.
-    """
-    if plane == "parallel":
-        from repro.parallel import get_executor
-
-        return get_executor(workers)
-    if plane == "dist":
-        return get_cluster(hosts)
-    return None

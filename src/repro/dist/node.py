@@ -2,8 +2,8 @@
 
 Three transports behind one interface:
 
-- :class:`LocalNode` — in-process execution.  The degenerate mode of the
-  dist plane (``hosts=()``): zero serialization, byte-identical to the
+- :class:`LocalNode` — in-process execution.  The degenerate cluster
+  (``hosts=("local",)``): zero serialization, byte-identical to the
   inline shard executor.  Also the cheapest way to run the
   dist-differential suite.
 - :class:`SubprocessNode` — a worker process on the same machine,

@@ -26,8 +26,7 @@ from repro.dist.errors import UnknownTaskError
 #: name → "module:attribute".  Extend here (and only here) to expose a
 #: new kernel to remote nodes.
 TASKS: Dict[str, str] = {
-    # The four shard kernels of the parallel plane (repro.parallel.tasks).
-    "fanout_listing_shard": "repro.parallel.tasks:fanout_listing_shard",
+    # The three shard kernels of the parallel plane (repro.parallel.tasks).
     "grouped_tables_shard": "repro.parallel.tasks:grouped_tables_shard",
     "forward_table_shard": "repro.parallel.tasks:forward_table_shard",
     "forward_count_shard": "repro.parallel.tasks:forward_count_shard",

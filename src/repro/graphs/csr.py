@@ -59,7 +59,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.table import CliqueTable, materialize_rows
+from repro.graphs.table import CliqueTable
 
 Clique = FrozenSet[int]
 
@@ -456,16 +456,6 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Level-synchronous clique pipeline (bitset strategy)
 # ----------------------------------------------------------------------
-def _edge_table(csr: CSRGraph) -> np.ndarray:
-    """All forward edges as a ``(m, 2)`` table of (source, target) rows."""
-    fptr, findices = csr.forward()
-    n = csr.num_nodes
-    table = np.empty((findices.size, 2), dtype=np.int64)
-    table[:, 0] = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    table[:, 1] = findices
-    return table
-
-
 def _forward_edge_pairs(fptr: np.ndarray, findices: np.ndarray) -> np.ndarray:
     """Forward edges of an arbitrary forward adjacency, as (src, dst) rows."""
     n = fptr.size - 1
@@ -917,16 +907,6 @@ def _search_forward_sorted(
 # ----------------------------------------------------------------------
 # Public kernels
 # ----------------------------------------------------------------------
-def _materialize(table: np.ndarray) -> Set[Clique]:
-    """Bulk-build the ``set`` of frozensets from a clique table.
-
-    Column-major (via :func:`repro.graphs.table.materialize_rows`): no
-    ``(count, p)`` python list-of-lists intermediate, GC suspended for
-    the container-allocation burst.
-    """
-    return materialize_rows(table)
-
-
 def enumerate_cliques_csr(csr: CSRGraph, p: int) -> FrozenSet[Clique]:
     """All Kp of the snapshot, as frozensets — the CSR backend of
     :func:`repro.graphs.cliques.enumerate_cliques`.

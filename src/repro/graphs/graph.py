@@ -21,7 +21,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -288,12 +288,3 @@ def graph_from_edge_set(n: int, edges: Iterable[Edge]) -> Graph:
     """Convenience constructor mirroring :meth:`Graph.subgraph_edges`."""
     return Graph(n, edges)
 
-
-def triangle_edges(clique: FrozenSet[int]) -> Set[Edge]:
-    """All edges of a clique, canonicalized (utility for verification)."""
-    members = sorted(clique)
-    return {
-        (members[i], members[j])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    }

@@ -1,8 +1,8 @@
 """Multi-core shard executor for the batch plane.
 
 The batch routing plane (``docs/architecture.md`` § routing planes) made
-the simulated data movement columnar; this subpackage spreads those
-columns across worker processes:
+the simulated data movement columnar; this subpackage spreads the
+kernels that consume those columns across worker processes:
 
 - :mod:`repro.parallel.shard` — deterministic, weight-balanced
   contiguous range planning;
@@ -16,8 +16,8 @@ columns across worker processes:
 
 Everything observable — listing results, ledger rounds and stats,
 maintained stream counts — is identical to the single-core batch plane;
-``plane="parallel"`` only changes *where* the numpy work runs.  See
-``docs/parallel.md`` for the design and the determinism argument.
+``ExecutionConfig(workers=N)`` only changes *where* the numpy work runs.
+See ``docs/parallel.md`` for the design and the determinism argument.
 """
 
 from repro.parallel.executor import (

@@ -1,14 +1,12 @@
-"""The shard executor: one process pool, four deterministic kernels.
+"""The shard executor: one process pool, three deterministic kernels.
 
 :class:`ShardExecutor` owns a persistent worker pool and exposes the
 parallel twins of the batch plane's hot kernels:
 
-- :meth:`fanout_tables` — the Theorem 1.3 step-3/4 tail: split the
-  owner mailboxes' :class:`~repro.congest.batch.MessageBatch` columns
-  by destination ranges, deliver and list every mailbox worker-side,
-  concatenate the per-shard ``(owners, table)`` results;
-- :meth:`grouped_tables` — sharded
-  :func:`repro.graphs.csr.grouped_clique_tables` over group ranges;
+- :meth:`fanout_tables` — the Theorem 1.3 owner listing: sharded
+  :func:`repro.graphs.csr.grouped_clique_tables` over ranges of the
+  owners' already-grouped mailboxes, concatenating the per-shard
+  ``(owners, table)`` results;
 - :meth:`clique_table` — sharded
   :func:`repro.graphs.csr.clique_table_from_edge_array` (compaction on
   the parent, root-edge slices on the workers);
@@ -176,40 +174,6 @@ class ShardExecutor:
     # Kernels
     # ------------------------------------------------------------------
     def fanout_tables(
-        self, batch, n: int, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Deliver-and-list a fan-out batch, sharded by destination.
-
-        ``batch`` is an *undelivered* edge-carrying
-        :class:`~repro.congest.batch.MessageBatch` or
-        :class:`~repro.congest.batch.FanoutBatch` (the Theorem 1.3
-        driver passes its owners' mailboxes, addressed by owner rank and
-        already in mailbox order); ``n`` the destination space.  Shards
-        are contiguous destination ranges balanced by received-message
-        weight (owners differ in load); each worker fills and lists only
-        its own mailboxes.  Returns the same
-        ``(owners, table)`` the batch plane's central
-        ``deliver`` + ``grouped_clique_tables`` produces, up to row
-        order.
-        """
-        batch = batch.materialize()
-        if batch.obj is not None:
-            raise ValueError("fanout batches carry fixed-width edge payloads only")
-        if len(batch) == 0:
-            return np.empty(0, dtype=np.int64), np.empty((0, p), dtype=np.int64)
-        if not self.parallel or len(batch) < MIN_PARALLEL_ITEMS:
-            ranges = [(0, n)]
-        else:
-            weights = np.bincount(batch.dst, minlength=n)
-            ranges = balanced_ranges(weights, self.workers)
-        results = self._run(
-            tasks.fanout_listing_shard,
-            {"dst": batch.dst, "payload": batch.payload},
-            [(lo, hi, p) for lo, hi in ranges if hi > lo],
-        )
-        return _merge_owner_tables(results, p)
-
-    def grouped_tables(
         self,
         group_indptr: np.ndarray,
         edges: np.ndarray,
@@ -218,13 +182,16 @@ class ShardExecutor:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sharded :func:`~repro.graphs.csr.grouped_clique_tables`.
 
+        Takes the ``(indptr, payload)`` mailboxes
+        :func:`~repro.core.partition.owner_mailboxes` gathers: group
+        ``g`` owns ``edges[group_indptr[g]:group_indptr[g + 1]]``.
         Groups are sharded into contiguous ranges balanced by per-group
-        edge counts; a clique never crosses groups, so per-shard results
-        concatenate into exactly the single-core answer (same rows, row
-        order by shard).
+        edge counts (owners differ in load); a clique never crosses
+        groups, so per-shard results concatenate into exactly the
+        single-core answer (same rows, row order by shard).
         """
         group_indptr = np.asarray(group_indptr, dtype=np.int64)
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = np.asarray(edges)
         if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
             return grouped_clique_tables(group_indptr, edges, p, assume_unique)
         ranges = indptr_ranges(group_indptr, self.workers)

@@ -1,16 +1,16 @@
 """Deterministic shard planning: contiguous, weight-balanced ranges.
 
 Every parallel kernel in :mod:`repro.parallel` shards a *contiguous*
-index space — destination nodes of a delivered batch, groups of a
-grouped listing call, root edges of a level pipeline — because
+index space — groups of a grouped listing call, root edges of a level
+pipeline — because
 contiguous ranges keep the shard→merge step a plain concatenation in
 shard order, which is what makes the parallel plane's outputs
 order-independent-equal to the single-core batch plane.
 
-The planner balances by *weight* (per-index work estimate: received
-words, per-group edge counts, root-edge counts), not by index count:
-the fan-out of §2.4.3 concentrates messages on the s^p responsible
-nodes, so an unweighted split would leave most workers idle.
+The planner balances by *weight* (per-index work estimate: per-group
+edge counts, root-edge counts), not by index count: the fan-out of
+§2.4.3 concentrates messages on the s^p responsible nodes, so an
+unweighted split would leave most workers idle.
 """
 
 from __future__ import annotations

@@ -179,9 +179,9 @@ class TestOwnerOnlyListing:
         seen = []
         fanout = ShardExecutor.fanout_tables
 
-        def spy(self, batch, space, p_):
-            seen.append((space, int(batch.dst.max(initial=-1))))
-            return fanout(self, batch, space, p_)
+        def spy(self, indptr, edges, p_, assume_unique=False):
+            seen.append((indptr.size - 1, assume_unique))
+            return fanout(self, indptr, edges, p_, assume_unique)
 
         monkeypatch.setattr(ShardExecutor, "fanout_tables", spy)
         params = AlgorithmParameters(
@@ -189,8 +189,7 @@ class TestOwnerOnlyListing:
         )
         sharded = list_cliques_congested_clique(g, p, params=params, seed=seed)
         owners = math.comb(s + p - 1, p)
-        assert len(seen) == 1
-        assert seen[0][0] == owners and seen[0][1] < owners
+        assert seen == [(owners, True)]
         batch = list_cliques_congested_clique(g, p, seed=seed)
         assert sharded.table() == batch.table()
         assert sharded.per_node == batch.per_node

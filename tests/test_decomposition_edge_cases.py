@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.decomposition import expander_decomposition, validate_decomposition
 from repro.decomposition.expander import DecompositionParams
+from repro.decomposition.mixing import spectral_gap
 from repro.decomposition.spectral import (
     adjacency_matrix,
     lambda2_of_component,
@@ -63,6 +66,51 @@ class TestSpectralHelpers:
         value, vector = normalized_laplacian_second_eigenpair(adj)
         assert value >= -1e-9
         assert vector.shape[0] == len(comp)
+
+
+def _raising(error):
+    def solver(*args, **kwargs):
+        raise error
+
+    return solver
+
+
+class TestArpackFallback:
+    """Only ARPACK's own failures switch the spectral solvers to their
+    dense fallback; any other error is a bug and must surface."""
+
+    def _component(self):
+        # > _DENSE_CUTOFF nodes: both solvers take their ARPACK path.
+        g = erdos_renyi(100, 0.15, seed=2)
+        return g, sorted(max(g.connected_components(), key=len))
+
+    def test_other_errors_propagate(self, monkeypatch):
+        g, comp = self._component()
+        monkeypatch.setattr(spla, "eigsh", _raising(ValueError("bad matrix")))
+        monkeypatch.setattr(spla, "eigs", _raising(ValueError("bad matrix")))
+        with pytest.raises(ValueError, match="bad matrix"):
+            normalized_laplacian_second_eigenpair(adjacency_matrix(g, comp))
+        with pytest.raises(ValueError, match="bad matrix"):
+            spectral_gap(g, comp)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        g, comp = self._component()
+        adj = adjacency_matrix(g, comp)
+        dense = adj.toarray()
+        degrees = dense.sum(axis=1)
+        scale = 1.0 / np.sqrt(degrees)
+        laplacian = np.eye(len(comp)) - scale[:, None] * dense * scale[None, :]
+        lambda2 = np.linalg.eigvalsh(laplacian)[1]
+        walk = 0.5 * (np.eye(len(comp)) + dense / degrees[:, None])
+        walk_lambda2 = np.sort(np.abs(np.linalg.eigvals(walk)))[::-1][1]
+
+        stuck = _raising(spla.ArpackNoConvergence("no convergence", [], []))
+        monkeypatch.setattr(spla, "eigsh", stuck)
+        monkeypatch.setattr(spla, "eigs", stuck)
+        value, vector = normalized_laplacian_second_eigenpair(adj)
+        assert value == pytest.approx(lambda2)
+        assert vector.shape[0] == len(comp)
+        assert spectral_gap(g, comp) == pytest.approx(1.0 - walk_lambda2)
 
 
 class TestSweepCutEdgeCases:

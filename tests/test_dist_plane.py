@@ -41,7 +41,6 @@ from repro.dist import (
     get_cluster,
     parse_host,
     register_cluster,
-    resolve_executor,
     spawn_local_tcp,
     validate_host_specs,
     write_partitioned,
@@ -439,10 +438,10 @@ class TestCluster:
         degenerate = get_cluster(())
         assert get_cluster(()) is degenerate
         assert not degenerate.parallel  # one LocalNode -> inline kernels
-        assert resolve_executor("dist", hosts=()) is degenerate
-        assert resolve_executor("batch") is None
-        assert resolve_executor("object") is None
-        pool = resolve_executor("parallel", workers=2)
+        assert ExecutionConfig(plane="dist").resolve_executor() is degenerate
+        assert ExecutionConfig().resolve_executor() is None
+        assert ExecutionConfig(plane="object").resolve_executor() is None
+        pool = ExecutionConfig(plane="parallel", workers=2).resolve_executor()
         assert pool is get_executor(2)
 
 
@@ -478,7 +477,7 @@ class TestClusterKernels:
         edges = rng.integers(0, 30, size=(int(indptr[-1]), 2))
         edges[:, 1] = (edges[:, 1] + 1 + edges[:, 0]) % 31
         serial_owners, serial_table = grouped_clique_tables(indptr, edges, 3)
-        owners, table = cluster.grouped_tables(indptr, edges, 3)
+        owners, table = cluster.fanout_tables(indptr, edges, 3)
         assert set(zip(serial_owners.tolist(), map(tuple, serial_table.tolist()))) \
             == set(zip(owners.tolist(), map(tuple, table.tolist())))
 

@@ -5,8 +5,10 @@ cross-cutting run knobs — plane/workers/hosts, faults, cost model,
 topology, materialization — with :class:`AlgorithmParameters` carrying
 it as its ``execution`` field and the CLI declaring it once through
 ``add_execution_args`` / ``execution_config_from_args``.  These tests
-pin that it is the only run surface, the single plane→executor seam,
-and the shared-flag parsing/validation of every subcommand.
+pin that it is the only run surface, the single executor seam
+(``plane`` names the data layout, ``workers``/``hosts`` pick where batch
+kernels run), and the shared-flag parsing/validation of every
+subcommand.
 """
 
 import dataclasses
@@ -21,8 +23,10 @@ from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.core.sparsity_aware import _sparsity_aware_batch, sparsity_aware_listing
+from repro.dist import get_cluster
 from repro.faults import FaultModel
 from repro.graphs.generators import erdos_renyi
+from repro.parallel import get_executor
 from repro.serve import EpochSnapshot
 from repro.stream import QueryEngine, StreamEngine
 
@@ -69,8 +73,10 @@ class TestExecutionConfig:
         assert ExecutionConfig().topology_spec() is None
 
     def test_with_(self):
-        config = ExecutionConfig().with_(plane="parallel", workers=3)
-        assert (config.plane, config.workers) == ("parallel", 3)
+        config = ExecutionConfig().with_(plane="object")
+        assert (config.plane, config.workers) == ("object", 1)
+        config = ExecutionConfig().with_(workers=3)
+        assert (config.plane, config.workers) == ("batch", 3)
         # frozen: no in-place mutation
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.plane = "batch"
@@ -80,13 +86,47 @@ class TestExecutionConfig:
         assert ExecutionConfig(plane="object").resolve_executor() is None
 
     def test_resolve_executor_is_the_dist_seam(self):
-        # The parallel plane goes through repro.dist.resolve_executor —
-        # one seam for every entry point.
-        executor = ExecutionConfig(plane="parallel", workers=2).resolve_executor()
-        assert executor is not None
-        from repro.dist.cluster import resolve_executor
+        # Pool and cluster both come out of the one config seam, as the
+        # same process-wide registry objects the rest of the code uses.
+        config = ExecutionConfig(workers=2)
+        assert config.resolve_executor() is get_executor(2)
+        cluster = ExecutionConfig(hosts=("local",)).resolve_executor()
+        assert cluster is get_cluster(("local",))
 
-        assert type(executor) is type(resolve_executor("parallel", workers=2))
+    @pytest.mark.parametrize(
+        "plane, workers, hosts, executor",
+        [
+            ("batch", 1, (), lambda: None),
+            ("batch", 2, (), lambda: get_executor(2)),
+            ("batch", 1, ("local", "local"), lambda: get_cluster(("local", "local"))),
+            ("batch", 2, ("local", "local"), lambda: get_cluster(("local", "local"))),
+            # The legacy spellings keep their meaning: "parallel" is the
+            # batch layout on the workers pool, "dist" on the hosts
+            # cluster, and "dist" with no hosts is one in-process node.
+            ("parallel", 2, (), lambda: get_executor(2)),
+            ("parallel", 1, (), lambda: None),
+            ("dist", 1, ("local", "local"), lambda: get_cluster(("local", "local"))),
+            ("dist", 1, (), lambda: get_cluster(())),
+            ("object", 1, (), lambda: None),
+            # The object plane is the inline reference: no field it
+            # cannot honour is silently dropped.
+            ("object", 2, (), ValueError),
+            ("object", 1, ("local",), ValueError),
+        ],
+    )
+    def test_executor_table(self, plane, workers, hosts, executor):
+        if executor is ValueError:
+            with pytest.raises(ValueError, match="object plane"):
+                ExecutionConfig(plane=plane, workers=workers, hosts=hosts)
+            return
+        config = ExecutionConfig(plane=plane, workers=workers, hosts=hosts)
+        assert config.plane == ("object" if plane == "object" else "batch")
+        assert config.resolve_executor() is executor()
+
+    def test_legacy_spellings_read_as_batch(self):
+        assert ExecutionConfig(plane="parallel", workers=2) == ExecutionConfig(workers=2)
+        assert ExecutionConfig(plane="dist") == ExecutionConfig(hosts=("local",))
+        assert ExecutionConfig(plane="dist", hosts=("a:1",)).hosts == ("a:1",)
 
 
 class TestParamsComposition:
@@ -138,16 +178,24 @@ class TestCliExecutionParent:
         config = self._config(["list", "--n", "16"])
         assert config == ExecutionConfig()
 
-    def test_workers_derive_parallel_plane(self):
+    def test_workers_pick_the_pool(self):
         config = self._config(["list", "--n", "16", "--workers", "3"])
-        assert (config.plane, config.workers) == ("parallel", 3)
+        assert config == ExecutionConfig(workers=3)
+        assert config.resolve_executor() is get_executor(3)
 
-    def test_distributed_derives_dist_plane(self):
+    def test_distributed_picks_the_cluster(self):
         config = self._config(
             ["list", "--n", "16", "--distributed", "--hosts", "local,local"]
         )
-        assert config.plane == "dist"
-        assert config.hosts == ("local", "local")
+        assert config == ExecutionConfig(hosts=("local", "local"))
+        assert config.resolve_executor() is get_cluster(("local", "local"))
+
+    def test_plane_accepts_the_two_layouts(self):
+        from repro.cli import make_parser
+
+        for legacy in ("parallel", "dist"):
+            with pytest.raises(SystemExit):
+                make_parser().parse_args(["list", "--plane", legacy])
 
     def test_explicit_plane_wins(self):
         config = self._config(["list", "--n", "16", "--plane", "object"])
@@ -166,19 +214,24 @@ class TestCliExecutionParent:
 
     def test_stream_and_serve_share_the_parent(self):
         stream = self._config(["stream", "--n", "16", "--workers", "2"])
-        assert stream.plane == "parallel"
+        assert stream == ExecutionConfig(workers=2)
         serve = self._config(["serve", "--n", "16", "--workers", "2"])
         assert serve.workers == 2
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["list", "--n", "16", "--plane", "dist"], "requires --distributed"),
+            (["list", "--n", "16", "--hosts", "local"], "requires --distributed"),
             (
-                ["list", "--n", "16", "--plane", "batch", "--workers", "2"],
-                "parallel plane",
+                ["list", "--n", "16", "--plane", "object", "--workers", "2"],
+                "invalid execution configuration",
             ),
             (["list", "--n", "16", "--topology", "torus"], "invalid --topology"),
+            (
+                ["list", "--n", "16", "--plane", "object", "--distributed",
+                 "--hosts", "local"],
+                "invalid execution configuration",
+            ),
         ],
     )
     def test_typed_pairing_errors(self, argv, message):
@@ -228,9 +281,20 @@ class TestCliExecutionParent:
             "spanner:3@lat=1",
         ]
 
-    def test_sweep_rejects_plane_dist(self):
-        from repro.cli import main
+    def test_sweep_keys_workers_without_a_plane(self, monkeypatch):
+        from repro import cli
 
-        with pytest.raises(SystemExit, match="not a per-cell plane"):
-            main(["sweep", "--n", "8", "--p", "3", "--plane", "dist",
-                  "--cache-dir", ""])
+        seen = {}
+
+        def capture(spec, **kwargs):
+            seen["overrides"] = spec.algo_overrides
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--n", "8", "--p", "3", "--workers", "2",
+                      "--jobs", "1", "--cache-dir", ""])
+        assert seen["overrides"] == {"workers": 2}
+        with pytest.raises(SystemExit, match="invalid execution configuration"):
+            cli.main(["sweep", "--n", "8", "--p", "3", "--plane", "object",
+                      "--workers", "2", "--cache-dir", ""])

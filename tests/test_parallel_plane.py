@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.congest.batch import MessageBatch, deliver, fanout_edges_by_pair
+from repro.congest.batch import MessageBatch, fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
@@ -25,7 +25,11 @@ from repro.core.congested_clique_listing import (
 )
 from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
-from repro.core.partition import pair_index_array, pair_recipient_lists
+from repro.core.partition import (
+    owner_mailboxes,
+    pair_index_array,
+    pair_recipient_lists,
+)
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import (
     clique_table_from_edge_array,
@@ -182,7 +186,7 @@ class TestExecutorKernels:
         edges = rng.integers(0, 30, size=(int(indptr[-1]), 2))
         edges[:, 1] = (edges[:, 1] + 1 + edges[:, 0]) % 31
         serial = grouped_clique_tables(indptr, edges, p)
-        sharded = get_executor(workers).grouped_tables(indptr, edges, p)
+        sharded = get_executor(workers).fanout_tables(indptr, edges, p)
         assert rows_as_set(*serial) == rows_as_set(*sharded)
 
     @pytest.mark.parametrize("workers", WORKERS)
@@ -213,7 +217,7 @@ class TestExecutorKernels:
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_fanout_tables_parity(self, force_sharding, workers):
-        """The §2.4.3 fan-out: central deliver+list vs sharded workers."""
+        """The §2.4.3 owner mailboxes: central list vs sharded workers."""
         g = create_workload("er").instance(60, seed=5)
         csr = g.to_csr()
         fptr, findices = csr.forward()
@@ -228,32 +232,21 @@ class TestExecutorKernels:
             pair_index_array(part[edge_src], part[findices], s),
             pair_recipient_lists(s, 3),
         )
-        delivered = deliver(batch, n)
-        central = grouped_clique_tables(
-            delivered.indptr, delivered.payload, 3, assume_unique=True
+        _owners, indptr, payload = owner_mailboxes(batch, part, s, 3)
+        central = grouped_clique_tables(indptr, payload, 3, assume_unique=True)
+        sharded = get_executor(workers).fanout_tables(
+            indptr, payload, 3, assume_unique=True
         )
-        sharded = get_executor(workers).fanout_tables(batch, n, 3)
+        assert central[1].shape[0] > 0
         assert rows_as_set(*central) == rows_as_set(*sharded)
 
     def test_empty_inputs(self, force_sharding):
         executor = get_executor(2)
         owners, table = executor.fanout_tables(
-            MessageBatch.empty(width=2, words_per_message=2), 10, 3
+            np.zeros(11, dtype=np.int64), np.empty((0, 2), dtype=np.uint32), 3
         )
         assert owners.size == 0 and table.shape == (0, 3)
         assert executor.clique_table(np.empty((0, 2), dtype=np.int64), 3).shape == (0, 3)
-
-    def test_object_column_batches_rejected(self):
-        obj = np.empty(1, dtype=object)
-        obj[0] = "tag"
-        batch = MessageBatch(
-            src=np.array([0]),
-            dst=np.array([1]),
-            payload=np.zeros((1, 0), dtype=np.uint32),
-            obj=obj,
-        )
-        with pytest.raises(ValueError):
-            get_executor(2).fanout_tables(batch, 2, 3)
 
     def test_task_kernels_run_in_process(self):
         """The worker task functions directly, on inline refs — the exact
