@@ -34,7 +34,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -48,6 +48,7 @@ from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
 from repro.core.result import ListingResult
+from repro.faults.model import FaultModel
 from repro.graphs.graph import Graph
 from repro.workloads import create_workload
 
@@ -587,20 +588,14 @@ def resolve_jobs(jobs: int, num_tasks: int) -> int:
 
 def _cell_payload(cell: RunSpec) -> dict:
     """A ``RunSpec`` as the plain field dict the ``sweep_cell`` remote
-    task rebuilds (see :func:`repro.dist.registry.sweep_cell`)."""
-    return {
-        "workload": cell.workload,
-        "params": cell.params,
-        "n": cell.n,
-        "p": cell.p,
-        "variant": cell.variant,
-        "model": cell.model,
-        "seed": cell.seed,
-        "verify": cell.verify,
-        "extra": cell.extra,
-        "materialize": cell.materialize,
-        "topology": cell.topology,
-    }
+    task rebuilds (see :func:`repro.dist.registry.sweep_cell`); a
+    :class:`FaultModel` in ``extra`` travels as its own field dict."""
+    payload = {f.name: getattr(cell, f.name) for f in fields(cell)}
+    payload["extra"] = [
+        (name, asdict(value) if isinstance(value, FaultModel) else value)
+        for name, value in cell.extra
+    ]
+    return payload
 
 
 def run_sweep(

@@ -8,11 +8,11 @@ every benchmark before timings are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Set
 
 from repro.core.result import ListingResult
-from repro.graphs.cliques import clique_table, enumerate_cliques
+from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_clique
 

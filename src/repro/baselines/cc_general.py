@@ -15,10 +15,8 @@ this baseline stays at n^{1−2/p}.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.congest.congested_clique import CongestedClique
-from repro.core.params import AlgorithmParameters
 from repro.core.partition import responsible_new_id
 from repro.core.result import ListingResult
 from repro.graphs.cliques import enumerate_cliques

@@ -21,14 +21,10 @@ main algorithm, so "who wins at which n" comparisons are apples-to-apples.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Set
 
-import numpy as np
-
-from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.heavy_light import classify_outside_neighbors
-from repro.core.params import AlgorithmParameters
 from repro.core.result import ListingResult
 from repro.decomposition.expander import expander_decomposition
 from repro.graphs.cliques import enumerate_cliques

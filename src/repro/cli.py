@@ -52,7 +52,6 @@ Sub-commands
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Dict, List, Optional

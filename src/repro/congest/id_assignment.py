@@ -18,7 +18,7 @@ Total: O(diameter) rounds, each message one O(log n)-bit word.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.congest.message import Message
 from repro.congest.network import Network

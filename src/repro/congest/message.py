@@ -9,8 +9,8 @@ both count words, so "send an edge" costs exactly what the paper charges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Tuple
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 

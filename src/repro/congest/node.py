@@ -17,7 +17,7 @@ neighbor list, ``n``, and a send primitive restricted to neighbors.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set
+from typing import Any, List, Sequence, Set
 
 from repro.congest.errors import UnknownRecipientError
 from repro.congest.message import Message, payload_words

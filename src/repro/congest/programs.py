@@ -20,7 +20,7 @@ asserts the round counts agree (see tests/test_cost_model_validation.py).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.message import Message
 from repro.congest.network import Network

@@ -20,12 +20,12 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
-from repro.core.cluster_task import ClusterOutcome, process_cluster
+from repro.core.cluster_task import process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.result import attribution_arrays

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, Graph
 
 
 @dataclass(frozen=True)

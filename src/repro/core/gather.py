@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 #: A member's gathered pairs: a tuple set on the object plane, a

@@ -15,7 +15,6 @@ every K4 = {u, w, v, v'} with u, w ∈ C and lists those it observes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.congest.errors import CorruptionDetectedError
-from repro.congest.ledger import RoundLedger
 from repro.congest.topology import makespan_for_rounds
 from repro.core.list_iteration import list_once
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT

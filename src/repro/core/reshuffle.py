@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.congest.batch import MessageBatch
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.gather import GatheredPairs
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 
 #: A member's owned edges: tuple set (object plane) or (k, 2) array (batch).

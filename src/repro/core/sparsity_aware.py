@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.congest.topology import makespan_for_rounds
 from repro.core.params import AlgorithmParameters
 from repro.core.reshuffle import OwnedEdges
 from repro.core.partition import (
-    VertexPartition,
     num_part_pairs,
     pair_index_array,
     pair_recipient_count,

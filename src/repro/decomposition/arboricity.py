@@ -14,7 +14,7 @@ which this module returns explicitly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Set, Tuple
+from typing import Deque, Set, Tuple
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.orientation import Orientation

@@ -9,10 +9,10 @@ bandwidth is (min internal degree) words per node per Õ(1) rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.graphs.graph import Edge, canonical_edge
+from repro.graphs.graph import Edge
 
 
 @dataclass

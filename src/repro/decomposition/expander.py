@@ -28,8 +28,8 @@ Theorem 2.3: Õ(n^{1−δ}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition.arboricity import peel_low_degree

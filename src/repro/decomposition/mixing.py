@@ -16,7 +16,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.decomposition.spectral import adjacency_matrix, lazy_walk_matrix

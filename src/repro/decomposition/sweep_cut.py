@@ -9,13 +9,12 @@ a component is *not* an expander the decomposition can split it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 import numpy as np
 
 from repro.decomposition.spectral import (
     adjacency_matrix,
-    local_indexing,
     normalized_laplacian_second_eigenpair,
 )
 from repro.graphs.graph import Graph

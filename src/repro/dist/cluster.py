@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dist.errors import ClusterError, NodeFailure
-from repro.dist.node import LocalNode, Node, parse_hosts
+from repro.dist.node import Node, parse_hosts
 from repro.parallel.executor import ShardExecutor
 from repro.parallel.shm import mem_ref
 

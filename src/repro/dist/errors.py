@@ -38,8 +38,11 @@ class HostSpecError(DistError, ValueError):
 
 
 class ProtocolError(DistError):
-    """A frame violated the wire protocol (bad tag, oversized length,
-    unknown opcode).  Transport-level: nodes surfacing it are dead."""
+    """A frame violated the wire protocol (unknown format byte,
+    oversized length, malformed body or request), or a message holds
+    something the codec cannot carry.  A reply that does not decode is
+    transport-level: the node is dead.  A message the codec refuses
+    raises before anything is sent: the node stays alive."""
 
 
 class NodeFailure(DistError):
@@ -66,7 +69,7 @@ class TaskError(DistError):
 class UnknownTaskError(TaskError):
     """The task name is not in the worker's allowlist
     (:data:`repro.dist.registry.TASKS`) — remote nodes execute only
-    registered kernels, never arbitrary pickled callables."""
+    registered kernels, never shipped callables."""
 
 
 class ClusterError(DistError):

@@ -27,9 +27,13 @@ the failure split):
 - A node that raised :class:`NodeFailure` is marked ``alive = False``
   and never dispatched to again.
 
+The frame transports send only what :mod:`repro.dist.protocol` can
+encode; a message it refuses raises :class:`ProtocolError` to the caller
+before the transport is touched, so the node stays alive.
+
 Host-spec strings (the ``--hosts`` grammar) map onto these via
-:func:`parse_host`:  ``local`` | ``subprocess`` | ``spawn`` |
-``tcp://HOST:PORT`` (or bare ``HOST:PORT``).
+:func:`parse_host`:  ``local`` | ``subprocess`` (or ``proc``) | ``spawn``
+| ``tcp://HOST:PORT`` (or bare ``HOST:PORT``).
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ import os
 import socket
 import subprocess
 import sys
-import traceback
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,23 +77,16 @@ def _execute(task: str, arrays: Dict[str, np.ndarray], args: Sequence) -> Any:
     return tasks.invoke(fn, refs, tuple(args))
 
 
-def _error_reply(exc: BaseException) -> tuple:
-    kind = "unknown-task" if isinstance(exc, UnknownTaskError) else "task"
-    return ("err", kind, f"{type(exc).__name__}: {exc}", traceback.format_exc())
-
-
 def _raise_remote(reply, node: str) -> Any:
     """Turn a reply frame into a return value or the right exception."""
-    if not isinstance(reply, (tuple, list)) or not reply:
-        raise ProtocolError(f"malformed reply from node {node}: {reply!r}")
-    op = reply[0]
-    if op == "ok":
+    op = protocol.opcode(reply)
+    if op == "ok" and len(reply) == 2:
         return reply[1]
-    if op == "err":
+    if op == "err" and len(reply) == 4 and all(isinstance(x, str) for x in reply):
         _, kind, message, remote_tb = reply
         cls = UnknownTaskError if kind == "unknown-task" else TaskError
         raise cls(message, node=node, remote_traceback=remote_tb)
-    raise ProtocolError(f"unexpected reply op {op!r} from node {node}")
+    raise ProtocolError(f"malformed reply from node {node}: {reply!r:.200}")
 
 
 class Node(ABC):
@@ -137,29 +133,28 @@ class LocalNode(Node):
 
 
 class _FrameNode(Node):
-    """Shared frame-speaking machinery of the subprocess/TCP transports."""
+    """Shared frame-speaking machinery of the subprocess/TCP transports.
+    Subclasses set the byte streams ``_reader``/``_writer`` and ``_proc``,
+    the worker process the node owns and reaps on close (or ``None``)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._tag = protocol.default_codec_tag()
-
-    # Subclasses provide the byte streams.
-    def _reader(self):  # pragma: no cover - abstract-ish
-        raise NotImplementedError
-
-    def _writer(self):  # pragma: no cover - abstract-ish
-        raise NotImplementedError
+    _reader: BinaryIO
+    _writer: BinaryIO
+    _proc: Optional[subprocess.Popen] = None
 
     def _set_timeout(self, seconds: Optional[float]) -> None:
         """Transports with a tunable deadline override this (TCP)."""
 
     def _roundtrip(self, message: tuple, timeout: float) -> Any:
+        # Encoding first: a message the codec refuses raises to the
+        # caller and leaves the node alive.
+        frame = protocol.encode(message)
         if not self.alive:
             raise NodeFailure("already marked dead", node=self.name)
         try:
             self._set_timeout(timeout)
-            protocol.write_frame(self._writer(), message, self._tag)
-            reply, _tag = protocol.read_frame(self._reader())
+            self._writer.write(frame)
+            self._writer.flush()
+            reply = protocol.read_frame(self._reader)
         except Exception as exc:
             # ProtocolError included: a desynced stream is a dead node.
             self.alive = False
@@ -184,21 +179,33 @@ class _FrameNode(Node):
             reply = self._roundtrip(("ping",), PING_TIMEOUT)
         except NodeFailure:
             return False
-        ok = isinstance(reply, (tuple, list)) and reply and reply[0] == "pong"
+        ok = protocol.opcode(reply) == "pong"
         if not ok:
             self.alive = False
-        return bool(ok)
+        return ok
 
-    def _shutdown_frame(self) -> None:
-        """Best-effort polite shutdown; transports close pipes after."""
+    def close(self) -> None:
+        """Best-effort polite shutdown, then close the streams and reap
+        the owned worker."""
         if self.alive:
             try:
                 self._set_timeout(PING_TIMEOUT)
-                protocol.write_frame(self._writer(), ("shutdown",), self._tag)
-                protocol.read_frame(self._reader())
+                protocol.write_frame(self._writer, ("shutdown",))
+                protocol.read_frame(self._reader)
             except Exception:
                 pass
         self.alive = False
+        for stream in (self._writer, self._reader):
+            try:
+                stream.close()
+            except Exception:  # pragma: no cover - already-dead pipe
+                pass
+        if self._proc is not None:
+            try:
+                self._proc.wait(timeout=PING_TIMEOUT)
+            except subprocess.TimeoutExpired:  # pragma: no cover - hung worker
+                self._proc.kill()
+                self._proc.wait()
 
 
 def _worker_env() -> Dict[str, str]:
@@ -231,25 +238,7 @@ class SubprocessNode(_FrameNode):
             stdout=subprocess.PIPE,
             env=_worker_env(),
         )
-
-    def _reader(self):
-        return self._proc.stdout
-
-    def _writer(self):
-        return self._proc.stdin
-
-    def close(self) -> None:
-        self._shutdown_frame()
-        try:
-            self._proc.stdin.close()
-            self._proc.stdout.close()
-        except Exception:  # pragma: no cover - already-dead pipes
-            pass
-        try:
-            self._proc.wait(timeout=PING_TIMEOUT)
-        except subprocess.TimeoutExpired:  # pragma: no cover - hung worker
-            self._proc.kill()
-            self._proc.wait()
+        self._reader, self._writer = self._proc.stdout, self._proc.stdin
 
 
 class TcpNode(_FrameNode):
@@ -274,35 +263,19 @@ class TcpNode(_FrameNode):
                 (host, self.port), timeout=connect_timeout
             )
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._file = self._sock.makefile("rwb")
+            self._reader = self._writer = self._sock.makefile("rwb")
         except OSError as exc:
             self.alive = False
             raise NodeFailure(
                 f"connect to {host}:{port} failed: {exc}", node=self.name
             ) from exc
 
-    def _reader(self):
-        return self._file
-
-    def _writer(self):
-        return self._file
-
     def _set_timeout(self, seconds: Optional[float]) -> None:
         self._sock.settimeout(seconds)
 
     def close(self) -> None:
-        self._shutdown_frame()
-        try:
-            self._file.close()
-            self._sock.close()
-        except Exception:  # pragma: no cover - already-closed socket
-            pass
-        if self._proc is not None:
-            try:
-                self._proc.wait(timeout=PING_TIMEOUT)
-            except subprocess.TimeoutExpired:  # pragma: no cover - hung worker
-                self._proc.kill()
-                self._proc.wait()
+        super().close()
+        self._sock.close()
 
 
 def spawn_local_tcp(count: int = 1) -> List[TcpNode]:
@@ -345,40 +318,51 @@ def spawn_local_tcp(count: int = 1) -> List[TcpNode]:
 # ----------------------------------------------------------------------
 # Host-spec grammar (the --hosts strings)
 # ----------------------------------------------------------------------
-def parse_host(spec: str) -> Node:
-    """One ``--hosts`` entry → a connected :class:`Node`.
+#: The specs that name a node kind rather than an address.
+_KIND_SPECS = ("local", "subprocess", "proc", "spawn")
 
-    Grammar: ``local`` (in-process) | ``subprocess`` (stdio worker on
-    this machine) | ``spawn`` (local TCP worker on an ephemeral port) |
-    ``tcp://HOST:PORT`` or bare ``HOST:PORT`` (connect to a running
-    ``python -m repro.dist.worker --port PORT``).
-    """
+
+def _parse_spec(spec: str) -> Tuple[str, Optional[Tuple[str, int]]]:
+    """``(stripped spec, (host, port))`` — the address is ``None`` for a
+    :data:`_KIND_SPECS` entry.  Raises :class:`HostSpecError`."""
     text = spec.strip()
     if not text:
         raise HostSpecError("empty host spec", spec)
     lowered = text.lower()
-    if lowered == "local":
-        return LocalNode()
-    if lowered in ("subprocess", "proc"):
-        return SubprocessNode()
-    if lowered == "spawn":
-        return spawn_local_tcp(1)[0]
-    if lowered.startswith("tcp://"):
-        text = text[len("tcp://") :]
-    if ":" not in text:
+    if lowered in _KIND_SPECS:
+        return text, None
+    address = text[len("tcp://") :] if lowered.startswith("tcp://") else text
+    host, _, port_text = address.rpartition(":")
+    if not host:
         raise HostSpecError(
             "expected local | subprocess | spawn | tcp://HOST:PORT", spec
         )
-    host, _, port_text = text.rpartition(":")
-    if not host:
-        raise HostSpecError("missing host before ':'", spec)
     try:
         port = int(port_text)
     except ValueError:
         raise HostSpecError(f"port {port_text!r} is not an integer", spec)
     if not 0 < port < 65536:
         raise HostSpecError(f"port {port} out of range 1..65535", spec)
-    return TcpNode(host, port)
+    return text, (host, port)
+
+
+def parse_host(spec: str) -> Node:
+    """One ``--hosts`` entry → a connected :class:`Node`.
+
+    Grammar: ``local`` (in-process) | ``subprocess`` or ``proc`` (stdio
+    worker on this machine) | ``spawn`` (local TCP worker on an
+    ephemeral port) | ``tcp://HOST:PORT`` or bare ``HOST:PORT`` (connect
+    to a running ``python -m repro.dist.worker --port PORT``).
+    """
+    text, address = _parse_spec(spec)
+    if address is not None:
+        return TcpNode(*address)
+    kind = text.lower()
+    if kind == "local":
+        return LocalNode()
+    if kind == "spawn":
+        return spawn_local_tcp(1)[0]
+    return SubprocessNode()
 
 
 def parse_hosts(specs: Sequence[str]) -> List[Node]:
@@ -397,28 +381,7 @@ def parse_hosts(specs: Sequence[str]) -> List[Node]:
 def validate_host_specs(specs: Sequence[str]) -> Tuple[str, ...]:
     """Syntax-check host specs *without* connecting (CLI validation).
 
-    Returns the normalized tuple; raises :class:`HostSpecError` on the
-    first malformed entry.  ``local``/``subprocess``/``spawn`` are
-    always valid; address specs must parse as ``HOST:PORT``.
+    Returns the stripped specs; raises :class:`HostSpecError` on the
+    first malformed entry (the grammar :func:`parse_host` connects).
     """
-    normalized = []
-    for spec in specs:
-        text = spec.strip()
-        if not text:
-            raise HostSpecError("empty host spec", spec)
-        lowered = text.lower()
-        if lowered not in ("local", "subprocess", "proc", "spawn"):
-            address = text[len("tcp://") :] if lowered.startswith("tcp://") else text
-            host, _, port_text = address.rpartition(":")
-            if not host:
-                raise HostSpecError(
-                    "expected local | subprocess | spawn | tcp://HOST:PORT", spec
-                )
-            try:
-                port = int(port_text)
-            except ValueError:
-                raise HostSpecError(f"port {port_text!r} is not an integer", spec)
-            if not 0 < port < 65536:
-                raise HostSpecError(f"port {port} out of range 1..65535", spec)
-        normalized.append(text)
-    return tuple(normalized)
+    return tuple(_parse_spec(spec)[0] for spec in specs)

@@ -3,137 +3,161 @@
 Every message between a driver and a worker node — over a TCP socket or
 a subprocess stdio pipe — is one *frame*:
 
-``[8-byte big-endian payload length] [1-byte codec tag] [payload]``
+``[8-byte big-endian body length] [b"J"] [4-byte big-endian JSON length]
+[JSON] [array buffers]``
 
-The payload is one encoded message tree (tuples/lists, dicts with string
-keys, scalars, ``bytes`` and numpy arrays).  Two codecs speak the same
-tree shape:
+The JSON is the message tree: lists (tuples travel as lists), dicts with
+string keys, strings, numbers (numpy scalars included), booleans and
+``null``.  Each ndarray becomes ``{"__nd__": [index, dtype, shape]}``
+and its raw C-order bytes follow the JSON, in index order.
 
-- ``b"P"`` — :mod:`pickle` (always available; the default).  Arrays ride
-  as ordinary pickled ``ndarray`` objects.
-- ``b"M"`` — :mod:`msgpack`, when importable.  Arrays are packed as an
-  ExtType carrying ``(dtype, shape, bytes)``; tuples decode as lists
-  (the dispatch layer never relies on the distinction).
+No frame can run code: decoding builds JSON values and fresh arrays of
+an allowlisted numeric dtype (:data:`DTYPES`), checks every buffer
+against the body's bounds and raises :class:`ProtocolError` for anything
+malformed.  Encoding refuses what JSON would silently rewrite (non-string
+dict keys, the reserved ``__nd__`` key, any other type) with
+:class:`ProtocolError` before a byte is written.
 
-The codec tag travels per-frame, so a pickle-speaking driver can talk to
-a worker that would prefer msgpack and vice versa — each side *replies*
-in the codec of the request it received, and decodes whatever tag
-arrives.  :func:`default_codec_tag` picks msgpack when the import
-succeeds (cross-version-safe, no arbitrary code execution on decode)
-and falls back to pickle otherwise.
+Messages (positional lists):
 
-Message shapes (tuples on the wire, positional):
+- ``["ping"]`` → ``["pong", info_dict]``
+- ``["call", task_name, {name: array}, args]`` → ``["ok", result]`` or
+  ``["err", kind, message, traceback]``, ``kind`` one of ``"task"``,
+  ``"unknown-task"`` or ``"protocol"`` (a request of the wrong shape)
+- ``["shutdown"]`` → ``["bye"]`` and the worker exits.
 
-- ``("ping",)`` → ``("pong", info_dict)``
-- ``("call", task_name, arrays_dict, args_list)`` →
-  ``("ok", result)`` or ``("err", kind, message, traceback_str)``
-  with ``kind`` in ``{"task", "unknown-task"}``
-- ``("shutdown",)`` → ``("bye",)`` and the worker exits.
-
-Security note: remote nodes execute only allowlisted task names
-(:mod:`repro.dist.registry`); the protocol never ships callables.  The
-pickle codec still implies mutual trust between driver and workers —
-run them under one user on hosts you control (``docs/distributed.md``).
+Workers run only allowlisted task names (:mod:`repro.dist.registry`);
+the protocol never ships callables (``docs/distributed.md``).
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import math
 import struct
-from typing import Any, BinaryIO, Tuple
+from typing import Any, BinaryIO, List, Optional
 
 import numpy as np
 
 from repro.dist.errors import ProtocolError
 
-try:  # optional fast/portable codec; the container may not ship it
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    _msgpack = None
-
-#: Frame header: payload byte length (excludes header and codec tag).
+#: Frame header: body byte length (excludes the header itself).
 HEADER = struct.Struct(">Q")
+
+#: Body prefix: the format byte, then the JSON byte length.
+PREFIX = struct.Struct(">cI")
+
+#: The one body format; any other first byte is refused.
+FORMAT = b"J"
 
 #: Hard ceiling on one frame (16 GiB); anything larger is a corrupt
 #: header, not a plausible shard payload.
 MAX_FRAME_BYTES = 1 << 34
 
-PICKLE_TAG = b"P"
-MSGPACK_TAG = b"M"
+#: The dict key that marks an array in the JSON tree.
+ND_KEY = "__nd__"
 
-#: ExtType code for numpy arrays on the msgpack codec.
-_ND_EXT = 42
+#: The array dtypes a frame may carry, as ``dtype.str``.
+DTYPES = frozenset(
+    np.dtype(name).str
+    for name in "bool int8 int16 int32 int64 uint8 uint16 uint32 uint64 "
+    "float32 float64".split()
+)
+
+#: Largest single read, so a lying length header cannot make the reader
+#: allocate more than the bytes that actually arrive.
+_READ_CHUNK = 1 << 24
 
 
-def msgpack_available() -> bool:
-    return _msgpack is not None
-
-
-def default_codec_tag() -> bytes:
-    """The codec new connections lead with: msgpack when importable."""
-    return MSGPACK_TAG if _msgpack is not None else PICKLE_TAG
-
-
-# ----------------------------------------------------------------------
-# Codecs
-# ----------------------------------------------------------------------
-def _msgpack_default(obj):
+def _lower(obj: Any, buffers: List[np.ndarray]) -> Any:
+    """``obj`` as a JSON tree; arrays become markers into ``buffers``."""
+    if obj is None or isinstance(obj, (str, bool, int, float)):
+        return obj
     if isinstance(obj, np.ndarray):
-        array = np.ascontiguousarray(obj)
-        inner = _msgpack.packb(
-            (str(array.dtype), list(array.shape), array.tobytes()),
-            use_bin_type=True,
-        )
-        return _msgpack.ExtType(_ND_EXT, inner)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot msgpack-encode {type(obj).__name__}")
+        if obj.dtype.str not in DTYPES:
+            raise ProtocolError(f"cannot encode an array of dtype {obj.dtype}")
+        buffers.append(np.ascontiguousarray(obj))
+        return {ND_KEY: [len(buffers) - 1, obj.dtype.str, list(obj.shape)]}
+    if isinstance(obj, (list, tuple)):
+        return [_lower(item, buffers) for item in obj]
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str) or key == ND_KEY:
+                raise ProtocolError(f"cannot encode the dict key {key!r}")
+        return {key: _lower(value, buffers) for key, value in obj.items()}
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    raise ProtocolError(f"cannot encode a {type(obj).__name__}")
 
 
-def _msgpack_ext_hook(code, data):
-    if code == _ND_EXT:
-        dtype, shape, raw = _msgpack.unpackb(data, raw=False)
-        return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy()
-    return _msgpack.ExtType(code, data)  # pragma: no cover - no other exts
+def encode(message: Any) -> bytes:
+    """One message as a complete frame (length header included)."""
+    buffers: List[np.ndarray] = []
+    try:
+        text = json.dumps(_lower(message, buffers), separators=(",", ":")).encode()
+    except RecursionError:
+        raise ProtocolError("message nests too deeply to encode") from None
+    if len(text) >= 1 << 32:
+        raise ProtocolError(f"JSON of {len(text)} bytes is too long")
+    length = PREFIX.size + len(text) + sum(array.nbytes for array in buffers)
+    prefix = HEADER.pack(length) + PREFIX.pack(FORMAT, len(text))
+    return b"".join([prefix, text, *buffers])
 
 
-def encode(message: Any, tag: bytes) -> bytes:
-    """Encode one message tree under the given codec tag."""
-    if tag == PICKLE_TAG:
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if tag == MSGPACK_TAG:
-        if _msgpack is None:
-            raise ProtocolError("msgpack codec requested but not importable")
-        return _msgpack.packb(
-            message, default=_msgpack_default, use_bin_type=True
-        )
-    raise ProtocolError(f"unknown codec tag {tag!r}")
+def decode(body: bytes) -> Any:
+    """One frame body (after the length header) back to its message."""
+    if body[:1] != FORMAT:
+        raise ProtocolError(f"unknown frame format {body[:1]!r}, expected {FORMAT!r}")
+    if len(body) < PREFIX.size:
+        raise ProtocolError(f"frame body of {len(body)} bytes is too short")
+    start = PREFIX.size + PREFIX.unpack_from(body)[1]
+    if start > len(body):
+        raise ProtocolError("JSON runs past the frame")
+    view = memoryview(body)
+    cursor = [start, 0]  # next buffer byte, next array index
+
+    def array(obj: dict) -> Any:
+        if ND_KEY not in obj:
+            return obj
+        spec = obj[ND_KEY]
+        if len(obj) != 1 or not isinstance(spec, list) or len(spec) != 3:
+            raise ProtocolError(f"malformed array marker {obj!r:.80}")
+        index, dtype, shape = spec
+        if type(index) is not int or index != cursor[1]:
+            raise ProtocolError(f"array index {index!r:.20}, expected {cursor[1]}")
+        if not isinstance(dtype, str) or dtype not in DTYPES:
+            raise ProtocolError(f"array dtype {dtype!r:.20} is not allowed")
+        if not isinstance(shape, list) or not all(
+            type(extent) is int and extent >= 0 for extent in shape
+        ):
+            raise ProtocolError(f"malformed array shape {shape!r:.80}")
+        offset = cursor[0]
+        cursor[0] += np.dtype(dtype).itemsize * math.prod(shape)
+        cursor[1] += 1
+        if cursor[0] > len(body):
+            raise ProtocolError(f"array {index} runs past the frame")
+        return np.frombuffer(view[offset : cursor[0]], dtype).reshape(shape).copy()
+
+    try:
+        message = json.loads(str(view[PREFIX.size : start], "utf-8"), object_hook=array)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ProtocolError(f"malformed frame: {type(exc).__name__}: {exc}") from None
+    if cursor[0] != len(body):
+        raise ProtocolError(f"{len(body) - cursor[0]} trailing bytes after the arrays")
+    return message
 
 
-def decode(payload: bytes, tag: bytes) -> Any:
-    """Decode one payload under the given codec tag."""
-    if tag == PICKLE_TAG:
-        return pickle.loads(payload)
-    if tag == MSGPACK_TAG:
-        if _msgpack is None:
-            raise ProtocolError("msgpack frame received but codec not importable")
-        return _msgpack.unpackb(
-            payload, ext_hook=_msgpack_ext_hook, raw=False, strict_map_key=False
-        )
-    raise ProtocolError(f"unknown codec tag {tag!r}")
+def opcode(message: Any) -> Optional[str]:
+    """The leading string of a decoded request or reply, or ``None``."""
+    if isinstance(message, list) and message and isinstance(message[0], str):
+        return message[0]
+    return None
 
 
-# ----------------------------------------------------------------------
-# Framing over file-like byte streams
-# ----------------------------------------------------------------------
-def write_frame(stream: BinaryIO, message: Any, tag: bytes) -> None:
-    """Encode and write one frame; flushes so the peer can make progress."""
-    payload = encode(message, tag)
-    stream.write(HEADER.pack(len(payload)))
-    stream.write(tag)
-    stream.write(payload)
+def write_frame(stream: BinaryIO, message: Any) -> None:
+    """Encode, then write and flush one frame (nothing is written when
+    the message cannot be encoded)."""
+    stream.write(encode(message))
     stream.flush()
 
 
@@ -141,7 +165,7 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
     chunks = []
     remaining = count
     while remaining:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
             raise EOFError(f"stream closed {remaining} byte(s) short of a frame")
         chunks.append(chunk)
@@ -149,11 +173,12 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(stream: BinaryIO) -> Tuple[Any, bytes]:
-    """Read one frame; returns ``(message, codec_tag)``.
+def read_frame(stream: BinaryIO) -> Any:
+    """Read and decode one frame.
 
-    Raises :class:`EOFError` on a clean close at a frame boundary and
-    :class:`~repro.dist.errors.ProtocolError` on a corrupt header.
+    Raises :class:`EOFError` when the stream closes (at a frame boundary
+    or inside one) and :class:`~repro.dist.errors.ProtocolError` on a
+    frame that does not decode.
     """
     header = stream.read(HEADER.size)
     if not header:
@@ -163,6 +188,4 @@ def read_frame(stream: BinaryIO) -> Tuple[Any, bytes]:
     (length,) = HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    tag = _read_exact(stream, 1)
-    payload = _read_exact(stream, int(length))
-    return decode(payload, tag), tag
+    return decode(_read_exact(stream, length))

@@ -10,10 +10,11 @@ task pulls in the whole analysis stack only when actually called.
 Every entry follows the shard-kernel contract of
 :mod:`repro.parallel.tasks`: ``fn(refs, *args)`` where ``refs`` maps
 names to :class:`~repro.parallel.shm.ArrayRef` inputs and ``args`` are
-small scalars; the return value is a fresh-array tree the protocol can
-carry.  The cluster reuses the *identical* kernels the single-box shard
-executor runs — that is the whole determinism argument of the dist
-plane (see ``docs/distributed.md``).
+JSON values; the return value is a tree of fresh numeric arrays and
+JSON values — what :mod:`repro.dist.protocol` can carry.  The cluster
+reuses the *identical* kernels the single-box shard executor runs —
+that is the whole determinism argument of the dist plane (see
+``docs/distributed.md``).
 """
 
 from __future__ import annotations
@@ -61,29 +62,20 @@ def sweep_cell(refs, payload: dict) -> dict:
     """Execute one sweep grid cell remotely; returns its result row.
 
     ``payload`` is the :class:`~repro.analysis.sweeps.RunSpec` as a
-    field dict (tuple fields may arrive as lists — the msgpack codec
-    erases the distinction — so they are re-frozen here).  The heavy
-    imports happen inside the call: worker boot stays fast and the
-    parallel-plane task imports above stay usable without the analysis
-    stack.
+    field dict.  Tuples arrive as lists, so the item lists are re-frozen
+    here; a ``faults`` entry of ``extra`` arrives as its field dict and
+    is rebuilt as a :class:`~repro.faults.FaultModel`, which re-tuples
+    its own lists.  The heavy imports happen inside the call: worker
+    boot stays fast and the parallel-plane task imports above stay
+    usable without the analysis stack.
     """
     del refs  # sweep cells carry no array inputs
     from repro.analysis.sweeps import RunSpec, execute_run
+    from repro.faults.model import FaultModel
 
-    def _freeze_items(items):
-        return tuple((str(k), v) for k, v in items)
-
-    spec = RunSpec(
-        workload=payload["workload"],
-        params=_freeze_items(payload["params"]),
-        n=int(payload["n"]),
-        p=int(payload["p"]),
-        variant=payload["variant"],
-        model=payload["model"],
-        seed=int(payload["seed"]),
-        verify=bool(payload["verify"]),
-        extra=_freeze_items(payload["extra"]),
-        materialize=bool(payload["materialize"]),
-        topology=payload.get("topology"),
+    params = tuple(map(tuple, payload["params"]))
+    extra = tuple(
+        (name, FaultModel(**value) if name == "faults" and value else value)
+        for name, value in payload["extra"]
     )
-    return execute_run(spec)
+    return execute_run(RunSpec(**{**payload, "params": params, "extra": extra}))

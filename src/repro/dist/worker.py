@@ -2,7 +2,7 @@
 
 One worker serves one driver at a time, executing allowlisted tasks
 (:mod:`repro.dist.registry`) it receives as protocol frames
-(:mod:`repro.dist.protocol`) and replying in the codec of each request.
+(:mod:`repro.dist.protocol`).
 
 Two transports:
 
@@ -15,10 +15,12 @@ Two transports:
   race.  Connections are served sequentially; a dropped connection puts
   the worker back into ``accept`` for the next driver.
 
-Lifecycle: a ``("shutdown",)`` frame exits the process (reply
-``("bye",)`` first); EOF on stdio exits too.  Task exceptions are
+Lifecycle: a ``["shutdown"]`` frame exits the process (reply
+``["bye"]`` first); EOF on stdio exits too.  Task exceptions are
 *replies*, never worker crashes — the driver decides whether the error
-is retryable (see :mod:`repro.dist.errors`).
+is retryable (see :mod:`repro.dist.errors`).  So is a request of the
+wrong shape (kind ``"protocol"``).  A frame that does not decode ends
+its connection: a TCP worker accepts the next one, a stdio worker exits.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from __future__ import annotations
 import argparse
 import socket
 import sys
-from typing import BinaryIO, Optional
+import traceback
+from typing import Any, BinaryIO, Optional
+
+import numpy as np
 
 from repro.dist import protocol
-from repro.dist.node import _error_reply, _execute
+from repro.dist.errors import ProtocolError, UnknownTaskError
+from repro.dist.node import _execute
 from repro.dist.registry import TASKS
 
 
@@ -37,35 +43,61 @@ def _log(message: str) -> None:
     print(f"dist-worker: {message}", file=sys.stderr, flush=True)
 
 
+def _error_reply(exc: BaseException) -> list:
+    kind = "protocol" if isinstance(exc, ProtocolError) else (
+        "unknown-task" if isinstance(exc, UnknownTaskError) else "task"
+    )
+    remote_tb = "".join(traceback.format_exception(exc))
+    return ["err", kind, f"{type(exc).__name__}: {exc}", remote_tb]
+
+
+def _call_parts(message: Any) -> tuple:
+    """``(task, arrays, args)`` of a well-formed call request."""
+    if protocol.opcode(message) == "call" and len(message) == 4:
+        _, task, arrays, args = message
+        if (
+            isinstance(task, str)
+            and isinstance(args, list)
+            and isinstance(arrays, dict)
+            and all(isinstance(array, np.ndarray) for array in arrays.values())
+        ):
+            return task, arrays, args
+    raise ProtocolError(f"expected ping, shutdown or a call, got {message!r:.200}")
+
+
 def serve_stream(reader: BinaryIO, writer: BinaryIO) -> bool:
-    """Serve one frame stream until EOF or shutdown.
+    """Serve one frame stream until EOF, shutdown or an undecodable frame.
 
     Returns ``True`` when a shutdown frame asked the whole worker to
-    exit, ``False`` on plain EOF (the driver went away; a TCP worker
-    then accepts the next connection).
+    exit, ``False`` when the stream ended or broke (the peer went
+    away; a TCP worker then accepts the next connection).
     """
-    while True:
-        try:
-            message, tag = protocol.read_frame(reader)
-        except EOFError:
-            return False
-        op = message[0] if isinstance(message, (tuple, list)) and message else None
-        if op == "ping":
-            reply = ("pong", {"tasks": sorted(TASKS)})
-        elif op == "call":
-            _, task, arrays, args = message
+    try:
+        while True:
+            message = protocol.read_frame(reader)
+            op = protocol.opcode(message)
+            if op == "shutdown":
+                reply = ["bye"]
+            elif op == "ping":
+                reply = ["pong", {"tasks": sorted(TASKS)}]
+            else:
+                try:
+                    reply = ["ok", _execute(*_call_parts(message))]
+                except Exception as exc:
+                    reply = _error_reply(exc)
             try:
-                reply = ("ok", _execute(task, arrays, args))
-            except Exception as exc:
-                reply = _error_reply(exc)
-        elif op == "shutdown":
-            protocol.write_frame(writer, ("bye",), tag)
-            return True
-        else:
-            reply = _error_reply(
-                protocol.ProtocolError(f"unknown opcode {op!r}")
-            )
-        protocol.write_frame(writer, reply, tag)
+                frame = protocol.encode(reply)
+            except ProtocolError as exc:  # a result the codec cannot carry
+                frame = protocol.encode(_error_reply(exc))
+            writer.write(frame)
+            writer.flush()
+            if op == "shutdown":
+                return True
+    except EOFError:
+        return False
+    except (OSError, ProtocolError) as exc:
+        _log(f"dropping the connection: {type(exc).__name__}: {exc}")
+        return False
 
 
 def serve_stdio() -> None:

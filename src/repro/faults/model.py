@@ -23,7 +23,7 @@ working) and only an end-of-run recount self-check can catch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Tuple
 
 import numpy as np

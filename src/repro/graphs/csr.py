@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 

@@ -13,7 +13,6 @@ The orientation is also what drives load-balancing: each node is
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
@@ -37,6 +41,7 @@ from repro.dist import (
     ProtocolError,
     SubprocessNode,
     TaskError,
+    TcpNode,
     UnknownTaskError,
     get_cluster,
     parse_host,
@@ -147,28 +152,42 @@ class TestProtocol:
             ("call", "task", {"arr": np.arange(7, dtype=np.int64)}, [0, 3, True]),
         ],
     )
-    def test_pickle_frame_round_trip(self, message):
+    def test_frame_round_trip(self, message):
         stream = io.BytesIO()
-        protocol.write_frame(stream, message, protocol.PICKLE_TAG)
+        protocol.write_frame(stream, message)
         stream.seek(0)
-        decoded, tag = protocol.read_frame(stream)
-        assert tag == protocol.PICKLE_TAG
-        if isinstance(message[-1], dict) or (
-            len(message) > 2 and isinstance(message[2], dict)
-        ):
-            assert decoded[0] == message[0]
-        else:
-            assert decoded[:2] == message[:2]
+        decoded = protocol.read_frame(stream)
+        assert isinstance(decoded, list) and decoded[:2] == list(message[:2])
+        if message[0] == "call":
+            assert np.array_equal(decoded[2]["arr"], message[2]["arr"])
+            assert decoded[3] == message[3]
 
     def test_array_payload_survives(self):
-        array = np.arange(24, dtype=np.int64).reshape(4, 6)
-        stream = io.BytesIO()
-        protocol.write_frame(
-            stream, ("ok", {"table": array}), protocol.default_codec_tag()
+        arrays = {
+            dtype: (np.arange(24) % 5).astype(dtype).reshape(4, 6)
+            for dtype in protocol.DTYPES
+        }
+        arrays.update(
+            scalar=np.array(7, dtype=np.uint64),
+            empty=np.zeros((0, 3), dtype=np.int32),
+            fortran=np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            strided=np.arange(20, dtype=np.int64)[::3],
         )
+        stream = io.BytesIO()
+        protocol.write_frame(stream, ("ok", arrays))
         stream.seek(0)
-        decoded, _ = protocol.read_frame(stream)
-        assert np.array_equal(decoded[1]["table"], array)
+        decoded = protocol.read_frame(stream)
+        assert decoded[1].keys() == arrays.keys()
+        for name, array in arrays.items():
+            got = decoded[1][name]
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert np.array_equal(got, array)
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_numpy_scalars_travel_as_numbers(self):
+        message = [np.int64(3), np.float32(0.5), np.bool_(True), float("inf")]
+        stream = io.BytesIO(protocol.encode(message))
+        assert protocol.read_frame(stream) == [3, 0.5, True, float("inf")]
 
     def test_eof_on_clean_close(self):
         with pytest.raises(EOFError):
@@ -176,7 +195,7 @@ class TestProtocol:
 
     def test_eof_mid_frame(self):
         stream = io.BytesIO()
-        protocol.write_frame(stream, ("ping",), protocol.PICKLE_TAG)
+        protocol.write_frame(stream, ("ping",))
         truncated = io.BytesIO(stream.getvalue()[:-1])
         with pytest.raises(EOFError):
             protocol.read_frame(truncated)
@@ -186,26 +205,108 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.read_frame(io.BytesIO(bogus))
 
-    def test_unknown_codec_tag_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.encode(("ping",), b"Z")
-        with pytest.raises(ProtocolError):
-            protocol.decode(b"x", b"Z")
+    @staticmethod
+    def _frame(header, buffers=b"", format_byte=protocol.FORMAT):
+        """A hand-built frame; ``header`` is JSON text as bytes, or a tree."""
+        text = header if isinstance(header, bytes) else json.dumps(header).encode()
+        body = format_byte + struct.pack(">I", len(text)) + text + buffers
+        return io.BytesIO(protocol.HEADER.pack(len(body)) + body)
 
-    def test_default_codec_matches_availability(self):
-        if protocol.msgpack_available():
-            assert protocol.default_codec_tag() == protocol.MSGPACK_TAG
-        else:
-            assert protocol.default_codec_tag() == protocol.PICKLE_TAG
+    def test_old_peer_format_rejected(self):
+        # An old peer's frame: format byte P, then a pickle.
+        body = b"P" + pickle.dumps(("ping",), protocol=pickle.HIGHEST_PROTOCOL)
+        frame = io.BytesIO(protocol.HEADER.pack(len(body)) + body)
+        with pytest.raises(ProtocolError, match="format"):
+            protocol.read_frame(frame)
+        with pytest.raises(ProtocolError, match="format"):
+            protocol.read_frame(self._frame(["ping"], format_byte=b"P"))
 
-    @pytest.mark.skipif(
-        not protocol.msgpack_available(), reason="msgpack not installed"
+    def test_object_dtype_rejected(self):
+        with pytest.raises(ProtocolError, match="dtype"):
+            protocol.read_frame(self._frame({"__nd__": [0, "|O", [1]]}, bytes(8)))
+
+    def test_buffer_past_payload_rejected(self):
+        marker = {"__nd__": [0, "<i8", [4]]}
+        with pytest.raises(ProtocolError, match="past"):
+            protocol.read_frame(self._frame(marker, bytes(31)))
+        assert protocol.read_frame(self._frame(marker, bytes(32))).shape == (4,)
+        with pytest.raises(ProtocolError, match="trailing"):
+            protocol.read_frame(self._frame(marker, bytes(33)))
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ({"__nd__": [1, "<i8", [1]]}, "index"),  # out of order
+            ({"__nd__": [True, "<i8", [1]]}, "index"),  # a bool
+            ({"__nd__": [0, "<i8", [-1]]}, "shape"),
+            ({"__nd__": [0, "<i8", [1]], "x": 1}, "marker"),
+            ({"__nd__": [0, "<i8"]}, "marker"),
+            (b"[" * 100_000 + b"]" * 100_000, "RecursionError"),
+            (b"{not json", "JSONDecodeError"),
+            (b'"\xff"', "UnicodeDecodeError"),
+        ],
     )
-    def test_msgpack_array_ext(self):  # pragma: no cover - env-dependent
-        array = np.arange(10, dtype=np.uint32).reshape(2, 5)
-        payload = protocol.encode({"a": array}, protocol.MSGPACK_TAG)
-        decoded = protocol.decode(payload, protocol.MSGPACK_TAG)
-        assert np.array_equal(decoded["a"], array)
+    def test_malformed_header_rejected(self, header, reason):
+        with pytest.raises(ProtocolError, match=reason):
+            protocol.read_frame(self._frame(header, bytes(8)))
+
+    @pytest.mark.parametrize(
+        "message",
+        [{1: "int key"}, {"__nd__": "reserved"}, {"a": {2, 3}}, [b"bytes"],
+         [object()], np.array(["text"]), np.array([None], dtype=object)],
+    )
+    def test_encode_refuses_what_json_would_rewrite(self, message):
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            protocol.encode(message)
+
+    def test_encode_refuses_deep_nesting(self):
+        message: list = []
+        for _ in range(5000):
+            message = [message]
+        with pytest.raises(ProtocolError):
+            protocol.encode(message)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_random_bytes_fail_typed(self, data):
+        self._read_typed(data)
+        self._read_typed(protocol.HEADER.pack(len(data)) + data)
+        self._read_typed(protocol.HEADER.pack(len(data) + 1) + protocol.FORMAT + data)
+
+    #: A valid call frame the mutation fuzz starts from.
+    CALL_FRAME = protocol.encode(
+        ["call", "forward_count_shard",
+         {"fptr": np.arange(4), "bits": np.ones((3, 2), dtype=np.uint64)},
+         [0, 3, 3.5, None, "s", {"k": [True]}]]
+    )
+
+    @settings(max_examples=750, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.sampled_from("fid"),
+                  st.binary(min_size=1, max_size=8)),
+        min_size=1, max_size=4,
+    ))
+    def test_mutated_frames_fail_typed(self, edits):
+        frame = bytearray(self.CALL_FRAME)
+        for position, action, chunk in edits:
+            position %= len(frame)
+            if action == "f":  # flip bits
+                frame[position] ^= chunk[0] or 1
+            elif action == "i":  # insert bytes
+                frame[position:position] = chunk
+            else:  # delete bytes
+                del frame[position : position + len(chunk)]
+        self._read_typed(bytes(frame))
+        # Resealed with a true length, the mutation reaches the decoder.
+        body = bytes(frame[protocol.HEADER.size :])
+        self._read_typed(protocol.HEADER.pack(len(body)) + body)
+
+    @staticmethod
+    def _read_typed(data):
+        try:
+            protocol.read_frame(io.BytesIO(data))
+        except (ProtocolError, EOFError):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +405,103 @@ class TestTcpNodes:
 
         with pytest.raises(NodeFailure):
             TcpNode("127.0.0.1", 1, connect_timeout=0.5)
+
+
+class TestWorkerRobustness:
+    """A request of the wrong shape fails one call; a frame that does not
+    decode ends its connection.  Neither takes a worker down."""
+
+    @pytest.fixture
+    def tcp_node(self):
+        (node,) = spawn_local_tcp(1)
+        yield node
+        node.close()
+
+    def test_wrong_shaped_requests_get_protocol_errors(self, tcp_node):
+        for message in (
+            ["call", "grouped_tables_shard"],
+            ["call", "grouped_tables_shard", {"edges": [[0, 1]]}, []],
+            ["call", 7, {}, []],
+            ["launch"],
+            [],
+            [np.arange(3)],
+            {"op": "ping"},
+            "ping",
+        ):
+            reply = tcp_node._roundtrip(message, 5.0)
+            assert reply[:2] == ["err", "protocol"]
+        assert tcp_node.ping() and tcp_node._proc.poll() is None
+
+    def test_undecodable_frame_ends_only_its_connection(self, tcp_node):
+        body = b"P" + bytes(16)  # an old peer's pickle frame
+        tcp_node._writer.write(protocol.HEADER.pack(len(body)) + body)
+        tcp_node._writer.flush()
+        with pytest.raises((EOFError, OSError)):
+            protocol.read_frame(tcp_node._reader)
+        assert tcp_node._proc.poll() is None
+        fresh = TcpNode("127.0.0.1", tcp_node.port)
+        try:
+            assert fresh.ping()
+        finally:
+            fresh.close()
+
+    def test_undecodable_frame_ends_a_stdio_worker(self):
+        node = SubprocessNode()
+        try:
+            node._proc.stdin.write(protocol.HEADER.pack(3) + b"P..")
+            node._proc.stdin.flush()
+            assert node._proc.wait(timeout=30) == 0
+            assert not node.ping()
+        finally:
+            node.close()
+
+
+class TestCodecBoundary:
+    """What crosses real frames: a faulted sweep cell arrives intact, and
+    an argument the codec refuses never reaches a node."""
+
+    def test_faulted_sweep_over_subprocess_nodes(self):
+        from repro.analysis.sweeps import SweepSpec, run_sweep
+        from repro.faults import FaultModel
+
+        faults = FaultModel(
+            seed=3, drop_rate=0.05, stragglers=((1, 0.5, 2.0),),
+            crash_windows=((2, 0, 2),),
+        )
+        spec = SweepSpec(
+            workloads=["sparse", "er"], sizes=[24], ps=[3],
+            model="congested-clique", algo_overrides={"faults": faults},
+        )
+        hosts = ("test-proc-a", "test-proc-b")
+        cluster = Cluster([SubprocessNode(), SubprocessNode()], name="test-procs")
+        register_cluster(hosts, cluster)
+        try:
+            local = run_sweep(spec, cache_dir=None, jobs=1)
+            dist = run_sweep(spec, cache_dir=None, hosts=hosts)
+            assert cluster.stats == {"dispatched": 2, "retries": 0}
+        finally:
+            cluster.close()
+        for mine, theirs in zip(local.rows, dist.rows, strict=True):
+            assert mine["stats"]["fault_recovery_rounds"] > 0
+            del mine["wall_seconds"], theirs["wall_seconds"]
+            assert mine == theirs
+
+    def test_unencodable_argument_raises_and_nodes_live(self):
+        cluster = Cluster([SubprocessNode(), SubprocessNode()], name="test-procs")
+        arrays = {
+            "fptr": np.array([0, 2, 3, 3], dtype=np.int64),
+            "findices": np.array([1, 2, 2], dtype=np.int64),
+            "bits": _bits_for(None, 3),
+        }
+        try:
+            with pytest.raises(ProtocolError, match="cannot encode"):
+                cluster.map_task("forward_count_shard", arrays, [(0, 3, {3})] * 2)
+            assert len(cluster.alive_nodes()) == 2
+            assert cluster.stats == {"dispatched": 0, "retries": 0}
+            results = cluster.map_task("forward_count_shard", arrays, [(0, 3, 3)] * 2)
+            assert [int(r) for r in results] == [1, 1]
+        finally:
+            cluster.close()
 
 
 def _bits_for(edges, n):
