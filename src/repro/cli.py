@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -841,7 +842,17 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Flush here, so a reader that closed early is caught below.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull, so the
+        # flush at interpreter exit cannot raise again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graphs.keys import unique_sorted
+
 #: Overlay kinds every topology-aware entry point accepts.
 TOPOLOGY_KINDS = ("clique", "star", "ring", "chain", "grid", "spanner")
 
@@ -271,7 +273,7 @@ def pattern_pairs(src: np.ndarray, dst: np.ndarray, n: int) -> int:
     mask = src != dst
     if not mask.any():
         return 0
-    return int(np.unique(src[mask] * n + dst[mask]).size)
+    return int(unique_sorted(src[mask] * n + dst[mask]).size)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +587,7 @@ class _SpannerTopology(CompiledTopology):
             different = lo != hi
             codes.append(lo[different] * n + hi[different])
             codes.append(hi[different] * n + lo[different])
-        top = np.unique(self.hubs[k - 1])
+        top = unique_sorted(self.hubs[k - 1])
         if top.size > 1:
             a = np.repeat(top, top.size)
             b = np.tile(top, top.size)
@@ -593,7 +595,7 @@ class _SpannerTopology(CompiledTopology):
             codes.append(a[off_diagonal] * n + b[off_diagonal])
         #: Sorted directed-link code table; state is indexed through it.
         self.link_codes = (
-            np.unique(np.concatenate(codes)) if codes else np.empty(0, np.int64)
+            unique_sorted(np.concatenate(codes)) if codes else np.empty(0, np.int64)
         )
 
     def new_state(self):

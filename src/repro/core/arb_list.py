@@ -20,6 +20,7 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Set
 
 import numpy as np
@@ -28,26 +29,31 @@ from repro.congest.ledger import RoundLedger
 from repro.core.cluster_task import process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
-from repro.core.result import attribution_arrays
+from repro.core.result import attribution_arrays, join_attributions
 from repro.decomposition.expander import DecompositionParams, expander_decomposition
 from repro.graphs.graph import Edge, Graph
+from repro.graphs.keys import EdgesLike, edge_keys, key_pairs, key_set, unique_sorted
 from repro.graphs.orientation import Orientation
 from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
 
 
-@dataclass
 class ArbListState:
     """The evolving edge partition threaded through ARB-LIST iterations.
+
+    Ês and Êr are kept as sorted canonical key arrays (``u·n + v`` with
+    ``u < v``, :mod:`repro.graphs.keys`); the constructor takes any edge
+    collection and ``es_edges`` / ``er_edges`` read them back as tuple
+    sets.
 
     Attributes
     ----------
     n:
         Node count (constant).
-    es_edges / es_orientation:
+    es_keys / es_orientation:
         The accumulated Ês with its arboricity witness.
-    er_edges:
+    er_keys:
         The remaining Êr (the next invocation decomposes exactly this).
     orientation:
         Global witness orientation of *all* current edges (Ês ∪ Êr),
@@ -58,19 +64,37 @@ class ArbListState:
         The peel threshold n^δ of this LIST call.
     """
 
-    n: int
-    es_edges: Set[Edge]
-    es_orientation: Orientation
-    er_edges: Set[Edge]
-    orientation: Orientation
-    arboricity: int
-    threshold: int
+    def __init__(
+        self,
+        n: int,
+        es_edges: EdgesLike,
+        es_orientation: Orientation,
+        er_edges: EdgesLike,
+        orientation: Orientation,
+        arboricity: int,
+        threshold: int,
+    ) -> None:
+        self.n = n
+        self.es_keys = edge_keys(es_edges, n)
+        self.es_orientation = es_orientation
+        self.er_keys = edge_keys(er_edges, n)
+        self.orientation = orientation
+        self.arboricity = arboricity
+        self.threshold = threshold
 
-    def current_edges(self) -> Set[Edge]:
-        return self.es_edges | self.er_edges
+    @property
+    def es_edges(self) -> Set[Edge]:
+        return key_set(self.es_keys, self.n)
+
+    @property
+    def er_edges(self) -> Set[Edge]:
+        return key_set(self.er_keys, self.n)
+
+    def current_keys(self) -> np.ndarray:
+        return unique_sorted(np.concatenate([self.es_keys, self.er_keys]))
 
     def current_graph(self) -> Graph:
-        return Graph(self.n, self.current_edges())
+        return Graph.from_edge_array(self.n, key_pairs(self.current_keys(), self.n))
 
 
 @dataclass
@@ -102,13 +126,13 @@ def arb_list(
 ) -> ArbListOutcome:
     """Run one ARB-LIST invocation, mutating ``state`` for the next one.
 
-    After the call, ``state.er_edges`` is the new Êr, ``state.es_edges`` /
+    After the call, ``state.er_keys`` is the new Êr, ``state.es_keys`` /
     ``state.es_orientation`` include the new E's, the listed goal edges
     Êm are removed from the graph, and ``state.orientation`` is restricted
     to the surviving edges.
     """
     n = state.n
-    er_graph = Graph(n, state.er_edges)
+    er_graph = Graph.from_edge_array(n, key_pairs(state.er_keys, n))
     decomposition = expander_decomposition(
         er_graph,
         threshold=state.threshold,
@@ -121,20 +145,21 @@ def arb_list(
     last.name = f"{phase_prefix}/expander_decomposition"
 
     # Fold E's into Ês.
-    state.es_edges |= decomposition.es_edges
+    state.es_keys = unique_sorted(
+        np.concatenate([state.es_keys, edge_keys(decomposition.es_edges, n)])
+    )
     state.es_orientation = state.es_orientation.merged_with(
         decomposition.es_orientation
     )
 
     current = state.current_graph()
-    # (owners, table) chunks; the empty first one keeps concatenation total.
-    chunks = [attribution_arrays({}, params.p)]
+    chunks = []  # (owners, table) pairs
     goal_edges: Set[Edge] = set()
     bad_edges: Set[Edge] = set()
     phase_max: Dict[str, float] = {}
     stats: Dict[str, float] = {
         "clusters": float(len(decomposition.clusters)),
-        "er_in": float(len(state.er_edges)),
+        "er_in": float(state.er_keys.size),
     }
 
     cluster_outcomes = []
@@ -196,15 +221,14 @@ def arb_list(
         chunks.append(attribution_arrays(light_listed, params.p))
 
     # New Êr: leftover of the decomposition plus the demoted bad edges.
-    state.er_edges = set(decomposition.er_edges) | bad_edges
+    state.er_keys = edge_keys(chain(decomposition.er_edges, bad_edges), n)
     # Êm (the listed goal edges) leaves the graph.
-    surviving = state.es_edges | state.er_edges
-    state.orientation = state.orientation.restricted_to(surviving)
+    state.orientation = state.orientation.restricted_to(state.current_keys())
 
     stats["goal_edges"] = float(len(goal_edges))
     stats["bad_edges"] = float(len(bad_edges))
-    stats["er_out"] = float(len(state.er_edges))
-    owners, table = (np.concatenate(column) for column in zip(*chunks))
+    stats["er_out"] = float(state.er_keys.size)
+    owners, table = join_attributions(chunks, params.p)
     return ArbListOutcome(
         owners=owners,
         table=table,

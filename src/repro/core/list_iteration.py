@@ -24,9 +24,10 @@ import numpy as np
 from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
-from repro.core.result import attribution_arrays
+from repro.core.result import attribution_arrays, join_attributions
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
 from repro.graphs.graph import Edge, Graph
+from repro.graphs.keys import key_set
 from repro.graphs.orientation import Orientation
 from repro.graphs.table import materialize_rows
 
@@ -37,17 +38,23 @@ Clique = FrozenSet[int]
 class ListOutcome:
     """Result of one LIST call (Theorem 2.8).
 
-    ``es_edges`` / ``es_orientation`` are the Ẽs the caller recurses on;
-    every Kp of the input graph with an edge outside Ẽs is a row of the
-    ``(c, p)`` int64 ``table``, output by node ``owners[i]`` for row ``i``.
+    ``es_keys`` / ``es_orientation`` are the Ẽs the caller recurses on
+    (sorted canonical keys ``u·n + v``; ``es_edges`` reads them as tuple
+    pairs); every Kp of the input graph with an edge outside Ẽs is a row
+    of the ``(c, p)`` int64 ``table``, output by node ``owners[i]`` for
+    row ``i``.
     """
 
     owners: np.ndarray
     table: np.ndarray
-    es_edges: Set[Edge]
+    es_keys: np.ndarray
     es_orientation: Orientation
     iterations: int
     stats: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def es_edges(self) -> Set[Edge]:
+        return key_set(self.es_keys, self.es_orientation.num_nodes)
 
     @property
     def cliques(self) -> Set[Clique]:
@@ -78,41 +85,40 @@ def list_once(
     threshold = params.peel_threshold(n, arboricity)
     state = ArbListState(
         n=n,
-        es_edges=set(),
+        es_edges=(),
         es_orientation=Orientation(n),
-        er_edges=graph.edge_set(),
+        er_edges=graph.to_csr().edge_table(),
         orientation=orientation,
         arboricity=arboricity,
         threshold=threshold,
     )
-    # (owners, table) chunks; the empty first one keeps concatenation total.
-    chunks = [attribution_arrays({}, params.p)]
+    chunks = []  # (owners, table) pairs
     budget = params.arb_iteration_budget(n)
     iterations = 0
-    er_trace = [len(state.er_edges)]
+    er_trace = [state.er_keys.size]
 
-    while state.er_edges and iterations < budget:
-        er_before = len(state.er_edges)
+    while state.er_keys.size and iterations < budget:
+        er_before = state.er_keys.size
         outcome = arb_list(
             state, params, rng, ledger, phase_prefix=f"{phase_prefix}/arb[{iterations}]"
         )
         chunks.append((outcome.owners, outcome.table))
         iterations += 1
-        er_trace.append(len(state.er_edges))
-        progressed = len(state.er_edges) < er_before or outcome.goal_edges
+        er_trace.append(state.er_keys.size)
+        progressed = state.er_keys.size < er_before or outcome.goal_edges
         if not progressed:
             break
 
-    if state.er_edges:
+    if state.er_keys.size:
         chunks.append(
             _fallback_broadcast(state, params, ledger, f"{phase_prefix}/fallback")
         )
 
-    owners, table = (np.concatenate(column) for column in zip(*chunks))
+    owners, table = join_attributions(chunks, params.p)
     return ListOutcome(
         owners=owners,
         table=table,
-        es_edges=state.es_edges,
+        es_keys=state.es_keys,
         es_orientation=state.es_orientation,
         iterations=iterations,
         stats={
@@ -142,7 +148,7 @@ def _fallback_broadcast(
     """
     current = state.current_graph()
     rounds = 2.0 * max(1, state.orientation.max_out_degree)
-    ledger.charge(phase, rounds, er_edges=len(state.er_edges))
+    ledger.charge(phase, rounds, er_edges=state.er_keys.size)
     remaining_cliques = cliques_touching_edges(
         enumerate_cliques(current, params.p), state.er_edges
     )
@@ -150,6 +156,6 @@ def _fallback_broadcast(
     for clique in remaining_cliques:
         listed.setdefault(min(clique), set()).add(clique)
     # All Êr obligations fulfilled; those edges retire from the graph.
-    state.er_edges = set()
-    state.orientation = state.orientation.restricted_to(state.es_edges)
+    state.er_keys = state.er_keys[:0]
+    state.orientation = state.orientation.restricted_to(state.es_keys)
     return attribution_arrays(listed, params.p)

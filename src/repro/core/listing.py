@@ -23,6 +23,7 @@ from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
 from repro.core.result import ListingResult
 from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
+from repro.graphs.keys import key_pairs
 from repro.graphs.orientation import degeneracy_orientation
 
 
@@ -82,7 +83,7 @@ def list_cliques_congest(
     if n == 0 or p > n or graph.num_edges == 0:
         return result
 
-    current = graph.copy()
+    current = graph
     orientation = degeneracy_orientation(current)
     # Computing a low-out-degree orientation distributedly costs O(log n)
     # rounds (H-partition à la Barenboim–Elkin).
@@ -109,7 +110,7 @@ def list_cliques_congest(
             phase_prefix=f"outer[{outer}]",
         )
         result.attribute_table(outcome.owners, outcome.table)
-        current = Graph(n, outcome.es_edges)
+        current = Graph.from_edge_array(n, key_pairs(outcome.es_keys, n))
         orientation = outcome.es_orientation
         new_arboricity = max(1, orientation.max_out_degree)
         outer += 1

@@ -25,6 +25,7 @@ from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
 from repro.core.gather import GatheredPairs
 from repro.graphs.graph import Graph
+from repro.graphs.keys import key_pairs, unique_sorted
 from repro.graphs.orientation import Orientation
 
 #: A member's owned edges: tuple set (object plane) or (k, 2) array (batch).
@@ -151,8 +152,9 @@ def _reshuffle_batch(
     ledger: RoundLedger,
     phase: str,
 ) -> ReshuffleResult:
-    """Columnar reshuffle: per-member known edges as deduplicated arrays,
-    one batch through the router, per-owner dedup on the sorted columns."""
+    """Columnar reshuffle: every member's known edges in one array, one
+    sort deduplicating them per sender, one batch through the router and
+    one sort deduplicating the arrivals per owner."""
     n = graph.num_nodes
     members = sorted(cluster_members)
     members_arr = np.asarray(members, dtype=np.int64)
@@ -162,63 +164,55 @@ def _reshuffle_batch(
         np.minimum(len(members) - 1, np.arange(n, dtype=np.int64) // chunk)
     ]
 
-    csr = graph.to_csr()
-    empty = np.empty(0, dtype=np.int64)
-    src_cols: List[np.ndarray] = []
-    dst_cols: List[np.ndarray] = []
-    sender_cols: List[np.ndarray] = []
-    for u in members:
-        nbrs = csr.neighbors(u)
-        rows = gathered.get(u)
-        if rows is not None and len(rows):
-            a = np.concatenate([np.full(nbrs.size, u, dtype=np.int64), rows[:, 0]])
-            b = np.concatenate([nbrs, rows[:, 1]])
-        else:
-            a = np.full(nbrs.size, u, dtype=np.int64)
-            b = nbrs
-        if a.size == 0:
-            continue
-        src, dst = orientation.direction_array(a, b)
-        keys = np.unique(src * n + dst)  # dedup: native ∩ gathered overlap
-        src_cols.append(keys // n)
-        dst_cols.append(keys % n)
-        sender_cols.append(np.full(keys.size, u, dtype=np.int64))
-    if src_cols:
-        edge_src = np.concatenate(src_cols)
-        edge_dst = np.concatenate(dst_cols)
-        senders = np.concatenate(sender_cols)
-    else:
-        edge_src = edge_dst = senders = empty
-    endpoints = np.empty((edge_src.size, 2), dtype=np.uint32)
-    endpoints[:, 0] = edge_src
-    endpoints[:, 1] = edge_dst
+    # Known edges, member by member: its own CSR row, then what it gathered.
+    native_from, native_to = graph.to_csr().neighbor_pairs(members_arr)
+    blocks = [
+        np.asarray(gathered.get(u, ()), dtype=np.int64).reshape(-1, 2) for u in members
+    ]
+    rows = np.concatenate(blocks)
+    senders = np.concatenate(
+        [native_from, np.repeat(members_arr, [block.shape[0] for block in blocks])]
+    )
+    src, dst = orientation.direction_array(
+        np.concatenate([native_from, rows[:, 0]]),
+        np.concatenate([native_to, rows[:, 1]]),
+    )
+    # Dedup per sender (native ∩ gathered overlap): sorting the keys
+    # (sender, src, dst) leaves members ascending, each one's edges
+    # ascending.  Keys stay below n³, inside int64 for every n < 2^21.
+    senders, edges = _split_keys(unique_sorted((senders * n + src) * n + dst), n)
     batch = MessageBatch.of_edges(
-        src=senders, dst=owner_table[edge_src] if edge_src.size else empty,
-        endpoints=endpoints,
+        src=senders, dst=owner_table[edges[:, 0]], endpoints=edges.astype(np.uint32)
     )
     # As in the object path: recovery rows may follow the primary charge.
     mark = len(ledger)
     delivered = router.route_batch(batch, ledger, phase)
 
-    owned: Dict[int, np.ndarray] = {}
-    max_owned = 0
-    total_owned = 0
-    for u in members:
-        rows = delivered.payload_rows(u).astype(np.int64)
-        if rows.shape[0]:
-            keys = np.unique(rows[:, 0] * n + rows[:, 1])  # arrival dedup
-            rows = np.empty((keys.size, 2), dtype=np.int64)
-            rows[:, 0] = keys // n
-            rows[:, 1] = keys % n
-        owned[u] = rows
-        max_owned = max(max_owned, rows.shape[0])
-        total_owned += rows.shape[0]
+    # Arrival dedup, one sort over every mailbox.
+    recipients = np.repeat(
+        np.arange(delivered.indptr.size - 1, dtype=np.int64),
+        np.diff(delivered.indptr),
+    )
+    arrived = delivered.payload.astype(np.int64).reshape(-1, 2)
+    owners, table = _split_keys(
+        unique_sorted((recipients * n + arrived[:, 0]) * n + arrived[:, 1]), n
+    )
+    lo = np.searchsorted(owners, members_arr, side="left")
+    hi = np.searchsorted(owners, members_arr, side="right")
+    owned = {u: table[a:b] for u, a, b in zip(members, lo.tolist(), hi.tolist())}
+    counts = hi - lo
     return ReshuffleResult(
         owned=owned,
         owner_of=owner_of,
         rounds=ledger.phases()[mark].rounds,
         stats={
-            "max_owned_edges": float(max_owned),
-            "total_owned_edges": float(total_owned),
+            "max_owned_edges": float(counts.max(initial=0)),
+            "total_owned_edges": float(counts.sum()),
         },
     )
+
+
+def _split_keys(keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(node·n + src)·n + dst`` keys back to ``node`` and ``(src, dst)`` rows."""
+    node, edge = np.divmod(keys, n * n)
+    return node, key_pairs(edge, n)

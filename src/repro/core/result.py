@@ -39,6 +39,24 @@ def attribution_arrays(
     )
 
 
+def join_attributions(
+    chunks: Iterable[Tuple[np.ndarray, np.ndarray]], p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Join ``(owners, table)`` pairs into one.
+
+    Empty pairs drop out and a lone non-empty pair passes through
+    uncopied: a listing layer usually holds one (its cluster's table),
+    and copying it once per layer costs more than the bookkeeping around
+    it."""
+    full = [chunk for chunk in chunks if chunk[0].size]
+    if len(full) == 1:
+        return full[0]
+    if not full:
+        return attribution_arrays({}, p)
+    owners, table = (np.concatenate(column) for column in zip(*full))
+    return owners, table
+
+
 class ListingResult:
     """Outcome of one listing run.
 

@@ -58,6 +58,7 @@ from repro.core.result import attribution_arrays
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import clique_table_from_edge_array
 from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.keys import edge_keys, key_pairs
 from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
@@ -279,13 +280,7 @@ def _sparsity_aware_batch(
             owner_pos, weights=2 * recipients_per_pair[pair_idx], minlength=k
         ).astype(np.int64)
         pair_counts = np.bincount(pair_idx, minlength=npairs)
-        canonical = np.unique(
-            np.minimum(edges[:, 0], edges[:, 1]) * n
-            + np.maximum(edges[:, 0], edges[:, 1])
-        )
-        known = np.empty((canonical.size, 2), dtype=np.int64)
-        known[:, 0] = canonical // n
-        known[:, 1] = canonical % n
+        known = key_pairs(edge_keys(edges, n), n)
     else:
         send_load = np.zeros(k, dtype=np.int64)
         pair_counts = np.zeros(npairs, dtype=np.int64)

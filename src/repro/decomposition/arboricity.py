@@ -57,7 +57,10 @@ def peel_low_degree(
         queued.discard(v)
         if remainder.degree(v) == 0 or remainder.degree(v) >= threshold:
             continue
-        for u in list(remainder.neighbors(v)):
+        # Ascending ids: the queue order (and with it which endpoint an
+        # edge is oriented away from) is a function of the edge set, not
+        # of the order a neighbour set happens to iterate in.
+        for u in sorted(remainder.neighbors(v)):
             orientation.orient(v, u)
             es_edges.add(canonical_edge(v, u))
             remainder.remove_edge(v, u)

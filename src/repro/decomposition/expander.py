@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition.arboricity import peel_low_degree
 from repro.decomposition.cluster import Cluster, cluster_membership
 from repro.decomposition.mixing import estimate_mixing_time, polylog_mixing_budget
 from repro.decomposition.sweep_cut import sweep_cut
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.orientation import Orientation
 
@@ -188,7 +192,7 @@ def _decompose_once(
     n = graph.num_nodes
     es_edges: Set[Edge] = set()
     es_orientation = Orientation(n)
-    er_edges: Set[Edge] = set()
+    er_parts: List[np.ndarray] = []  # (m, 2) edge tables
     clusters: List[Cluster] = []
 
     def absorb_peeling(work: Graph) -> Graph:
@@ -201,44 +205,33 @@ def _decompose_once(
     def process(work: Graph, depth: int) -> None:
         if work.num_edges == 0:
             return
+        csr = work.to_csr()
+        table = csr.edge_table()
         if depth > params.max_recursion:
-            er_edges.update(work.edges())
+            er_parts.append(table)
             return
-        for component in work.connected_components():
-            active = {v for v in component if work.degree(v) > 0}
-            if len(active) < 2:
-                continue
-            comp_edges = {
-                canonical_edge(u, v)
-                for u in active
-                for v in work.neighbors(u)
-                if u < v
-            }
+        for nodes, comp_edges in _components(csr, table):
+            active = nodes.tolist()
             cut = sweep_cut(work, active)
             if cut is None or cut.conductance >= phi:
-                cluster = _make_cluster(work, active, comp_edges, len(clusters), cut)
+                cluster = _make_cluster(
+                    work, active, comp_edges, len(clusters), cut
+                )
                 if cluster is not None:
                     clusters.append(cluster)
                 else:
-                    er_edges.update(comp_edges)
+                    er_parts.append(comp_edges)
                 continue
             # Low-conductance component: split along the sweep cut.
-            side = cut.side
-            other = active - side
-            crossing = {
-                canonical_edge(u, v)
-                for u in side
-                for v in work.neighbors(u)
-                if v in other
-            }
-            er_edges.update(crossing)
-            sub = work.subgraph_nodes(side | other)
-            sub.remove_edges(crossing)
-            sub = absorb_peeling(sub)
-            process(sub, depth + 1)
+            in_side = np.zeros(n, dtype=bool)
+            in_side[list(cut.side)] = True
+            crossing = in_side[comp_edges[:, 0]] != in_side[comp_edges[:, 1]]
+            er_parts.append(comp_edges[crossing])
+            sub = Graph.from_edge_array(n, comp_edges[~crossing])
+            process(absorb_peeling(sub), depth + 1)
 
-    remainder = absorb_peeling(graph.copy())
-    process(remainder, 0)
+    process(absorb_peeling(graph), 0)
+    er_table = np.concatenate(er_parts) if er_parts else np.empty((0, 2), np.int64)
     return Decomposition(
         n=n,
         threshold=params.threshold,
@@ -246,28 +239,55 @@ def _decompose_once(
         clusters=clusters,
         es_edges=es_edges,
         es_orientation=es_orientation,
-        er_edges=er_edges,
+        er_edges=set(zip(er_table[:, 0].tolist(), er_table[:, 1].tolist())),
     )
+
+
+def _components(csr: CSRGraph, table: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(nodes, edges)`` of each connected component with an edge, in
+    order of its smallest node; ``table`` is ``csr.edge_table()``."""
+    # Imported here: only decompositions need csgraph, and loading it
+    # with the package costs every run ~1 MB of resident memory.
+    from scipy.sparse.csgraph import connected_components
+
+    n = csr.num_nodes
+    matrix = sp.csr_matrix(
+        (np.ones(csr.indices.size, dtype=np.int8), csr.indices, csr.indptr),
+        shape=(n, n),
+    )
+    _count, labels = connected_components(matrix, directed=False)
+    nodes = np.flatnonzero(csr.degrees() > 0)
+    groups = zip(_split_by(nodes, labels[nodes]), _split_by(table, labels[table[:, 0]]))
+    return sorted(groups, key=lambda group: int(group[0][0]))
+
+
+def _split_by(values: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
+    """``values`` grouped by label, labels ascending; each group keeps
+    its rows' order."""
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return np.split(values[order], starts) if labels.size else []
 
 
 def _make_cluster(
     work: Graph,
-    nodes: Set[int],
-    edges: Set[Edge],
+    nodes: List[int],
+    edges: np.ndarray,
     cluster_id: int,
     cut,
 ) -> Optional[Cluster]:
     """Build a Cluster for an expander component; None if degenerate."""
     if len(nodes) < 2:
         return None
-    min_degree = min(work.degree(v) for v in nodes)
+    min_degree = int(work.to_csr().degrees()[nodes].min())
     if min_degree < 1:
         return None
     mixing = estimate_mixing_time(work, nodes)
     return Cluster(
         cluster_id=cluster_id,
         nodes=frozenset(nodes),
-        edges=frozenset(edges),
+        edges=frozenset(zip(edges[:, 0].tolist(), edges[:, 1].tolist())),
         min_internal_degree=min_degree,
         mixing_time=mixing,
         conductance=None if cut is None else cut.conductance,

@@ -18,7 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.decomposition.spectral import adjacency_matrix, lazy_walk_matrix
+from repro.decomposition.spectral import (
+    adjacency_matrix,
+    arpack_start,
+    lazy_walk_matrix,
+)
 from repro.graphs.graph import Graph
 
 _DENSE_CUTOFF = 64
@@ -38,7 +42,9 @@ def spectral_gap(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
         lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
     else:
         try:
-            eigenvalues = spla.eigs(walk, k=2, which="LM", return_eigenvectors=False)
+            eigenvalues = spla.eigs(
+                walk, k=2, which="LM", return_eigenvectors=False, v0=arpack_start(k)
+            )
             magnitudes = np.sort(np.abs(eigenvalues))[::-1]
             lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
         except spla.ArpackError:  # no convergence included; other errors surface

@@ -7,7 +7,7 @@ a candidate component, represented with local indices ``0..k-1``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,28 +19,35 @@ from repro.graphs.graph import Graph
 # than ARPACK for tiny matrices.
 _DENSE_CUTOFF = 64
 
+#: Seed of ARPACK's start vector.  Left unset, SciPy (≥ 1.15) draws it
+#: from OS entropy, so λ₂, the Fiedler vector — and with it a near-tie
+#: sweep cut — and the mixing estimate would differ between calls.
+ARPACK_SEED = 0
 
-def local_indexing(nodes: Sequence[int]) -> Tuple[Dict[int, int], List[int]]:
-    """Map a node subset to contiguous local indices (and back)."""
-    ordered = sorted(nodes)
-    return {v: i for i, v in enumerate(ordered)}, ordered
+
+def arpack_start(k: int) -> np.ndarray:
+    """The fixed ``v0`` every ARPACK call here starts from, so each solve
+    is a pure function of its k×k matrix."""
+    return np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0, k)
 
 
 def adjacency_matrix(graph: Graph, nodes: Sequence[int]) -> sp.csr_matrix:
-    """Sparse adjacency matrix of the induced subgraph (local indices)."""
-    index, ordered = local_indexing(nodes)
-    keep = set(ordered)
-    rows: List[int] = []
-    cols: List[int] = []
-    for u in ordered:
-        iu = index[u]
-        for v in graph.neighbors(u):
-            if v in keep:
-                rows.append(iu)
-                cols.append(index[v])
-    data = np.ones(len(rows))
-    k = len(ordered)
-    return sp.csr_matrix((data, (rows, cols)), shape=(k, k))
+    """Sparse adjacency matrix of the induced subgraph (local indices).
+
+    Sliced from the graph's cached CSR snapshot: local ids follow the
+    sorted node ids, so each snapshot row, kept to the subset's columns,
+    is already the matrix row, sorted.
+    """
+    ordered = np.asarray(sorted(nodes), dtype=np.int64)
+    k = ordered.size
+    local = np.full(graph.num_nodes, -1, dtype=np.int64)
+    local[ordered] = np.arange(k, dtype=np.int64)
+    rows, cols = graph.to_csr().neighbor_pairs(ordered)
+    cols = local[cols]
+    inside = cols >= 0
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[rows[inside]], minlength=k), out=indptr[1:])
+    return sp.csr_matrix((np.ones(indptr[-1]), cols[inside], indptr), shape=(k, k))
 
 
 def lazy_walk_matrix(adj: sp.csr_matrix) -> sp.csr_matrix:
@@ -75,14 +82,18 @@ def normalized_laplacian_second_eigenpair(
         eigenvalues, eigenvectors = np.linalg.eigh(lap.toarray())
         return float(eigenvalues[1]), np.asarray(eigenvectors[:, 1]).flatten()
     try:
-        eigenvalues, eigenvectors = spla.eigsh(lap, k=2, sigma=-1e-9, which="LM")
+        eigenvalues, eigenvectors = spla.eigsh(
+            lap, k=2, sigma=-1e-9, which="LM", v0=arpack_start(k)
+        )
     except spla.ArpackError:
         # ARPACK shift-invert can fail on difficult spectra; fall back to
         # the (slower but robust) smallest-magnitude mode, then dense.
         # Only ARPACK's own failures (no convergence included) switch
         # solvers: any other error is a bug and must surface.
         try:
-            eigenvalues, eigenvectors = spla.eigsh(lap, k=2, which="SM", maxiter=5000)
+            eigenvalues, eigenvectors = spla.eigsh(
+                lap, k=2, which="SM", maxiter=5000, v0=arpack_start(k)
+            )
         except spla.ArpackError:
             dense_vals, dense_vecs = np.linalg.eigh(lap.toarray())
             return float(dense_vals[1]), np.asarray(dense_vecs[:, 1]).flatten()

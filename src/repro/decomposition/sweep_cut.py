@@ -57,35 +57,29 @@ def sweep_cut(graph: Graph, nodes: Sequence[int]) -> Optional[SweepCutResult]:
     scores = fiedler / np.sqrt(degrees)
     order = np.argsort(scores)
 
+    # Prefix t holds order[:t+1].  Adding v to the prefix un-cuts its
+    # edges to earlier members and cuts the rest, so with exact integer
+    # counts the cut after each step is one cumulative sum.
+    counts = np.diff(adj.indptr).astype(np.int64)
+    rank = np.empty(len(ordered), dtype=np.int64)
+    rank[order] = np.arange(len(ordered), dtype=np.int64)
+    row = np.repeat(np.arange(len(ordered), dtype=np.int64), counts)
+    earlier = np.bincount(
+        row[rank[adj.indices] < rank[row]], minlength=len(ordered)
+    )
+    cut_edges = np.cumsum(counts[order] - 2 * earlier[order])[:-1]
+    prefix_volume = np.cumsum(counts[order])[:-1]
     total_volume = float(degrees.sum())
-    adj_lil = adj.tolil()
-    in_prefix = np.zeros(len(ordered), dtype=bool)
-    cut_edges = 0.0
-    prefix_volume = 0.0
-    best_conductance = np.inf
-    best_prefix_len = 0
-
-    for step, local_v in enumerate(order[:-1]):
-        # Moving local_v into the prefix: edges to prefix members stop
-        # being cut edges, edges to the outside become cut edges.
-        to_prefix = sum(
-            1 for u in adj_lil.rows[local_v] if in_prefix[u]
-        )
-        deg_v = degrees[local_v]
-        cut_edges += deg_v - 2 * to_prefix
-        prefix_volume += deg_v
-        in_prefix[local_v] = True
-        denom = min(prefix_volume, total_volume - prefix_volume)
-        if denom <= 0:
-            continue
-        conductance = cut_edges / denom
-        if conductance < best_conductance:
-            best_conductance = conductance
-            best_prefix_len = step + 1
-
-    if best_prefix_len == 0 or not np.isfinite(best_conductance):
+    denom = np.minimum(prefix_volume, int(counts.sum()) - prefix_volume)
+    conductance = np.full(cut_edges.size, np.inf)
+    valid = denom > 0
+    conductance[valid] = cut_edges[valid] / denom[valid]
+    # The first minimum, as a scan keeping only strict improvements.
+    best = int(np.argmin(conductance))
+    best_conductance = conductance[best]
+    if not np.isfinite(best_conductance):
         return None
-    side_local = order[:best_prefix_len]
+    side_local = order[: best + 1]
     side = {ordered[i] for i in side_local}
     # Report the smaller-volume side for downstream balance heuristics.
     side_volume = float(degrees[side_local].sum())

@@ -29,6 +29,7 @@ from typing import Any, Tuple
 import numpy as np
 
 from repro.congest.batch import FanoutBatch, MessageBatch
+from repro.graphs.keys import unique_sorted
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def corrupt_batch(
     if isinstance(batch, FanoutBatch):
         payload = mangle_payload_matrix(batch.materialize().payload, rows, n)
         if batch.silent is not None:
-            rows = np.union1d(batch.silent, rows)
+            rows = unique_sorted(np.concatenate([batch.silent, rows]))
         return replace(batch, silent=rows, silent_payload=payload[rows])
     payload = mangle_payload_matrix(batch.payload, rows, n)
     obj = batch.obj

@@ -59,6 +59,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.keys import unique_sorted
 from repro.graphs.table import CliqueTable
 
 Clique = FrozenSet[int]
@@ -163,18 +164,21 @@ class CSRGraph:
     def from_graph(cls, graph: Graph) -> "CSRGraph":
         """Snapshot a :class:`Graph` (neighbor rows sorted by node id)."""
         n = graph.num_nodes
+        rows = [graph.neighbors(v) for v in range(n)]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + graph.degree(v)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for v in range(n):
-            indices[indptr[v] : indptr[v + 1]] = sorted(graph.neighbors(v))
-        return cls(indptr, indices)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+        flat = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        # Rows are contiguous and ascend, so one sort of row·n + id keys
+        # sorts every row in place.
+        base = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+        return cls(indptr, np.sort(base + flat) - base)
 
     def to_graph(self) -> Graph:
-        """Round-trip back to the mutable dict-of-sets representation."""
-        table = self.edge_table()
-        return Graph(self.num_nodes, zip(table[:, 0].tolist(), table[:, 1].tolist()))
+        """Round-trip back to the mutable dict-of-sets representation
+        (array-built, with an equal snapshot already cached)."""
+        return Graph.from_edge_array(self.num_nodes, self.edge_table())
 
     def edge_table(self) -> np.ndarray:
         """All undirected edges as a ``(m, 2)`` canonical (u < v) table.
@@ -207,6 +211,17 @@ class CSRGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
+
+    def neighbor_pairs(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(node, neighbor)`` columns of the rows of ``nodes``,
+        concatenated in the order ``nodes`` lists them."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        ends = np.cumsum(lengths)
+        position = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        position += np.repeat(starts - (ends - lengths), lengths)
+        return np.repeat(nodes, lengths), self.indices[position]
 
     def degrees(self) -> np.ndarray:
         """All degrees as one array (``degrees()[v] == degree(v)``)."""
@@ -674,7 +689,7 @@ def grouped_clique_tables(
     c_hi = np.maximum(combined[:, 0], combined[:, 1])
     l_hi = c_hi - base[owner]
     if not assume_unique:
-        fkeys = np.unique(c_lo * np.int64(group_width + 1) + l_hi)
+        fkeys = unique_sorted(c_lo * np.int64(group_width + 1) + l_hi)
         c_lo = fkeys // (group_width + 1)
         l_hi = fkeys % (group_width + 1)
         c_hi = base[owner_of[c_lo]] + l_hi
@@ -731,16 +746,16 @@ def compact_edge_array(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nd
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be a (k, 2) array")
-    verts, local = np.unique(edges, return_inverse=True)
-    local = local.reshape(edges.shape)
+    verts = unique_sorted(edges)
+    local = np.searchsorted(verts, edges)
     k = verts.size
     lo = np.minimum(local[:, 0], local[:, 1])
     hi = np.maximum(local[:, 0], local[:, 1])
-    keep = np.unique(lo * max(1, k) + hi)  # collapse duplicates only
+    keep = unique_sorted(lo * max(1, k) + hi)  # collapse duplicates only
     lo, hi = keep // max(1, k), keep % max(1, k)
     fptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(lo, minlength=k), out=fptr[1:])
-    return verts, fptr, hi  # np.unique sorted by (lo, hi): grouped+sorted
+    return verts, fptr, hi  # keys sorted by (lo, hi): grouped+sorted
 
 
 def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
@@ -771,7 +786,7 @@ def clique_table_from_edge_array(
     ``edges`` is a ``(k, 2)`` array of undirected edges (any orientation,
     duplicates allowed — they are collapsed).  This is the zero-Graph
     listing path for per-node learned subgraphs on the batch routing
-    plane: vertices are compacted with one ``np.unique``, edges oriented
+    plane: vertices are compacted with one sorted dedup, edges oriented
     low→high under the *identity* order (no degeneracy peel — learned
     subgraphs are small and the pipeline only needs some total order),
     and the usual bitset level pipeline (sorted-array fallback past

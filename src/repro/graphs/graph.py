@@ -15,6 +15,20 @@ Design notes
   algorithms repeatedly *partition and peel* edge sets; convenience
   constructors return fresh objects, and :meth:`Graph.subgraph_edges`
   builds edge-induced subgraphs without copying node sets.
+- Two constructors.  ``Graph(n, edges)`` adds one edge at a time through
+  :meth:`Graph.add_edge`; it stays the reference that defines what a
+  valid edge is (no self-loop, both ids in ``[0, n)``, repeats
+  collapse), and every small or hand-written graph goes through it.
+  :meth:`Graph.from_edge_array` builds the same graph from an ``(m, 2)``
+  integer array in one vectorized pass: it raises ``add_edge``'s error
+  for the first invalid row, collapses repeats with one sort, fills each
+  neighbour set in ascending id order and seeds the CSR snapshot
+  (:meth:`Graph.to_csr`) it computed on the way.  The CONGEST outer loop
+  and the snapshot round-trips (``CSRGraph.to_graph``, the overlays'
+  ``to_graph``) build their graphs this way.  No result may depend on
+  the order a neighbour set iterates in: the two constructors insert
+  neighbours in different orders, so at larger n the same set can
+  iterate differently.
 - Equality compares node count and edge sets, which is what the
   algorithms' invariants need.
 """
@@ -22,6 +36,10 @@ Design notes
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
+
+from repro.graphs.keys import edge_array, unique_sorted
 
 Edge = Tuple[int, int]
 
@@ -70,6 +88,39 @@ class Graph:
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
+
+    @classmethod
+    def from_edge_array(cls, n: int, edges) -> "Graph":
+        """``Graph(n, edges)`` from an ``(m, 2)`` integer array, vectorized.
+
+        Validates what :meth:`add_edge` validates and raises its
+        ``ValueError`` for the first invalid row; repeated edges (either
+        orientation) collapse.  Neighbour sets are filled in ascending
+        id order, and the CSR snapshot built on the way is cached, so
+        :meth:`to_csr` costs nothing until the graph is mutated.
+        """
+        from repro.graphs.csr import CSRGraph
+
+        g = cls(n)
+        pairs = edge_array(edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        invalid = (lo == hi) | (lo < 0) | (hi >= n)
+        if invalid.any():
+            first = int(np.argmax(invalid))
+            g.add_edge(int(u[first]), int(v[first]))  # raises add_edge's error
+        keys = unique_sorted(lo * n + hi)
+        # Both directions of every edge, sorted by (row, column).
+        lo, hi = np.divmod(keys, max(1, n))
+        directed = np.sort(np.concatenate([keys, hi * n + lo]))
+        rows, indices = np.divmod(directed, max(1, n))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        flat, bounds = indices.tolist(), indptr.tolist()
+        g._adj = {x: set(flat[bounds[x] : bounds[x + 1]]) for x in range(n)}
+        g._num_edges = int(keys.size)
+        g._csr = CSRGraph(indptr, indices)
+        return g
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -190,10 +241,15 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """An independent copy of this graph."""
+        """An independent copy of this graph.
+
+        The copy shares this graph's CSR snapshot: snapshots are
+        immutable, and mutating either graph drops only its own cache.
+        """
         g = Graph(self._n)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
+        g._csr = self._csr
         return g
 
     def to_csr(self) -> "CSRGraph":

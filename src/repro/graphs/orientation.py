@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.keys import EdgesLike, contains_sorted, edge_keys
 
 
 class Orientation:
@@ -33,6 +34,19 @@ class Orientation:
     def __init__(self, n: int) -> None:
         self._out: Dict[int, Set[int]] = {v: set() for v in range(n)}
         self._encoded: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray) -> "Orientation":
+        """The orientation of the sorted, distinct oriented keys
+        ``src·n + dst`` (the form :meth:`encoded_oriented` returns, and
+        keeps as its cache).  Out-sets are filled in ascending id order."""
+        orientation = cls(n)
+        src, dst = np.divmod(keys, max(1, n))
+        bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+        flat = dst.tolist()
+        orientation._out = {v: set(flat[bounds[v] : bounds[v + 1]]) for v in range(n)}
+        orientation._encoded = keys
+        return orientation
 
     @property
     def num_nodes(self) -> int:
@@ -104,15 +118,8 @@ class Orientation:
         b = np.asarray(b, dtype=np.int64)
         n = self.num_nodes
         enc = self.encoded_oriented()
-
-        def present(keys: np.ndarray) -> np.ndarray:
-            if not enc.size:
-                return np.zeros(keys.shape, dtype=bool)
-            idx = np.searchsorted(enc, keys)
-            return (idx < enc.size) & (enc[np.minimum(idx, enc.size - 1)] == keys)
-
-        as_is = present(a * n + b)
-        missing = ~(as_is | present(b * n + a))
+        as_is = contains_sorted(enc, a * n + b)
+        missing = ~(as_is | contains_sorted(enc, b * n + a))
         if missing.any():
             u, v = int(a[missing][0]), int(b[missing][0])
             raise KeyError(f"edge ({u}, {v}) not present in orientation")
@@ -135,19 +142,25 @@ class Orientation:
     def num_edges(self) -> int:
         return sum(len(targets) for targets in self._out.values())
 
-    def restricted_to(self, edges: Iterable[Edge]) -> "Orientation":
+    def restricted_to(self, edges: EdgesLike) -> "Orientation":
         """A new orientation containing only the given (canonical) edges.
 
-        Used when the algorithm partitions an oriented edge set: each part
-        inherits the orientation of its edges, so out-degree bounds only
-        ever decrease.
+        ``edges`` is a sorted canonical key array (``u·n + v`` with
+        ``u < v``, the form the ARB-LIST state keeps) or any edge
+        collection :func:`~repro.graphs.keys.edge_keys` takes.  Used when
+        the algorithm partitions an oriented edge set: each part inherits
+        the orientation of its edges, so out-degree bounds only ever
+        decrease.
         """
-        keep = {canonical_edge(u, v) for u, v in edges}
-        sub = Orientation(len(self._out))
-        for src, dst in self.oriented_edges():
-            if canonical_edge(src, dst) in keep:
-                sub.orient(src, dst)
-        return sub
+        n = self.num_nodes
+        if isinstance(edges, np.ndarray) and edges.ndim == 1:
+            keep = edges
+        else:
+            keep = edge_keys(edges, n)
+        oriented = self.encoded_oriented()
+        src, dst = np.divmod(oriented, max(1, n))
+        canonical = np.minimum(src, dst) * n + np.maximum(src, dst)
+        return Orientation.from_keys(n, oriented[contains_sorted(keep, canonical)])
 
     def merged_with(self, other: "Orientation") -> "Orientation":
         """Union of two orientations on disjoint edge sets.
@@ -249,13 +262,10 @@ def degeneracy_orientation(graph: Graph, backend: str = "auto") -> Orientation:
 def _degeneracy_orientation_csr(graph: Graph) -> Orientation:
     """CSR-backed construction of the same degeneracy orientation."""
     fptr, findices = graph.to_csr().forward()
-    orientation = Orientation(graph.num_nodes)
-    out = orientation._out
-    for v in range(graph.num_nodes):
-        row = findices[fptr[v] : fptr[v + 1]]
-        if row.size:
-            out[v] = set(row.tolist())
-    return orientation
+    n = graph.num_nodes
+    # Forward rows ascend by node and within each row: the keys are sorted.
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
+    return Orientation.from_keys(n, src * n + findices)
 
 
 def orientation_from_order(graph: Graph, order: Iterable[int]) -> Orientation:

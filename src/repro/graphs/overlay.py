@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph, _scatter_bits
 from repro.graphs.graph import Graph
+from repro.graphs.keys import contains_sorted, edge_keys, key_pairs, unique_sorted
 
 
 def _write_bits(bits: np.ndarray, edges: np.ndarray, present: bool) -> None:
@@ -47,6 +48,22 @@ def _write_bits(bits: np.ndarray, edges: np.ndarray, present: bool) -> None:
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     _scatter_bits(bits, rows, cols, clear=not present)
+
+
+def _delta_edge_table(
+    base: CSRGraph, added: Dict[int, Set[int]], removed: Dict[int, Set[int]]
+) -> np.ndarray:
+    """The base's edges with a net delta folded in, as a canonical
+    ``(m, 2)`` int64 table sorted by ``(u, v)``."""
+    n = base.num_nodes
+    keys = edge_keys(base.edge_table(), n)
+    keys = keys[~contains_sorted(_delta_keys(removed, n), keys)]
+    return key_pairs(unique_sorted(np.concatenate([keys, _delta_keys(added, n)])), n)
+
+
+def _delta_keys(delta: Dict[int, Set[int]], n: int) -> np.ndarray:
+    """Canonical keys of a symmetric node -> neighbours delta."""
+    return edge_keys([(u, v) for u, vs in delta.items() for v in vs if u < v], n)
 
 
 class CSROverlay:
@@ -106,7 +123,9 @@ class CSROverlay:
                 row = row[~np.isin(row, np.fromiter(removed, dtype=np.int64))]
             added = self._added.get(v)
             if added:
-                row = np.union1d(row, np.fromiter(added, dtype=np.int64))
+                row = unique_sorted(
+                    np.concatenate([row, np.fromiter(added, dtype=np.int64)])
+                )
             else:
                 row = np.ascontiguousarray(row)
             self._rows[v] = row
@@ -121,12 +140,14 @@ class CSROverlay:
         delta kernels then fall back to sorted-row intersections)."""
         return self._bits
 
+    def edge_table(self) -> np.ndarray:
+        """All current edges as a canonical ``(m, 2)`` int64 table."""
+        return _delta_edge_table(self.base, self._added, self._removed)
+
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All current edges in canonical ``u < v`` form."""
-        for u in range(self.num_nodes):
-            for x in self.neighbors(u).tolist():
-                if u < x:
-                    yield (u, x)
+        for u, v in self.edge_table().tolist():
+            yield (u, v)
 
     def __repr__(self) -> str:
         return (
@@ -224,10 +245,9 @@ class CSROverlay:
         return snapshot
 
     def to_graph(self) -> Graph:
-        """Materialize the current state as a mutable dict-of-sets graph."""
-        g = Graph(self.num_nodes)
-        g.add_edges(self.edges())
-        return g
+        """Materialize the current state as a mutable dict-of-sets graph
+        (array-built, its CSR snapshot cached)."""
+        return Graph.from_edge_array(self.num_nodes, self.edge_table())
 
 
 class FrozenOverlay:
@@ -285,32 +305,23 @@ class FrozenOverlay:
             row = row[~np.isin(row, np.fromiter(removed, dtype=np.int64))]
         added = self._added.get(v)
         if added:
-            row = np.union1d(row, np.fromiter(added, dtype=np.int64))
+            row = unique_sorted(
+                np.concatenate([row, np.fromiter(added, dtype=np.int64)])
+            )
         return row
 
     def edge_table(self) -> np.ndarray:
         """All frozen edges as a canonical ``(m, 2)`` int64 table."""
-        rows = []
-        for u in range(self.num_nodes):
-            nbrs = self.neighbors(u)
-            upper = nbrs[nbrs > u]
-            if upper.size:
-                rows.append(
-                    np.stack([np.full(upper.size, u, dtype=np.int64), upper], axis=1)
-                )
-        if not rows:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(rows)
+        return _delta_edge_table(self.base, self._added, self._removed)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u, v in self.edge_table().tolist():
             yield (u, v)
 
     def to_graph(self) -> Graph:
-        """Materialize the frozen state as a mutable dict-of-sets graph."""
-        g = Graph(self.num_nodes)
-        g.add_edges(self.edges())
-        return g
+        """Materialize the frozen state as a mutable dict-of-sets graph
+        (array-built, its CSR snapshot cached)."""
+        return Graph.from_edge_array(self.num_nodes, self.edge_table())
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main, make_parser
 from repro.graphs.generators import planted_cliques
 from repro.graphs.io import write_edge_list
@@ -19,6 +25,27 @@ class TestParser:
     def test_decompose_defaults(self):
         args = make_parser().parse_args(["decompose"])
         assert args.threshold == 8
+
+
+class TestClosedStdout:
+    def test_a_reader_that_closes_early_gets_exit_1_without_a_traceback(self):
+        """``repro.cli list ... | true``: the reader is gone before the
+        first line, so the write raises ``BrokenPipeError``; ``main``
+        catches it once for every subcommand."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "list", "--n", "60", "--p", "3",
+             "--model", "congested-clique"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # long before the interpreter has started up
+        _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 class TestListCommand:

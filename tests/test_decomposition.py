@@ -1,8 +1,14 @@
 """Tests for the expander decomposition substrate (Definition 2.2)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition import (
@@ -17,6 +23,10 @@ from repro.decomposition.arboricity import validate_peeling
 from repro.decomposition.cluster import Cluster, cluster_membership
 from repro.decomposition.expander import DecompositionParams
 from repro.decomposition.mixing import polylog_mixing_budget, simulate_mixing_time
+from repro.decomposition.spectral import (
+    adjacency_matrix,
+    normalized_laplacian_second_eigenpair,
+)
 from repro.graphs.generators import (
     barbell_graph,
     bounded_arboricity_graph,
@@ -92,6 +102,60 @@ class TestSpectral:
     def test_gap_none_for_tiny(self):
         g = Graph(2, [(0, 1)])
         assert spectral_gap(g, [0, 1]) is None
+
+
+#: λ₂, Fiedler vector and lazy-walk gap of an ER n=160 component (above
+#: the dense cutoff, so all three come from ARPACK), as exact bit patterns.
+SPECTRAL_FINGERPRINT = """
+from repro.decomposition.mixing import spectral_gap
+from repro.decomposition.spectral import (
+    adjacency_matrix,
+    normalized_laplacian_second_eigenpair,
+)
+from repro.graphs.generators import erdos_renyi
+
+graph = erdos_renyi(160, 0.5, seed=1)
+nodes = list(range(160))
+lambda2, fiedler = normalized_laplacian_second_eigenpair(adjacency_matrix(graph, nodes))
+print(float(lambda2).hex(), fiedler.tobytes().hex(), float(spectral_gap(graph, nodes)).hex())
+"""
+
+
+class TestArpackStartVector:
+    """ARPACK starts from a pinned ``v0``: the spectral quantities the
+    sweep cut and the mixing estimate read are pure functions of the
+    matrix, bit for bit, within a process and across processes."""
+
+    @staticmethod
+    def fingerprint():
+        graph = erdos_renyi(160, 0.5, seed=1)
+        nodes = list(range(160))
+        lambda2, fiedler = normalized_laplacian_second_eigenpair(
+            adjacency_matrix(graph, nodes)
+        )
+        return (
+            float(lambda2).hex(),
+            fiedler.tobytes().hex(),
+            float(spectral_gap(graph, nodes)).hex(),
+        )
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        first = self.fingerprint()
+        for _ in range(3):
+            assert self.fingerprint() == first
+
+    def test_a_fresh_process_gets_the_same_bits(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", SPECTRAL_FINGERPRINT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(proc.stdout.split()) == self.fingerprint()
 
 
 class TestMixing:

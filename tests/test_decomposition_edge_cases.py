@@ -12,7 +12,6 @@ from repro.decomposition.mixing import spectral_gap
 from repro.decomposition.spectral import (
     adjacency_matrix,
     lambda2_of_component,
-    local_indexing,
     normalized_laplacian_second_eigenpair,
 )
 from repro.decomposition.sweep_cut import sweep_cut
@@ -29,11 +28,6 @@ from repro.graphs.graph import Graph
 
 
 class TestSpectralHelpers:
-    def test_local_indexing_round_trip(self):
-        index, ordered = local_indexing([7, 2, 9])
-        assert ordered == [2, 7, 9]
-        assert index == {2: 0, 7: 1, 9: 2}
-
     def test_adjacency_matrix_symmetric(self):
         g = erdos_renyi(20, 0.3, seed=1)
         adj = adjacency_matrix(g, list(range(20)))

@@ -4,9 +4,13 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.congest.ledger import RoundLedger
+from repro.congest.routing import ClusterRouter
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
     pair_recipient_count,
@@ -14,11 +18,18 @@ from repro.core.partition import (
     random_partition,
     responsible_new_id,
 )
-from repro.core.reshuffle import owner_assignment
+from repro.core.reshuffle import owner_assignment, reshuffle_edges
 from repro.decomposition.arboricity import peel_low_degree, validate_peeling
+from repro.decomposition.spectral import (
+    adjacency_matrix,
+    normalized_laplacian_second_eigenpair,
+)
+from repro.decomposition.sweep_cut import sweep_cut
 from repro.graphs.cliques import enumerate_cliques
-from repro.graphs.csr import clique_table_from_edge_array, intersect_sorted
+from repro.graphs.csr import CSRGraph, clique_table_from_edge_array, intersect_sorted
+from repro.graphs.generators import barbell_graph
 from repro.graphs.graph import Graph, canonical_edge
+from repro.graphs.keys import unique_sorted
 from repro.graphs.orientation import degeneracy_orientation, validate_orientation
 
 
@@ -70,6 +81,36 @@ class TestGraphProperties:
     @settings(max_examples=40, deadline=None)
     def test_copy_equals_original(self, g):
         assert g.copy() == g
+
+    @given(st.integers(min_value=2, max_value=24), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_constructor_matches_the_edge_loop(self, n, data):
+        ids = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(
+            st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=80)
+        )
+        pairs += [(v, u) for u, v in pairs[::3]]  # repeats, either orientation
+        loop = Graph(n, pairs)
+        array = Graph.from_edge_array(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert array == loop and array.num_edges == loop.num_edges
+        for v in range(n):
+            assert array.degree(v) == loop.degree(v)
+            assert array.neighbors(v) == loop.neighbors(v)
+        seeded, built = array.to_csr(), loop.to_csr()
+        assert seeded.indptr.tobytes() == built.indptr.tobytes()
+        assert seeded.indices.tobytes() == built.indices.tobytes()
+
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_constructor_raises_the_edge_loops_error(self, n, data):
+        ids = st.integers(min_value=-3, max_value=n + 3)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=20))
+        assume(any(u == v or not (0 <= min(u, v) and max(u, v) < n) for u, v in pairs))
+        with pytest.raises(ValueError) as loop_error:
+            Graph(n, pairs)
+        with pytest.raises(ValueError) as array_error:
+            Graph.from_edge_array(n, np.array(pairs, dtype=np.int64))
+        assert str(array_error.value) == str(loop_error.value)
 
 
 class TestOrientationProperties:
@@ -170,6 +211,184 @@ class TestCSRProperties:
         assert enumerate_cliques(g, p, backend="csr") == enumerate_cliques(
             g, p, backend="python"
         )
+
+    @given(graphs(max_nodes=40))
+    @settings(max_examples=60, deadline=None)
+    def test_from_graph_is_byte_identical_to_the_node_loop(self, g):
+        indptr, indices = _from_graph_node_loop(g)
+        snap = CSRGraph.from_graph(g)
+        assert snap.indptr.dtype == indptr.dtype and snap.indices.dtype == indices.dtype
+        assert snap.indptr.tobytes() == indptr.tobytes()
+        assert snap.indices.tobytes() == indices.tobytes()
+
+
+def _from_graph_node_loop(graph):
+    """``CSRGraph.from_graph`` as the per-node loop it replaced."""
+    n = graph.num_nodes
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for v in range(n):
+        indptr[v + 1] = indptr[v] + graph.degree(v)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for v in range(n):
+        indices[indptr[v] : indptr[v + 1]] = sorted(graph.neighbors(v))
+    return indptr, indices
+
+
+# ----------------------------------------------------------------------
+# Decomposition on arrays vs the loops it replaced
+# ----------------------------------------------------------------------
+def _adjacency_neighbour_loop(graph, nodes):
+    """``adjacency_matrix`` as the neighbour loop it replaced."""
+    ordered = sorted(nodes)
+    index = {v: i for i, v in enumerate(ordered)}
+    rows, cols = [], []
+    for u in ordered:
+        for v in graph.neighbors(u):
+            if v in index:
+                rows.append(index[u])
+                cols.append(index[v])
+    k = len(ordered)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
+
+
+def _sweep_prefix_loop(graph, nodes):
+    """``sweep_cut``'s ``(side, conductance)`` by the per-vertex prefix
+    loop the cumulative scan replaced (``None`` when it finds no cut)."""
+    ordered = sorted(nodes)
+    adj = adjacency_matrix(graph, ordered)
+    degrees = np.asarray(adj.sum(axis=1)).flatten()
+    _lambda2, fiedler = normalized_laplacian_second_eigenpair(adj)
+    order = np.argsort(fiedler / np.sqrt(degrees))
+    total_volume = float(degrees.sum())
+    adj_lil = adj.tolil()
+    in_prefix = np.zeros(len(ordered), dtype=bool)
+    cut_edges = 0.0
+    prefix_volume = 0.0
+    best_conductance = np.inf
+    best_prefix_len = 0
+    for step, local_v in enumerate(order[:-1]):
+        to_prefix = sum(1 for u in adj_lil.rows[local_v] if in_prefix[u])
+        deg_v = degrees[local_v]
+        cut_edges += deg_v - 2 * to_prefix
+        prefix_volume += deg_v
+        in_prefix[local_v] = True
+        denom = min(prefix_volume, total_volume - prefix_volume)
+        if denom <= 0:
+            continue
+        conductance = cut_edges / denom
+        if conductance < best_conductance:
+            best_conductance = conductance
+            best_prefix_len = step + 1
+    if best_prefix_len == 0 or not np.isfinite(best_conductance):
+        return None
+    side_local = order[:best_prefix_len]
+    side = {ordered[i] for i in side_local}
+    if float(degrees[side_local].sum()) > total_volume / 2:
+        side = set(ordered) - side
+    return side, float(best_conductance)
+
+
+class TestDecompositionArrayProperties:
+    @given(graphs(max_nodes=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matrix_matches_the_neighbour_loop(self, g, data):
+        nodes = data.draw(st.sets(st.integers(min_value=0, max_value=g.num_nodes - 1)))
+        got = adjacency_matrix(g, nodes)
+        want = _adjacency_neighbour_loop(g, nodes)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @given(
+        st.one_of(
+            graphs(max_nodes=30),
+            st.builds(
+                barbell_graph,
+                st.integers(min_value=3, max_value=9),
+                st.integers(min_value=0, max_value=4),
+            ),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_scan_matches_the_prefix_loop(self, g):
+        component = max(g.connected_components(), key=len)
+        assume(len(component) >= 4)
+        cut = sweep_cut(g, component)
+        want = _sweep_prefix_loop(g, component)
+        if want is None:
+            assert cut is None
+        else:
+            assert cut.side == want[0]
+            assert cut.conductance.hex() == want[1].hex()
+
+
+class TestReshuffleProperties:
+    @given(graphs(max_nodes=20, max_density=0.7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_owned_equals_object_owned_with_duplicated_rows(self, g, data):
+        """Gathered rows repeat and overlap the members' own edges: the
+        batch plane's two sorts deduplicate to the object plane's sets,
+        at the same charge."""
+        edges = sorted(g.edges())
+        assume(edges)
+        n = g.num_nodes
+        members = sorted(
+            data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+        )
+        orientation = degeneracy_orientation(g)
+        gathered_rows = {}
+        for u in members:
+            picks = data.draw(st.lists(st.sampled_from(edges), max_size=12))
+            rows = [(b, a) if (a + b + u) % 2 else (a, b) for a, b in picks]
+            gathered_rows[u] = rows + rows[: len(rows) // 2 + 1]
+        results = {}
+        for plane in ("object", "batch"):
+            gathered = {
+                u: set(rows)
+                if plane == "object"
+                else np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+                for u, rows in gathered_rows.items()
+            }
+            router = ClusterRouter(members, capacity=2, n=n)
+            results[plane] = reshuffle_edges(
+                g, orientation, members, gathered, router, RoundLedger(),
+                "reshuffle", plane=plane,
+            )
+        assert results["batch"].rounds == results["object"].rounds
+        assert results["batch"].stats == results["object"].stats
+        for u in members:
+            got = [tuple(row) for row in results["batch"].owned[u].tolist()]
+            assert got == sorted(results["object"].owned[u])
+
+
+class TestSortedDedupProperties:
+    @given(st.sampled_from(["int32", "uint32", "int64"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_unique_sorted_equals_np_unique(self, dtype, data):
+        info = np.iinfo(dtype)
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=int(info.min), max_value=int(info.max)),
+                    st.integers(min_value=max(int(info.min), -4), max_value=4),
+                ),
+                max_size=40,
+            )
+        )
+        array = np.array(values + values[::2], dtype=dtype)  # repeats
+        got, want = unique_sorted(array), np.unique(array)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dtype", ["int32", "uint32", "int64"])
+    @pytest.mark.parametrize("values", [[], [7], [3, 3, 3], [5, -1, 5, -1, 0]])
+    def test_unique_sorted_edge_cases(self, dtype, values):
+        if dtype == "uint32":
+            values = [abs(v) for v in values]
+        array = np.array(values, dtype=dtype)
+        got, want = unique_sorted(array), np.unique(array)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @st.composite
