@@ -114,11 +114,15 @@ class RunSpec:
     seed: int
     verify: bool
     extra: Tuple[Tuple[str, Any], ...] = ()
-    materialize: bool = False
     topology: Optional[str] = None
 
     def cache_key(self) -> str:
-        """Stable content hash identifying this run in the cache."""
+        """Stable content hash identifying this run in the cache.
+
+        ``"materialize": False`` stays in the payload: format-8 keys
+        were hashed with the since-removed frozenset switch off, and
+        keeping it keeps every existing cache entry reachable.
+        """
         payload = json.dumps(
             {
                 "format": CACHE_FORMAT,
@@ -131,7 +135,7 @@ class RunSpec:
                 "seed": self.seed,
                 "verify": self.verify,
                 "extra": list(self.extra),
-                "materialize": self.materialize,
+                "materialize": False,
                 "topology": self.topology,
             },
             sort_keys=True,
@@ -172,11 +176,6 @@ class SweepSpec:
         ``{"faults": FaultModel(...)}``) set the run's execution config,
         every other name an :class:`~repro.core.params.AlgorithmParameters`
         field (e.g. ``{"stop_scale": 0.5}``).
-    materialize:
-        When ``True``, count/verify runs through materialized python
-        frozensets (the legacy path).  Default ``False`` keeps every
-        run on the columnar :class:`~repro.graphs.table.CliqueTable`
-        path — identical numbers, no per-clique python objects.
     topologies:
         Overlay-topology axis (:mod:`repro.congest.topology` spec
         strings, e.g. ``["clique", "star", "spanner:3"]``; ``None`` is
@@ -193,7 +192,6 @@ class SweepSpec:
     seed: int = 0
     verify: bool = True
     algo_overrides: Mapping[str, Any] = field(default_factory=dict)
-    materialize: bool = False
     topologies: Sequence[Optional[str]] = (None,)
 
     def runs(self) -> List[RunSpec]:
@@ -253,7 +251,6 @@ class SweepSpec:
                                     seed=self.seed,
                                     verify=self.verify,
                                     extra=_freeze(self.algo_overrides),
-                                    materialize=self.materialize,
                                     topology=topology,
                                 )
                             )
@@ -346,16 +343,9 @@ def execute_run(spec: RunSpec) -> Dict[str, Any]:
     result, variant, theory = MODELS[spec.model](spec, graph)
     wall = time.perf_counter() - start
     if spec.verify:
-        if spec.materialize:
-            # Legacy path: verify against a materialized frozenset truth.
-            from repro.graphs.cliques import enumerate_cliques
-
-            truth = enumerate_cliques(graph, spec.p)
-            verify_listing(graph, result, truth=truth).raise_if_failed()
-        else:
-            # Table differential: verify_listing compares canonical
-            # (count, p) matrices directly — no python sets built.
-            verify_listing(graph, result).raise_if_failed()
+        # Table differential: verify_listing compares canonical
+        # (count, p) matrices directly — no python sets built.
+        verify_listing(graph, result).raise_if_failed()
 
     phase_rounds: Dict[str, float] = {}
     for phase in result.ledger.phases():
@@ -373,7 +363,7 @@ def execute_run(spec: RunSpec) -> Dict[str, Any]:
         "rounds": result.rounds,
         "makespan": result.makespan,
         "topology": spec.topology or "clique",
-        "cliques": len(result.cliques) if spec.materialize else result.num_cliques,
+        "cliques": result.num_cliques,
         "theory": theory,
         "ratio": result.rounds / theory if theory else float("inf"),
         "wall_seconds": wall,

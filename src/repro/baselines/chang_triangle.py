@@ -22,7 +22,7 @@ from repro.graphs.graph import Graph
 def chang_style_triangle_listing(
     graph: Graph,
     params: Optional[AlgorithmParameters] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> ListingResult:
     """Triangle listing through the expander-decomposition pipeline."""
     if params is None:

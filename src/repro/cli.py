@@ -26,10 +26,8 @@ shares one *execution* flag group — declared once by
 ``--workers`` (a process pool for the batch kernels),
 ``--distributed --hosts`` (a cluster instead, where supported),
 ``--topology`` (overlay makespan accounting, see
-``docs/topologies.md``), ``--materialize`` /
-``--no-materialize`` (python frozensets vs the columnar
-``CliqueTable`` path — counts and round charges identical either
-way) and ``--fault-seed``/``--drop-rate`` (the fault seam).
+``docs/topologies.md``) and ``--fault-seed``/``--drop-rate`` (the
+fault seam).
 
 Sub-commands
 ------------
@@ -55,6 +53,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro import list_cliques
@@ -63,6 +62,7 @@ from repro.analysis.verification import verify_listing
 from repro.baselines import bounds
 from repro.congest.ledger import RoundLedger
 from repro.core.config import PLANES, ExecutionConfig
+from repro.core.listing import default_parameters
 from repro.core.params import AlgorithmParameters
 from repro.decomposition import expander_decomposition, validate_decomposition
 from repro.graphs.generators import (
@@ -97,22 +97,24 @@ def cmd_list(args: argparse.Namespace) -> int:
     graph = build_graph(args)
     print(f"input: {graph}", file=sys.stderr)
     config = execution_config_from_args(args)
-    params_kwargs = {"p": args.p, "seed": args.seed, "execution": config}
-    if args.model == "congest":
-        # default_parameters' rule: the K4-specific variant is the
-        # paper's best algorithm at p = 4, generic otherwise.
-        params_kwargs["variant"] = args.variant or (
-            "k4" if args.p == 4 else "generic"
-        )
     try:
-        params = AlgorithmParameters(**params_kwargs)
+        if args.model == "congest":
+            params = default_parameters(args.p, args.variant)
+        else:
+            params = AlgorithmParameters(p=args.p)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"invalid run parameters: {exc}")
-    result = list_cliques(graph, p=args.p, model=args.model, params=params)
+    result = list_cliques(
+        graph,
+        p=args.p,
+        model=args.model,
+        params=replace(params, execution=config),
+        seed=args.seed,
+    )
     if args.verify:
         verify_listing(graph, result).raise_if_failed()
         print("verified: complete and sound", file=sys.stderr)
-    print(f"cliques: {len(result.cliques)}")
+    print(f"cliques: {result.num_cliques}")
     print(f"rounds:  {result.rounds:.1f}")
     if config.topology is not None:
         print(f"makespan: {result.makespan:.1f} on {config.topology.spec()}")
@@ -245,19 +247,6 @@ def _fault_model_from_args(args: argparse.Namespace):
     return FaultModel(seed=args.fault_seed or 0, drop_rate=args.drop_rate)
 
 
-def _add_materialize_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--materialize",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "build python frozensets for verification/clique reads "
-            "(legacy path); default stays on the columnar CliqueTable "
-            "path — identical counts and round charges either way"
-        ),
-    )
-
-
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fault-seed",
@@ -300,7 +289,7 @@ def add_execution_args(
     """Declare the shared execution surface on a subcommand parser.
 
     One declaration site for ``--plane/--workers/--distributed/--hosts/
-    --topology/--materialize/--fault-seed/--drop-rate`` — every
+    --topology/--fault-seed/--drop-rate`` — every
     subcommand used to re-declare its own subset with drifting help
     text.  ``plane=False`` omits the layout/cluster flags (stream/serve
     run the engine single-box), ``topology=None`` omits ``--topology``,
@@ -371,7 +360,6 @@ def add_execution_args(
             "clique|star|ring|chain|grid|spanner, e.g. grid:8@bw=0.5 "
             "— clique keeps charges byte-identical to the default",
         )
-    _add_materialize_arg(group)
     if faults:
         _add_fault_args(group)
 
@@ -403,7 +391,6 @@ def execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
             workers=getattr(args, "workers", 1),
             hosts=hosts or (),
             faults=faults,
-            materialize=getattr(args, "materialize", False),
             topology=topology,
         )
     except (TypeError, ValueError) as exc:
@@ -477,7 +464,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         verify=not args.no_verify,
         algo_overrides=algo_overrides,
-        materialize=config.materialize,
         topologies=topologies if topologies else (None,),
     )
     try:
@@ -496,7 +482,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    from repro.graphs.cliques import clique_table, enumerate_cliques
+    from repro.graphs.cliques import clique_table
     from repro.stream import QueryEngine, StreamEngine
     from repro.workloads import available_stream_workloads, create_workload
 
@@ -546,14 +532,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.verify:
         final = engine.graph()
         for p in ps:
-            if config.materialize:
-                # Legacy check through python frozensets.
-                ok = engine.cliques(p) == enumerate_cliques(final, p)
-            else:
-                # Table differential: compare canonical (count, p)
-                # matrices, no per-clique python objects built.
-                ok = engine.clique_result(p) == clique_table(final, p)
-            if not ok:
+            # Table differential: compare canonical (count, p)
+            # matrices, no per-clique python objects built.
+            if engine.clique_result(p) != clique_table(final, p):
                 truth_count = len(clique_table(final, p))
                 raise SystemExit(
                     f"stream verification FAILED at p={p}: engine has "
@@ -634,7 +615,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         compact_every=args.compact_every,
         workers=config.workers,
         query_threads=args.query_threads,
-        materialize=config.materialize,
+        materialize=False,
     )
     print(
         f"serve: {args.family} n={args.n} seed={args.seed} ps={ps} "

@@ -264,10 +264,6 @@ class DeliveredBatch:
     payload: np.ndarray
     obj: Optional[np.ndarray] = None
 
-    def payload_rows(self, v: int) -> np.ndarray:
-        """Node ``v``'s received payload matrix (``(k, width)`` view)."""
-        return self.payload[self.indptr[v] : self.indptr[v + 1]]
-
     def payloads(self, v: int) -> List[Any]:
         """Node ``v``'s mailbox as the tuple plane would hand it over."""
         lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])

@@ -30,7 +30,7 @@ from repro.core.cluster_task import process_cluster
 from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.result import attribution_arrays, join_attributions
-from repro.decomposition.expander import DecompositionParams, expander_decomposition
+from repro.decomposition.expander import expander_decomposition
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.keys import EdgesLike, edge_keys, key_pairs, key_set, unique_sorted
 from repro.graphs.orientation import Orientation
@@ -134,11 +134,7 @@ def arb_list(
     n = state.n
     er_graph = Graph.from_edge_array(n, key_pairs(state.er_keys, n))
     decomposition = expander_decomposition(
-        er_graph,
-        threshold=state.threshold,
-        phi=params.phi,
-        ledger=ledger,
-        params=DecompositionParams(threshold=state.threshold, phi=params.phi),
+        er_graph, threshold=state.threshold, phi=params.phi, ledger=ledger
     )
     # Rename the decomposition charge under this invocation's prefix.
     last = ledger.phases()[-1]
@@ -157,6 +153,7 @@ def arb_list(
     goal_edges: Set[Edge] = set()
     bad_edges: Set[Edge] = set()
     phase_max: Dict[str, float] = {}
+    makespan_max: Dict[str, float] = {}
     stats: Dict[str, float] = {
         "clusters": float(len(decomposition.clusters)),
         "er_in": float(state.er_keys.size),
@@ -174,6 +171,8 @@ def arb_list(
         bad_edges |= outcome.bad_edges
         for phase, rounds in outcome.phase_rounds.items():
             phase_max[phase] = max(phase_max.get(phase, 0.0), rounds)
+        for phase, makespan in outcome.phase_makespans.items():
+            makespan_max[phase] = max(makespan_max.get(phase, 0.0), makespan)
         for key, value in outcome.stats.items():
             stat_max[key] = max(stat_max.get(key, 0.0), float(value))
 
@@ -207,7 +206,16 @@ def arb_list(
                 retries=stat_max.get("fault_retries", 0.0),
             )
         else:
-            ledger.charge(f"{phase_prefix}/{phase}", rounds, **attached)
+            # A phase finishes when its slowest cluster does on the
+            # overlay too; a makespan equal to the rounds stays implicit,
+            # so clique-topology rows are unchanged.
+            makespan = makespan_max.get(phase, rounds)
+            ledger.charge(
+                f"{phase_prefix}/{phase}",
+                rounds,
+                makespan=None if makespan == rounds else makespan,
+                **attached,
+            )
 
     # K4 variant (§3): light-incident outside edges were never gathered;
     # C-light nodes list those K4 themselves, clusters one after another.

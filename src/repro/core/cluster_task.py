@@ -55,6 +55,9 @@ class ClusterOutcome:
         Cluster edges whose Kp obligations this iteration fulfilled.
     phase_rounds:
         Phase name -> rounds for this cluster (ARB-LIST takes maxima).
+    phase_makespans:
+        Phase name -> overlay makespan of the phases the cluster router
+        charged (reshuffle, partition, learn_edges); maxima again.
     stats:
         Measured quantities for reports.
     """
@@ -64,6 +67,7 @@ class ClusterOutcome:
     bad_edges: FrozenSet[Edge]
     goal_edges: FrozenSet[Edge]
     phase_rounds: Dict[str, float]
+    phase_makespans: Dict[str, float]
     light: FrozenSet[int] = frozenset()
     members: Tuple[int, ...] = ()
     stats: Dict[str, float] = field(default_factory=dict)
@@ -188,6 +192,15 @@ def process_cluster(
     phase_rounds["partition"] = outcome.partition_rounds
     phase_rounds["learn_edges"] = outcome.learning_rounds
     stats.update({f"sparsity_{k}": v for k, v in outcome.stats.items()})
+    # The cluster router priced these three phases on the overlay too.
+    makespans = {
+        ph.name: ph.effective_makespan for ph in local_ledger.delivery_phases()
+    }
+    phase_makespans = {
+        "reshuffle": makespans["reshuffle"],
+        "partition": makespans["sparsity/partition"],
+        "learn_edges": makespans["sparsity/learn_edges"],
+    }
 
     # Healing overhead inside this cluster (retries, stragglers).  Only
     # reported with an active seam so the fault-free phase set — and
@@ -204,6 +217,7 @@ def process_cluster(
         bad_edges=bad.bad_edges,
         goal_edges=bad.goal_edges,
         phase_rounds=phase_rounds,
+        phase_makespans=phase_makespans,
         light=split.light,
         members=tuple(members),
         stats=stats,

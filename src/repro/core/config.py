@@ -14,8 +14,6 @@ all read them from here:
 - ``topology`` — the overlay network charges are additionally priced on
   (:mod:`repro.congest.topology`); accepts a :class:`Topology`, a spec
   string like ``"grid:8@bw=0.5"``, or ``None`` for the uniform clique.
-- ``materialize`` — whether verification/clique sets are materialized as
-  frozensets (sweep / stream / serve knob).
 
 :class:`~repro.core.params.AlgorithmParameters` carries one as its
 ``execution`` field::
@@ -66,10 +64,6 @@ class ExecutionConfig:
         Optional :class:`~repro.faults.model.FaultModel` attached to the
         run's routers; ``None`` keeps every code path byte-identical to
         the fault-free simulators.
-    materialize:
-        Whether listing results materialize frozenset clique sets
-        (sweep / stream / serve consume this; the listing drivers are
-        lazy either way).
     cost_model:
         Round-charge slack for the routing theorems.
     topology:
@@ -83,7 +77,6 @@ class ExecutionConfig:
     workers: int = 1
     hosts: Tuple[str, ...] = ()
     faults: Optional[FaultModel] = None
-    materialize: bool = False
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     topology: Optional[Union[Topology, str]] = None
 
@@ -133,7 +126,6 @@ class ExecutionConfig:
                 f"topology must be a Topology, a spec string, or None; "
                 f"got {type(self.topology).__name__}"
             )
-        object.__setattr__(self, "materialize", bool(self.materialize))
 
     # ------------------------------------------------------------------
     def resolve_executor(self):

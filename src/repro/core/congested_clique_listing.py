@@ -64,7 +64,6 @@ import numpy as np
 
 from repro.congest.batch import fanout_edges_by_pair
 from repro.congest.congested_clique import CongestedClique
-from repro.congest.errors import CorruptionDetectedError
 from repro.congest.topology import makespan_for_rounds
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
@@ -77,8 +76,8 @@ from repro.core.partition import (
     responsible_index_array,
     responsible_new_id,
 )
-from repro.core.result import ListingResult
-from repro.graphs.cliques import clique_table, enumerate_cliques
+from repro.core.result import ListingResult, recount_self_check
+from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import grouped_clique_tables
 from repro.graphs.table import CliqueTable
 from repro.graphs.graph import Graph
@@ -125,7 +124,7 @@ def list_cliques_congested_clique(
     graph: Graph,
     p: int,
     params: Optional[AlgorithmParameters] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
     pad_fake_edges: bool = False,
     precomputed_table: Optional[np.ndarray] = None,
 ) -> ListingResult:
@@ -153,7 +152,7 @@ def list_cliques_congested_clique(
         raise ValueError(f"params.p={params.p} does not match p={p}")
     execution = params.execution
     plane = execution.plane
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
 
     n = graph.num_nodes
     result = ListingResult(p=p, model="congested-clique", cliques=set())
@@ -246,30 +245,8 @@ def list_cliques_congested_clique(
         }
     )
     if injector is not None and injector.active:
-        result.stats["fault_recovery_rounds"] = ledger.recovery_rounds
-        _recount_self_check(result, graph, p)
+        recount_self_check(result, graph)
     return result
-
-
-def _recount_self_check(result: ListingResult, graph: Graph, p: int) -> None:
-    """End-of-run verification under an active fault seam.
-
-    The healing protocol guarantees delivery of every checksummed copy,
-    but *silent* (checksum-evading) corruption survives it by design.
-    A trusted local recount — the same pattern as
-    :meth:`repro.stream.engine.StreamEngine.recount` — catches whatever
-    damage got through: any mismatch between the listed cliques and a
-    fault-free enumeration aborts the run with a typed error instead of
-    returning wrong counts.
-    """
-    truth = clique_table(graph, p, backend="auto")
-    if result.table() != truth:
-        raise CorruptionDetectedError(
-            "recount self-check failed after faulted run",
-            phase="recount",
-            expected=len(truth),
-            actual=result.num_cliques,
-        )
 
 
 def _attribute_precomputed(

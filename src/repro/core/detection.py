@@ -77,7 +77,7 @@ def detect_clique(
     p: int,
     params: Optional[AlgorithmParameters] = None,
     variant: Optional[str] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> DetectionResult:
     """Distributed Kp detection at listing cost (§5).
 
@@ -105,7 +105,7 @@ def count_cliques_distributed(
     p: int,
     params: Optional[AlgorithmParameters] = None,
     variant: Optional[str] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> CountingResult:
     """Distributed exact Kp counting at listing cost (§5).
 

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.congest.errors import CorruptionDetectedError
 from repro.congest.topology import makespan_for_rounds
 from repro.core.list_iteration import list_once
 from repro.core.params import AlgorithmParameters, GENERIC_VARIANT, K4_VARIANT
-from repro.core.result import ListingResult
+from repro.core.result import ListingResult, recount_self_check
 from repro.graphs.cliques import clique_table
 from repro.graphs.graph import Graph
 from repro.graphs.keys import key_pairs
@@ -43,7 +42,7 @@ def list_cliques_congest(
     p: int,
     params: Optional[AlgorithmParameters] = None,
     variant: Optional[str] = None,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> ListingResult:
     """List all Kp of ``graph`` in the (simulated) CONGEST model.
 
@@ -62,7 +61,7 @@ def list_cliques_congest(
     variant:
         ``"generic"`` or ``"k4"`` (defaults per :func:`default_parameters`).
     seed:
-        Overrides ``params.seed`` for the random partitions.
+        Seed of the random partitions.
 
     Returns
     -------
@@ -75,7 +74,7 @@ def list_cliques_congest(
     elif params.p != p:
         raise ValueError(f"params.p={params.p} does not match p={p}")
     execution = params.execution
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
 
     n = graph.num_nodes
     result = ListingResult(p=p, model="congest", cliques=set())
@@ -145,17 +144,5 @@ def list_cliques_congest(
         }
     )
     if execution.faults is not None and execution.faults.active:
-        # End-of-run recount self-check (docs/faults.md): the healing
-        # protocol restores every checksummed copy, but silent corruption
-        # survives it — verify against a trusted local enumeration and
-        # abort loudly on any drift rather than return wrong counts.
-        result.stats["fault_recovery_rounds"] = ledger.recovery_rounds
-        truth = clique_table(graph, p, backend="auto")
-        if result.table() != truth:
-            raise CorruptionDetectedError(
-                "recount self-check failed after faulted run",
-                phase="recount",
-                expected=len(truth),
-                actual=result.num_cliques,
-            )
+        recount_self_check(result, graph)
     return result

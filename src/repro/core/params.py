@@ -3,10 +3,11 @@
 The paper fixes its thresholds asymptotically (heavy iff more than n^{1/4}
 cluster neighbors; bad iff more than 100·√n·log n light neighbors; peel at
 n^δ = A/(2 log n); stop the outer loop at arboricity ≈ n^{max(3/4, p/(p+2))}).
-At finite n the *formulas* are kept and the *constant factors* are exposed,
-so tests can force rarely-taken paths (e.g. scale the bad threshold down to
+At finite n the *formulas* and the paper's constants (:data:`BAD_CONSTANT`,
+:data:`PEEL_DIVISOR`) are kept, and *scale factors* are exposed, so tests
+can force rarely-taken paths (e.g. scale the bad threshold down to
 actually produce bad nodes at n = 200) and benchmarks can report the paper
-defaults.
+defaults.  The random partitions' seed is the drivers' ``seed=`` argument.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from repro.core.config import ExecutionConfig
 
 GENERIC_VARIANT = "generic"
 K4_VARIANT = "k4"
+
+#: A cluster node is bad above BAD_CONSTANT · √n · log₂n light
+#: neighbours (§2.4.1), before ``bad_scale``.
+BAD_CONSTANT = 100.0
+
+#: One LIST call peels at A / (PEEL_DIVISOR · log₂ n) (Theorem 2.8).
+PEEL_DIVISOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -35,12 +43,8 @@ class AlgorithmParameters:
         for p = 4).
     heavy_scale:
         Constant factor on the heavy threshold n^{1/4} (generic variant).
-    bad_constant / bad_scale:
-        The bad-node threshold is ``bad_scale · bad_constant · √n · log₂n``
-        (paper: bad_constant = 100).
-    peel_divisor:
-        The peeling threshold of one LIST call is
-        ``A / (peel_divisor · log₂ n)`` (paper: 2).
+    bad_scale:
+        The bad-node threshold is ``bad_scale · BAD_CONSTANT · √n · log₂n``.
     stop_scale:
         The outer loop stops when the arboricity witness drops to
         ``stop_scale · n^e`` with e = max(3/4, p/(p+2)) (2/3 for the K4
@@ -50,8 +54,6 @@ class AlgorithmParameters:
         (``None`` → the decomposition default 1/(2 log₂² n)).
     max_list_iterations / max_arb_iterations:
         Safety bounds (``None`` → ⌈log₂ n⌉ + 2 at call time).
-    seed:
-        RNG seed for the random partitions.
     execution:
         The run's :class:`~repro.core.config.ExecutionConfig`: routing
         plane, workers, hosts, faults, cost model and topology are set
@@ -61,14 +63,11 @@ class AlgorithmParameters:
     p: int
     variant: str = GENERIC_VARIANT
     heavy_scale: float = 1.0
-    bad_constant: float = 100.0
     bad_scale: float = 1.0
-    peel_divisor: float = 2.0
     stop_scale: float = 1.0
     phi: Optional[float] = None
     max_list_iterations: Optional[int] = None
     max_arb_iterations: Optional[int] = None
-    seed: int = 0
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def __post_init__(self) -> None:
@@ -115,12 +114,12 @@ class AlgorithmParameters:
         Paper: 100 · √n · log n.  The K4 variant never marks bad nodes
         (callers skip the check there).
         """
-        value = self.bad_scale * self.bad_constant * math.sqrt(n) * math.log2(max(2, n))
+        value = self.bad_scale * BAD_CONSTANT * math.sqrt(n) * math.log2(max(2, n))
         return max(1, math.ceil(value))
 
     def peel_threshold(self, n: int, arboricity: int) -> int:
-        """The n^δ of one LIST call: A / (peel_divisor · log₂ n)."""
-        value = arboricity / (self.peel_divisor * math.log2(max(2, n)))
+        """The n^δ of one LIST call: A / (PEEL_DIVISOR · log₂ n)."""
+        value = arboricity / (PEEL_DIVISOR * math.log2(max(2, n)))
         return max(1, round(value))
 
     def stop_arboricity(self, n: int) -> int:

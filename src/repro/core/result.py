@@ -15,7 +15,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 import numpy as np
 
+from repro.congest.errors import CorruptionDetectedError
 from repro.congest.ledger import RoundLedger
+from repro.graphs.cliques import clique_table
+from repro.graphs.graph import Graph
 from repro.graphs.table import CliqueTable, frozenset_rows
 
 Clique = FrozenSet[int]
@@ -218,4 +221,27 @@ class ListingResult:
         return (
             f"ListingResult(p={self.p}, model={self.model!r}, "
             f"cliques={self.num_cliques}, rounds={self.rounds:.1f})"
+        )
+
+
+def recount_self_check(result: ListingResult, graph: Graph) -> None:
+    """End-of-run verification of a driver run under an active fault seam.
+
+    Records the run's ``fault_recovery_rounds``, then recounts.  The
+    healing protocol guarantees delivery of every checksummed copy, but
+    *silent* (checksum-evading) corruption survives it by design.  A
+    trusted local recount — the same pattern as
+    :meth:`repro.stream.engine.StreamEngine.recount` — catches whatever
+    damage got through: any mismatch between the listed cliques and a
+    fault-free enumeration aborts the run with a typed error instead of
+    returning wrong counts (``docs/faults.md``).
+    """
+    result.stats["fault_recovery_rounds"] = result.ledger.recovery_rounds
+    truth = clique_table(graph, result.p, backend="auto")
+    if result.table() != truth:
+        raise CorruptionDetectedError(
+            "recount self-check failed after faulted run",
+            phase="recount",
+            expected=len(truth),
+            actual=result.num_cliques,
         )

@@ -20,7 +20,6 @@ explicitly.
 from repro.decomposition.cluster import Cluster
 from repro.decomposition.expander import (
     Decomposition,
-    DecompositionParams,
     expander_decomposition,
     validate_decomposition,
 )
@@ -31,7 +30,6 @@ from repro.decomposition.sweep_cut import sweep_cut
 __all__ = [
     "Cluster",
     "Decomposition",
-    "DecompositionParams",
     "expander_decomposition",
     "validate_decomposition",
     "peel_low_degree",

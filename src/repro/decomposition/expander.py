@@ -44,37 +44,22 @@ from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.orientation import Orientation
 
 
-@dataclass(frozen=True)
-class DecompositionParams:
-    """Tunables of the decomposition.
+#: Safety bound on the cut recursion depth.
+MAX_RECURSION = 64
 
-    Attributes
-    ----------
-    threshold:
-        The n^δ degree bound: peeling threshold, cluster min-degree target
-        and Es arboricity bound.
-    phi:
-        Conductance target; components at or above it become clusters.
-        ``None`` → 1/(2·log₂²(n)).
-    max_recursion:
-        Safety bound on the cut recursion depth.
-    er_fraction:
-        The Definition 2.2 requirement |Er| ≤ er_fraction·|E| (1/6).
-    max_retries:
-        How many times to halve φ when the |Er| bound fails.
-    """
+#: The Definition 2.2 requirement |Er| ≤ ER_FRACTION·|E|.
+ER_FRACTION = 1.0 / 6.0
 
-    threshold: int
-    phi: Optional[float] = None
-    max_recursion: int = 64
-    er_fraction: float = 1.0 / 6.0
-    max_retries: int = 4
+#: How many times φ is halved when the |Er| bound fails.
+MAX_RETRIES = 4
 
-    def resolved_phi(self, n: int) -> float:
-        if self.phi is not None:
-            return self.phi
-        log_n = math.log2(max(4, n))
-        return 1.0 / (2.0 * log_n * log_n)
+
+def resolved_phi(n: int, phi: Optional[float] = None) -> float:
+    """The conductance target: ``phi`` when given, else 1/(2·log₂²(n))."""
+    if phi is not None:
+        return phi
+    log_n = math.log2(max(4, n))
+    return 1.0 / (2.0 * log_n * log_n)
 
 
 @dataclass
@@ -133,7 +118,6 @@ def expander_decomposition(
     threshold: int,
     phi: Optional[float] = None,
     ledger: Optional[RoundLedger] = None,
-    params: Optional[DecompositionParams] = None,
 ) -> Decomposition:
     """Construct a δ-expander decomposition of ``graph``.
 
@@ -142,13 +126,13 @@ def expander_decomposition(
     graph:
         Input graph; only its edges are read.
     threshold:
-        The n^δ value (cluster degree bound / Es arboricity).
+        The n^δ value: peeling threshold, cluster min-degree target and
+        Es arboricity bound.
     phi:
-        Conductance target (overrides params/default).
+        Conductance target; components at or above it become clusters
+        (``None`` → :func:`resolved_phi`'s default).
     ledger:
         Charged Õ(n^{1−δ}) rounds (Theorem 2.3) when provided.
-    params:
-        Full parameter object; built from the arguments when omitted.
 
     Returns
     -------
@@ -156,17 +140,15 @@ def expander_decomposition(
     |Er| bound with φ-halving retries; the remaining properties hold by
     construction and are assertable via :func:`validate_decomposition`).
     """
-    if params is None:
-        params = DecompositionParams(threshold=threshold, phi=phi)
     n = graph.num_nodes
-    current_phi = params.resolved_phi(n)
+    current_phi = resolved_phi(n, phi)
 
     best: Optional[Decomposition] = None
-    for _attempt in range(params.max_retries + 1):
-        decomposition = _decompose_once(graph, params, current_phi)
+    for _attempt in range(MAX_RETRIES + 1):
+        decomposition = _decompose_once(graph, threshold, current_phi)
         if best is None or len(decomposition.er_edges) < len(best.er_edges):
             best = decomposition
-        if len(decomposition.er_edges) <= params.er_fraction * max(1, graph.num_edges):
+        if len(decomposition.er_edges) <= ER_FRACTION * max(1, graph.num_edges):
             break
         current_phi /= 2.0
     assert best is not None
@@ -186,9 +168,7 @@ def expander_decomposition(
     return best
 
 
-def _decompose_once(
-    graph: Graph, params: DecompositionParams, phi: float
-) -> Decomposition:
+def _decompose_once(graph: Graph, threshold: int, phi: float) -> Decomposition:
     n = graph.num_nodes
     es_edges: Set[Edge] = set()
     es_orientation = Orientation(n)
@@ -196,7 +176,7 @@ def _decompose_once(
     clusters: List[Cluster] = []
 
     def absorb_peeling(work: Graph) -> Graph:
-        remainder, orientation, peeled = peel_low_degree(work, params.threshold)
+        remainder, orientation, peeled = peel_low_degree(work, threshold)
         es_edges.update(peeled)
         nonlocal es_orientation
         es_orientation = es_orientation.merged_with(orientation)
@@ -207,7 +187,7 @@ def _decompose_once(
             return
         csr = work.to_csr()
         table = csr.edge_table()
-        if depth > params.max_recursion:
+        if depth > MAX_RECURSION:
             er_parts.append(table)
             return
         for nodes, comp_edges in _components(csr, table):
@@ -234,7 +214,7 @@ def _decompose_once(
     er_table = np.concatenate(er_parts) if er_parts else np.empty((0, 2), np.int64)
     return Decomposition(
         n=n,
-        threshold=params.threshold,
+        threshold=threshold,
         phi=phi,
         clusters=clusters,
         es_edges=es_edges,
@@ -283,7 +263,10 @@ def _make_cluster(
     min_degree = int(work.to_csr().degrees()[nodes].min())
     if min_degree < 1:
         return None
-    mixing = estimate_mixing_time(work, nodes)
+    # The sweep already solved this component's λ₂; reuse it.
+    mixing = estimate_mixing_time(
+        work, nodes, lambda2=None if cut is None else cut.lambda2
+    )
     return Cluster(
         cluster_id=cluster_id,
         nodes=frozenset(nodes),
@@ -305,7 +288,7 @@ def validate_decomposition(
     2. Clusters are vertex-disjoint; each member's internal degree ≥
        threshold (the Ω(n^δ) bound, with the paper's constant taken as 1).
     3. Es orientation covers exactly Es with out-degree < threshold.
-    4. |Er| ≤ |E|/6.
+    4. |Er| ≤ |E|/6 (:data:`ER_FRACTION`).
     5. (optional) cluster mixing times within the polylog budget.
     """
     em = decomposition.em_edges
@@ -344,7 +327,7 @@ def validate_decomposition(
             f"exceeds threshold {decomposition.threshold}"
         )
 
-    if len(er) > max(1, graph.num_edges) / 6.0:
+    if len(er) > ER_FRACTION * max(1, graph.num_edges):
         raise ValueError(
             f"|Er| = {len(er)} exceeds |E|/6 = {graph.num_edges / 6:.1f}"
         )

@@ -3,8 +3,10 @@
 Definition 2.1 requires each cluster's mixing time to be polylog(n).  We
 estimate the mixing time of the lazy random walk two ways:
 
-- **spectral** (default): t_mix ≈ ln(k / π_min) / (1 − λ₂(W)), the standard
-  relaxation-time bound, computed from the lazy-walk spectrum;
+- **spectral** (default): t_mix ≈ ln(4 / π_min) / (1 − λ₂(W)), the standard
+  relaxation-time bound.  W = (I + D⁻¹A)/2 is similar to I − L/2 for the
+  normalized Laplacian L, so 1 − λ₂(W) = λ₂(L)/2: the gap comes from the
+  same symmetric solve the sweep cut runs;
 - **simulation** (cross-check in tests): iterate the walk from the worst
   single-vertex start until total-variation distance from stationarity
   drops below 1/4.
@@ -16,59 +18,45 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.decomposition.spectral import (
     adjacency_matrix,
-    arpack_start,
+    lambda2_of_component,
     lazy_walk_matrix,
 )
 from repro.graphs.graph import Graph
 
-_DENSE_CUTOFF = 64
+
+def _gap(lambda2: float) -> float:
+    """1 − λ₂(W) from the normalized Laplacian's λ₂."""
+    return float(max(1e-12, lambda2 / 2.0))
 
 
 def spectral_gap(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
     """1 − λ₂ of the lazy walk on the induced subgraph (None if < 3 nodes)."""
-    ordered = sorted(nodes)
-    if len(ordered) < 3:
-        return None
-    adj = adjacency_matrix(graph, ordered)
-    walk = lazy_walk_matrix(adj)
-    k = walk.shape[0]
-    if k <= _DENSE_CUTOFF:
-        eigenvalues = np.linalg.eigvals(walk.toarray())
-        magnitudes = np.sort(np.abs(eigenvalues))[::-1]
-        lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
-    else:
-        try:
-            eigenvalues = spla.eigs(
-                walk, k=2, which="LM", return_eigenvectors=False, v0=arpack_start(k)
-            )
-            magnitudes = np.sort(np.abs(eigenvalues))[::-1]
-            lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
-        except spla.ArpackError:  # no convergence included; other errors surface
-            eigenvalues = np.linalg.eigvals(walk.toarray())
-            magnitudes = np.sort(np.abs(eigenvalues))[::-1]
-            lambda2 = magnitudes[1] if len(magnitudes) > 1 else 0.0
-    return float(max(1e-12, 1.0 - lambda2))
+    lambda2 = lambda2_of_component(graph, nodes)
+    return None if lambda2 is None else _gap(lambda2)
 
 
-def estimate_mixing_time(graph: Graph, nodes: Sequence[int]) -> Optional[float]:
+def estimate_mixing_time(
+    graph: Graph, nodes: Sequence[int], lambda2: Optional[float] = None
+) -> Optional[float]:
     """Relaxation-time upper estimate of the lazy-walk mixing time.
 
     t_mix(1/4) ≤ (1/gap) · ln(4 / π_min) with π_min the smallest
     stationary mass; returns ``None`` for components with < 3 nodes.
+    ``lambda2`` is the component's normalized-Laplacian λ₂ when the
+    caller has already solved for it (the sweep cut has); otherwise it
+    is solved here.
     """
     ordered = sorted(nodes)
-    gap = spectral_gap(graph, ordered)
-    if gap is None:
+    if len(ordered) < 3:
         return None
-    adj = adjacency_matrix(graph, ordered)
-    degrees = np.asarray(adj.sum(axis=1)).flatten()
-    total = degrees.sum()
-    pi_min = degrees.min() / total
-    return float((1.0 / gap) * math.log(4.0 / pi_min))
+    if lambda2 is None:
+        lambda2 = lambda2_of_component(graph, ordered)
+    degrees = np.asarray(adjacency_matrix(graph, ordered).sum(axis=1)).flatten()
+    pi_min = degrees.min() / degrees.sum()
+    return float((1.0 / _gap(lambda2)) * math.log(4.0 / pi_min))
 
 
 def simulate_mixing_time(

@@ -30,7 +30,7 @@ the *input graph* side:
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.csr import CSRGraph
 from repro.graphs.overlay import CSROverlay
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import BACKENDS, Orientation, degeneracy_orientation
 from repro.graphs.properties import (
     arboricity_lower_bound,
     arboricity_upper_bound,
@@ -38,7 +38,7 @@ from repro.graphs.properties import (
     density,
     triangle_count,
 )
-from repro.graphs.cliques import BACKENDS, count_cliques, enumerate_cliques
+from repro.graphs.cliques import count_cliques, enumerate_cliques
 
 __all__ = [
     "Edge",

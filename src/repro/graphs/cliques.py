@@ -33,11 +33,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.orientation import (
-    BACKENDS,
-    degeneracy_orientation,
-    resolve_backend,
-)
+from repro.graphs.orientation import degeneracy_orientation, resolve_backend
 from repro.graphs.table import CliqueTable
 
 Clique = FrozenSet[int]

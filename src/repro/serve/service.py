@@ -80,8 +80,8 @@ class CliqueService:
         answer with a ``frozenset`` of frozensets.  When ``False`` they
         answer with the epoch's frozen
         :class:`~repro.graphs.table.CliqueTable` directly — zero
-        python-object materialization on the read path (``repro.cli
-        serve`` defaults to this).
+        python-object materialization on the read path (what
+        ``repro.cli serve`` runs).
     """
 
     def __init__(

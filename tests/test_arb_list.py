@@ -5,12 +5,15 @@ import pytest
 
 from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
+from repro.core.config import ExecutionConfig
 from repro.core.list_iteration import list_once
+from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
 from repro.graphs.generators import clustered_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.workloads import create_workload
 
 
 def fresh_state(graph, threshold=None, params=None):
@@ -112,6 +115,25 @@ class TestArbListInvariants:
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
         if outcome.bad_edges:
             assert outcome.bad_edges <= state.er_edges
+
+
+class TestClusterMakespans:
+    def test_overlay_makespans_reach_the_ledger(self):
+        """The cluster router prices reshuffle, partition and learn_edges
+        on the overlay; ARB-LIST charges each such row with its slowest
+        cluster's makespan (clique rows stay pinned by the topology
+        differential suite)."""
+        g = create_workload("er", density=0.5).instance(96, seed=1)
+        config = ExecutionConfig(topology="grid:8@bw=0.5")
+        ledger = list_cliques_congest(
+            g, 4, params=AlgorithmParameters(p=4, execution=config)
+        ).ledger
+        rows = {phase.name: phase for phase in ledger.phases()}
+        learn = rows["outer[0]/arb[0]/learn_edges"]
+        assert learn.makespan == pytest.approx(2.0 * learn.rounds)
+        for phase in ("reshuffle", "partition", "learn_edges"):
+            row = rows[f"outer[0]/arb[0]/{phase}"]
+            assert row.makespan is not None and row.makespan > row.rounds
 
 
 class TestListOnce:

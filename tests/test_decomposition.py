@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import repro
 
@@ -21,7 +23,6 @@ from repro.decomposition import (
 )
 from repro.decomposition.arboricity import validate_peeling
 from repro.decomposition.cluster import Cluster, cluster_membership
-from repro.decomposition.expander import DecompositionParams
 from repro.decomposition.mixing import polylog_mixing_budget, simulate_mixing_time
 from repro.decomposition.spectral import (
     adjacency_matrix,
@@ -179,6 +180,33 @@ class TestMixing:
 
     def test_budget_monotone(self):
         assert polylog_mixing_budget(1024) > polylog_mixing_budget(16)
+
+    def test_clusters_reuse_the_sweep_solve(self, monkeypatch):
+        """A cluster's mixing estimate takes the gap from the λ₂ its
+        sweep cut already solved for: the lazy walk's gap is λ₂/2, so no
+        second (non-symmetric) eigen-solve runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second eigen-solve ran")
+
+        monkeypatch.setattr(spla, "eigs", refuse)
+        g = random_regular(100, 12, seed=5)
+        decomposition = expander_decomposition(g, threshold=4)
+        assert decomposition.clusters
+        for cluster in decomposition.clusters:
+            members = sorted(cluster.nodes)
+            assert len(members) > 64  # the ARPACK-sized path
+            local = {v: i for i, v in enumerate(members)}
+            adj = np.zeros((len(members), len(members)))
+            for u, v in cluster.edges:
+                adj[local[u], local[v]] = adj[local[v], local[u]] = 1.0
+            degrees = adj.sum(axis=1)
+            scale = 1.0 / np.sqrt(degrees)
+            laplacian = np.eye(len(members)) - scale[:, None] * adj * scale[None, :]
+            lambda2 = np.linalg.eigvalsh(laplacian)[1]
+            pi_min = degrees.min() / degrees.sum()
+            expected = (2.0 / lambda2) * math.log(4.0 / pi_min)
+            assert cluster.mixing_time == pytest.approx(expected, rel=1e-9)
 
 
 class TestSweepCut:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from repro.decomposition import expander_decomposition, validate_decomposition
-from repro.decomposition.expander import DecompositionParams
+from repro.decomposition.expander import resolved_phi
 from repro.decomposition.mixing import spectral_gap
 from repro.decomposition.spectral import (
     adjacency_matrix,
@@ -171,13 +171,11 @@ class TestDecompositionRobustness:
         validate_decomposition(g, dec)
         assert len(dec.er_edges) <= g.num_edges / 6
 
-    def test_decomposition_params_default_phi(self):
-        params = DecompositionParams(threshold=4)
-        assert params.resolved_phi(256) == pytest.approx(1 / (2 * 64))
+    def test_resolved_phi_default(self):
+        assert resolved_phi(256) == pytest.approx(1 / (2 * 64))
 
-    def test_decomposition_params_explicit_phi(self):
-        params = DecompositionParams(threshold=4, phi=0.25)
-        assert params.resolved_phi(10**6) == 0.25
+    def test_resolved_phi_explicit(self):
+        assert resolved_phi(10**6, 0.25) == 0.25
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graphs_always_valid(self, seed):

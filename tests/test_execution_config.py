@@ -38,7 +38,6 @@ class TestExecutionConfig:
         assert config.workers == 1
         assert config.hosts == ()
         assert config.faults is None
-        assert config.materialize is False
         assert config.cost_model == DEFAULT_COST_MODEL
         assert config.topology is None
 
@@ -205,12 +204,18 @@ class TestCliExecutionParent:
         config = self._config(
             [
                 "list", "--n", "16", "--topology", "grid:4@lat=1",
-                "--fault-seed", "5", "--drop-rate", "0.01", "--materialize",
+                "--fault-seed", "5", "--drop-rate", "0.01",
             ]
         )
         assert config.topology == Topology(kind="grid", grid_width=4, latency=1.0)
         assert config.faults == FaultModel(seed=5, drop_rate=0.01)
-        assert config.materialize is True
+
+    @pytest.mark.parametrize("command", ["list", "sweep", "stream", "serve"])
+    def test_no_materialize_flag(self, command):
+        from repro.cli import make_parser
+
+        with pytest.raises(SystemExit):
+            make_parser().parse_args([command, "--materialize"])
 
     def test_stream_and_serve_share_the_parent(self):
         stream = self._config(["stream", "--n", "16", "--workers", "2"])

@@ -133,5 +133,5 @@ class TestNumParts:
 
     def test_with_updates(self):
         params = AlgorithmParameters(p=4)
-        updated = replace(params, seed=9)
-        assert updated.seed == 9 and params.seed == 0
+        updated = replace(params, stop_scale=0.5)
+        assert updated.stop_scale == 0.5 and params.stop_scale == 1.0
