@@ -17,6 +17,7 @@ from repro.core.arb_list import ArbListState, arb_list
 from repro.core.bad_edges import bad_edge_fraction_bound
 from repro.core.params import AlgorithmParameters
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.keys import contains_sorted, edge_keys
 from repro.graphs.orientation import Orientation, degeneracy_orientation
 
 
@@ -41,11 +42,11 @@ def test_er_contraction_per_invocation(benchmark):
     def run():
         state = fresh_state(g, threshold=7)
         for _ in range(4):
-            if not state.er_edges:
+            if not state.er_keys.size:
                 break
-            before = len(state.er_edges)
+            before = state.er_keys.size
             arb_list(state, params, np.random.default_rng(0), RoundLedger())
-            trace.append((before, len(state.er_edges)))
+            trace.append((before, state.er_keys.size))
         return trace
 
     benchmark.pedantic(run, iterations=1, rounds=1)
@@ -90,4 +91,5 @@ def test_bad_edges_forced_are_deferred_not_lost(benchmark):
 
     state, outcome = benchmark.pedantic(run, iterations=1, rounds=1)
     benchmark.extra_info["forced_bad_edges"] = len(outcome.bad_edges)
-    assert outcome.bad_edges <= state.er_edges
+    bad_keys = edge_keys(outcome.bad_edges, state.n)
+    assert contains_sorted(state.er_keys, bad_keys).all()

@@ -316,14 +316,14 @@ def experiment_e6() -> ExperimentTable:
     )
     params = AlgorithmParameters(p=4, phi=0.08)
     iteration = 0
-    while state.er_edges and iteration < 6:
-        before = len(state.er_edges)
+    while state.er_keys.size and iteration < 6:
+        before = state.er_keys.size
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
         table.add(
             iteration=iteration,
             er_before=before,
-            er_after=len(state.er_edges),
-            ratio=round(len(state.er_edges) / before, 3),
+            er_after=state.er_keys.size,
+            ratio=round(state.er_keys.size / before, 3),
             bad_edges=len(outcome.bad_edges),
             goal_edges=len(outcome.goal_edges),
         )

@@ -163,9 +163,10 @@ class SweepSpec:
         dropped from the grid rather than erroring.
     model:
         A :data:`MODELS` key: ``"congest"`` (the only model variants
-        apply to), ``"congested-clique"``, or a comparator.  Comparator
-        grids with overrides, a variant or a topology raise rather than
-        drop them, as does ``"eden-k4"`` with p ≠ 4.
+        apply to; any other model raises on one), ``"congested-clique"``,
+        or a comparator.  Comparator grids with overrides, a variant or a
+        topology raise rather than drop them, as does ``"eden-k4"`` with
+        p ≠ 4.
     seed:
         Base seed; workload instances further mix in family and n.
     verify:
@@ -175,7 +176,8 @@ class SweepSpec:
         :class:`~repro.core.config.ExecutionConfig` fields (e.g.
         ``{"faults": FaultModel(...)}``) set the run's execution config,
         every other name an :class:`~repro.core.params.AlgorithmParameters`
-        field (e.g. ``{"stop_scale": 0.5}``).
+        field (e.g. ``{"stop_scale": 0.5}``) other than ``p`` or
+        ``execution``; :meth:`runs` raises on any other name.
     topologies:
         Overlay-topology axis (:mod:`repro.congest.topology` spec
         strings, e.g. ``["clique", "star", "spanner:3"]``; ``None`` is
@@ -208,6 +210,13 @@ class SweepSpec:
             raise ValueError(
                 f"comparator model {self.model!r} runs on the instance alone: "
                 "it takes no algo_overrides, variant or topology"
+            )
+        if self.model != "congest" and set(self.variants) != {None}:
+            raise ValueError(f"model {self.model!r} takes no variant (congest only)")
+        unknown = sorted(set(self.algo_overrides) - _OVERRIDE_NAMES)
+        if unknown:
+            raise ValueError(
+                f"unknown algo_overrides {unknown}; accepted: {sorted(_OVERRIDE_NAMES)}"
             )
         if self.model == "eden-k4" and {int(p) for p in self.ps} != {4}:
             raise ValueError(f"model 'eden-k4' lists K4 only; got ps={list(self.ps)}")
@@ -275,6 +284,11 @@ def _congest_theory(n: int, p: int, variant: str) -> float:
 
 
 _EXECUTION_NAMES = frozenset(f.name for f in fields(ExecutionConfig))
+
+#: The names :func:`_run_params` can apply as an ``algo_overrides`` entry.
+_OVERRIDE_NAMES = _EXECUTION_NAMES | (
+    {f.name for f in fields(AlgorithmParameters)} - {"p", "execution"}
+)
 
 
 def _run_params(spec: RunSpec, params: AlgorithmParameters) -> AlgorithmParameters:

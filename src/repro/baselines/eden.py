@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import FrozenSet, Set
 
+import numpy as np
+
 from repro.congest.routing import ClusterRouter
 from repro.core.heavy_light import classify_outside_neighbors
 from repro.core.result import ListingResult
@@ -73,7 +75,7 @@ def eden_k4_listing(
     while current.num_edges > 0 and level < math.ceil(math.log2(max(4, n))) + 2:
         decomposition = expander_decomposition(current, threshold=threshold, ledger=ledger)
         ledger.phases()[-1].name = f"level[{level}]/decomposition"
-        covered_edges = set(decomposition.em_edges)
+        covered_edges = set(map(tuple, decomposition.em_edges.tolist()))
         phase_heavy = 0.0
         phase_light = 0.0
         phase_cluster = 0.0
@@ -114,10 +116,10 @@ def eden_k4_listing(
         for clique in listed_here:
             result.attribute(min(clique), clique)
         remaining -= listed_here
-        next_edges = decomposition.es_edges | decomposition.er_edges
+        next_edges = np.concatenate([decomposition.es_edges, decomposition.er_edges])
         if len(next_edges) >= current.num_edges:
             break
-        current = Graph(n, next_edges)
+        current = Graph.from_edge_array(n, next_edges)
         level += 1
 
     # Remnant: broadcast out-edges (sparse by now).

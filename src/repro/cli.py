@@ -100,6 +100,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     try:
         if args.model == "congest":
             params = default_parameters(args.p, args.variant)
+        elif args.variant is not None:
+            raise ValueError(f"--variant {args.variant} applies to --model congest only")
         else:
             params = AlgorithmParameters(p=args.p)
     except (TypeError, ValueError) as exc:

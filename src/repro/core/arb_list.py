@@ -20,7 +20,6 @@ current graph with an edge in Êm appears in the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, FrozenSet, Set
 
 import numpy as np
@@ -31,8 +30,8 @@ from repro.core.k4 import sequential_light_phase
 from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.result import attribution_arrays, join_attributions
 from repro.decomposition.expander import expander_decomposition
-from repro.graphs.graph import Edge, Graph
-from repro.graphs.keys import EdgesLike, edge_keys, key_pairs, key_set, unique_sorted
+from repro.graphs.graph import Graph
+from repro.graphs.keys import EdgesLike, edge_keys, key_pairs, unique_sorted
 from repro.graphs.orientation import Orientation
 from repro.graphs.table import materialize_rows
 
@@ -44,8 +43,7 @@ class ArbListState:
 
     Ês and Êr are kept as sorted canonical key arrays (``u·n + v`` with
     ``u < v``, :mod:`repro.graphs.keys`); the constructor takes any edge
-    collection and ``es_edges`` / ``er_edges`` read them back as tuple
-    sets.
+    collection.
 
     Attributes
     ----------
@@ -82,14 +80,6 @@ class ArbListState:
         self.arboricity = arboricity
         self.threshold = threshold
 
-    @property
-    def es_edges(self) -> Set[Edge]:
-        return key_set(self.es_keys, self.n)
-
-    @property
-    def er_edges(self) -> Set[Edge]:
-        return key_set(self.er_keys, self.n)
-
     def current_keys(self) -> np.ndarray:
         return unique_sorted(np.concatenate([self.es_keys, self.er_keys]))
 
@@ -103,12 +93,14 @@ class ArbListOutcome:
 
     Row ``i`` of the ``(c, p)`` int64 ``table`` is a clique output by
     node ``owners[i]``: every cluster's listing, then the K4 light phase.
+    ``goal_edges`` (listed, now out of the graph) and ``bad_edges``
+    (demoted to Êr) are ``(m, 2)`` int64 arrays of canonical rows.
     """
 
     owners: np.ndarray
     table: np.ndarray
-    goal_edges: Set[Edge]
-    bad_edges: Set[Edge]
+    goal_edges: np.ndarray
+    bad_edges: np.ndarray
     num_clusters: int
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -150,8 +142,6 @@ def arb_list(
 
     current = state.current_graph()
     chunks = []  # (owners, table) pairs
-    goal_edges: Set[Edge] = set()
-    bad_edges: Set[Edge] = set()
     phase_max: Dict[str, float] = {}
     makespan_max: Dict[str, float] = {}
     stats: Dict[str, float] = {
@@ -167,8 +157,6 @@ def arb_list(
         )
         cluster_outcomes.append((cluster, outcome))
         chunks.append((outcome.owners, outcome.table))
-        goal_edges |= outcome.goal_edges
-        bad_edges |= outcome.bad_edges
         for phase, rounds in outcome.phase_rounds.items():
             phase_max[phase] = max(phase_max.get(phase, 0.0), rounds)
         for phase, makespan in outcome.phase_makespans.items():
@@ -228,8 +216,11 @@ def arb_list(
         )
         chunks.append(attribution_arrays(light_listed, params.p))
 
+    no_edges = decomposition.er_edges[:0]
+    goal_edges = np.concatenate([no_edges, *(o.goal_edges for _, o in cluster_outcomes)])
+    bad_edges = np.concatenate([no_edges, *(o.bad_edges for _, o in cluster_outcomes)])
     # New Êr: leftover of the decomposition plus the demoted bad edges.
-    state.er_keys = edge_keys(chain(decomposition.er_edges, bad_edges), n)
+    state.er_keys = edge_keys(np.concatenate([decomposition.er_edges, bad_edges]), n)
     # Êm (the listed goal edges) leaves the graph.
     state.orientation = state.orientation.restricted_to(state.current_keys())
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
-from repro.graphs.graph import Edge, Graph
+import numpy as np
+
+from repro.graphs.graph import Graph
+from repro.graphs.keys import EdgesLike, edge_array, node_mask
 
 
 @dataclass(frozen=True)
@@ -35,18 +38,20 @@ class BadEdgeSplit:
         Cluster edges the iteration *will* list all Kp for.
     light_degree:
         u_light per cluster member (how many C-light neighbors it has).
+
+    Both edge sets are ``(m, 2)`` int64 arrays of cluster edge rows.
     """
 
     bad_nodes: FrozenSet[int]
-    bad_edges: FrozenSet[Edge]
-    goal_edges: FrozenSet[Edge]
+    bad_edges: np.ndarray
+    goal_edges: np.ndarray
     light_degree: Dict[int, int]
 
 
 def split_bad_edges(
     graph: Graph,
     cluster_nodes: Set[int],
-    cluster_edges: FrozenSet[Edge],
+    cluster_edges: EdgesLike,
     light: FrozenSet[int],
     bad_threshold: int,
 ) -> BadEdgeSplit:
@@ -57,7 +62,7 @@ def split_bad_edges(
     graph:
         Current full graph (for the light-neighbor counts).
     cluster_nodes / cluster_edges:
-        The cluster's members and its Em edges.
+        The cluster's members and its Em edges (any edge collection).
     light:
         The C-light outside neighbors (from ``heavy_light``).
     bad_threshold:
@@ -65,19 +70,18 @@ def split_bad_edges(
     """
     if bad_threshold < 1:
         raise ValueError(f"bad threshold must be >= 1, got {bad_threshold}")
-    light_degree: Dict[int, int] = {}
-    for u in cluster_nodes:
-        light_degree[u] = sum(1 for v in graph.neighbors(u) if v in light)
-    bad_nodes = frozenset(u for u, d in light_degree.items() if d > bad_threshold)
-    bad_edges = frozenset(
-        e for e in cluster_edges if e[0] in bad_nodes and e[1] in bad_nodes
-    )
-    goal_edges = frozenset(cluster_edges) - bad_edges
+    n = graph.num_nodes
+    members = np.flatnonzero(node_mask(cluster_nodes, n))
+    sources, neighbors = graph.to_csr().neighbor_pairs(members)
+    counts = np.bincount(sources[node_mask(light, n)[neighbors]], minlength=n)
+    bad = counts > bad_threshold
+    edges = edge_array(cluster_edges)
+    demoted = bad[edges[:, 0]] & bad[edges[:, 1]]
     return BadEdgeSplit(
-        bad_nodes=bad_nodes,
-        bad_edges=bad_edges,
-        goal_edges=goal_edges,
-        light_degree=light_degree,
+        bad_nodes=frozenset(np.flatnonzero(bad).tolist()),
+        bad_edges=edges[demoted],
+        goal_edges=edges[~demoted],
+        light_degree=dict(zip(members.tolist(), counts[members].tolist())),
     )
 
 

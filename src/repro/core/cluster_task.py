@@ -32,7 +32,7 @@ from repro.core.params import AlgorithmParameters, K4_VARIANT
 from repro.core.reshuffle import reshuffle_edges
 from repro.core.sparsity_aware import sparsity_aware_listing
 from repro.decomposition.cluster import Cluster
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Graph
 from repro.graphs.orientation import Orientation
 from repro.graphs.table import materialize_rows
 
@@ -53,6 +53,7 @@ class ClusterOutcome:
         Cluster edges demoted to Êr (empty in the K4 variant).
     goal_edges:
         Cluster edges whose Kp obligations this iteration fulfilled.
+        Both are ``(m, 2)`` int64 arrays of cluster edge rows.
     phase_rounds:
         Phase name -> rounds for this cluster (ARB-LIST takes maxima).
     phase_makespans:
@@ -64,8 +65,8 @@ class ClusterOutcome:
 
     owners: np.ndarray
     table: np.ndarray
-    bad_edges: FrozenSet[Edge]
-    goal_edges: FrozenSet[Edge]
+    bad_edges: np.ndarray
+    goal_edges: np.ndarray
     phase_rounds: Dict[str, float]
     phase_makespans: Dict[str, float]
     light: FrozenSet[int] = frozenset()
@@ -117,8 +118,8 @@ def process_cluster(
     if k4_mode:
         bad = BadEdgeSplit(
             bad_nodes=frozenset(),
-            bad_edges=frozenset(),
-            goal_edges=frozenset(cluster.edges),
+            bad_edges=cluster.edges[:0],
+            goal_edges=cluster.edges,
             light_degree={},
         )
     else:
@@ -141,7 +142,6 @@ def process_cluster(
         split.heavy,
         split.light,
         bad.bad_nodes,
-        split.cluster_degree,
         include_light=not k4_mode,
         plane=execution.plane,
     )

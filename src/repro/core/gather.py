@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple, Union
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.keys import node_mask
 from repro.graphs.orientation import Orientation
 
 #: A member's gathered pairs: a tuple set on the object plane, a
@@ -64,7 +65,6 @@ def gather_heavy_out_edges(
     orientation: Orientation,
     cluster_nodes: Set[int],
     heavy: FrozenSet[int],
-    cluster_degree: Dict[int, int],
     graph: Graph,
 ) -> Tuple[Dict[int, Set[Tuple[int, int]]], float, Dict[str, float]]:
     """Heavy push: every C-heavy node sends its out-edges into C.
@@ -198,9 +198,7 @@ def _gather_light_batch(
     """Light pull with sorted-array intersections instead of edge probes."""
     word_bits = max(1, int(math.log2(max(2, n))))
     csr = graph.to_csr()
-    in_light = np.zeros(n, dtype=bool)
-    if light:
-        in_light[np.fromiter(light, dtype=np.int64, count=len(light))] = True
+    in_light = node_mask(light, n)
     received: Dict[int, List[np.ndarray]] = {u: [] for u in cluster_nodes}
     worst_words = 0
     learned = 0
@@ -243,7 +241,6 @@ def gather_outside_edges(
     heavy: FrozenSet[int],
     light: FrozenSet[int],
     bad_nodes: FrozenSet[int],
-    cluster_degree: Dict[int, int],
     include_light: bool = True,
     plane: str = "object",
 ) -> GatherResult:
@@ -259,9 +256,7 @@ def gather_outside_edges(
     mechanism emits distinct pairs per member).
     """
     if plane == "batch":
-        in_cluster = np.zeros(graph.num_nodes, dtype=bool)
-        if cluster_nodes:
-            in_cluster[np.fromiter(cluster_nodes, np.int64, len(cluster_nodes))] = True
+        in_cluster = node_mask(cluster_nodes, graph.num_nodes)
         heavy_blocks, heavy_rounds, heavy_stats = _gather_heavy_batch(
             orientation, cluster_nodes, heavy, graph, in_cluster
         )
@@ -287,7 +282,7 @@ def gather_outside_edges(
         max_received = max((rows.shape[0] for rows in received.values()), default=0)
     else:
         heavy_received, heavy_rounds, heavy_stats = gather_heavy_out_edges(
-            orientation, cluster_nodes, heavy, cluster_degree, graph
+            orientation, cluster_nodes, heavy, graph
         )
         if include_light:
             light_received, light_rounds, light_stats = gather_light_edges(

@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
+import numpy as np
+
 from repro.graphs.graph import Graph
+from repro.graphs.keys import node_mask
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,15 @@ def classify_outside_neighbors(
     """
     if heavy_threshold < 1:
         raise ValueError(f"heavy threshold must be >= 1, got {heavy_threshold}")
-    cluster_degree: Dict[int, int] = {}
-    for u in cluster_nodes:
-        for v in graph.neighbors(u):
-            if v not in cluster_nodes:
-                cluster_degree[v] = cluster_degree.get(v, 0) + 1
-    heavy = frozenset(v for v, g in cluster_degree.items() if g > heavy_threshold)
-    light = frozenset(cluster_degree) - heavy
+    n = graph.num_nodes
+    inside = node_mask(cluster_nodes, n)
+    _members, neighbors = graph.to_csr().neighbor_pairs(np.flatnonzero(inside))
+    counts = np.bincount(neighbors[~inside[neighbors]], minlength=n)
+    outside = np.flatnonzero(counts)
+    degrees = counts[outside]
+    heavy = degrees > heavy_threshold
     return HeavyLightSplit(
-        heavy=heavy, light=frozenset(light), cluster_degree=cluster_degree
+        heavy=frozenset(outside[heavy].tolist()),
+        light=frozenset(outside[~heavy].tolist()),
+        cluster_degree=dict(zip(outside.tolist(), degrees.tolist())),
     )

@@ -26,8 +26,8 @@ from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
 from repro.core.result import attribution_arrays, join_attributions
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
-from repro.graphs.graph import Edge, Graph
-from repro.graphs.keys import key_set
+from repro.graphs.graph import Graph
+from repro.graphs.keys import key_pairs
 from repro.graphs.orientation import Orientation
 from repro.graphs.table import materialize_rows
 
@@ -39,10 +39,9 @@ class ListOutcome:
     """Result of one LIST call (Theorem 2.8).
 
     ``es_keys`` / ``es_orientation`` are the Ẽs the caller recurses on
-    (sorted canonical keys ``u·n + v``; ``es_edges`` reads them as tuple
-    pairs); every Kp of the input graph with an edge outside Ẽs is a row
-    of the ``(c, p)`` int64 ``table``, output by node ``owners[i]`` for
-    row ``i``.
+    (sorted canonical keys ``u·n + v``); every Kp of the input graph
+    with an edge outside Ẽs is a row of the ``(c, p)`` int64 ``table``,
+    output by node ``owners[i]`` for row ``i``.
     """
 
     owners: np.ndarray
@@ -51,10 +50,6 @@ class ListOutcome:
     es_orientation: Orientation
     iterations: int
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def es_edges(self) -> Set[Edge]:
-        return key_set(self.es_keys, self.es_orientation.num_nodes)
 
     @property
     def cliques(self) -> Set[Clique]:
@@ -105,7 +100,7 @@ def list_once(
         chunks.append((outcome.owners, outcome.table))
         iterations += 1
         er_trace.append(state.er_keys.size)
-        progressed = state.er_keys.size < er_before or outcome.goal_edges
+        progressed = state.er_keys.size < er_before or len(outcome.goal_edges) > 0
         if not progressed:
             break
 
@@ -149,8 +144,9 @@ def _fallback_broadcast(
     current = state.current_graph()
     rounds = 2.0 * max(1, state.orientation.max_out_degree)
     ledger.charge(phase, rounds, er_edges=state.er_keys.size)
+    er_pairs = key_pairs(state.er_keys, state.n).tolist()
     remaining_cliques = cliques_touching_edges(
-        enumerate_cliques(current, params.p), state.er_edges
+        enumerate_cliques(current, params.p), er_pairs
     )
     listed: Dict[int, Set[Clique]] = {}
     for clique in remaining_cliques:

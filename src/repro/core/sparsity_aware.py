@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -58,7 +57,7 @@ from repro.core.result import attribution_arrays
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import clique_table_from_edge_array
 from repro.graphs.graph import Edge, Graph, canonical_edge
-from repro.graphs.keys import edge_keys, key_pairs
+from repro.graphs.keys import EdgesLike, edge_array, edge_keys, key_pairs
 from repro.graphs.table import materialize_rows
 
 Clique = FrozenSet[int]
@@ -95,7 +94,7 @@ def sparsity_aware_listing(
     n: int,
     members: List[int],
     owned: Dict[int, OwnedEdges],
-    goal_edges: FrozenSet[Edge],
+    goal_edges: EdgesLike,
     params: AlgorithmParameters,
     router: ClusterRouter,
     ledger: RoundLedger,
@@ -114,8 +113,9 @@ def sparsity_aware_listing(
         Post-reshuffle edge ownership (oriented (src, dst) pairs — tuple
         sets on the object plane, ``(k, 2)`` arrays on the batch plane).
     goal_edges:
-        The cluster's listing obligation; only cliques containing at
-        least one of these are output.
+        The cluster's listing obligation (canonical ``u < v`` rows, any
+        edge collection); only cliques containing at least one of these
+        are output.
     params:
         ``params.execution.plane`` picks the path.  ``"object"`` works
         on python sets.  ``"batch"`` computes the p²-fan-out loads with
@@ -126,10 +126,10 @@ def sparsity_aware_listing(
         pool or cluster through the identical kernels — same table,
         same charges.
     """
+    goal = edge_array(goal_edges)
     if params.execution.plane == "batch":
         return _sparsity_aware_batch(
-            n, members, owned, goal_edges, params, router, ledger, rng,
-            phase_prefix,
+            n, members, owned, goal, params, router, ledger, rng, phase_prefix
         )
     members = sorted(members)
     k = len(members)
@@ -194,9 +194,9 @@ def sparsity_aware_listing(
     # and attribute each goal clique to the member that lists it.
     known_graph = Graph(n, all_edges)
     listed: Dict[int, Set[Clique]] = {}
-    goal = set(goal_edges)
+    goal_pairs = set(map(tuple, goal.tolist()))
     for clique in enumerate_cliques(known_graph, p):
-        if not _touches_goal(clique, goal):
+        if not _touches_goal(clique, goal_pairs):
             continue
         part_multiset = [partition.part_of[v] for v in sorted(clique)]
         new_id = responsible_new_id(part_multiset, s, p)
@@ -224,7 +224,7 @@ def _sparsity_aware_batch(
     n: int,
     members: List[int],
     owned: Dict[int, np.ndarray],
-    goal_edges: FrozenSet[Edge],
+    goal: np.ndarray,
     params: AlgorithmParameters,
     router: ClusterRouter,
     ledger: RoundLedger,
@@ -312,9 +312,6 @@ def _sparsity_aware_batch(
     # -- Step 4: list the learned subgraph's goal-touching cliques (the
     # goal test rides the level pipeline), attribute each row to the
     # member owning its part multiset.
-    goal = np.fromiter(
-        chain.from_iterable(goal_edges), dtype=np.int64, count=2 * len(goal_edges)
-    ).reshape(-1, 2)
     executor = params.execution.resolve_executor()
     if executor is not None:
         kept = executor.clique_table(known, p, goal)

@@ -10,9 +10,11 @@ bandwidth is (min internal degree) words per node per Õ(1) rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Optional
 
-from repro.graphs.graph import Edge
+import numpy as np
+
+from repro.graphs.keys import edge_array
 
 
 @dataclass
@@ -27,8 +29,9 @@ class Cluster:
     nodes:
         Member node identifiers (global IDs).
     edges:
-        The cluster's ``Em`` edges (canonical pairs, both endpoints in
-        ``nodes``).
+        The cluster's ``Em`` edges as an ``(m, 2)`` int64 array of
+        canonical ``u < v`` rows, both endpoints in ``nodes`` (the
+        constructor takes any edge collection).
     min_internal_degree:
         Minimum over members of the number of cluster-internal neighbors;
         this is the routing capacity n^δ used by Theorem 2.4 charges.
@@ -42,7 +45,7 @@ class Cluster:
 
     cluster_id: int
     nodes: FrozenSet[int]
-    edges: FrozenSet[Edge]
+    edges: np.ndarray
     min_internal_degree: int
     mixing_time: Optional[float] = None
     conductance: Optional[float] = None
@@ -52,11 +55,13 @@ class Cluster:
             raise ValueError(
                 f"cluster {self.cluster_id} must have >= 2 nodes, got {len(self.nodes)}"
             )
-        for u, v in self.edges:
-            if u not in self.nodes or v not in self.nodes:
-                raise ValueError(
-                    f"cluster {self.cluster_id}: edge ({u}, {v}) leaves the node set"
-                )
+        self.edges = edge_array(self.edges)
+        leaves = ~np.isin(self.edges, np.fromiter(self.nodes, dtype=np.int64)).all(axis=1)
+        if leaves.any():
+            u, v = self.edges[np.argmax(leaves)].tolist()
+            raise ValueError(
+                f"cluster {self.cluster_id}: edge ({u}, {v}) leaves the node set"
+            )
 
     @property
     def size(self) -> int:
@@ -66,12 +71,6 @@ class Cluster:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def internal_degree(self, v: int) -> int:
-        """Number of cluster edges incident to member ``v``."""
-        if v not in self.nodes:
-            raise ValueError(f"node {v} is not a member of cluster {self.cluster_id}")
-        return sum(1 for e in self.edges if v in e)
 
     def new_ids(self) -> Dict[int, int]:
         """Lemma 2.5 — fresh IDs 1..k for cluster members.
@@ -87,22 +86,3 @@ class Cluster:
             f"Cluster(id={self.cluster_id}, k={self.size}, m={self.num_edges}, "
             f"min_deg={self.min_internal_degree})"
         )
-
-
-def cluster_membership(clusters: List[Cluster]) -> Dict[int, int]:
-    """Map node -> cluster_id over a list of vertex-disjoint clusters.
-
-    Raises
-    ------
-    ValueError
-        If two clusters share a node (decompositions must be disjoint).
-    """
-    owner: Dict[int, int] = {}
-    for cluster in clusters:
-        for v in cluster.nodes:
-            if v in owner:
-                raise ValueError(
-                    f"node {v} belongs to clusters {owner[v]} and {cluster.cluster_id}"
-                )
-            owner[v] = cluster.cluster_id
-    return owner

@@ -36,11 +36,12 @@ import scipy.sparse as sp
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition.arboricity import peel_low_degree
-from repro.decomposition.cluster import Cluster, cluster_membership
+from repro.decomposition.cluster import Cluster
 from repro.decomposition.mixing import estimate_mixing_time, polylog_mixing_budget
 from repro.decomposition.sweep_cut import sweep_cut
 from repro.graphs.csr import CSRGraph
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, Graph
+from repro.graphs.keys import edge_array, edge_keys, key_pairs, unique_sorted
 from repro.graphs.orientation import Orientation
 
 
@@ -66,24 +67,29 @@ def resolved_phi(n: int, phi: Optional[float] = None) -> float:
 class Decomposition:
     """The output object of Definition 2.2.
 
-    ``em_edges = union of cluster edges``; ``es_orientation`` is the
-    arboricity witness for ``es_edges``; ``er_edges`` is the leftover.
+    Every edge set is an ``(m, 2)`` int64 array of canonical ``u < v``
+    rows (the constructor takes any edge collection): ``em_edges`` is
+    the clusters' edges stacked, ``es_orientation`` is the arboricity
+    witness for ``es_edges``, and ``er_edges`` is the leftover.
     """
 
     n: int
     threshold: int
     phi: float
     clusters: List[Cluster]
-    es_edges: Set[Edge]
+    es_edges: np.ndarray
     es_orientation: Orientation
-    er_edges: Set[Edge]
+    er_edges: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.es_edges = edge_array(self.es_edges)
+        self.er_edges = edge_array(self.er_edges)
 
     @property
-    def em_edges(self) -> Set[Edge]:
-        edges: Set[Edge] = set()
-        for cluster in self.clusters:
-            edges |= cluster.edges
-        return edges
+    def em_edges(self) -> np.ndarray:
+        return np.concatenate(
+            [np.empty((0, 2), dtype=np.int64), *(c.edges for c in self.clusters)]
+        )
 
     @property
     def delta_exponent(self) -> float:
@@ -91,10 +97,6 @@ class Decomposition:
         if self.n < 2 or self.threshold <= 1:
             return 0.0
         return math.log(self.threshold) / math.log(self.n)
-
-    def membership(self) -> Dict[int, int]:
-        """node -> cluster_id for clustered nodes."""
-        return cluster_membership(self.clusters)
 
     def stats(self) -> Dict[str, float]:
         """Summary quantities used by benchmarks and by the tables
@@ -211,15 +213,14 @@ def _decompose_once(graph: Graph, threshold: int, phi: float) -> Decomposition:
             process(absorb_peeling(sub), depth + 1)
 
     process(absorb_peeling(graph), 0)
-    er_table = np.concatenate(er_parts) if er_parts else np.empty((0, 2), np.int64)
     return Decomposition(
         n=n,
         threshold=threshold,
         phi=phi,
         clusters=clusters,
-        es_edges=es_edges,
+        es_edges=key_pairs(edge_keys(es_edges, n), n),
         es_orientation=es_orientation,
-        er_edges=set(zip(er_table[:, 0].tolist(), er_table[:, 1].tolist())),
+        er_edges=np.concatenate([np.empty((0, 2), dtype=np.int64), *er_parts]),
     )
 
 
@@ -270,7 +271,7 @@ def _make_cluster(
     return Cluster(
         cluster_id=cluster_id,
         nodes=frozenset(nodes),
-        edges=frozenset(zip(edges[:, 0].tolist(), edges[:, 1].tolist())),
+        edges=edges,
         min_internal_degree=min_degree,
         mixing_time=mixing,
         conductance=None if cut is None else cut.conductance,
@@ -291,33 +292,43 @@ def validate_decomposition(
     4. |Er| ≤ |E|/6 (:data:`ER_FRACTION`).
     5. (optional) cluster mixing times within the polylog budget.
     """
+    n = graph.num_nodes
     em = decomposition.em_edges
     es = decomposition.es_edges
     er = decomposition.er_edges
-    union = em | es | er
-    if union != graph.edge_set():
+    rows = np.concatenate([em, es, er])
+    keys = rows.min(axis=1) * n + rows.max(axis=1)
+    union = unique_sorted(keys)
+    if not np.array_equal(union, edge_keys(graph.to_csr().edge_table(), n)):
         raise ValueError("decomposition parts do not cover the edge set")
-    if em & es or em & er or es & er:
+    if union.size != keys.size:
         raise ValueError("decomposition parts are not disjoint")
 
-    cluster_membership(decomposition.clusters)  # raises on overlap
-    for cluster in decomposition.clusters:
-        internal: Dict[int, int] = {v: 0 for v in cluster.nodes}
-        for u, v in cluster.edges:
-            internal[u] += 1
-            internal[v] += 1
-        worst = min(internal.values())
+    clusters = decomposition.clusters
+    members = [np.fromiter(c.nodes, dtype=np.int64) for c in clusters]
+    nodes = np.concatenate([np.empty(0, dtype=np.int64), *members])
+    owner = np.repeat([c.cluster_id for c in clusters], [m.size for m in members])
+    order = np.argsort(nodes, kind="stable")
+    shared = np.flatnonzero(np.diff(nodes[order]) == 0)
+    if shared.size:
+        first, second = order[shared[0]], order[shared[0] + 1]
+        raise ValueError(
+            f"node {nodes[first]} belongs to clusters {owner[first]} and {owner[second]}"
+        )
+    # Clusters are vertex-disjoint and keep their edges inside their
+    # nodes, so one count over Em is every member's internal degree.
+    internal = np.bincount(em.ravel(), minlength=n)
+    for cluster, ids in zip(clusters, members):
+        worst = int(internal[ids].min())
         if worst < decomposition.threshold:
             raise ValueError(
                 f"cluster {cluster.cluster_id} has internal degree {worst} "
                 f"< threshold {decomposition.threshold}"
             )
 
-    oriented = {
-        canonical_edge(u, v)
-        for u, v in decomposition.es_orientation.oriented_edges()
-    }
-    if oriented != es:
+    witness = decomposition.es_orientation
+    oriented = key_pairs(witness.encoded_oriented(), witness.num_nodes)
+    if not np.array_equal(edge_keys(oriented, n), edge_keys(es, n)):
         raise ValueError("Es orientation does not cover exactly Es")
     if decomposition.threshold > 0 and (
         decomposition.es_orientation.max_out_degree > decomposition.threshold

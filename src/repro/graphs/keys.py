@@ -17,7 +17,7 @@ dedup.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Set, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -62,11 +62,11 @@ def key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def key_set(keys: np.ndarray, n: int) -> Set[Edge]:
-    """Keys as a set of ``(key // n, key % n)`` tuples."""
-    if not keys.size:
-        return set()
-    return set(zip((keys // n).tolist(), (keys % n).tolist()))
+def node_mask(nodes: Iterable[int], n: int) -> np.ndarray:
+    """Boolean mask over ``range(n)`` that is true on ``nodes``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(nodes, dtype=np.int64)] = True
+    return mask
 
 
 def contains_sorted(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:

@@ -12,8 +12,19 @@ from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import cliques_touching_edges, enumerate_cliques
 from repro.graphs.generators import clustered_graph, erdos_renyi
 from repro.graphs.graph import Graph
+from repro.graphs.keys import key_pairs
 from repro.graphs.orientation import Orientation, degeneracy_orientation
 from repro.workloads import create_workload
+
+
+def rows(edges):
+    """An ``(m, 2)`` edge array as a set of row tuples."""
+    return set(map(tuple, np.asarray(edges).tolist()))
+
+
+def key_rows(keys, n):
+    """Sorted canonical keys ``u·n + v`` as a set of ``(u, v)`` tuples."""
+    return rows(key_pairs(keys, n))
 
 
 def fresh_state(graph, threshold=None, params=None):
@@ -59,19 +70,20 @@ class TestArbListInvariants:
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
         # Every original edge is either a fulfilled goal edge or still in
         # the state (Ês ∪ Êr).
-        reconstructed = outcome.goal_edges | state.es_edges | state.er_edges
+        es, er = key_rows(state.es_keys, state.n), key_rows(state.er_keys, state.n)
+        reconstructed = rows(outcome.goal_edges) | es | er
         assert reconstructed == g.edge_set()
-        assert not outcome.goal_edges & (state.es_edges | state.er_edges)
+        assert not rows(outcome.goal_edges) & (es | er)
 
     def test_er_shrinks_geometrically(self):
         g = erdos_renyi(80, 0.35, seed=12)
         state = fresh_state(g, threshold=6)
         params = AlgorithmParameters(p=4)
-        er_before = len(state.er_edges)
+        er_before = state.er_keys.size
         arb_list(state, params, np.random.default_rng(0), RoundLedger())
         # Theorem 2.9 target: |Êr| ≤ |Er|/4 (decomposition gives /6, bad
         # edges can add up to 1/25 at paper thresholds → none here).
-        assert len(state.er_edges) <= er_before / 4
+        assert state.er_keys.size <= er_before / 4
 
     def test_es_orientation_covers_es(self):
         g = erdos_renyi(80, 0.15, seed=13)
@@ -83,7 +95,7 @@ class TestArbListInvariants:
         covered = {
             canonical_edge(u, v) for u, v in state.es_orientation.oriented_edges()
         }
-        assert covered == state.es_edges
+        assert covered == key_rows(state.es_keys, state.n)
 
     def test_global_orientation_restricted_to_survivors(self):
         g = erdos_renyi(60, 0.4, seed=14)
@@ -95,7 +107,7 @@ class TestArbListInvariants:
         oriented = {
             canonical_edge(u, v) for u, v in state.orientation.oriented_edges()
         }
-        assert oriented == state.es_edges | state.er_edges
+        assert oriented == key_rows(state.current_keys(), state.n)
 
     def test_ledger_phases_charged(self):
         g = erdos_renyi(60, 0.4, seed=15)
@@ -113,8 +125,22 @@ class TestArbListInvariants:
         params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0)
         state = fresh_state(g, threshold=5)
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
-        if outcome.bad_edges:
-            assert outcome.bad_edges <= state.er_edges
+        if len(outcome.bad_edges):
+            assert rows(outcome.bad_edges) <= key_rows(state.er_keys, state.n)
+
+    def test_demoted_bad_edges_leave_the_goal_and_join_er(self):
+        """A caveman graph whose blocks are separate clusters, every
+        outside node light and the bad threshold at its floor of 1:
+        edges do get demoted, and each lands in Êr, not among the goals."""
+        g = clustered_graph(4, 24, intra_p=0.8, inter_edges_per_pair=6, seed=3)
+        params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0, phi=0.05)
+        state = fresh_state(g, threshold=5)
+        outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
+        assert outcome.num_clusters > 1 and len(outcome.bad_edges)
+        bad = rows(outcome.bad_edges)
+        assert bad <= key_rows(state.er_keys, state.n)
+        assert not bad & rows(outcome.goal_edges)
+        assert outcome.stats["bad_edges"] == len(bad)
 
 
 class TestClusterMakespans:
@@ -147,7 +173,7 @@ class TestListOnce:
             g, orientation, arboricity, params, np.random.default_rng(0), RoundLedger()
         )
         truth = enumerate_cliques(g, 4)
-        removed = g.edge_set() - outcome.es_edges
+        removed = g.edge_set() - key_rows(outcome.es_keys, g.num_nodes)
         obligated = cliques_touching_edges(truth, removed)
         assert obligated <= outcome.cliques
         assert outcome.cliques <= truth
@@ -186,4 +212,4 @@ class TestListOnce:
         outcome = list_once(
             g, Orientation(10), 1, params, np.random.default_rng(0), RoundLedger()
         )
-        assert not outcome.cliques and not outcome.es_edges
+        assert not outcome.cliques and not outcome.es_keys.size

@@ -83,6 +83,11 @@ class TestListCommand:
         with pytest.raises(SystemExit):
             main(["list", "--generator", "nope"])
 
+    def test_variant_rejected_outside_congest(self):
+        with pytest.raises(SystemExit, match="invalid run parameters.*congest only"):
+            main(["list", "--generator", "er", "--n", "40", "--p", "3",
+                  "--model", "congested-clique", "--variant", "k4"])
+
 
 class TestDecomposeCommand:
     def test_caveman(self, capsys):

@@ -14,6 +14,7 @@ import repro
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition import (
+    Decomposition,
     estimate_mixing_time,
     expander_decomposition,
     peel_low_degree,
@@ -22,7 +23,7 @@ from repro.decomposition import (
     validate_decomposition,
 )
 from repro.decomposition.arboricity import validate_peeling
-from repro.decomposition.cluster import Cluster, cluster_membership
+from repro.decomposition.cluster import Cluster
 from repro.decomposition.mixing import polylog_mixing_budget, simulate_mixing_time
 from repro.decomposition.spectral import (
     adjacency_matrix,
@@ -40,6 +41,12 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.orientation import Orientation
+
+
+def rows(edges):
+    """An ``(m, 2)`` edge array as a set of row tuples."""
+    return set(map(tuple, np.asarray(edges).tolist()))
 
 
 class TestPeeling:
@@ -243,17 +250,6 @@ class TestClusterObject:
         assert sorted(ids.values()) == [1, 2, 3]
         assert ids[2] == 1  # sorted by global ID
 
-    def test_internal_degree(self):
-        c = Cluster(0, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), 1)
-        assert c.internal_degree(1) == 2
-        assert c.internal_degree(0) == 1
-
-    def test_membership_disjointness_enforced(self):
-        a = Cluster(0, frozenset({0, 1}), frozenset({(0, 1)}), 1)
-        b = Cluster(1, frozenset({1, 2}), frozenset({(1, 2)}), 1)
-        with pytest.raises(ValueError, match="belongs to clusters"):
-            cluster_membership([a, b])
-
 
 class TestExpanderDecomposition:
     def test_clustered_graph_recovers_blocks(self, caveman):
@@ -277,7 +273,7 @@ class TestExpanderDecomposition:
         dec = expander_decomposition(g, threshold=8)
         validate_decomposition(g, dec)
         assert not dec.clusters
-        assert dec.es_edges == g.edge_set()
+        assert rows(dec.es_edges) == g.edge_set()
 
     def test_er_bound_holds(self, caveman):
         dec = expander_decomposition(caveman, threshold=6, phi=0.06)
@@ -285,9 +281,11 @@ class TestExpanderDecomposition:
 
     def test_partition_is_exact(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
-        em, es, er = dec.em_edges, dec.es_edges, dec.er_edges
+        em, es, er = rows(dec.em_edges), rows(dec.es_edges), rows(dec.er_edges)
         assert em | es | er == caveman.edge_set()
         assert not (em & es) and not (em & er) and not (es & er)
+        parts = (dec.em_edges, dec.es_edges, dec.er_edges)
+        assert sum(len(part) for part in parts) == caveman.num_edges
 
     def test_cluster_min_degree(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
@@ -323,7 +321,7 @@ class TestExpanderDecomposition:
         g = Graph(10)
         dec = expander_decomposition(g, threshold=3)
         validate_decomposition(g, dec)
-        assert not dec.clusters and not dec.es_edges and not dec.er_edges
+        assert not dec.clusters and not len(dec.es_edges) and not len(dec.er_edges)
 
     def test_stats_keys(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
@@ -341,13 +339,83 @@ class TestValidationCatchesViolations:
     def test_detects_leftover_overflow(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
         # Corrupt: move most of Em into Er.
-        dec.er_edges |= set(list(dec.em_edges)[: caveman.num_edges // 2])
+        dec.er_edges = np.concatenate(
+            [dec.er_edges, dec.em_edges[: caveman.num_edges // 2]]
+        )
         with pytest.raises(ValueError):
             validate_decomposition(caveman, dec)
 
     def test_detects_missing_edges(self, caveman):
         dec = expander_decomposition(caveman, threshold=6)
-        dec.er_edges = set(list(dec.er_edges)[:0])  # drop Er edges entirely
-        if caveman.edge_set() != dec.em_edges | dec.es_edges:
+        dec.er_edges = dec.er_edges[:0]  # drop Er edges entirely
+        if caveman.edge_set() != rows(dec.em_edges) | rows(dec.es_edges):
             with pytest.raises(ValueError, match="cover"):
                 validate_decomposition(caveman, dec)
+
+
+def two_triangles(threshold=2, es_orientation=None, clusters=None, extra=()):
+    """Two triangle clusters {0,1,2} and {3,4,5} joined by the Es edge
+    (2, 3) oriented 2 → 3, as a hand-built array decomposition of the
+    graph on their edges plus ``extra``."""
+    first = np.array([[0, 1], [0, 2], [1, 2]])
+    second = np.array([[3, 4], [3, 5], [4, 5]])
+    if clusters is None:
+        clusters = [
+            Cluster(0, frozenset({0, 1, 2}), first, 2),
+            Cluster(1, frozenset({3, 4, 5}), second, 2),
+        ]
+    if es_orientation is None:
+        es_orientation = Orientation(6)
+        es_orientation.orient(2, 3)
+    edges = [tuple(e) for c in clusters for e in c.edges.tolist()]
+    graph = Graph(6, [*edges, (2, 3), *extra])
+    decomposition = Decomposition(
+        n=6,
+        threshold=threshold,
+        phi=0.1,
+        clusters=clusters,
+        es_edges=np.array([[2, 3]]),
+        es_orientation=es_orientation,
+        er_edges=np.empty((0, 2), dtype=np.int64),
+    )
+    return graph, decomposition
+
+
+class TestValidationOnArrays:
+    """Each ``ValueError`` of :func:`validate_decomposition`, reached on
+    a hand-built decomposition whose edge sets are arrays."""
+
+    def test_valid_decomposition_passes(self):
+        validate_decomposition(*two_triangles())
+
+    def test_missing_edge(self):
+        graph, dec = two_triangles(extra=[(0, 5)])
+        with pytest.raises(ValueError, match="do not cover the edge set"):
+            validate_decomposition(graph, dec)
+
+    def test_parts_overlap(self):
+        graph, dec = two_triangles()
+        dec.er_edges = np.array([[0, 1]])
+        with pytest.raises(ValueError, match="not disjoint"):
+            validate_decomposition(graph, dec)
+
+    def test_cluster_overlap(self):
+        shared = [
+            Cluster(0, frozenset({0, 1, 2}), [(0, 1), (0, 2), (1, 2)], 2),
+            Cluster(1, frozenset({2, 4, 5}), [(2, 4), (2, 5), (4, 5)], 2),
+        ]
+        graph, dec = two_triangles(clusters=shared)
+        with pytest.raises(ValueError, match="node 2 belongs to clusters 0 and 1"):
+            validate_decomposition(graph, dec)
+
+    def test_internal_degree_below_threshold(self):
+        graph, dec = two_triangles(threshold=3)
+        with pytest.raises(ValueError, match="internal degree 2 < threshold 3"):
+            validate_decomposition(graph, dec)
+
+    def test_es_orientation_mismatch(self):
+        wrong = Orientation(6)
+        wrong.orient(0, 3)
+        graph, dec = two_triangles(es_orientation=wrong)
+        with pytest.raises(ValueError, match="Es orientation does not cover exactly Es"):
+            validate_decomposition(graph, dec)

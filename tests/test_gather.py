@@ -38,7 +38,7 @@ class TestHeavyPush:
         split = classify_outside_neighbors(g, set(range(4)), heavy_threshold=2)
         assert 4 in split.heavy
         received, rounds, stats = gather_heavy_out_edges(
-            orientation, set(range(4)), split.heavy, split.cluster_degree, g
+            orientation, set(range(4)), split.heavy, g
         )
         # Every out-edge of node 4 is known to some member — in particular
         # the fully-outside edge (4, 5).
@@ -58,7 +58,7 @@ class TestHeavyPush:
         orientation = degeneracy_orientation(g)
         split = classify_outside_neighbors(g, set(range(4)), heavy_threshold=2)
         received, rounds, stats = gather_heavy_out_edges(
-            orientation, set(range(4)), split.heavy, split.cluster_degree, g
+            orientation, set(range(4)), split.heavy, g
         )
         out_deg = len(orientation.out_neighbors(4))
         # 2 words per edge, chunks of ceil(out/4) per link.
@@ -68,7 +68,7 @@ class TestHeavyPush:
         g = complete_graph(4)
         orientation = degeneracy_orientation(g)
         received, rounds, stats = gather_heavy_out_edges(
-            orientation, set(range(4)), frozenset(), {}, g
+            orientation, set(range(4)), frozenset(), g
         )
         assert rounds == 0
         assert all(not s for s in received.values())
@@ -133,7 +133,6 @@ class TestCombinedGather:
             split.heavy,
             split.light,
             frozenset(),  # no bad nodes
-            split.cluster_degree,
         )
         # Enumerate K4s with >= 1 edge inside the cluster and check every
         # fully-outside edge of each is known.
@@ -165,7 +164,6 @@ class TestCombinedGather:
             split.heavy,
             split.light,
             frozenset(),
-            split.cluster_degree,
             include_light=False,
         )
         assert gather.light_pull_rounds == 0
@@ -182,7 +180,6 @@ class TestCombinedGather:
             split.heavy,
             split.light,
             frozenset(),
-            split.cluster_degree,
         )
         for key in ("heavy_nodes", "light_nodes", "received_max_per_node"):
             assert key in gather.stats

@@ -1,11 +1,17 @@
 """Tests for heavy/light classification and bad-edge demotion (§2.4.1)."""
 
+import numpy as np
 import pytest
 
 from repro.core.bad_edges import bad_edge_fraction_bound, split_bad_edges
 from repro.core.heavy_light import classify_outside_neighbors
 from repro.graphs.generators import complete_graph, star_graph
 from repro.graphs.graph import Graph
+
+
+def rows(edges):
+    """An ``(m, 2)`` edge array as a set of row tuples."""
+    return set(map(tuple, np.asarray(edges).tolist()))
 
 
 def make_cluster_with_satellites():
@@ -65,7 +71,7 @@ class TestBadEdges:
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=10)
         bad = split_bad_edges(g, {0, 1, 2, 3}, cluster_edges, split.light, 1000)
         assert not bad.bad_nodes
-        assert bad.goal_edges == cluster_edges
+        assert rows(bad.goal_edges) == cluster_edges
 
     def test_bad_nodes_forced_by_low_threshold(self):
         # Star of light satellites around members 0 and 1.
@@ -79,8 +85,8 @@ class TestBadEdges:
             g, {0, 1, 2, 3}, frozenset(complete_graph(4).edges()), split.light, 3
         )
         assert bad.bad_nodes == frozenset({0, 1})
-        assert bad.bad_edges == frozenset({(0, 1)})
-        assert (0, 1) not in bad.goal_edges
+        assert rows(bad.bad_edges) == {(0, 1)}
+        assert (0, 1) not in rows(bad.goal_edges)
 
     def test_single_bad_endpoint_keeps_edge(self):
         g = Graph(10, complete_graph(4).edge_set())
@@ -91,7 +97,7 @@ class TestBadEdges:
             g, {0, 1, 2, 3}, frozenset(complete_graph(4).edges()), split.light, 3
         )
         assert bad.bad_nodes == frozenset({0})
-        assert not bad.bad_edges  # both endpoints must be bad
+        assert not rows(bad.bad_edges)  # both endpoints must be bad
 
     def test_light_degree_reported(self):
         g = make_cluster_with_satellites()
@@ -118,5 +124,6 @@ class TestBadEdges:
         split = classify_outside_neighbors(g, {0, 1, 2, 3}, heavy_threshold=6)
         cluster_edges = frozenset(complete_graph(4).edges())
         bad = split_bad_edges(g, {0, 1, 2, 3}, cluster_edges, split.light, 3)
-        assert bad.bad_edges | bad.goal_edges == cluster_edges
-        assert not bad.bad_edges & bad.goal_edges
+        assert rows(bad.bad_edges) | rows(bad.goal_edges) == cluster_edges
+        assert not rows(bad.bad_edges) & rows(bad.goal_edges)
+        assert len(bad.bad_edges) + len(bad.goal_edges) == len(cluster_edges)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.congest.ledger import RoundLedger
 from repro.congest.routing import ClusterRouter
+from repro.core.bad_edges import split_bad_edges
+from repro.core.heavy_light import classify_outside_neighbors
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
     pair_recipient_count,
@@ -27,7 +29,7 @@ from repro.decomposition.spectral import (
 from repro.decomposition.sweep_cut import sweep_cut
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.csr import CSRGraph, clique_table_from_edge_array, intersect_sorted
-from repro.graphs.generators import barbell_graph
+from repro.graphs.generators import barbell_graph, erdos_renyi
 from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.keys import unique_sorted
 from repro.graphs.orientation import degeneracy_orientation, validate_orientation
@@ -321,6 +323,78 @@ class TestDecompositionArrayProperties:
         else:
             assert cut.side == want[0]
             assert cut.conductance.hex() == want[1].hex()
+
+
+def _classify_neighbour_loop(graph, cluster_nodes, heavy_threshold):
+    """``classify_outside_neighbors`` as a per-neighbour Python loop."""
+    cluster_degree = {}
+    for u in cluster_nodes:
+        for v in graph.neighbors(u):
+            if v not in cluster_nodes:
+                cluster_degree[v] = cluster_degree.get(v, 0) + 1
+    heavy = frozenset(v for v, g in cluster_degree.items() if g > heavy_threshold)
+    return heavy, frozenset(cluster_degree) - heavy, cluster_degree
+
+
+def _bad_edges_neighbour_loop(graph, cluster_nodes, cluster_edges, light, bad_threshold):
+    """``split_bad_edges`` as a per-neighbour Python loop."""
+    light_degree = {
+        u: sum(1 for v in graph.neighbors(u) if v in light) for u in cluster_nodes
+    }
+    bad_nodes = frozenset(u for u, d in light_degree.items() if d > bad_threshold)
+    bad_edges = {e for e in cluster_edges if e[0] in bad_nodes and e[1] in bad_nodes}
+    return bad_nodes, bad_edges, set(cluster_edges) - bad_edges, light_degree
+
+
+class TestClusterSplitProperties:
+    @given(
+        st.one_of(
+            graphs(max_nodes=30, max_density=0.7),
+            st.builds(
+                erdos_renyi,
+                st.integers(min_value=4, max_value=40),
+                st.floats(min_value=0.1, max_value=0.8),
+                seed=st.integers(min_value=0, max_value=2**16),
+            ),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_csr_splits_match_the_neighbour_loops(self, g, data):
+        """The §2.4.1 splits (one CSR gather + ``bincount`` each) equal
+        the per-neighbour loops: same node sets, same degree dicts, and
+        the goal/bad rows are the loops' edge sets.  Members, C-light
+        nodes and kept cluster edges are drawn per node or edge, so
+        dense draws reach heavy nodes and edges with one bad endpoint."""
+        n = g.num_nodes
+
+        def subset(items):
+            flags = data.draw(st.lists(st.booleans(), min_size=len(items)))
+            return [item for item, kept in zip(items, flags) if kept]
+
+        members = set(subset(range(n))) or {0}
+        heavy_threshold = data.draw(st.integers(min_value=1, max_value=12))
+        bad_threshold = data.draw(st.integers(min_value=1, max_value=4))
+        light = frozenset(subset([v for v in range(n) if v not in members]))
+        cluster_edges = subset(sorted(e for e in g.edges() if set(e) <= members))
+
+        split = classify_outside_neighbors(g, members, heavy_threshold)
+        heavy, light_loop, cluster_degree = _classify_neighbour_loop(
+            g, members, heavy_threshold
+        )
+        assert split.heavy == heavy and split.light == light_loop
+        assert split.cluster_degree == cluster_degree
+
+        table = np.asarray(cluster_edges, dtype=np.int64).reshape(-1, 2)
+        bad = split_bad_edges(g, members, table, light, bad_threshold)
+        bad_nodes, bad_edges, goal_edges, light_degree = _bad_edges_neighbour_loop(
+            g, members, cluster_edges, light, bad_threshold
+        )
+        assert bad.bad_nodes == bad_nodes
+        assert bad.light_degree == light_degree
+        assert set(map(tuple, bad.bad_edges.tolist())) == bad_edges
+        assert set(map(tuple, bad.goal_edges.tolist())) == goal_edges
+        assert len(bad.bad_edges) + len(bad.goal_edges) == len(cluster_edges)
 
 
 class TestReshuffleProperties:

@@ -58,6 +58,30 @@ class TestGridExpansion:
             small_spec(variants=["bogus"]).runs()
 
     @pytest.mark.parametrize(
+        "name",
+        [
+            "bogus",
+            "materialize",
+            "seed",
+            "bad_constant",
+            "peel_divisor",
+            "p",
+            "execution",
+        ],
+    )
+    def test_unknown_override_fails_before_any_cell_runs(self, name):
+        """A name ``_run_params`` cannot apply is refused at expansion,
+        not by a ``TypeError`` inside a pool worker or on a remote host."""
+        with pytest.raises(ValueError, match=rf"\['{name}'\]; accepted: .*'stop_scale'"):
+            small_spec(algo_overrides={name: 1}).runs()
+
+    @pytest.mark.parametrize("model", ["congested-clique", "congested_clique"])
+    def test_variants_apply_to_the_congest_model_only(self, model):
+        with pytest.raises(ValueError, match="takes no variant"):
+            small_spec(model=model, variants=[None, "generic", "k4"]).runs()
+        assert len(small_spec(model=model).runs()) == 4
+
+    @pytest.mark.parametrize(
         "cell",
         [
             dict(model="eden-k4", ps=[3]),
