@@ -16,7 +16,7 @@ from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.bad_edges import bad_edge_fraction_bound
 from repro.core.params import AlgorithmParameters
-from repro.graphs.generators import erdos_renyi
+from repro.graphs.generators import clustered_graph, erdos_renyi
 from repro.graphs.keys import contains_sorted, edge_keys
 from repro.graphs.orientation import Orientation, degeneracy_orientation
 
@@ -80,9 +80,12 @@ def test_bad_edge_fraction_at_paper_threshold(benchmark):
 
 def test_bad_edges_forced_are_deferred_not_lost(benchmark):
     """Scale the bad threshold down until demotion actually happens, then
-    check the demoted edges land in Êr (deferred, not dropped)."""
-    g = erdos_renyi(96, 0.5, seed=5)
-    params = AlgorithmParameters(p=4, bad_scale=0.002)
+    check the demoted edges land in Êr (deferred, not dropped).  The
+    caveman blocks split into four clusters (phi = 0.05), each block's
+    nodes light outside neighbours of the others; a one-cluster ER draw
+    has no outside neighbours and demotes nothing."""
+    g = clustered_graph(4, 24, intra_p=0.8, inter_edges_per_pair=6, seed=3)
+    params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0, phi=0.05)
 
     def run():
         state = fresh_state(g, threshold=7)
@@ -91,5 +94,6 @@ def test_bad_edges_forced_are_deferred_not_lost(benchmark):
 
     state, outcome = benchmark.pedantic(run, iterations=1, rounds=1)
     benchmark.extra_info["forced_bad_edges"] = len(outcome.bad_edges)
+    assert len(outcome.bad_edges) > 0
     bad_keys = edge_keys(outcome.bad_edges, state.n)
     assert contains_sorted(state.er_keys, bad_keys).all()

@@ -18,15 +18,28 @@ single source of truth for every gated bench's floor ratios.  The cold
 ratio is reported alongside so nobody mistakes memoized for miraculous.
 Every timed run cross-checks that all paths return the identical clique
 set before any number is reported.
+
+``test_member_expansion`` records (no gate) the level pipeline's member
+expansion in ns per set bit on a dense and a sparse candidate stack, so
+an expansion whose cost follows the word count instead of the set bits
+shows in the sparse case.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.graphs.cliques import count_cliques, enumerate_cliques
+from repro.graphs.csr import (
+    _expand_members,
+    clique_table_from_edge_array,
+    compact_edge_array,
+    pack_bitset_rows,
+    table_from_forward_bits,
+)
 from repro.graphs.orientation import degeneracy_orientation
 from repro.workloads import create_workload
 
@@ -166,5 +179,78 @@ def test_orientation_backend_consistent_and_timed(benchmark, best_of):
             "python_s": round(python_s, 4),
             "csr_s": round(csr_s, 4),
             "csr_samples_s": [round(s, 4) for s in csr_samples],
+        }
+    )
+
+
+def _er_edges(n, p_edge):
+    """A fixed G(n, p_edge) draw as ``(m, 2)`` u < v rows — the instance
+    perfbench's ``congest_er160_p4`` and ``cc_er1500_p3`` relabel."""
+    rng = np.random.default_rng([20200705, 1])
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p_edge
+    return np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
+
+
+#: name -> (n, p_edge, p, goal).  The stack is the candidate rows of the
+#: pipeline's last level for ``clique_table_from_edge_array(edges, p,
+#: goal)``: dense is the CONGEST driver's learned subgraph (every edge a
+#: goal, 411,342 K4 from 83,930 triangle rows of 3 words), sparse the
+#: root candidate rows of a sparse K3 listing (11k rows of 24 words,
+#: almost every word zero).
+EXPANSION_STACKS = {
+    "dense": (160, 0.5, 4, True),
+    "sparse": (1500, 0.01, 3, False),
+}
+
+
+def _last_level_stack(edges, p):
+    """Candidate rows of every (p−1)-member prefix, identity order (the
+    K2 "prefixes" of a p = 3 listing are the forward edges)."""
+    verts, fptr, findices = compact_edge_array(edges)
+    bits = pack_bitset_rows(fptr, findices, verts.size)
+    prefixes = table_from_forward_bits(fptr, findices, bits, p - 1)
+    stack = bits[prefixes[:, 0]]
+    for column in prefixes[:, 1:].T:
+        stack &= bits[column]
+    return stack
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_STACKS))
+def test_member_expansion(benchmark, best_of, bench_env, name):
+    n, p_edge, p, every_edge_a_goal = EXPANSION_STACKS[name]
+    edges = _er_edges(n, p_edge)
+    goal = edges if every_edge_a_goal else None
+    stack = _last_level_stack(edges, p)
+
+    def measure():
+        expand = best_of(lambda: _expand_members(stack), REPEATS)
+        listing = best_of(lambda: clique_table_from_edge_array(edges, p, goal), REPEATS)
+        return expand, listing
+
+    expand, listing = benchmark.pedantic(measure, iterations=1, rounds=1)
+    unpacked = np.unpackbits(
+        stack.astype("<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    rows, nodes = expand.result
+    expected_rows, expected_nodes = np.nonzero(unpacked)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(nodes, expected_nodes)
+    set_bits = int(rows.size)
+    assert listing.result.shape == (set_bits, p)  # one Kp per last-level bit
+    benchmark.extra_info.update(
+        {
+            "instance": f"er n={n} p_edge={p_edge} p={p}",
+            "stack_rows": int(stack.shape[0]),
+            "stack_words": int(stack.size),
+            "live_words": int(np.count_nonzero(stack)),
+            "set_bits": set_bits,
+            "expand_s": round(expand.best, 6),
+            "expand_samples_s": [round(s, 6) for s in expand.samples],
+            "expand_ns_per_bit": round(expand.best / max(1, set_bits) * 1e9, 2),
+            "listing_s": round(listing.best, 6),
+            "listing_samples_s": [round(s, 6) for s in listing.samples],
+            "listing_ns_per_row": round(listing.best / max(1, set_bits) * 1e9, 2),
+            **bench_env,
         }
     )

@@ -177,7 +177,9 @@ class SweepSpec:
         ``{"faults": FaultModel(...)}``) set the run's execution config,
         every other name an :class:`~repro.core.params.AlgorithmParameters`
         field (e.g. ``{"stop_scale": 0.5}``) other than ``p`` or
-        ``execution``; :meth:`runs` raises on any other name.
+        ``execution``; :meth:`runs` raises on any other name, and on
+        ``variant`` or ``topology``, which the ``variants`` and
+        ``topologies`` axes set per cell.
     topologies:
         Overlay-topology axis (:mod:`repro.congest.topology` spec
         strings, e.g. ``["clique", "star", "spanner:3"]``; ``None`` is
@@ -213,6 +215,12 @@ class SweepSpec:
             )
         if self.model != "congest" and set(self.variants) != {None}:
             raise ValueError(f"model {self.model!r} takes no variant (congest only)")
+        bypass = sorted(set(self.algo_overrides) & set(_AXIS_FIELDS))
+        if bypass:
+            raise ValueError(
+                f"algo_overrides {bypass} would bypass the grid; set them "
+                f"through the {[_AXIS_FIELDS[name] for name in bypass]} axis"
+            )
         unknown = sorted(set(self.algo_overrides) - _OVERRIDE_NAMES)
         if unknown:
             raise ValueError(
@@ -285,10 +293,14 @@ def _congest_theory(n: int, p: int, variant: str) -> float:
 
 _EXECUTION_NAMES = frozenset(f.name for f in fields(ExecutionConfig))
 
+#: Fields a grid axis sets per cell: as an ``algo_overrides`` entry one
+#: would run every cell alike under cache keys that differ.
+_AXIS_FIELDS = {"variant": "variants", "topology": "topologies"}
+
 #: The names :func:`_run_params` can apply as an ``algo_overrides`` entry.
-_OVERRIDE_NAMES = _EXECUTION_NAMES | (
-    {f.name for f in fields(AlgorithmParameters)} - {"p", "execution"}
-)
+_OVERRIDE_NAMES = (
+    _EXECUTION_NAMES | {f.name for f in fields(AlgorithmParameters)}
+) - {"p", "execution", *_AXIS_FIELDS}
 
 
 def _run_params(spec: RunSpec, params: AlgorithmParameters) -> AlgorithmParameters:

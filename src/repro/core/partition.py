@@ -294,28 +294,21 @@ def responsible_index_array(
 ) -> np.ndarray:
     """Vectorized :func:`responsible_new_id` minus one, over clique rows.
 
-    ``part_digits`` is a ``(rows, p)`` matrix of part labels (one row per
-    clique, any order).  Each row is sorted ascending and read as a
-    base-s number least-significant-digit-first — exactly the scalar
+    ``part_digits`` is a ``(rows, p)`` matrix of part labels in
+    ``[0, s)`` (one row per clique, any order).  Each row's labels,
+    coded as Σ d_j·s^j, are its index into :func:`radix_digit_table`;
+    one lookup into that table's rows, each sorted ascending and read
+    back as a base-s number least-significant-digit-first (the scalar
     function's ``index = index*s + digit`` over the reversed sorted
-    multiset — yielding the 0-based responsible index.  The sort is a
-    column sorting network (odd–even transposition: p rounds of
-    adjacent compare-exchanges, each one ``np.minimum``/``np.maximum``
-    over two whole columns), not a per-row sort.
+    multiset), yields the 0-based responsible index.  The table has
+    s^p entries, at most the k nodes the parts are assigned to (s =
+    ⌊k^{1/p}⌋), and no clique row is ever sorted.
     """
     part_digits = np.asarray(part_digits, dtype=np.int64)
     p = part_digits.shape[1]
-    cols = [part_digits[:, j].copy() for j in range(p)]
-    for r in range(p):
-        for j in range(r % 2, p - 1, 2):
-            low = np.minimum(cols[j], cols[j + 1])
-            np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
-            cols[j] = low
-    index = cols[-1]
-    for digit in reversed(cols[:-1]):
-        index *= s
-        index += digit
-    return index
+    place = s ** np.arange(p, dtype=np.int64)
+    responsible = np.sort(radix_digit_table(s, p), axis=1) @ place
+    return responsible[part_digits @ place]
 
 
 def pair_recipient_count(s: int, p: int, a: int, b: int) -> int:

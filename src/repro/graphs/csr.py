@@ -26,12 +26,14 @@ little-endian bit order: node ``j`` lives in byte ``j >> 3``, bit
 ``j & 7``).  Cliques are grown level-synchronously: level ``k`` holds a
 table of all position-ordered K\\ :sub:`k` prefixes plus one
 candidate-bitset row per prefix, and one vectorized 64-bit AND narrows
-every candidate set at once.  Members are extracted word-first
-(``nonzero`` over the ``uint64`` words, then an 8-way bit expansion of
-only those words' nonzero bytes), so work scales with the number of set
-bits, not with ``n``.  Counting replaces the last level with a
-cache-blocked 64-bit popcount reduction and never materializes leaf
-objects.  Beyond
+every candidate set at once.  Members are extracted word-first: one
+``flatnonzero`` over the ``uint64`` words, a popcount of only the live
+words, then a lowest-set-bit peel of the words still holding bits
+(:func:`_expand_members`), so work scales with the number of set bits,
+not with ``n``.  Prefix tables and candidate rows grow by
+``np.take(..., axis=0)`` row gathers.  Counting replaces the last level
+with a cache-blocked 64-bit popcount reduction and never materializes
+leaf objects.  Beyond
 ``BITSET_MAX_NODES`` the kernels fall back to an explicit-stack search
 over sorted index arrays (:func:`intersect_sorted`), which needs no
 quadratic bit matrix.
@@ -78,33 +80,37 @@ CHUNK_EDGES = 16384
 #: this many bytes so the per-block count array stays cache-resident.
 POPCOUNT_BLOCK_BYTES = 1 << 22
 
-_ARANGE8 = np.arange(8, dtype=np.uint8)
-
 #: Word byte order of the host.  Node j is bit j & 63 of word j >> 6, so
 #: on little-endian hosts it is also byte j >> 3, bit j & 7 of the row's
 #: ``uint8`` view; big-endian hosts permute bytes within each word
-#: (:func:`_byte_columns`) or read words as ``<u8`` (:func:`_expand_members`).
+#: (:func:`_byte_columns`).  :func:`_expand_members` reads word *values*
+#: and needs no such mapping.
 _LITTLE = sys.byteorder == "little"
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - exercised only on numpy 1.x
-    _POPCOUNT_TABLE = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-    _SWAR_M1 = np.uint64(0x5555555555555555)
-    _SWAR_M2 = np.uint64(0x3333333333333333)
-    _SWAR_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _SWAR_H01 = np.uint64(0x0101010101010101)
+_ONE = np.uint64(1)
+_POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_SWAR_M1 = np.uint64(0x5555555555555555)
+_SWAR_M2 = np.uint64(0x3333333333333333)
+_SWAR_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_SWAR_H01 = np.uint64(0x0101010101010101)
 
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        if a.dtype != np.uint64:
-            return _POPCOUNT_TABLE[a]
-        # Vectorized 64-bit SWAR (Hacker's Delight 5-2).
-        x = a - ((a >> np.uint64(1)) & _SWAR_M1)
-        x = (x & _SWAR_M2) + ((x >> np.uint64(2)) & _SWAR_M2)
-        x = (x + (x >> np.uint64(4))) & _SWAR_M4
-        return (x * _SWAR_H01) >> np.uint64(56)
+
+def _popcount_swar(a: np.ndarray) -> np.ndarray:
+    """Per-element set-bit counts without ``np.bitwise_count`` (numpy 1.x):
+    a byte table for ``uint8`` input, else 64-bit SWAR (Hacker's Delight
+    5-2), which returns ``uint64`` counts."""
+    if a.dtype == np.uint8:
+        return _POPCOUNT_TABLE[a]
+    x = a - ((a >> _ONE) & _SWAR_M1)
+    x = (x & _SWAR_M2) + ((x >> np.uint64(2)) & _SWAR_M2)
+    x = (x + (x >> np.uint64(4))) & _SWAR_M4
+    return (x * _SWAR_H01) >> np.uint64(56)
+
+
+#: Per-element popcount: ``np.bitwise_count`` (numpy >= 2.0, ``uint8``
+#: counts) where it exists.  Callers cast counts before arithmetic that
+#: must stay signed, since the fallback's are ``uint64``.
+_popcount = getattr(np, "bitwise_count", _popcount_swar)
 
 
 def _popcount_sum(cand: np.ndarray) -> int:
@@ -443,24 +449,44 @@ def _test_bits(bits: np.ndarray, rows: np.ndarray, nodes: np.ndarray) -> np.ndar
 def _expand_members(cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Set bits of a stack of uint64 bitset rows, as ``(row_index, node_id)``.
 
-    Word-first: ``nonzero`` runs over the words, and only the nonzero
-    words' bytes are expanded, so cost tracks the number of set bits.
-    The selected words are read as little-endian (``<u8``, a no-op on
-    little-endian hosts) so byte k of a word holds nodes 8k..8k+7 on
-    either byte order.  Within one row the returned node ids ascend,
-    and rows appear in ascending order — the level pipeline relies on
-    this to keep prefix groups contiguous.
+    Word-first lowest-set-bit peel: one ``flatnonzero`` finds the live
+    (nonzero) words and only those are popcounted, so cost tracks the
+    number of set bits, not ``n``.  Word ``i``'s bits go to output slots
+    ``start[i] .. start[i] + count[i] - 1`` (``start`` is the exclusive
+    ``cumsum`` of the counts).  The live words are ordered once by
+    descending popcount (a stable argsort of ``uint8`` counts is a radix
+    sort), so the words still holding bits are always a prefix; each
+    round writes the lowest set bit of every such word,
+    ``popcount(w ^ (w - 1)) - 1``, into its next slot and clears it with
+    ``w &= w - 1`` — as many rounds as the fullest word has bits.  Word
+    *values* are peeled (a ``>u8`` stack converts to native), so node
+    ``j`` is bit ``j & 63`` of word ``j >> 6`` on either byte order.
+    Within one row the returned node ids ascend, and rows appear in
+    ascending order — the level pipeline relies on this to keep prefix
+    groups contiguous.
     """
-    ri, wj = np.nonzero(cand)
-    if ri.size == 0:
-        return ri, wj
-    words = cand[ri, wj].astype("<u8", copy=False)
-    word_bytes = words.view(np.uint8).reshape(-1, 8)
-    wi, bk = np.nonzero(word_bytes)
-    eight = (word_bytes[wi, bk][:, None] >> _ARANGE8) & 1
-    ki, bit = np.nonzero(eight)
-    wi = wi[ki]
-    return ri[wi], (wj[wi] << 6) + (bk[ki] << 3) + bit
+    width = cand.shape[1]
+    flat = cand.ravel()
+    live = np.flatnonzero(flat)
+    words = flat[live].astype(np.uint64, copy=False)
+    counts = _popcount(words)
+    order = np.argsort(counts, kind="stable")[::-1]
+    counts = counts.astype(np.intp)
+    row, col = np.divmod(live, width)
+    rows = np.repeat(row, counts)
+    slot = (np.cumsum(counts) - counts)[order]
+    base = col[order] * 64 - 1
+    words = words[order]
+    # holding[r]: how many words still hold a bit in round r.
+    holding = live.size - np.cumsum(np.bincount(counts))
+    nodes = np.empty(rows.size, dtype=np.intp)
+    for k in holding[:-1].tolist():
+        w = words[:k]
+        below = w - _ONE
+        nodes[slot[:k]] = base[:k] + _popcount(w ^ below).astype(np.intp)
+        slot[:k] += 1
+        w &= below
+    return rows, nodes
 
 
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -516,11 +542,19 @@ def table_from_forward_bits(
     edges = _forward_edge_pairs(fptr, findices)[start:stop]
     out: List[np.ndarray] = []
     for lo in range(0, edges.shape[0], CHUNK_EDGES):
-        table = edges[lo : lo + CHUNK_EDGES]
-        cand = bits[table[:, 0]] & bits[table[:, 1]]
+        u, v = edges[lo : lo + CHUNK_EDGES].T
+        # Row gathers go through np.take(axis=0), which copies whole rows
+        # and beats fancy indexing ~3x on these few-word rows.  The table
+        # is p wide from the root on and level ``size`` fills column
+        # ``size - 1``, so a grow is one contiguous gather: writing k
+        # gathered columns into a wider table costs ~4x the gather.
+        table = np.empty((u.size, p), dtype=np.int64)
+        table[:, 0] = u
+        table[:, 1] = v
+        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
         if goal_bits is not None:
-            touched = _test_bits(goal_bits, table[:, 0], table[:, 1])
-            reach = goal_bits[table[:, 0]] | goal_bits[table[:, 1]]
+            touched = _test_bits(goal_bits, u, v)
+            reach = np.take(goal_bits, u, axis=0) | np.take(goal_bits, v, axis=0)
         for size in range(3, p + 1):
             if goal_bits is not None and size == p:
                 # A last member must close a goal pair unless one is in.
@@ -529,16 +563,14 @@ def table_from_forward_bits(
             rows, nodes = _expand_members(cand)
             if goal_bits is not None and size < p:
                 touched = touched[rows] | _test_bits(reach, rows, nodes)
-                reach = reach[rows] | goal_bits[nodes]
-            grown = np.empty((rows.size, size), dtype=np.int64)
-            grown[:, :-1] = table[rows]
-            grown[:, -1] = nodes
-            table = grown
+                reach = np.take(reach, rows, axis=0) | np.take(goal_bits, nodes, axis=0)
+            table = np.take(table, rows, axis=0)
+            table[:, size - 1] = nodes
             if size < p:
-                cand = cand[rows] & bits[nodes]
-            if table.shape[0] == 0:
+                cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
+            if rows.size == 0:
                 break
-        if table.shape[0] and table.shape[1] == p:
+        if table.shape[0]:  # only an empty table leaves the loop early
             out.append(table)
     if not out:
         return np.empty((0, p), dtype=np.int64)
@@ -562,11 +594,11 @@ def count_from_forward_bits(
     edges = _forward_edge_pairs(fptr, findices)[start:stop]
     total = 0
     for lo in range(0, edges.shape[0], CHUNK_EDGES):
-        table = edges[lo : lo + CHUNK_EDGES]
-        cand = bits[table[:, 0]] & bits[table[:, 1]]
+        u, v = edges[lo : lo + CHUNK_EDGES].T
+        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
         for _size in range(3, p):
             rows, nodes = _expand_members(cand)
-            cand = cand[rows] & bits[nodes]
+            cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
             if rows.size == 0:
                 break
         if cand.shape[0]:
@@ -704,27 +736,28 @@ def grouped_clique_tables(
 
     # Level pipeline on combined ids; a grown member's combined id is its
     # local id plus the *row's* group base (edges never cross groups).
-    root = np.empty((c_lo.size, 2), dtype=np.int64)
-    root[:, 0] = c_lo
-    root[:, 1] = c_hi
     out_owner: List[np.ndarray] = []
     out_table: List[np.ndarray] = []
-    for start in range(0, root.shape[0], CHUNK_EDGES):
-        table = root[start : start + CHUNK_EDGES]
-        rowbase = base[owner_of[table[:, 0]]]
-        cand = bits[table[:, 0]] & bits[table[:, 1]]
+    for start in range(0, c_lo.size, CHUNK_EDGES):
+        u = c_lo[start : start + CHUNK_EDGES]
+        v = c_hi[start : start + CHUNK_EDGES]
+        # As in table_from_forward_bits, rows are p wide from the root on.
+        table = np.empty((u.size, p), dtype=np.int64)
+        table[:, 0] = u
+        table[:, 1] = v
+        rowbase = base[owner_of[u]]
+        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
         for size in range(3, p + 1):
             grow_rows, members = _expand_members(cand)
-            grown = np.empty((grow_rows.size, size), dtype=np.int64)
-            grown[:, :-1] = table[grow_rows]
-            grown[:, -1] = rowbase[grow_rows] + members
-            table = grown
+            table = np.take(table, grow_rows, axis=0)
             rowbase = rowbase[grow_rows]
+            table[:, size - 1] = rowbase + members
             if size < p:
-                cand = cand[grow_rows] & bits[table[:, -1]]
-            if table.shape[0] == 0:
+                cand = np.take(cand, grow_rows, axis=0)
+                cand &= np.take(bits, table[:, size - 1], axis=0)
+            if grow_rows.size == 0:
                 break
-        if table.shape[0] and table.shape[1] == p:
+        if table.shape[0]:
             out_owner.append(owner_of[table[:, 0]])
             out_table.append(vert_of[table])
     if not out_table:

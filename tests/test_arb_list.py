@@ -120,13 +120,15 @@ class TestArbListInvariants:
         assert any(name.startswith("t/") and "learn_edges" in name for name in names)
 
     def test_bad_edges_join_er(self):
-        # Force bad nodes via a tiny bad threshold.
+        # Force bad nodes via a tiny bad threshold.  phi = 0.1 splits the
+        # two blocks into two clusters whose nodes are outside neighbours
+        # of each other; one cluster has no outside neighbours to demote by.
         g = clustered_graph(2, 20, intra_p=0.9, inter_edges_per_pair=30, seed=16)
-        params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0)
+        params = AlgorithmParameters(p=4, bad_scale=1e-6, heavy_scale=100.0, phi=0.1)
         state = fresh_state(g, threshold=5)
         outcome = arb_list(state, params, np.random.default_rng(0), RoundLedger())
-        if len(outcome.bad_edges):
-            assert rows(outcome.bad_edges) <= key_rows(state.er_keys, state.n)
+        assert len(outcome.bad_edges) > 0
+        assert rows(outcome.bad_edges) <= key_rows(state.er_keys, state.n)
 
     def test_demoted_bad_edges_leave_the_goal_and_join_er(self):
         """A caveman graph whose blocks are separate clusters, every

@@ -6,6 +6,8 @@ import pytest
 
 from repro import list_cliques
 from repro.analysis.verification import verify_listing, verify_per_node_consistency
+from repro.core import list_iteration
+from repro.core.arb_list import arb_list
 from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.core.result import ListingResult
@@ -148,12 +150,26 @@ class TestLedgerStructure:
 
 
 class TestBadNodePath:
-    def test_forced_bad_edges_still_correct(self):
+    def test_forced_bad_edges_still_correct(self, monkeypatch):
         """Scaling the bad threshold down exercises edge demotion without
-        breaking completeness (demoted edges are handled later)."""
-        g = erdos_renyi(80, 0.5, seed=11)
-        params = AlgorithmParameters(p=4, variant="generic", bad_scale=0.002)
+        breaking completeness (demoted edges are handled later).  The
+        caveman blocks split into separate clusters (phi = 0.05) and a
+        low stop scale keeps the outer loop running, so ARB-LIST really
+        demotes edges."""
+        demoted = []
+
+        def counting_arb_list(*args, **kwargs):
+            outcome = arb_list(*args, **kwargs)
+            demoted.append(len(outcome.bad_edges))
+            return outcome
+
+        monkeypatch.setattr(list_iteration, "arb_list", counting_arb_list)
+        g = clustered_graph(4, 24, intra_p=0.8, inter_edges_per_pair=6, seed=3)
+        params = AlgorithmParameters(
+            p=4, variant="generic", bad_scale=1e-6, phi=0.05, stop_scale=0.3
+        )
         result = list_cliques_congest(g, 4, params=params, seed=11)
+        assert sum(demoted) > 0
         verify_listing(g, result).raise_if_failed()
 
     def test_forced_all_light_still_correct(self):

@@ -133,7 +133,7 @@ class TestResponsibleNewId:
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_index_array_matches_scalar(self, s, p):
-        """The column sorting network agrees with the scalar sort on
+        """The sorted-digit lookup agrees with the scalar sort on
         unsorted rows with repeated digits, and leaves its input alone."""
         rng = np.random.default_rng(10 * s + p)
         rows = rng.integers(0, s, size=(300, p))

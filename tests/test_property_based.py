@@ -769,6 +769,36 @@ class TestPopcountProperties:
         _scatter_bits(rebuilt, ri, ci)
         assert np.array_equal(rebuilt, bits)
 
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(
+                st.lists(bitset_words, min_size=width, max_size=width),
+                min_size=0,
+                max_size=8,
+            ).map(lambda rows: np.asarray(rows, dtype=np.uint64).reshape(-1, width))
+        )
+    )
+    @example(np.asarray([[0, 0], [ALL_ONES, 1 << 63], [0, 0], [1, 0]], dtype=np.uint64))
+    @settings(max_examples=60, deadline=None)
+    def test_swar_fallback_expands_and_counts(self, bits):
+        """With ``_popcount`` bound to the numpy 1.x SWAR fallback, whose
+        counts are ``uint64``, the peel and the popcount reduction still
+        match ``np.unpackbits`` on either word byte order."""
+        from unittest import mock
+
+        from repro.graphs import csr
+
+        unpacked = np.unpackbits(
+            bits.astype("<u8").view(np.uint8), axis=1, bitorder="little"
+        )
+        expected = [r.tolist() for r in np.nonzero(unpacked)]
+        with mock.patch.object(csr, "_popcount", csr._popcount_swar):
+            for words in (bits, bits.astype(">u8")):
+                ri, ci = csr._expand_members(words)
+                assert ri.dtype.kind == ci.dtype.kind == "i"
+                assert [ri.tolist(), ci.tolist()] == expected
+                assert csr._popcount_sum(words) == int(unpacked.sum())
+
 
 # ----------------------------------------------------------------------
 # Routing-plane load accounting

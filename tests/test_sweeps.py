@@ -75,6 +75,27 @@ class TestGridExpansion:
         with pytest.raises(ValueError, match=rf"\['{name}'\]; accepted: .*'stop_scale'"):
             small_spec(algo_overrides={name: 1}).runs()
 
+    @pytest.mark.parametrize(
+        "overrides,axis",
+        [
+            ({"variant": "k4"}, "variants"),
+            ({"variant": None}, "variants"),
+            ({"topology": "ring"}, "topologies"),
+            ({"topology": "star", "stop_scale": 0.5}, "topologies"),
+        ],
+    )
+    @pytest.mark.parametrize("model", ["congest", "congested-clique"])
+    def test_override_of_a_grid_axis_names_the_axis(self, overrides, axis, model):
+        """An override of a field that a grid axis sets per cell would
+        run every cell alike under keys that differ; it is refused at
+        expansion with the axis to use."""
+        spec = small_spec(
+            model=model, ps=[4], variants=[None], topologies=[None, "clique"],
+            algo_overrides=overrides,
+        )
+        with pytest.raises(ValueError, match=rf"bypass the grid.*'{axis}'"):
+            spec.runs()
+
     @pytest.mark.parametrize("model", ["congested-clique", "congested_clique"])
     def test_variants_apply_to_the_congest_model_only(self, model):
         with pytest.raises(ValueError, match="takes no variant"):
