@@ -43,8 +43,7 @@ Dynamic graphs are served by :mod:`repro.stream` without recompute:
 incrementally over a delta-buffered CSR (periodic compaction instead of
 per-mutation rebuilds), fed by columnar :class:`UpdateBatch` updates
 from the ``stream_window`` / ``stream_growth`` / ``stream_churn``
-families; :class:`QueryEngine` fronts it with precisely-invalidated
-caches.  CLI: ``python -m repro.cli stream``; design:
+families.  CLI: ``python -m repro.cli stream``; design:
 ``docs/streaming.md``.
 
 >>> from repro import StreamEngine, UpdateBatch
@@ -64,7 +63,7 @@ from repro.core.params import AlgorithmParameters
 from repro.core.result import ListingResult
 from repro.graphs.graph import Graph
 from repro.workloads import Workload, available_workloads, create_workload
-from repro.stream import QueryEngine, StreamEngine, UpdateBatch
+from repro.stream import StreamEngine, UpdateBatch
 
 __version__ = "1.1.0"
 
@@ -109,6 +108,5 @@ __all__ = [
     "create_workload",
     "UpdateBatch",
     "StreamEngine",
-    "QueryEngine",
     "__version__",
 ]

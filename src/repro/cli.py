@@ -485,7 +485,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     from repro.graphs.cliques import clique_table
-    from repro.stream import QueryEngine, StreamEngine
+    from repro.stream import StreamEngine
     from repro.workloads import available_stream_workloads, create_workload
 
     known = available_stream_workloads()
@@ -516,15 +516,14 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     for p in ps:
         engine.track(p, listing=args.verify)
-    queries = QueryEngine(engine)
     print(
         f"stream: {args.family} n={args.n} seed={args.seed} "
         f"batches={len(instance.batches)} updates={instance.num_updates}",
         file=sys.stderr,
     )
     for index, batch in enumerate(instance.batches):
-        outcome = queries.apply(batch)
-        counts = " ".join(f"K{p}={queries.count(p)}" for p in ps)
+        outcome = engine.apply(batch)
+        counts = " ".join(f"K{p}={engine.count(p)}" for p in ps)
         flag = " [compacted]" if outcome.compacted else ""
         print(
             f"batch {index:3d}: +{outcome.inserted.shape[0]} "
@@ -559,30 +558,29 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 params=AlgorithmParameters(p=p, execution=config),
                 seed=args.seed,
             )
-            if checked.num_cliques != queries.count(p):
+            if checked.num_cliques != engine.count(p):
                 raise SystemExit(
                     f"fault-checked listing DIVERGED at p={p}: "
                     f"{checked.num_cliques} cliques vs maintained "
-                    f"{queries.count(p)}"
+                    f"{engine.count(p)}"
                 )
             print(
                 f"fault-check p={p}: healed listing matches maintained "
-                f"count ({queries.count(p)}), recovery rounds "
+                f"count ({engine.count(p)}), recovery rounds "
                 f"{checked.ledger.recovery_rounds:.1f}",
                 file=sys.stderr,
             )
     stats = engine.stats
     print(
         f"final: m={engine.num_edges} "
-        + " ".join(f"K{p}={queries.count(p)}" for p in ps)
+        + " ".join(f"K{p}={engine.count(p)}" for p in ps)
     )
     print(
         f"engine: {stats['batches']} batches, {stats['updates']} updates "
         f"({stats['inserted']} net inserts, {stats['deleted']} net deletes), "
         f"{stats['compactions']} compactions, "
         f"{stats['recounts']} recount check(s), "
-        f"+{stats['cliques_added']}/-{stats['cliques_removed']} cliques; "
-        f"query cache {queries.hits} hit(s), {queries.misses} miss(es)"
+        f"+{stats['cliques_added']}/-{stats['cliques_removed']} cliques"
     )
     return 0
 

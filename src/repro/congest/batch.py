@@ -10,9 +10,7 @@ family* —
 
 - ``src`` / ``dst``  — ``int64`` endpoint columns,
 - ``payload``        — a ``(messages, width)`` ``uint32`` matrix for fixed-
-  width word payloads (an edge is the ``width == 2`` case),
-- ``obj``            — an optional ``object`` column as the escape hatch
-  for payloads that do not fit fixed-width words.
+  width word payloads (an edge is the ``width == 2`` case).
 
 Load accounting is one :func:`numpy.bincount` per direction, and
 delivery is one stable argsort on ``dst`` instead of millions of
@@ -43,7 +41,7 @@ ask for one (:meth:`~repro.core.config.ExecutionConfig.resolve_executor`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,10 +89,6 @@ class MessageBatch:
         ``(len, width)`` ``uint32`` payload matrix; ``width == 0`` for
         messages with no word payload.  Edge payloads use ``width == 2``
         (the two endpoint identifiers).
-    obj:
-        Optional ``object`` column for arbitrary payloads (the escape
-        hatch keeping the batch plane total over the tuple plane's
-        payload space).
     words_per_message:
         Uniform size in O(log n)-bit words, exactly as in the tuple
         plane's ``route(..., words_per_message=...)``.
@@ -103,7 +97,6 @@ class MessageBatch:
     src: np.ndarray
     dst: np.ndarray
     payload: np.ndarray
-    obj: Optional[np.ndarray] = None
     words_per_message: int = 1
 
     def __post_init__(self) -> None:
@@ -117,8 +110,6 @@ class MessageBatch:
                 f"column lengths disagree: src={self.src.shape[0]}, "
                 f"dst={self.dst.shape[0]}, payload={self.payload.shape[0]}"
             )
-        if self.obj is not None and len(self.obj) != self.src.shape[0]:
-            raise ValueError("obj column length disagrees with src")
         if self.words_per_message < 1:
             raise ValueError(
                 f"messages occupy at least 1 word, got {self.words_per_message}"
@@ -153,44 +144,6 @@ class MessageBatch:
             )
         return cls(src=src, dst=dst, payload=endpoints, words_per_message=2)
 
-    @classmethod
-    def from_object_messages(
-        cls,
-        messages: Mapping[int, Sequence[Tuple[int, Any]]],
-        words_per_message: int = 1,
-    ) -> "MessageBatch":
-        """Columnarize a tuple-plane ``{src: [(dst, payload), ...]}`` map.
-
-        Fixed-width integer-tuple payloads of one common width land in the
-        ``payload`` matrix; anything else rides the ``obj`` column.  Used
-        by the differential tests to drive both planes from one pattern.
-        """
-        srcs: List[int] = []
-        dsts: List[int] = []
-        payloads: List[Any] = []
-        for src, batch in messages.items():
-            for dst, payload in batch:
-                srcs.append(int(src))
-                dsts.append(int(dst))
-                payloads.append(payload)
-        width = _uniform_int_tuple_width(payloads)
-        if width is not None:
-            matrix = np.asarray(
-                [[int(x) for x in p] for p in payloads], dtype=np.uint32
-            ).reshape(len(payloads), width)
-            obj = None
-        else:
-            matrix = np.empty((len(payloads), 0), dtype=np.uint32)
-            obj = np.empty(len(payloads), dtype=object)
-            obj[:] = payloads
-        return cls(
-            src=np.asarray(srcs, dtype=np.int64),
-            dst=np.asarray(dsts, dtype=np.int64),
-            payload=matrix,
-            obj=obj,
-            words_per_message=words_per_message,
-        )
-
     # ------------------------------------------------------------------
     # Accounting and views
     # ------------------------------------------------------------------
@@ -214,37 +167,14 @@ class MessageBatch:
         """Per-node received words (vectorized ``Counter`` replacement)."""
         return self.loads(n)[1]
 
-    def payload_tuples(self) -> List[Any]:
-        """Payloads as the tuple plane would carry them (obj wins if set)."""
-        if self.obj is not None:
-            return list(self.obj)
-        return [tuple(row) for row in self.payload.tolist()]
-
     def to_object_messages(self) -> Dict[int, List[Tuple[int, Any]]]:
         """The tuple-plane view of this batch, for differential testing."""
-        payloads = self.payload_tuples()
         messages: Dict[int, List[Tuple[int, Any]]] = {}
-        for i, (src, dst) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
-            messages.setdefault(src, []).append((dst, payloads[i]))
+        for src, dst, payload in zip(
+            self.src.tolist(), self.dst.tolist(), self.payload.tolist()
+        ):
+            messages.setdefault(src, []).append((dst, tuple(payload)))
         return messages
-
-
-def _uniform_int_tuple_width(payloads: Sequence[Any]) -> Optional[int]:
-    """Common tuple-of-uint32 width of the payloads, or ``None``."""
-    width: Optional[int] = None
-    for payload in payloads:
-        if not isinstance(payload, tuple):
-            return None
-        if width is None:
-            width = len(payload)
-        elif len(payload) != width:
-            return None
-        for item in payload:
-            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
-                return None
-            if not 0 <= int(item) < 2**32:
-                return None
-    return width
 
 
 @dataclass
@@ -262,13 +192,10 @@ class DeliveredBatch:
     indptr: np.ndarray
     src: np.ndarray
     payload: np.ndarray
-    obj: Optional[np.ndarray] = None
 
     def payloads(self, v: int) -> List[Any]:
         """Node ``v``'s mailbox as the tuple plane would hand it over."""
         lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])
-        if self.obj is not None:
-            return list(self.obj[lo:hi])
         return [tuple(row) for row in self.payload[lo:hi].tolist()]
 
     def nonempty_nodes(self) -> np.ndarray:
@@ -293,7 +220,6 @@ def deliver(batch: MessageBatch | FanoutBatch, n: int) -> DeliveredBatch:
         indptr=indptr,
         src=batch.src[order],
         payload=batch.payload[order],
-        obj=None if batch.obj is None else batch.obj[order],
     )
 
 

@@ -267,16 +267,4 @@ def corrupt_batch(
         if batch.silent is not None:
             rows = unique_sorted(np.concatenate([batch.silent, rows]))
         return replace(batch, silent=rows, silent_payload=payload[rows])
-    payload = mangle_payload_matrix(batch.payload, rows, n)
-    obj = batch.obj
-    if obj is not None:
-        obj = obj.copy()
-        for i in rows.tolist():
-            obj[i] = mangle_payload(obj[i], n)
-    return MessageBatch(
-        src=batch.src,
-        dst=batch.dst,
-        payload=payload,
-        obj=obj,
-        words_per_message=batch.words_per_message,
-    )
+    return replace(batch, payload=mangle_payload_matrix(batch.payload, rows, n))

@@ -19,6 +19,10 @@ fix.  :class:`CSROverlay` is the middle ground:
   snapshot.  The :class:`~repro.stream.engine.StreamEngine` calls this
   every K updates instead of on every mutation.
 
+The read accessors are written once, on :class:`FrozenOverlay` — the
+immutable point-in-time view :meth:`CSROverlay.freeze` hands to
+concurrent readers — and the live overlay inherits them.
+
 The overlay is *net*: re-inserting an edge removed since the snapshot
 (or vice versa) cancels out, so :attr:`delta_size` measures the true
 distance from the base snapshot and ``compact()`` on a clean overlay
@@ -50,40 +54,37 @@ def _write_bits(bits: np.ndarray, edges: np.ndarray, present: bool) -> None:
     _scatter_bits(bits, rows, cols, clear=not present)
 
 
-def _delta_edge_table(
-    base: CSRGraph, added: Dict[int, Set[int]], removed: Dict[int, Set[int]]
-) -> np.ndarray:
-    """The base's edges with a net delta folded in, as a canonical
-    ``(m, 2)`` int64 table sorted by ``(u, v)``."""
-    n = base.num_nodes
-    keys = edge_keys(base.edge_table(), n)
-    keys = keys[~contains_sorted(_delta_keys(removed, n), keys)]
-    return key_pairs(unique_sorted(np.concatenate([keys, _delta_keys(added, n)])), n)
-
-
 def _delta_keys(delta: Dict[int, Set[int]], n: int) -> np.ndarray:
     """Canonical keys of a symmetric node -> neighbours delta."""
     return edge_keys([(u, v) for u, vs in delta.items() for v in vs if u < v], n)
 
 
-class CSROverlay:
-    """Mutable delta overlay over an immutable :class:`CSRGraph` base."""
+class FrozenOverlay:
+    """An immutable snapshot-isolated view: base CSR + frozen delta.
 
-    __slots__ = ("base", "_added", "_removed", "_num_edges", "_delta_edges", "_bits", "_rows")
+    Produced by :meth:`CSROverlay.freeze`; never mutated afterwards, so
+    any number of reader threads can share one instance while the live
+    overlay keeps applying batches.  Every read accessor answers from the
+    base snapshot and the ``node -> neighbours`` delta dicts only, which
+    is why :class:`CSROverlay` inherits them unchanged.
+    """
 
-    def __init__(self, base: CSRGraph) -> None:
+    __slots__ = ("base", "_added", "_removed", "_num_edges", "_delta_edges")
+
+    def __init__(
+        self,
+        base: CSRGraph,
+        added: Dict[int, frozenset],
+        removed: Dict[int, frozenset],
+        num_edges: int,
+        delta_edges: int,
+    ) -> None:
         self.base = base
-        self._added: Dict[int, Set[int]] = {}
-        self._removed: Dict[int, Set[int]] = {}
-        self._num_edges = base.num_edges
-        self._delta_edges = 0
-        abits = base.adjacency_bits()
-        self._bits = None if abits is None else abits.copy()
-        self._rows: Dict[int, np.ndarray] = {}
+        self._added = added
+        self._removed = removed
+        self._num_edges = num_edges
+        self._delta_edges = delta_edges
 
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return self.base.num_nodes
@@ -94,7 +95,7 @@ class CSROverlay:
 
     @property
     def delta_size(self) -> int:
-        """Number of edges on which the overlay differs from the base."""
+        """Number of edges on which the view differs from the base."""
         return self._delta_edges
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -107,6 +108,65 @@ class CSROverlay:
         return self.base.has_edge(u, v)
 
     def neighbors(self, v: int) -> np.ndarray:
+        """Sorted neighbor ids of ``v`` with the delta merged in."""
+        row = self.base.neighbors(v)
+        removed = self._removed.get(v)
+        if removed:
+            row = row[~np.isin(row, np.fromiter(removed, dtype=np.int64))]
+        added = self._added.get(v)
+        if added:
+            row = unique_sorted(
+                np.concatenate([row, np.fromiter(added, dtype=np.int64)])
+            )
+        return row
+
+    def degree(self, v: int) -> int:
+        return int(self.neighbors(v).size)
+
+    def edge_table(self) -> np.ndarray:
+        """All current edges as a canonical ``(m, 2)`` int64 table sorted
+        by ``(u, v)``."""
+        n = self.num_nodes
+        keys = edge_keys(self.base.edge_table(), n)
+        keys = keys[~contains_sorted(_delta_keys(self._removed, n), keys)]
+        added = _delta_keys(self._added, n)
+        return key_pairs(unique_sorted(np.concatenate([keys, added])), n)
+
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """All current edges in canonical ``u < v`` form."""
+        for u, v in self.edge_table().tolist():
+            yield (u, v)
+
+    def to_graph(self) -> Graph:
+        """Materialize the current state as a mutable dict-of-sets graph
+        (array-built, its CSR snapshot cached)."""
+        return Graph.from_edge_array(self.num_nodes, self.edge_table())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(n={self.num_nodes}, m={self.num_edges}, "
+            f"delta={self.delta_size})"
+        )
+
+
+class CSROverlay(FrozenOverlay):
+    """Mutable delta overlay over an immutable :class:`CSRGraph` base.
+
+    Adds to the inherited reads what a live overlay needs: net
+    :meth:`apply`, the maintained bitset matrix, a per-node cache of
+    merged rows behind :meth:`neighbors`, :meth:`compact` and an
+    O(delta) :meth:`freeze`.
+    """
+
+    __slots__ = ("_bits", "_rows")
+
+    def __init__(self, base: CSRGraph) -> None:
+        super().__init__(base, {}, {}, base.num_edges, 0)
+        abits = base.adjacency_bits()
+        self._bits = None if abits is None else abits.copy()
+        self._rows: Dict[int, np.ndarray] = {}
+
+    def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` with the delta merged in.
 
         Clean nodes return the base row (a view); dirty nodes build and
@@ -117,43 +177,14 @@ class CSROverlay:
             return self.base.neighbors(v)
         row = self._rows.get(v)
         if row is None:
-            row = self.base.neighbors(v)
-            removed = self._removed.get(v)
-            if removed:
-                row = row[~np.isin(row, np.fromiter(removed, dtype=np.int64))]
-            added = self._added.get(v)
-            if added:
-                row = unique_sorted(
-                    np.concatenate([row, np.fromiter(added, dtype=np.int64)])
-                )
-            else:
-                row = np.ascontiguousarray(row)
-            self._rows[v] = row
+            row = self._rows[v] = super().neighbors(v)
         return row
-
-    def degree(self, v: int) -> int:
-        return int(self.neighbors(v).size)
 
     def adjacency_bits(self) -> "np.ndarray | None":
         """Full-adjacency bitset rows kept in sync with the delta, or
         ``None`` past :data:`~repro.graphs.csr.BITSET_MAX_NODES` (the
         delta kernels then fall back to sorted-row intersections)."""
         return self._bits
-
-    def edge_table(self) -> np.ndarray:
-        """All current edges as a canonical ``(m, 2)`` int64 table."""
-        return _delta_edge_table(self.base, self._added, self._removed)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """All current edges in canonical ``u < v`` form."""
-        for u, v in self.edge_table().tolist():
-            yield (u, v)
-
-    def __repr__(self) -> str:
-        return (
-            f"CSROverlay(n={self.num_nodes}, m={self.num_edges}, "
-            f"delta={self.delta_size})"
-        )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -195,9 +226,9 @@ class CSROverlay:
         self._rows.pop(v, None)
 
     # ------------------------------------------------------------------
-    # Freezing
+    # Freezing / compaction
     # ------------------------------------------------------------------
-    def freeze(self) -> "FrozenOverlay":
+    def freeze(self) -> FrozenOverlay:
         """An immutable point-in-time view of the current state.
 
         The view shares the (already immutable) base snapshot and copies
@@ -215,9 +246,6 @@ class CSROverlay:
             self._delta_edges,
         )
 
-    # ------------------------------------------------------------------
-    # Compaction / conversion
-    # ------------------------------------------------------------------
     def compact(self) -> CSRGraph:
         """Fold the delta into a fresh immutable snapshot.
 
@@ -243,88 +271,3 @@ class CSROverlay:
             # bitwise-scatter re-pack in the next overlay's __init__.
             snapshot._abits = self._bits.copy()
         return snapshot
-
-    def to_graph(self) -> Graph:
-        """Materialize the current state as a mutable dict-of-sets graph
-        (array-built, its CSR snapshot cached)."""
-        return Graph.from_edge_array(self.num_nodes, self.edge_table())
-
-
-class FrozenOverlay:
-    """An immutable snapshot-isolated view: base CSR + frozen delta.
-
-    Produced by :meth:`CSROverlay.freeze`; never mutated afterwards, so
-    any number of reader threads can share one instance while the live
-    overlay keeps applying batches.  Accessors mirror the overlay's
-    (``has_edge`` / ``neighbors`` / ``edges`` / ``to_graph``) but answer
-    from the frozen delta dicts only.
-    """
-
-    __slots__ = ("base", "_added", "_removed", "_num_edges", "_delta_edges")
-
-    def __init__(
-        self,
-        base: CSRGraph,
-        added: Dict[int, frozenset],
-        removed: Dict[int, frozenset],
-        num_edges: int,
-        delta_edges: int,
-    ) -> None:
-        self.base = base
-        self._added = added
-        self._removed = removed
-        self._num_edges = num_edges
-        self._delta_edges = delta_edges
-
-    @property
-    def num_nodes(self) -> int:
-        return self.base.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    @property
-    def delta_size(self) -> int:
-        return self._delta_edges
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if v in self._added.get(u, ()):
-            return True
-        if v in self._removed.get(u, ()):
-            return False
-        return self.base.has_edge(u, v)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of ``v`` in the frozen state."""
-        row = self.base.neighbors(v)
-        removed = self._removed.get(v)
-        if removed:
-            row = row[~np.isin(row, np.fromiter(removed, dtype=np.int64))]
-        added = self._added.get(v)
-        if added:
-            row = unique_sorted(
-                np.concatenate([row, np.fromiter(added, dtype=np.int64)])
-            )
-        return row
-
-    def edge_table(self) -> np.ndarray:
-        """All frozen edges as a canonical ``(m, 2)`` int64 table."""
-        return _delta_edge_table(self.base, self._added, self._removed)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        for u, v in self.edge_table().tolist():
-            yield (u, v)
-
-    def to_graph(self) -> Graph:
-        """Materialize the frozen state as a mutable dict-of-sets graph
-        (array-built, its CSR snapshot cached)."""
-        return Graph.from_edge_array(self.num_nodes, self.edge_table())
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenOverlay(n={self.num_nodes}, m={self.num_edges}, "
-            f"delta={self.delta_size})"
-        )

@@ -17,7 +17,7 @@ Frozenset materialization (:meth:`as_frozenset`) is lazy and cached at
 most once per table; everything upstream of the API edge works on the
 matrix.  Tables are immutable after construction — the backing array is
 marked non-writeable so accidental mutation fails loudly, which is what
-lets snapshots, query caches, and epochs share one table (and its one
+lets snapshots, stream engines and epochs share one table (and its one
 cached frozenset) without copying.
 """
 

@@ -151,11 +151,7 @@ class EpochSnapshot:
 
     def clique_table(self, p: int) -> np.ndarray:
         """The K_p listing at this epoch as an id-ascending row matrix."""
-        if p == 2:
-            return self.view.edge_table()
-        if p not in self._tables:
-            raise UntrackedSizeError(p, self._tables)
-        return self._tables[p].rows
+        return self.table(p).rows
 
     def cliques(self, p: int) -> FrozenSet[Clique]:
         """The K_p set at this epoch — the frozen table's lazily
@@ -179,6 +175,8 @@ class EpochSnapshot:
         pays the simulated run, later readers (and the per-node
         :meth:`learned` queries) share it.
         """
+        if p < 3:
+            raise ValueError(f"a listing run needs clique size p >= 3, got {p}")
         if p not in self._tables:
             raise UntrackedSizeError(p, self._tables)
         key = (p, seed)

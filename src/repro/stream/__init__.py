@@ -13,18 +13,18 @@ frozen snapshot.  This subpackage makes the graph an *evolving* object:
   from bitset-row common neighborhoods and the block-diagonal
   :func:`~repro.graphs.csr.grouped_clique_tables` pipeline, per batch
   rather than per edge;
-- :mod:`repro.stream.engine` — :class:`StreamEngine` (a live
-  delta-buffered CSR: base snapshot + :class:`~repro.graphs.overlay.CSROverlay`
-  with periodic compaction, maintaining exact per-p counts/listings
-  incrementally) and :class:`QueryEngine` (a caching query front-end
-  with precise per-p invalidation, able to serve full distributed
-  listing runs from the maintained clique tables).
+- :mod:`repro.stream.engine` — :class:`StreamEngine`, a live
+  delta-buffered CSR (base snapshot + :class:`~repro.graphs.overlay.CSROverlay`
+  with periodic compaction) maintaining exact per-p counts/listings
+  incrementally; its reads are that maintained state, and its
+  canonical clique tables feed full distributed listing runs through
+  the Theorem 1.3 driver's ``precomputed_table`` entry point.
 
 CLI: ``python -m repro.cli stream``.  Design notes: ``docs/streaming.md``.
 """
 
 from repro.stream.delta import KpDelta, touched_clique_table
-from repro.stream.engine import ApplyResult, QueryEngine, StreamEngine
+from repro.stream.engine import ApplyResult, StreamEngine
 from repro.stream.log import (
     StreamInstance,
     StreamWorkload,
@@ -41,5 +41,4 @@ __all__ = [
     "touched_clique_table",
     "ApplyResult",
     "StreamEngine",
-    "QueryEngine",
 ]

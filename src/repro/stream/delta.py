@@ -63,10 +63,6 @@ class KpDelta:
     def net(self) -> int:
         return int(self.added.shape[0] - self.removed.shape[0])
 
-    @property
-    def touched(self) -> bool:
-        return bool(self.added.shape[0] or self.removed.shape[0])
-
 
 def touched_clique_table(state, edges: np.ndarray, p: int) -> np.ndarray:
     """All K_p of ``state`` containing at least one edge of ``edges``.

@@ -17,14 +17,14 @@ No snapshot is rebuilt per mutation: compaction
 updates, which is the boundary the differential suite pins against a
 from-scratch recompute.
 
-:class:`QueryEngine` fronts an engine with caches that are invalidated
-*precisely*: a cached answer for clique size ``p`` is dropped only when
-an applied batch actually changed some K_p (the delta says so exactly),
-never on unrelated churn or no-op batches.  It can also serve a full
-distributed listing run (Theorem 1.3 driver) whose local-listing tail
-is fed from the maintained table via the ``precomputed_table`` entry
-point of
-:func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`.
+Reads are the engine's own maintained state — counts and canonical
+:class:`~repro.graphs.table.CliqueTable` listings, O(1) per query.  A
+full distributed listing run (Theorem 1.3 driver) over a maintained
+table goes through the ``precomputed_table`` entry point of
+:func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`
+(:meth:`StreamEngine.clique_table` returns the rows it accepts); the
+serve plane caches one such run per immutable epoch
+(:meth:`repro.serve.epoch.EpochSnapshot.listing_result`).
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class ApplyResult:
     deleted: np.ndarray
     deltas: Dict[int, KpDelta] = field(default_factory=dict)
     compacted: bool = False
-
-    @property
-    def num_changes(self) -> int:
-        return int(self.inserted.shape[0] + self.deleted.shape[0])
 
 
 class StreamEngine:
@@ -111,7 +107,7 @@ class StreamEngine:
         #: Maintained canonical clique tables for listing-tracked sizes;
         #: each batch folds its delta in with vectorized row set algebra
         #: (never python-set mutation), and the current table object is
-        #: shared as-is with epochs/queries — tables are immutable, so a
+        #: shared as-is with epochs — tables are immutable, so a
         #: fold replaces the reference instead of writing in place.
         self._listings: Dict[int, CliqueTable] = {}
         self.stats: Dict[str, int] = {
@@ -320,38 +316,26 @@ class StreamEngine:
         For maintained sizes this is the table's cached frozenset — one
         shared immutable object per maintained table, not a per-call
         copy."""
-        if p < 1:
-            raise ValueError(f"clique size must be >= 1, got {p}")
-        if p == 1:
-            return frozenset(frozenset((v,)) for v in range(self.num_nodes))
-        if p == 2:
-            # Served from the overlay's live edge view: a pure read must
-            # not trigger a compaction (it would reset the pending
-            # counter, inflate stats["compactions"] and — with
-            # recount_on_compact — run recounts as a side effect of a
-            # query).
-            return frozenset(
-                frozenset((u, v)) for u, v in self._overlay.edges()
-            )
         return self.clique_result(p).as_frozenset()
 
     def clique_result(self, p: int) -> CliqueTable:
         """The maintained K_p listing as a canonical
         :class:`~repro.graphs.table.CliqueTable` (upgrades ``p`` to
         listing maintenance).  The returned object is the maintained
-        table itself — immutable and shared, so epoch snapshots and
-        query caches alias it for free."""
+        table itself — immutable and shared, so epoch snapshots alias it
+        for free."""
         if p < 1:
             raise ValueError(f"clique size must be >= 1, got {p}")
         if p == 1:
             rows = np.arange(self.num_nodes, dtype=np.int64).reshape(-1, 1)
             return CliqueTable.from_rows(rows, p=1)
         if p == 2:
-            # Same no-compaction rule as cliques(p=2): read the live
-            # overlay edge view, never the snapshot.
-            edges = list(self._overlay.edges())
-            rows = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-            return CliqueTable.from_rows(rows, p=2)
+            # Served from the overlay's live edge table: a pure read must
+            # not trigger a compaction (it would reset the pending
+            # counter, inflate stats["compactions"] and — with
+            # recount_on_compact — run recounts as a side effect of a
+            # query).
+            return CliqueTable.from_rows(self._overlay.edge_table(), p=2)
         if p not in self._listings:
             self.track(p, listing=True)
         return self._listings[p]
@@ -361,124 +345,3 @@ class StreamEngine:
         row matrix — the shape the ``precomputed_table`` listing entry
         point of the Theorem 1.3 driver accepts."""
         return self.clique_result(p).rows
-
-
-class QueryEngine:
-    """Caching query front-end with precise per-p invalidation.
-
-    Wrap a :class:`StreamEngine` and route *all* updates through
-    :meth:`apply`; cached counts/clique sets for size ``p`` survive
-    every batch whose K_p delta is empty (no-op churn, updates in other
-    parts of the graph at other sizes) and are dropped the moment a
-    delta actually touches them.  Cached :meth:`listing_result` runs
-    are coarser — dropped on any structural change, because their
-    ledger charges depend on the whole graph.
-    ``hits``/``misses``/``invalidations`` make the cache behavior
-    observable to tests and the CLI.
-    """
-
-    def __init__(self, engine: StreamEngine) -> None:
-        self.engine = engine
-        self._counts: Dict[int, int] = {}
-        #: Cached *tables*, not sets: the frozenset view lives on the
-        #: table and is materialized at most once per table object, so
-        #: a cache hit that never calls cliques() costs no python sets.
-        self._cliques: Dict[int, CliqueTable] = {}
-        self._results: Dict[tuple, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def apply(self, batch: UpdateBatch) -> ApplyResult:
-        result = self.engine.apply(batch)
-        structural = result.num_changes > 0
-        for p in list(self._counts) + [q for q in self._cliques if q not in self._counts]:
-            if self._dirty(p, result, structural):
-                self._invalidate(p)
-        # Listing runs are *not* a pure function of the K_p set: their
-        # ledger charges depend on the whole graph (edge count, loads,
-        # orientation), so any structural change stales them — even one
-        # whose K_p delta is empty.
-        if structural and self._results:
-            self.invalidations += len(self._results)
-            self._results.clear()
-        return result
-
-    @staticmethod
-    def _dirty(p: int, result: ApplyResult, structural: bool) -> bool:
-        if p <= 2:
-            return structural
-        delta = result.deltas.get(p)
-        # An untracked p has no delta; only a structural change can
-        # affect it (tracking starts at first query, so this happens
-        # only for answers cached before the engine tracked p — which
-        # cannot occur, as the cache fills through engine queries).
-        return delta.touched if delta is not None else structural
-
-    def _invalidate(self, p: int) -> None:
-        self._counts.pop(p, None)
-        self._cliques.pop(p, None)
-        self.invalidations += 1
-
-    def count(self, p: int) -> int:
-        if p in self._counts:
-            self.hits += 1
-            return self._counts[p]
-        self.misses += 1
-        value = self.engine.count(p)
-        self._counts[p] = value
-        return value
-
-    def clique_result(self, p: int) -> CliqueTable:
-        """The current K_p listing as a cached canonical table (shared
-        with the engine's maintained table until an update actually
-        changes some K_p)."""
-        if p in self._cliques:
-            self.hits += 1
-            return self._cliques[p]
-        self.misses += 1
-        table = self.engine.clique_result(p)
-        self._cliques[p] = table
-        self._counts[p] = len(table)
-        return table
-
-    def clique_table(self, p: int) -> np.ndarray:
-        """Canonical ``(count, p)`` rows of :meth:`clique_result`."""
-        return self.clique_result(p).rows
-
-    def cliques(self, p: int) -> FrozenSet[Clique]:
-        """The current K_p set as an immutable frozenset — the cached
-        table's one lazily materialized set view (shared across calls
-        until an update actually changes some K_p)."""
-        return self.clique_result(p).as_frozenset()
-
-    def listing_result(self, p: int, seed: int = 0):
-        """A full CONGESTED CLIQUE listing run over the *current* graph,
-        its local-listing tail served from the maintained table.
-
-        The routing (and its ledger charges) still execute on the
-        simulated network; only the per-node local listing is answered
-        from the stream engine's maintained K_p table — see
-        ``precomputed_table`` in
-        :func:`~repro.core.congested_clique_listing.list_cliques_congested_clique`.
-        Results are cached per ``(p, seed)``.  Unlike counts and clique
-        sets, a listing run's ledger depends on the whole graph (m,
-        measured loads, orientation), so these entries are dropped on
-        *any* structural change, not only when the K_p delta is
-        non-empty.
-        """
-        key = (p, seed)
-        if key in self._results:
-            self.hits += 1
-            return self._results[key]
-        self.misses += 1
-        from repro.core.congested_clique_listing import list_cliques_congested_clique
-
-        result = list_cliques_congested_clique(
-            self.engine.graph(),
-            p,
-            seed=seed,
-            precomputed_table=self.engine.clique_result(p),
-        )
-        self._results[key] = result
-        return result

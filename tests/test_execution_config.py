@@ -27,8 +27,7 @@ from repro.dist import get_cluster
 from repro.faults import FaultModel
 from repro.graphs.generators import erdos_renyi
 from repro.parallel import get_executor
-from repro.serve import EpochSnapshot
-from repro.stream import QueryEngine, StreamEngine
+from repro.serve import CliqueService, EpochSnapshot
 
 
 class TestExecutionConfig:
@@ -140,8 +139,8 @@ class TestParamsComposition:
             AlgorithmParameters(p=3, plane="object")
         with pytest.raises(TypeError):
             list_cliques_congested_clique(g, 3, plane="batch")
-        with pytest.raises(TypeError):
-            QueryEngine(StreamEngine(g)).listing_result(3, plane="batch")
+        with CliqueService(g, ps=(3,)).read() as epoch, pytest.raises(TypeError):
+            epoch.listing_result(3, plane="batch")
         with pytest.raises(TypeError, match="execution"):
             AlgorithmParameters(p=3, execution=None)
         names = {f.name for f in dataclasses.fields(AlgorithmParameters)}
@@ -155,7 +154,6 @@ class TestParamsComposition:
             list_cliques_congested_clique,
             sparsity_aware_listing,
             _sparsity_aware_batch,
-            QueryEngine.listing_result,
             EpochSnapshot.listing_result,
             EpochSnapshot.learned,
         ],

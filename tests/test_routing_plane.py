@@ -201,17 +201,11 @@ class TestGroupedCompactionPaths:
 class TestMessageBatchBasics:
     def test_round_trip_object_messages(self):
         messages = {0: [(1, (2, 3)), (2, (4, 5))], 3: [(0, (6, 7))]}
-        batch = MessageBatch.from_object_messages(messages, words_per_message=2)
+        batch = MessageBatch.of_edges(
+            np.array([0, 0, 3]), np.array([1, 2, 0]), np.array([[2, 3], [4, 5], [6, 7]])
+        )
         assert len(batch) == 3
-        assert batch.obj is None  # uniform int pairs take the payload matrix
         assert batch.to_object_messages() == messages
-
-    def test_object_column_escape_hatch(self):
-        messages = {0: [(1, "tag"), (1, (2, 3))]}
-        batch = MessageBatch.from_object_messages(messages)
-        assert batch.obj is not None
-        delivered = deliver(batch, 2)
-        assert delivered.payloads(1) == ["tag", (2, 3)]
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph
@@ -60,7 +61,11 @@ class TestEpochSnapshot:
     def _snap(self, n=18, seed=5):
         engine = StreamEngine(erdos_renyi(n, 0.4, seed=seed))
         engine.track(3, listing=True)
-        return engine, EpochSnapshot(
+        return engine, self._publish(engine)
+
+    @staticmethod
+    def _publish(engine):
+        return EpochSnapshot(
             epoch=engine.epoch,
             view=engine.frozen_view(),
             counts=engine.counts(),
@@ -85,8 +90,101 @@ class TestEpochSnapshot:
             snap.count(4)
         with pytest.raises(UntrackedSizeError):
             snap.clique_table(5)
+        with pytest.raises(UntrackedSizeError, match="p=4"):
+            snap.listing_result(4)
         with pytest.raises(ValueError, match=">= 1"):
             snap.count(0)
+
+    def test_clique_table_p1_is_always_available(self):
+        _, snap = self._snap()
+        rows = snap.clique_table(1)
+        assert rows.tolist() == [[v] for v in range(snap.num_nodes)]
+        assert rows is snap.table(1).rows
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_clique_table_rejects_sizes_below_one(self, p):
+        """Like ``count`` and ``table``: a size below 1 is a bad
+        argument, not an untracked size."""
+        _, snap = self._snap()
+        with pytest.raises(ValueError, match=">= 1") as excinfo:
+            snap.clique_table(p)
+        assert not isinstance(excinfo.value, UntrackedSizeError)
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 2])
+    def test_listing_runs_reject_sizes_below_three(self, p):
+        """The listing driver needs p >= 3: a run at p <= 2 is a bad
+        argument, not an untracked size whose message calls p=1/p=2
+        always available."""
+        _, snap = self._snap()
+        for read in (snap.listing_result, lambda p: snap.learned(0, p)):
+            with pytest.raises(ValueError, match=">= 3") as excinfo:
+                read(p)
+            assert not isinstance(excinfo.value, UntrackedSizeError)
+
+    @staticmethod
+    def _run_rows(result):
+        """Immutable copies of what a run answers, so a later read can
+        show whether the run changed."""
+        return (
+            frozenset(result.cliques),
+            {node: frozenset(c) for node, c in result.per_node.items()},
+            [(ph.name, ph.rounds) for ph in result.ledger.phases()],
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_listing_result_is_a_fresh_run_cached_per_key(self, seed):
+        _, snap = self._snap()
+        result = snap.listing_result(3, seed=seed)
+        fresh = list_cliques_congested_clique(snap.graph(), 3, seed=seed)
+        assert self._run_rows(result) == self._run_rows(fresh)
+        assert result.stats["precomputed_table"] == 1.0
+        assert snap.listing_result(3, seed=seed) is result
+        assert snap.listing_result(3, seed=seed + 1) is not result
+
+    def test_listing_result_is_per_epoch(self):
+        """An epoch published after a later apply runs its own listing;
+        the earlier epoch keeps its run, which still matches its graph."""
+        engine, before = self._snap()
+        first = before.listing_result(3)
+        first_rows = self._run_rows(first)
+        triangle = sorted(next(iter(before.cliques(3))))
+        engine.apply(UpdateBatch.deletes([(triangle[0], triangle[1])]))
+        after = self._publish(engine)
+        second = after.listing_result(3)
+        assert second is not first
+        assert second.cliques != first.cliques
+        fresh = list_cliques_congested_clique(after.graph(), 3, seed=0)
+        assert self._run_rows(second) == self._run_rows(fresh)
+        assert before.listing_result(3) is first
+        assert self._run_rows(first) == first_rows
+        reference = list_cliques_congested_clique(before.graph(), 3, seed=0)
+        assert self._run_rows(first) == self._run_rows(reference)
+
+    def test_listing_result_reruns_when_only_m_changes(self):
+        """An insert that closes no triangle leaves both epochs sharing
+        one K_3 table, yet the later epoch runs its own listing: the
+        ledger charges depend on m, not only on the cliques."""
+        engine = StreamEngine(Graph(6, [(0, 1), (1, 2), (0, 2)]))
+        engine.track(3, listing=True)
+
+        def publish():
+            return EpochSnapshot(
+                epoch=engine.epoch,
+                view=engine.frozen_view(),
+                counts=engine.counts(),
+                tables={3: engine.clique_result(3)},
+            )
+
+        before = publish()
+        first = before.listing_result(3)
+        engine.apply(UpdateBatch.inserts([(3, 4)]))
+        after = publish()
+        assert after.table(3) is before.table(3)
+        second = after.listing_result(3)
+        assert second.cliques == first.cliques
+        assert self._run_rows(second) != self._run_rows(first)
+        fresh = list_cliques_congested_clique(after.graph(), 3, seed=0)
+        assert self._run_rows(second) == self._run_rows(fresh)
 
     def test_isolated_from_later_ingest(self):
         """The frozen view must not see batches applied after publish —

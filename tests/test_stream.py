@@ -12,7 +12,6 @@ from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.overlay import CSROverlay
 from repro.stream import (
-    QueryEngine,
     StreamEngine,
     UpdateBatch,
     available_stream_workloads,
@@ -244,71 +243,6 @@ class TestStreamEngine:
 
 
 # ----------------------------------------------------------------------
-# QueryEngine
-# ----------------------------------------------------------------------
-class TestQueryEngine:
-    def _engine(self):
-        g = erdos_renyi(20, 0.4, seed=11)
-        return QueryEngine(StreamEngine(g, compact_every=10**9))
-
-    def test_caches_until_a_delta_touches_p(self):
-        qe = self._engine()
-        first = qe.cliques(3)
-        assert qe.cliques(3) is first and qe.hits == 1
-        qe.apply(UpdateBatch.empty())  # no-op batch: cache survives
-        assert qe.cliques(3) is first
-        # Find an edge whose removal destroys at least one triangle.
-        tri = sorted(next(iter(first)))
-        qe.apply(UpdateBatch.deletes([(tri[0], tri[1])]))
-        assert qe.invalidations >= 1
-        updated = qe.cliques(3)
-        assert updated is not first
-        assert updated == frozenset(
-            enumerate_cliques(qe.engine.graph(), 3, backend="python")
-        )
-
-    def test_count_cache(self):
-        qe = self._engine()
-        value = qe.count(4)
-        assert qe.count(4) == value and qe.hits == 1
-
-    def test_listing_result_served_from_table(self):
-        qe = self._engine()
-        result = qe.listing_result(3, seed=0)
-        reference = list_cliques_congested_clique(qe.engine.graph(), 3, seed=0)
-        assert result.cliques == reference.cliques
-        assert result.per_node == reference.per_node
-        assert [(ph.name, ph.rounds) for ph in result.ledger.phases()] == [
-            (ph.name, ph.rounds) for ph in reference.ledger.phases()
-        ]
-        assert result.stats["precomputed_table"] == 1.0
-        assert qe.listing_result(3, seed=0) is result  # cached
-        tri = sorted(next(iter(qe.cliques(3))))
-        qe.apply(UpdateBatch.deletes([(tri[0], tri[1])]))
-        assert qe.listing_result(3, seed=0) is not result  # dropped
-
-    def test_listing_result_stales_on_delta_empty_structural_change(self):
-        """A structural change whose K_p delta is empty keeps the clique
-        caches but must still drop cached listing runs: their ledger
-        charges depend on m and the measured loads, not just the
-        cliques."""
-        g = Graph(6, [(0, 1), (1, 2), (0, 2)])  # one triangle + isolates
-        qe = QueryEngine(StreamEngine(g, compact_every=10**9))
-        cached_cliques = qe.cliques(3)
-        result = qe.listing_result(3, seed=0)
-        outcome = qe.apply(UpdateBatch.inserts([(3, 4)]))  # no new triangle
-        assert not outcome.deltas[3].touched
-        assert qe.cliques(3) is cached_cliques  # precise per-p cache holds
-        fresh = qe.listing_result(3, seed=0)
-        assert fresh is not result  # but the run itself was recomputed
-        assert fresh.cliques == result.cliques
-        reference = list_cliques_congested_clique(qe.engine.graph(), 3, seed=0)
-        assert [(ph.name, ph.rounds) for ph in fresh.ledger.phases()] == [
-            (ph.name, ph.rounds) for ph in reference.ledger.phases()
-        ]
-
-
-# ----------------------------------------------------------------------
 # Regression: reads must not mutate engine state (ISSUE-7 bug A)
 # ----------------------------------------------------------------------
 class TestPureReadsLeaveStateAlone:
@@ -348,26 +282,6 @@ class TestPureReadsLeaveStateAlone:
             )
         )
         assert engine.cliques(2) == {frozenset((1, 2)), frozenset((3, 4))}
-
-
-# ----------------------------------------------------------------------
-# Regression: one listing cache entry per (p, seed) key
-# ----------------------------------------------------------------------
-class TestListingCachePlaneKeys:
-    def _engine(self):
-        g = erdos_renyi(20, 0.4, seed=11)
-        return QueryEngine(StreamEngine(g, compact_every=10**9))
-
-    def test_invalidation_counts_one_entry_per_normalized_key(self):
-        qe = self._engine()
-        qe.listing_result(3, seed=0)
-        qe.listing_result(3, seed=0)  # hit, not a new entry
-        qe.apply(UpdateBatch.inserts([(0, 19)]))
-        # Exactly one listing entry dropped (plus any p-precise drops,
-        # counted separately by _invalidate).
-        assert not qe._results
-        fresh = qe.listing_result(3, seed=0)
-        assert qe.listing_result(3, seed=0) is fresh
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ suite certifies the table against the legacy set semantics:
 - table <-> frozenset round trips across both enumeration backends;
 - vectorized set algebra (difference / union / membership) against the
   python set operators;
-- the shared-cache identity contracts that let engines, epochs and
-  query caches alias one table (and its one materialized set);
+- the shared-cache identity contracts that let engines and epochs
+  alias one table (and its one materialized set);
 - the streaming engine's maintained tables against from-scratch
   recomputes, byte-identical;
 - verification's table fast path against the legacy truth-set path;
@@ -297,16 +297,6 @@ class TestStreamTables:
             assert max(seen, default=0) <= largest
             folded += delta.added.shape[0] > 0
         assert folded and len(engine.clique_result(3)) > largest
-
-    def test_query_engine_caches_table_objects(self):
-        from repro.stream import QueryEngine, StreamEngine
-
-        g = er(n=24, density=0.3)
-        queries = QueryEngine(StreamEngine(g))
-        first = queries.clique_result(3)
-        assert queries.clique_result(3) is first  # hit: same object
-        assert queries.hits == 1 and queries.misses == 1
-        assert first.as_frozenset() == enumerate_cliques(g, 3)
 
 
 # ----------------------------------------------------------------------
