@@ -26,7 +26,7 @@ from repro.core.listing import list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.decomposition import expander_decomposition, validate_decomposition
 from repro.graphs.generators import clustered_graph, erdos_renyi
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 
 def test_a1_routing_slack(benchmark):
@@ -90,8 +90,6 @@ def test_a3_heavy_threshold_shift(benchmark):
         for label, scale in (("paper", 1.0), ("all_light", 1000.0), ("all_heavy", 1e-6)):
             state = ArbListState(
                 n=g.num_nodes,
-                es_edges=set(),
-                es_orientation=Orientation(g.num_nodes),
                 er_edges=g.edge_set(),
                 orientation=orientation,
                 arboricity=max(1, orientation.max_out_degree),

@@ -18,15 +18,13 @@ from repro.core.bad_edges import bad_edge_fraction_bound
 from repro.core.params import AlgorithmParameters
 from repro.graphs.generators import clustered_graph, erdos_renyi
 from repro.graphs.keys import contains_sorted, edge_keys
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 
 def fresh_state(graph, threshold):
     orientation = degeneracy_orientation(graph)
     return ArbListState(
         n=graph.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(graph.num_nodes),
         er_edges=graph.edge_set(),
         orientation=orientation,
         arboricity=max(1, orientation.max_out_degree),

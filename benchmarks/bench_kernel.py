@@ -167,7 +167,9 @@ def test_orientation_backend_consistent_and_timed(benchmark, best_of):
         )
         assert py.max_out_degree == via_csr.max_out_degree
         sample = range(0, g.num_nodes, 97)
-        assert all(py.out_neighbors(v) == via_csr.out_neighbors(v) for v in sample)
+        assert all(
+            np.array_equal(py.out_neighbors(v), via_csr.out_neighbors(v)) for v in sample
+        )
         return python_s, csr_s, csr_samples, py.max_out_degree
 
     python_s, csr_s, csr_samples, degeneracy = benchmark.pedantic(

@@ -19,7 +19,7 @@ from repro.congest.ledger import RoundLedger
 from repro.core.arb_list import ArbListState, arb_list
 from repro.core.params import AlgorithmParameters
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 
 def run_one_arb(n=96, density=0.45, p=4, seed=6):
@@ -27,8 +27,6 @@ def run_one_arb(n=96, density=0.45, p=4, seed=6):
     orientation = degeneracy_orientation(g)
     state = ArbListState(
         n=n,
-        es_edges=set(),
-        es_orientation=Orientation(n),
         er_edges=g.edge_set(),
         orientation=orientation,
         arboricity=max(1, orientation.max_out_degree),

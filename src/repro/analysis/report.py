@@ -31,7 +31,7 @@ from repro.graphs.generators import (
     erdos_renyi,
     gnm_random_graph,
 )
-from repro.graphs.orientation import Orientation, degeneracy_orientation
+from repro.graphs.orientation import degeneracy_orientation
 
 Row = Dict[str, Any]
 
@@ -307,8 +307,6 @@ def experiment_e6() -> ExperimentTable:
     orientation = degeneracy_orientation(g)
     state = ArbListState(
         n=g.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(g.num_nodes),
         er_edges=g.edge_set(),
         orientation=orientation,
         arboricity=max(1, orientation.max_out_degree),

@@ -79,7 +79,7 @@ class OutEdgeBroadcast(NodeProgram):
         self._received: Dict[int, int] = {}
 
     def on_start(self, ctx: Context) -> None:
-        out = sorted(self._orientation.out_neighbors(ctx.node))
+        out = self._orientation.out_neighbors(ctx.node).tolist()
         self._to_send = [(ctx.node, w) for w in out]
         for v in ctx.neighbors:
             self.known_edges.add((min(ctx.node, v), max(ctx.node, v)))

@@ -41,16 +41,17 @@ Clique = FrozenSet[int]
 class ArbListState:
     """The evolving edge partition threaded through ARB-LIST iterations.
 
-    Ês and Êr are kept as sorted canonical key arrays (``u·n + v`` with
-    ``u < v``, :mod:`repro.graphs.keys`); the constructor takes any edge
-    collection.
+    Ês is kept only as its arboricity witness, Êr as a sorted canonical
+    key array (``u·n + v`` with ``u < v``, :mod:`repro.graphs.keys`);
+    the constructor takes any edge collection for Êr.
 
     Attributes
     ----------
     n:
         Node count (constant).
-    es_keys / es_orientation:
-        The accumulated Ês with its arboricity witness.
+    es_orientation:
+        The accumulated Ês (empty at first) as its arboricity witness;
+        ``es_keys`` reads its canonical keys.
     er_keys:
         The remaining Êr (the next invocation decomposes exactly this).
     orientation:
@@ -65,20 +66,21 @@ class ArbListState:
     def __init__(
         self,
         n: int,
-        es_edges: EdgesLike,
-        es_orientation: Orientation,
         er_edges: EdgesLike,
         orientation: Orientation,
         arboricity: int,
         threshold: int,
     ) -> None:
         self.n = n
-        self.es_keys = edge_keys(es_edges, n)
-        self.es_orientation = es_orientation
+        self.es_orientation = Orientation(n)
         self.er_keys = edge_keys(er_edges, n)
         self.orientation = orientation
         self.arboricity = arboricity
         self.threshold = threshold
+
+    @property
+    def es_keys(self) -> np.ndarray:
+        return self.es_orientation.canonical_keys()
 
     def current_keys(self) -> np.ndarray:
         return unique_sorted(np.concatenate([self.es_keys, self.er_keys]))
@@ -118,8 +120,8 @@ def arb_list(
 ) -> ArbListOutcome:
     """Run one ARB-LIST invocation, mutating ``state`` for the next one.
 
-    After the call, ``state.er_keys`` is the new Êr, ``state.es_keys`` /
-    ``state.es_orientation`` include the new E's, the listed goal edges
+    After the call, ``state.er_keys`` is the new Êr,
+    ``state.es_orientation`` includes the new E's, the listed goal edges
     Êm are removed from the graph, and ``state.orientation`` is restricted
     to the surviving edges.
     """
@@ -133,9 +135,6 @@ def arb_list(
     last.name = f"{phase_prefix}/expander_decomposition"
 
     # Fold E's into Ês.
-    state.es_keys = unique_sorted(
-        np.concatenate([state.es_keys, edge_keys(decomposition.es_edges, n)])
-    )
     state.es_orientation = state.es_orientation.merged_with(
         decomposition.es_orientation
     )

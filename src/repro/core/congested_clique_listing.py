@@ -358,7 +358,7 @@ def _route_and_list_object(
     recipients = [r.tolist() for r in pair_recipient_lists(s, p)]
     messages: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {}
     for v in graph.nodes():
-        out = orientation.out_neighbors(v)
+        out = orientation.out_neighbors(v).tolist()
         if not out:
             continue
         batch: List[Tuple[int, Tuple[int, int]]] = []

@@ -77,7 +77,7 @@ def gather_heavy_out_edges(
     worst_chunk_words = 0
     total_edges = 0
     for v in heavy:
-        out = sorted(orientation.out_neighbors(v))
+        out = orientation.out_neighbors(v).tolist()
         if not out:
             continue
         links = sorted(u for u in graph.neighbors(v) if u in cluster_nodes)
@@ -162,7 +162,7 @@ def _gather_heavy_batch(
     worst_chunk_words = 0
     total_edges = 0
     for v in heavy:
-        out = np.sort(np.fromiter(orientation.out_neighbors(v), dtype=np.int64, count=-1))
+        out = orientation.out_neighbors(v)
         if out.size == 0:
             continue
         nbrs = csr.neighbors(v)

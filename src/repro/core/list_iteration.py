@@ -38,18 +38,22 @@ Clique = FrozenSet[int]
 class ListOutcome:
     """Result of one LIST call (Theorem 2.8).
 
-    ``es_keys`` / ``es_orientation`` are the Ẽs the caller recurses on
-    (sorted canonical keys ``u·n + v``); every Kp of the input graph
-    with an edge outside Ẽs is a row of the ``(c, p)`` int64 ``table``,
-    output by node ``owners[i]`` for row ``i``.
+    ``es_orientation`` is the Ẽs the caller recurses on, with its
+    witness (``es_keys`` reads its sorted canonical keys ``u·n + v``);
+    every Kp of the input graph with an edge outside Ẽs is a row of the
+    ``(c, p)`` int64 ``table``, output by node ``owners[i]`` for row
+    ``i``.
     """
 
     owners: np.ndarray
     table: np.ndarray
-    es_keys: np.ndarray
     es_orientation: Orientation
     iterations: int
     stats: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def es_keys(self) -> np.ndarray:
+        return self.es_orientation.canonical_keys()
 
     @property
     def cliques(self) -> Set[Clique]:
@@ -80,8 +84,6 @@ def list_once(
     threshold = params.peel_threshold(n, arboricity)
     state = ArbListState(
         n=n,
-        es_edges=(),
-        es_orientation=Orientation(n),
         er_edges=graph.to_csr().edge_table(),
         orientation=orientation,
         arboricity=arboricity,
@@ -113,7 +115,6 @@ def list_once(
     return ListOutcome(
         owners=owners,
         table=table,
-        es_keys=state.es_keys,
         es_orientation=state.es_orientation,
         iterations=iterations,
         stats={

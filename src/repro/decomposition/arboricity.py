@@ -14,15 +14,16 @@ which this module returns explicitly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Set, Tuple
+from typing import Deque, List, Set, Tuple
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+import numpy as np
+
+from repro.graphs.graph import Graph
+from repro.graphs.keys import edge_keys
 from repro.graphs.orientation import Orientation
 
 
-def peel_low_degree(
-    graph: Graph, threshold: int
-) -> Tuple[Graph, Orientation, Set[Edge]]:
+def peel_low_degree(graph: Graph, threshold: int) -> Tuple[Graph, Orientation]:
     """Peel vertices of degree < ``threshold`` out of ``graph``.
 
     Parameters
@@ -34,20 +35,20 @@ def peel_low_degree(
 
     Returns
     -------
-    (remainder, es_orientation, es_edges):
+    (remainder, es_orientation):
         ``remainder`` is the surviving subgraph (same node range, min
-        degree ≥ threshold on non-isolated nodes); ``es_orientation``
-        orients every peeled edge away from the vertex peeled first, with
-        out-degree < threshold; ``es_edges`` is the peeled edge set.
+        degree ≥ threshold on non-isolated nodes); ``es_orientation`` is
+        the peeled edge set, each edge oriented away from the vertex
+        peeled first, with out-degree < threshold.
     """
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
+    n = graph.num_nodes
     remainder = graph.copy()
-    orientation = Orientation(graph.num_nodes)
-    es_edges: Set[Edge] = set()
     if threshold == 0:
-        return remainder, orientation, es_edges
+        return remainder, Orientation(n)
 
+    keys: List[int] = []
     queue: Deque[int] = deque(
         v for v in graph.nodes() if 0 < remainder.degree(v) < threshold
     )
@@ -61,35 +62,30 @@ def peel_low_degree(
         # edge is oriented away from) is a function of the edge set, not
         # of the order a neighbour set happens to iterate in.
         for u in sorted(remainder.neighbors(v)):
-            orientation.orient(v, u)
-            es_edges.add(canonical_edge(v, u))
+            keys.append(v * n + u)
             remainder.remove_edge(v, u)
             if 0 < remainder.degree(u) < threshold and u not in queued:
                 queue.append(u)
                 queued.add(u)
-    return remainder, orientation, es_edges
+    return remainder, Orientation(n, np.sort(np.array(keys, dtype=np.int64)))
 
 
 def validate_peeling(
-    original: Graph,
-    remainder: Graph,
-    orientation: Orientation,
-    es_edges: Set[Edge],
-    threshold: int,
+    original: Graph, remainder: Graph, orientation: Orientation, threshold: int
 ) -> None:
     """Assert the peeling postconditions; raise ``ValueError`` otherwise.
 
-    Checks: (1) edge partition, (2) orientation covers exactly
-    ``es_edges`` with out-degree < threshold, (3) every surviving
+    Checks: (1) the remainder and the oriented edges partition the
+    original edges, (2) out-degree < threshold, (3) every surviving
     non-isolated node has degree ≥ threshold in the remainder.
     """
-    original_edges = original.edge_set()
-    remainder_edges = remainder.edge_set()
-    if remainder_edges | es_edges != original_edges or remainder_edges & es_edges:
+    n = original.num_nodes
+    # Sorted together, the two key sets equal the original's distinct
+    # keys only if they partition it (an edge in both would repeat).
+    kept = edge_keys(remainder.to_csr().edge_table(), n)
+    parts = np.sort(np.concatenate([kept, orientation.canonical_keys()]))
+    if not np.array_equal(parts, edge_keys(original.to_csr().edge_table(), n)):
         raise ValueError("peeling does not partition the edge set")
-    oriented = {canonical_edge(u, v) for u, v in orientation.oriented_edges()}
-    if oriented != es_edges:
-        raise ValueError("orientation does not cover exactly the peeled edges")
     if threshold > 0 and orientation.max_out_degree >= max(1, threshold):
         # Out-degree can equal threshold-1 at most: a vertex is peeled only
         # while its remaining degree is < threshold.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,7 @@ from repro.decomposition.cluster import Cluster
 from repro.decomposition.mixing import estimate_mixing_time, polylog_mixing_budget
 from repro.decomposition.sweep_cut import sweep_cut
 from repro.graphs.csr import CSRGraph
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Graph
 from repro.graphs.keys import edge_array, edge_keys, key_pairs, unique_sorted
 from repro.graphs.orientation import Orientation
 
@@ -69,21 +69,24 @@ class Decomposition:
 
     Every edge set is an ``(m, 2)`` int64 array of canonical ``u < v``
     rows (the constructor takes any edge collection): ``em_edges`` is
-    the clusters' edges stacked, ``es_orientation`` is the arboricity
-    witness for ``es_edges``, and ``er_edges`` is the leftover.
+    the clusters' edges stacked, ``es_edges`` the edges of the arboricity
+    witness ``es_orientation`` (Es is stored only as its witness), and
+    ``er_edges`` is the leftover.
     """
 
     n: int
     threshold: int
     phi: float
     clusters: List[Cluster]
-    es_edges: np.ndarray
     es_orientation: Orientation
     er_edges: np.ndarray
 
     def __post_init__(self) -> None:
-        self.es_edges = edge_array(self.es_edges)
         self.er_edges = edge_array(self.er_edges)
+
+    @property
+    def es_edges(self) -> np.ndarray:
+        return key_pairs(self.es_orientation.canonical_keys(), self.n)
 
     @property
     def em_edges(self) -> np.ndarray:
@@ -172,16 +175,13 @@ def expander_decomposition(
 
 def _decompose_once(graph: Graph, threshold: int, phi: float) -> Decomposition:
     n = graph.num_nodes
-    es_edges: Set[Edge] = set()
-    es_orientation = Orientation(n)
+    es_parts: List[np.ndarray] = []  # oriented keys of each peel
     er_parts: List[np.ndarray] = []  # (m, 2) edge tables
     clusters: List[Cluster] = []
 
     def absorb_peeling(work: Graph) -> Graph:
-        remainder, orientation, peeled = peel_low_degree(work, threshold)
-        es_edges.update(peeled)
-        nonlocal es_orientation
-        es_orientation = es_orientation.merged_with(orientation)
+        remainder, orientation = peel_low_degree(work, threshold)
+        es_parts.append(orientation.keys)
         return remainder
 
     def process(work: Graph, depth: int) -> None:
@@ -213,13 +213,14 @@ def _decompose_once(graph: Graph, threshold: int, phi: float) -> Decomposition:
             process(absorb_peeling(sub), depth + 1)
 
     process(absorb_peeling(graph), 0)
+    # Each peel takes its edges out of the graph the next one works on,
+    # so the peels' keys are disjoint.
     return Decomposition(
         n=n,
         threshold=threshold,
         phi=phi,
         clusters=clusters,
-        es_edges=key_pairs(edge_keys(es_edges, n), n),
-        es_orientation=es_orientation,
+        es_orientation=Orientation(n, np.sort(np.concatenate(es_parts))),
         er_edges=np.concatenate([np.empty((0, 2), dtype=np.int64), *er_parts]),
     )
 
@@ -288,7 +289,8 @@ def validate_decomposition(
     1. {Em, Es, Er} partitions E(G).
     2. Clusters are vertex-disjoint; each member's internal degree ≥
        threshold (the Ω(n^δ) bound, with the paper's constant taken as 1).
-    3. Es orientation covers exactly Es with out-degree < threshold.
+    3. The Es witness has out-degree < threshold (each node is peeled at
+       most once per decomposition, and a peeled node keeps no edge).
     4. |Er| ≤ |E|/6 (:data:`ER_FRACTION`).
     5. (optional) cluster mixing times within the polylog budget.
     """
@@ -326,16 +328,10 @@ def validate_decomposition(
                 f"< threshold {decomposition.threshold}"
             )
 
-    witness = decomposition.es_orientation
-    oriented = key_pairs(witness.encoded_oriented(), witness.num_nodes)
-    if not np.array_equal(edge_keys(oriented, n), edge_keys(es, n)):
-        raise ValueError("Es orientation does not cover exactly Es")
-    if decomposition.threshold > 0 and (
-        decomposition.es_orientation.max_out_degree > decomposition.threshold
-    ):
+    out_degree = decomposition.es_orientation.max_out_degree
+    if decomposition.threshold > 0 and out_degree >= decomposition.threshold:
         raise ValueError(
-            f"Es witness out-degree {decomposition.es_orientation.max_out_degree} "
-            f"exceeds threshold {decomposition.threshold}"
+            f"Es witness out-degree {out_degree} >= threshold {decomposition.threshold}"
         )
 
     if len(er) > ER_FRACTION * max(1, graph.num_edges):

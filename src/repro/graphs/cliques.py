@@ -47,7 +47,7 @@ def _forward_neighborhoods(graph: Graph) -> Dict[int, Set[int]]:
     the degeneracy of the graph.
     """
     orientation = degeneracy_orientation(graph, backend="python")
-    return {v: set(orientation.out_neighbors(v)) for v in graph.nodes()}
+    return {v: set(orientation.out_neighbors(v).tolist()) for v in graph.nodes()}
 
 
 def enumerate_cliques(graph: Graph, p: int, backend: str = "auto") -> Set[Clique]:

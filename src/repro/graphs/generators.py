@@ -17,7 +17,10 @@ The families mirror the regimes the paper's analysis distinguishes:
 - clustered graphs (`clustered_graph`) — graphs whose expander
   decomposition has many well-separated clusters, exercising the
   per-cluster machinery;
-- expander-ish graphs (`random_regular`) — single-cluster decompositions.
+- expander-ish graphs (`random_regular`) — single-cluster decompositions;
+- random multipartite graphs (`random_multipartite`) — dense yet
+  K_{parts+1}-free, so the listing's round cost can grow with n while
+  the output stays empty.
 """
 
 from __future__ import annotations
@@ -89,6 +92,27 @@ def gnm_random_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
             seen.add(e)
             g.add_edge(*e)
     return g
+
+
+def random_multipartite(n: int, parts: int, q: float, seed: SeedLike = None) -> Graph:
+    """Random ``parts``-partite graph on contiguous parts.
+
+    Node ``v`` is in part ``⌊v·parts/n⌋``, so part sizes differ by at
+    most one; every pair of nodes in different parts is an edge
+    independently with probability ``q``.  The graph has no
+    K_{parts+1} at any density.
+    """
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {q}")
+    rng = _rng(seed)
+    part = np.arange(n) * parts // max(1, n)
+    iu, ju = np.triu_indices(n, k=1)
+    cross = part[iu] != part[ju]
+    iu, ju = iu[cross], ju[cross]
+    keep = rng.random(iu.size) < q
+    return Graph.from_edge_array(n, np.stack([iu[keep], ju[keep]], axis=1))
 
 
 def complete_graph(n: int) -> Graph:

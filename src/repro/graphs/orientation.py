@@ -13,67 +13,77 @@ The orientation is also what drives load-balancing: each node is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
-from repro.graphs.keys import EdgesLike, contains_sorted, edge_keys
+from repro.graphs.graph import Graph
+from repro.graphs.keys import EdgesLike, contains_sorted, edge_keys, key_pairs
 
 
+@dataclass(frozen=True, eq=False)
 class Orientation:
-    """An orientation of a set of undirected edges.
+    """An orientation of a set of undirected edges, kept as one key array.
 
-    Stores, for each node ``v``, the set ``out(v)`` of nodes that ``v``'s
-    edges point to.  The *out-degree bound* ``max_out_degree`` is the
-    arboricity witness the paper threads through its iterations.
+    ``keys`` holds each oriented edge ``src → dst`` once, as the key
+    ``src·n + dst`` (:mod:`repro.graphs.keys`): sorted, distinct, and
+    never both ``u → v`` and ``v → u``.  Sorted keys group by source, so
+    a node's out-neighbours are one slice and the *out-degree bound*
+    ``max_out_degree`` — the arboricity witness the paper threads
+    through its iterations — is one count.
+
+    An orientation never changes (``keys`` is read-only):
+    :meth:`restricted_to` and :meth:`merged_with` return new ones.  The
+    constructor trusts ``keys``; :meth:`from_pairs` checks its input.
     """
 
-    __slots__ = ("_out", "_encoded")
+    num_nodes: int
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    def __init__(self, n: int) -> None:
-        self._out: Dict[int, Set[int]] = {v: set() for v in range(n)}
-        self._encoded: Optional[np.ndarray] = None
+    def __post_init__(self) -> None:
+        self.keys.flags.writeable = False
 
     @classmethod
-    def from_keys(cls, n: int, keys: np.ndarray) -> "Orientation":
-        """The orientation of the sorted, distinct oriented keys
-        ``src·n + dst`` (the form :meth:`encoded_oriented` returns, and
-        keeps as its cache).  Out-sets are filled in ascending id order."""
-        orientation = cls(n)
-        src, dst = np.divmod(keys, max(1, n))
-        bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-        flat = dst.tolist()
-        orientation._out = {v: set(flat[bounds[v] : bounds[v + 1]]) for v in range(n)}
-        orientation._encoded = keys
-        return orientation
+    def from_pairs(cls, n: int, src, dst) -> "Orientation":
+        """The orientation ``src[i] → dst[i]`` of each pair.
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._out)
+        Raises ``ValueError`` for an id outside ``[0, n)`` (its key would
+        alias another edge), a self-loop, or an edge given twice in
+        either direction.
+        """
+        src = np.asarray(src, dtype=np.int64).ravel()
+        dst = np.asarray(dst, dtype=np.int64).ravel()
+        outside = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n))
+        if outside.size:
+            u, v = int(src[outside[0]]), int(dst[outside[0]])
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise ValueError(f"cannot orient self-loop at {int(src[loops[0]])}")
+        canonical = np.minimum(src, dst) * n + np.maximum(src, dst)
+        order = np.argsort(canonical, kind="stable")
+        repeats = np.flatnonzero(np.diff(canonical[order]) == 0)
+        if repeats.size:
+            second = order[repeats[0] + 1]
+            u, v = int(src[second]), int(dst[second])
+            raise ValueError(f"edge ({u}, {v}) already oriented")
+        return cls(n, np.sort(src * n + dst))
 
-    def orient(self, src: int, dst: int) -> None:
-        """Record the edge ``{src, dst}`` as oriented ``src -> dst``."""
-        if src == dst:
-            raise ValueError(f"cannot orient self-loop at {src}")
-        if dst in self._out.get(src, set()) or src in self._out.get(dst, set()):
-            raise ValueError(f"edge ({src}, {dst}) already oriented")
-        self._out[src].add(dst)
-        self._encoded = None
-
-    def out_neighbors(self, v: int) -> Set[int]:
-        """Targets of edges oriented away from ``v``."""
-        return self._out[v]
-
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+    def out_neighbors(self, v: int) -> np.ndarray:
+        """Targets of the edges oriented away from ``v``, ascending."""
+        n = self.num_nodes
+        lo, hi = np.searchsorted(self.keys, (v * n, (v + 1) * n))
+        return self.keys[lo:hi] - v * n
 
     @property
     def max_out_degree(self) -> int:
         """The witness bound: max over nodes of out-degree."""
-        if not self._out:
-            return 0
-        return max(len(targets) for targets in self._out.values())
+        return int(np.bincount(self.keys // max(1, self.num_nodes)).max(initial=0))
+
+    def canonical_keys(self) -> np.ndarray:
+        """The undirected edges, as sorted canonical keys ``min·n + max``."""
+        return edge_keys(key_pairs(self.keys, self.num_nodes), self.num_nodes)
 
     def direction(self, u: int, v: int) -> Tuple[int, int]:
         """Return the oriented pair for edge ``{u, v}``.
@@ -83,30 +93,15 @@ class Orientation:
         KeyError
             If the edge is not oriented by this orientation.
         """
-        if v in self._out.get(u, set()):
+        n = self.num_nodes
+        forward, backward = contains_sorted(
+            self.keys, np.array((u * n + v, v * n + u), dtype=np.int64)
+        ).tolist()
+        if forward:
             return (u, v)
-        if u in self._out.get(v, set()):
+        if backward:
             return (v, u)
         raise KeyError(f"edge ({u}, {v}) not present in orientation")
-
-    def covers(self, u: int, v: int) -> bool:
-        """Whether edge ``{u, v}`` is oriented by this orientation."""
-        return v in self._out.get(u, set()) or u in self._out.get(v, set())
-
-    def encoded_oriented(self) -> np.ndarray:
-        """All oriented edges as one sorted ``src·n + dst`` key array.
-
-        Cached on the instance (``orient`` invalidates), so the batch
-        routing plane pays the O(m) build once per orientation no matter
-        how many clusters consult it.
-        """
-        if self._encoded is None:
-            n = self.num_nodes
-            keys = [
-                src * n + dst for src, targets in self._out.items() for dst in targets
-            ]
-            self._encoded = np.sort(np.asarray(keys, dtype=np.int64))
-        return self._encoded
 
     def direction_array(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`direction`: oriented (src, dst) per input pair.
@@ -117,30 +112,14 @@ class Orientation:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         n = self.num_nodes
-        enc = self.encoded_oriented()
-        as_is = contains_sorted(enc, a * n + b)
-        missing = ~(as_is | contains_sorted(enc, b * n + a))
+        as_is = contains_sorted(self.keys, a * n + b)
+        missing = ~(as_is | contains_sorted(self.keys, b * n + a))
         if missing.any():
             u, v = int(a[missing][0]), int(b[missing][0])
             raise KeyError(f"edge ({u}, {v}) not present in orientation")
         src = np.where(as_is, a, b)
         dst = np.where(as_is, b, a)
         return src, dst
-
-    def edges(self) -> Iterator[Edge]:
-        """All oriented edges, in canonical (undirected) form."""
-        for src, targets in self._out.items():
-            for dst in targets:
-                yield canonical_edge(src, dst)
-
-    def oriented_edges(self) -> Iterator[Tuple[int, int]]:
-        """All edges as (source, target) pairs."""
-        for src, targets in self._out.items():
-            for dst in targets:
-                yield (src, dst)
-
-    def num_edges(self) -> int:
-        return sum(len(targets) for targets in self._out.values())
 
     def restricted_to(self, edges: EdgesLike) -> "Orientation":
         """A new orientation containing only the given (canonical) edges.
@@ -157,30 +136,26 @@ class Orientation:
             keep = edges
         else:
             keep = edge_keys(edges, n)
-        oriented = self.encoded_oriented()
-        src, dst = np.divmod(oriented, max(1, n))
+        src, dst = np.divmod(self.keys, max(1, n))
         canonical = np.minimum(src, dst) * n + np.maximum(src, dst)
-        return Orientation.from_keys(n, oriented[contains_sorted(keep, canonical)])
+        return Orientation(n, self.keys[contains_sorted(keep, canonical)])
 
     def merged_with(self, other: "Orientation") -> "Orientation":
         """Union of two orientations on disjoint edge sets.
 
         The paper's Ês accumulates oriented edge sets across ARB-LIST
         iterations; out-degrees add, matching the (c+1)·n^δ bound of
-        Theorem 2.9.
+        Theorem 2.9.  Raises ``ValueError`` if an edge is in both.
         """
         if other.num_nodes != self.num_nodes:
             raise ValueError("orientations are over different node sets")
-        merged = Orientation(self.num_nodes)
-        for src, dst in self.oriented_edges():
-            merged.orient(src, dst)
-        for src, dst in other.oriented_edges():
-            merged.orient(src, dst)
-        return merged
+        n = self.num_nodes
+        src, dst = np.divmod(np.concatenate([self.keys, other.keys]), max(1, n))
+        return Orientation.from_pairs(n, src, dst)
 
     def __repr__(self) -> str:
         return (
-            f"Orientation(n={self.num_nodes}, m={self.num_edges()}, "
+            f"Orientation(n={self.num_nodes}, m={self.keys.size}, "
             f"max_out={self.max_out_degree})"
         )
 
@@ -232,7 +207,7 @@ def degeneracy_orientation(graph: Graph, backend: str = "auto") -> Orientation:
     if resolve_backend(graph, backend) == "csr":
         return _degeneracy_orientation_csr(graph)
     n = graph.num_nodes
-    orientation = Orientation(n)
+    keys: List[int] = []
     degree = {v: graph.degree(v) for v in graph.nodes()}
     # Bucket queue keyed by current degree.
     buckets: List[Set[int]] = [set() for _ in range(n)] if n else []
@@ -251,12 +226,12 @@ def degeneracy_orientation(graph: Graph, backend: str = "auto") -> Orientation:
         for u in graph.neighbors(v):
             if u in removed:
                 continue
-            orientation.orient(v, u)
+            keys.append(v * n + u)
             buckets[degree[u]].discard(u)
             degree[u] -= 1
             buckets[degree[u]].add(u)
         pointer = max(0, pointer - 1)
-    return orientation
+    return Orientation(n, np.sort(np.array(keys, dtype=np.int64)))
 
 
 def _degeneracy_orientation_csr(graph: Graph) -> Orientation:
@@ -265,35 +240,25 @@ def _degeneracy_orientation_csr(graph: Graph) -> Orientation:
     n = graph.num_nodes
     # Forward rows ascend by node and within each row: the keys are sorted.
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    return Orientation.from_keys(n, src * n + findices)
-
-
-def orientation_from_order(graph: Graph, order: Iterable[int]) -> Orientation:
-    """Orient every edge from the node appearing earlier in ``order``."""
-    position = {v: i for i, v in enumerate(order)}
-    if len(position) != graph.num_nodes:
-        raise ValueError("order must be a permutation of the node set")
-    orientation = Orientation(graph.num_nodes)
-    for u, v in graph.edges():
-        if position[u] < position[v]:
-            orientation.orient(u, v)
-        else:
-            orientation.orient(v, u)
-    return orientation
+    return Orientation(n, src * n + findices)
 
 
 def validate_orientation(graph: Graph, orientation: Orientation) -> None:
     """Check an orientation covers exactly the graph's edges, or raise.
 
-    The listing pipeline calls this in its internal assertions (and the
-    tests call it directly): an orientation that drops or invents edges
-    would silently break the reshuffling load-balance argument.
+    An orientation that drops or invents edges would silently break the
+    reshuffling load-balance argument.
     """
-    oriented = {canonical_edge(u, v) for u, v in orientation.oriented_edges()}
-    actual = graph.edge_set()
-    missing = actual - oriented
-    extra = oriented - actual
-    if missing:
-        raise ValueError(f"orientation misses {len(missing)} edges, e.g. {next(iter(missing))}")
-    if extra:
-        raise ValueError(f"orientation has {len(extra)} non-edges, e.g. {next(iter(extra))}")
+    n = max(graph.num_nodes, orientation.num_nodes)
+    oriented = edge_keys(key_pairs(orientation.keys, orientation.num_nodes), n)
+    actual = edge_keys(graph.to_csr().edge_table(), n)
+    missing = actual[~contains_sorted(oriented, actual)]
+    extra = oriented[~contains_sorted(actual, oriented)]
+    if missing.size:
+        raise ValueError(
+            f"orientation misses {missing.size} edges, e.g. {divmod(int(missing[0]), n)}"
+        )
+    if extra.size:
+        raise ValueError(
+            f"orientation has {extra.size} non-edges, e.g. {divmod(int(extra[0]), n)}"
+        )

@@ -205,17 +205,22 @@ def run_open_loop(
     done_lock = threading.Lock()
     outcomes: List[Tuple[Response, float]] = []
     errors: List[BaseException] = []
+    # A future wakes its waiters before it runs its done-callbacks, so
+    # the run waits on the callbacks: each one releases this once.
+    recorded = threading.Semaphore(0)
 
     def on_done(future, scheduled: float) -> None:
-        finished = time.perf_counter()
-        exc = future.exception()
-        with done_lock:
-            if exc is not None:
-                errors.append(exc)
-            else:
-                outcomes.append((future.result(), finished - scheduled))
+        try:
+            finished = time.perf_counter()
+            exc = future.exception()
+            with done_lock:
+                if exc is not None:
+                    errors.append(exc)
+                else:
+                    outcomes.append((future.result(), finished - scheduled))
+        finally:
+            recorded.release()
 
-    futures = []
     for request in schedule:
         scheduled = origin + request.at
         delay = scheduled - time.perf_counter()
@@ -223,9 +228,8 @@ def run_open_loop(
             time.sleep(delay)
         future = service.submit(request)
         future.add_done_callback(lambda f, s=scheduled: on_done(f, s))
-        futures.append(future)
-    for future in futures:
-        future.exception()  # wait; on_done recorded the outcome
+    for _ in schedule:
+        recorded.acquire()
     ingester.join()
 
     duration = max(

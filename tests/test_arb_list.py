@@ -27,6 +27,12 @@ def key_rows(keys, n):
     return rows(key_pairs(keys, n))
 
 
+def oriented_rows(orientation):
+    """The edges an orientation covers, as canonical ``(u, v)`` tuples."""
+    pairs = key_pairs(orientation.keys, orientation.num_nodes)
+    return rows(np.sort(pairs, axis=1))
+
+
 def fresh_state(graph, threshold=None, params=None):
     orientation = degeneracy_orientation(graph)
     arboricity = max(1, orientation.max_out_degree)
@@ -34,8 +40,6 @@ def fresh_state(graph, threshold=None, params=None):
         threshold = max(1, arboricity // 4)
     return ArbListState(
         n=graph.num_nodes,
-        es_edges=set(),
-        es_orientation=Orientation(graph.num_nodes),
         er_edges=graph.edge_set(),
         orientation=orientation,
         arboricity=arboricity,
@@ -90,11 +94,7 @@ class TestArbListInvariants:
         state = fresh_state(g, threshold=5)
         params = AlgorithmParameters(p=4)
         arb_list(state, params, np.random.default_rng(0), RoundLedger())
-        from repro.graphs.graph import canonical_edge
-
-        covered = {
-            canonical_edge(u, v) for u, v in state.es_orientation.oriented_edges()
-        }
+        covered = oriented_rows(state.es_orientation)
         assert covered == key_rows(state.es_keys, state.n)
 
     def test_global_orientation_restricted_to_survivors(self):
@@ -102,11 +102,7 @@ class TestArbListInvariants:
         state = fresh_state(g, threshold=6)
         params = AlgorithmParameters(p=4)
         arb_list(state, params, np.random.default_rng(0), RoundLedger())
-        from repro.graphs.graph import canonical_edge
-
-        oriented = {
-            canonical_edge(u, v) for u, v in state.orientation.oriented_edges()
-        }
+        oriented = oriented_rows(state.orientation)
         assert oriented == key_rows(state.current_keys(), state.n)
 
     def test_ledger_phases_charged(self):

@@ -11,6 +11,7 @@ by definition — the pure-Python implementation is the specification.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graphs.cliques import count_cliques, enumerate_cliques
@@ -50,11 +51,9 @@ class TestBackendsAgree:
         csr = degeneracy_orientation(g, backend="csr")
         validate_orientation(g, py)
         validate_orientation(g, csr)
-        for v in g.nodes():
-            assert py.out_degree(v) == csr.out_degree(v), (family, seed, v)
-            # Not just the degrees — the oriented edges themselves match,
-            # which is what the shared tie-break rule guarantees.
-            assert py.out_neighbors(v) == csr.out_neighbors(v), (family, seed, v)
+        # Not just the degrees — the oriented edges themselves match,
+        # which is what the shared tie-break rule guarantees.
+        assert np.array_equal(py.keys, csr.keys), (family, seed)
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_clique_sets_identical(self, family, seed, p):

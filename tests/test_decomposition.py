@@ -41,6 +41,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.keys import key_pairs
 from repro.graphs.orientation import Orientation
 
 
@@ -49,24 +50,29 @@ def rows(edges):
     return set(map(tuple, np.asarray(edges).tolist()))
 
 
+def peeled(orientation):
+    """The canonical edges an orientation covers, as a set of tuples."""
+    return rows(key_pairs(orientation.canonical_keys(), orientation.num_nodes))
+
+
 class TestPeeling:
     def test_path_fully_peels(self):
         g = path_graph(10)
-        remainder, orientation, es = peel_low_degree(g, threshold=2)
+        remainder, orientation = peel_low_degree(g, threshold=2)
         assert remainder.num_edges == 0
-        assert es == g.edge_set()
-        validate_peeling(g, remainder, orientation, es, 2)
+        assert peeled(orientation) == g.edge_set()
+        validate_peeling(g, remainder, orientation, 2)
 
     def test_clique_survives(self):
         g = complete_graph(6)
-        remainder, orientation, es = peel_low_degree(g, threshold=3)
+        remainder, orientation = peel_low_degree(g, threshold=3)
         assert remainder.num_edges == 15
-        assert not es
+        assert not orientation.keys.size
 
     def test_threshold_zero_is_identity(self):
         g = cycle_graph(5)
-        remainder, orientation, es = peel_low_degree(g, 0)
-        assert remainder == g and not es
+        remainder, orientation = peel_low_degree(g, 0)
+        assert remainder == g and not orientation.keys.size
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -76,20 +82,20 @@ class TestPeeling:
         # A clique with a pendant path: peeling eats the whole path.
         g = complete_graph(5)
         g2 = Graph(8, g.edge_set() | {(4, 5), (5, 6), (6, 7)})
-        remainder, orientation, es = peel_low_degree(g2, threshold=3)
-        assert es == {(4, 5), (5, 6), (6, 7)}
+        remainder, orientation = peel_low_degree(g2, threshold=3)
+        assert peeled(orientation) == {(4, 5), (5, 6), (6, 7)}
         assert remainder.num_edges == 10
-        validate_peeling(g2, remainder, orientation, es, 3)
+        validate_peeling(g2, remainder, orientation, 3)
 
     def test_witness_out_degree_below_threshold(self):
         g = erdos_renyi(60, 0.15, seed=4)
-        remainder, orientation, es = peel_low_degree(g, threshold=6)
+        remainder, orientation = peel_low_degree(g, threshold=6)
         assert orientation.max_out_degree < 6
-        validate_peeling(g, remainder, orientation, es, 6)
+        validate_peeling(g, remainder, orientation, 6)
 
     def test_surviving_degrees_at_least_threshold(self):
         g = erdos_renyi(60, 0.3, seed=5)
-        remainder, _o, _es = peel_low_degree(g, threshold=8)
+        remainder, _o = peel_low_degree(g, threshold=8)
         for v in remainder.nodes():
             assert remainder.degree(v) == 0 or remainder.degree(v) >= 8
 
@@ -365,8 +371,7 @@ def two_triangles(threshold=2, es_orientation=None, clusters=None, extra=()):
             Cluster(1, frozenset({3, 4, 5}), second, 2),
         ]
     if es_orientation is None:
-        es_orientation = Orientation(6)
-        es_orientation.orient(2, 3)
+        es_orientation = Orientation.from_pairs(6, [2], [3])
     edges = [tuple(e) for c in clusters for e in c.edges.tolist()]
     graph = Graph(6, [*edges, (2, 3), *extra])
     decomposition = Decomposition(
@@ -374,7 +379,6 @@ def two_triangles(threshold=2, es_orientation=None, clusters=None, extra=()):
         threshold=threshold,
         phi=0.1,
         clusters=clusters,
-        es_edges=np.array([[2, 3]]),
         es_orientation=es_orientation,
         er_edges=np.empty((0, 2), dtype=np.int64),
     )
@@ -413,9 +417,27 @@ class TestValidationOnArrays:
         with pytest.raises(ValueError, match="internal degree 2 < threshold 3"):
             validate_decomposition(graph, dec)
 
-    def test_es_orientation_mismatch(self):
-        wrong = Orientation(6)
-        wrong.orient(0, 3)
-        graph, dec = two_triangles(es_orientation=wrong)
-        with pytest.raises(ValueError, match="Es orientation does not cover exactly Es"):
+    def test_es_out_degree_equal_to_threshold(self):
+        # A peeled node had degree < threshold, so out-degree == threshold
+        # is already a violation.
+        fan = Orientation.from_pairs(6, [2, 2], [3, 4])
+        graph, dec = two_triangles(es_orientation=fan, extra=[(2, 4)])
+        with pytest.raises(ValueError, match="Es witness out-degree 2 >= threshold 2"):
             validate_decomposition(graph, dec)
+
+    def test_er_above_a_sixth_of_the_edges(self):
+        graph, dec = two_triangles(extra=[(0, 3), (1, 4)])
+        dec.er_edges = np.array([[0, 3], [1, 4]])
+        with pytest.raises(ValueError, match=r"\|Er\| = 2 exceeds \|E\|/6 = 1.5"):
+            validate_decomposition(graph, dec)
+
+    def test_mixing_time_over_budget_under_strict_mixing(self):
+        budget = polylog_mixing_budget(6)
+        slow = [
+            Cluster(0, frozenset({0, 1, 2}), [(0, 1), (0, 2), (1, 2)], 2),
+            Cluster(1, frozenset({3, 4, 5}), [(3, 4), (3, 5), (4, 5)], 2, budget + 1),
+        ]
+        graph, dec = two_triangles(clusters=slow)
+        validate_decomposition(graph, dec)
+        with pytest.raises(ValueError, match="cluster 1 mixing time .* exceeds budget"):
+            validate_decomposition(graph, dec, strict_mixing=True)

@@ -10,7 +10,7 @@ from repro.core.gather import (
 from repro.core.heavy_light import classify_outside_neighbors
 from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph, canonical_edge
-from repro.graphs.orientation import degeneracy_orientation
+from repro.graphs.orientation import Orientation, degeneracy_orientation
 
 
 def cluster_knows_edge(received, u, v):
@@ -32,9 +32,11 @@ class TestHeavyPush:
         g.add_edge(4, 5)
         # Orient all of node 4's edges away from it so the heavy push has
         # something to carry (node 4 comes first in the order).
-        from repro.graphs.orientation import orientation_from_order
-
-        orientation = orientation_from_order(g, [4, 5, 0, 1, 2, 3])
+        position = {v: i for i, v in enumerate([4, 5, 0, 1, 2, 3])}
+        pairs = [(u, v) if position[u] < position[v] else (v, u) for u, v in g.edges()]
+        orientation = Orientation.from_pairs(
+            g.num_nodes, [u for u, _ in pairs], [v for _, v in pairs]
+        )
         split = classify_outside_neighbors(g, set(range(4)), heavy_threshold=2)
         assert 4 in split.heavy
         received, rounds, stats = gather_heavy_out_edges(
@@ -42,7 +44,7 @@ class TestHeavyPush:
         )
         # Every out-edge of node 4 is known to some member — in particular
         # the fully-outside edge (4, 5).
-        assert orientation.out_neighbors(4)
+        assert orientation.out_neighbors(4).size
         for w in orientation.out_neighbors(4):
             assert cluster_knows_edge(received, 4, w)
         assert cluster_knows_edge(received, 4, 5)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.graphs.cliques import count_cliques
 from repro.graphs.generators import (
     barbell_graph,
     bounded_arboricity_graph,
@@ -18,6 +19,7 @@ from repro.graphs.generators import (
     path_graph,
     planted_cliques,
     power_law_graph,
+    random_multipartite,
     random_regular,
     star_graph,
 )
@@ -153,6 +155,42 @@ class TestRandomRegular:
     def test_degree_too_large_rejected(self):
         with pytest.raises(ValueError):
             random_regular(5, 5)
+
+
+class TestRandomMultipartite:
+    @pytest.mark.parametrize("n, parts", [(31, 3), (40, 4), (7, 2)])
+    def test_edges_cross_contiguous_balanced_parts(self, n, parts):
+        g = random_multipartite(n, parts, 0.6, seed=3)
+        part = [v * parts // n for v in range(n)]
+        assert part == sorted(part)
+        sizes = np.bincount(part, minlength=parts)
+        assert sizes.max() - sizes.min() <= 1
+        assert g.num_edges > 0
+        assert all(part[u] != part[v] for u, v in g.edges())
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_no_clique_larger_than_the_part_count(self, parts):
+        g = random_multipartite(36, parts, 0.9, seed=1)
+        assert count_cliques(g, parts) > 0
+        assert count_cliques(g, parts + 1) == 0
+
+    @pytest.mark.parametrize("n, parts", [(30, 3), (31, 3), (10, 4), (5, 1)])
+    def test_q_one_is_complete_multipartite(self, n, parts):
+        sizes = np.bincount([v * parts // n for v in range(n)], minlength=parts)
+        expected = (n * n - int((sizes**2).sum())) // 2
+        assert random_multipartite(n, parts, 1.0, seed=0).num_edges == expected
+        assert random_multipartite(n, parts, 0.0, seed=0).num_edges == 0
+
+    def test_one_seed_one_edge_set(self):
+        first = random_multipartite(60, 3, 0.5, seed=7)
+        assert first.edge_set() == random_multipartite(60, 3, 0.5, seed=7).edge_set()
+        assert first.edge_set() != random_multipartite(60, 3, 0.5, seed=8).edge_set()
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            random_multipartite(10, 0, 0.5)
+        with pytest.raises(ValueError):
+            random_multipartite(10, 3, 1.5)
 
 
 class TestClusteredGraph:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -135,8 +136,33 @@ class TestOrientationProperties:
     @given(graphs(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_peeling_postconditions(self, g, threshold):
-        remainder, orientation, es = peel_low_degree(g, threshold)
-        validate_peeling(g, remainder, orientation, es, threshold)
+        remainder, orientation = peel_low_degree(g, threshold)
+        validate_peeling(g, remainder, orientation, threshold)
+
+    @given(graphs(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_peeling_keys_match_the_per_edge_loop(self, g, threshold):
+        # Reference: the peel as a per-edge loop filling a set of
+        # oriented pairs.
+        reference = g.copy()
+        oriented = set()
+        queue = deque(v for v in g.nodes() if 0 < reference.degree(v) < threshold)
+        queued = set(queue)
+        while queue:
+            v = queue.popleft()
+            queued.discard(v)
+            if reference.degree(v) == 0 or reference.degree(v) >= threshold:
+                continue
+            for u in sorted(reference.neighbors(v)):
+                oriented.add((v, u))
+                reference.remove_edge(v, u)
+                if 0 < reference.degree(u) < threshold and u not in queued:
+                    queue.append(u)
+                    queued.add(u)
+        remainder, orientation = peel_low_degree(g, threshold)
+        n = g.num_nodes
+        assert orientation.keys.tolist() == sorted(v * n + u for v, u in oriented)
+        assert remainder.edge_set() == reference.edge_set()
 
 
 class TestCliqueEnumerationProperties:

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -492,3 +493,28 @@ class TestRunOpenLoop:
         assert report.pattern == {"pattern": "uniform"}
         assert "latency: p50" in report.summary()
         assert "verified" not in report.summary()
+
+    def test_waits_for_every_done_callback(self, monkeypatch):
+        # A future wakes its waiters before it runs its done-callbacks.
+        # Late callbacks on the query threads make a wait on the futures
+        # alone return before the last responses are recorded.
+        original = Future._invoke_callbacks
+
+        def late_callbacks(future):
+            if threading.current_thread().name.startswith("serve-query"):
+                time.sleep(0.05)
+            original(future)
+
+        monkeypatch.setattr(Future, "_invoke_callbacks", late_callbacks)
+        service = _service(n=16, seed=2)
+        with service:
+            report = run_open_loop(
+                service,
+                create_traffic("uniform"),
+                requests=40,
+                rate=2000.0,
+                seed=0,
+                verify=True,
+            )
+        assert report.completed == report.requests == 40
+        assert report.errors == 0 and report.verified and not report.mismatches
