@@ -23,6 +23,13 @@ The floors (table path ≥ 5× the frozenset path; uint64 ≥ 1.5× uint8)
 are enforced by ``scripts/check_bench.py`` over the emitted JSON.
 Every timed run cross-checks that both paths agree before any number
 is reported.
+
+``test_packed_key_fold_and_cold_build`` records, without a floor, the
+two costs the packed row keys set: the serve-shaped fold (a ~700-row
+removed delta, then a ~700-row added delta, into a K3 table of over
+100k rows) and a cold canonicalization of the K4 table of ER n = 160,
+p_edge = 0.5 (~390k rows).  No floor: no other implementation is left
+to take a ratio against.
 """
 
 from __future__ import annotations
@@ -187,3 +194,69 @@ def test_uint64_popcount_beats_uint8(benchmark, best_of, bench_env):
     )
     # Floor (uint64 >= 1.5x uint8; measured ~3.5x) lives in
     # scripts/check_bench.py with the rest of the gates.
+
+
+FOLD_N, FOLD_EDGE_P = 600, 0.15  # ≈ 123k triangles
+FOLD_DELTA = 700
+FOLD_REPEATS = 25
+COLD_N, COLD_EDGE_P = 160, 0.5
+
+
+def _fold_inputs():
+    """A K3 table, ~700 of its rows as the removed delta and ~700 rows
+    of another draw that it lacks as the added delta, both as the int64
+    matrices a stream batch hands the fold."""
+    rng = np.random.default_rng(0)
+    er = create_workload("er", density=FOLD_EDGE_P)
+    table = er.instance(FOLD_N, seed=0).to_csr().clique_result(3)
+    other = er.instance(FOLD_N, seed=1).to_csr().clique_result(3).difference(table)
+    removed = table.rows[rng.choice(len(table), FOLD_DELTA, replace=False)]
+    added = other.rows[rng.choice(len(other), FOLD_DELTA, replace=False)]
+    return table, removed.astype(np.int64), added.astype(np.int64)
+
+
+def test_packed_key_fold_and_cold_build(benchmark, best_of, bench_env):
+    """Record only: the serve-shaped fold and a cold K4 canonicalization."""
+    table, removed, added = _fold_inputs()
+    raw = np.array(
+        create_workload("er", density=COLD_EDGE_P)
+        .instance(COLD_N, seed=0)
+        .to_csr()
+        .clique_table(4)
+    )
+
+    def fold():
+        return table.difference(removed).union(added)
+
+    def cold():
+        return CliqueTable.from_rows(raw, p=4)
+
+    def measure():
+        return best_of(fold, FOLD_REPEATS), best_of(cold, REPEATS)
+
+    folded, built = benchmark.pedantic(measure, iterations=1, rounds=1)
+    # Frozenset truth, built from the raw matrices without the packer.
+    truth = (
+        table.as_frozenset() - materialize_rows(removed)
+    ) | materialize_rows(added)
+    assert folded.result.as_frozenset() == truth
+    assert len(folded.result) == len(table)
+    assert built.result.as_frozenset() == materialize_rows(raw)
+    width, keys = table._packed()
+    benchmark.extra_info.update(
+        {
+            "fold_instance": f"er n={FOLD_N} p_edge={FOLD_EDGE_P} seed=0, K3",
+            "fold_table_rows": len(table),
+            "fold_delta_rows": FOLD_DELTA,
+            "fold_key": f"{keys.dtype} at {width} bits per id",
+            "fold_s": round(folded.best, 6),
+            "fold_samples_s": [round(s, 6) for s in folded.samples],
+            "fold_timing": folded.meta,
+            "cold_instance": f"er n={COLD_N} p_edge={COLD_EDGE_P} seed=0, K4",
+            "cold_rows": len(built.result),
+            "cold_s": round(built.best, 5),
+            "cold_samples_s": [round(s, 5) for s in built.samples],
+            "cold_timing": built.meta,
+            **bench_env,
+        }
+    )

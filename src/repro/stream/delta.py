@@ -26,9 +26,11 @@ edges word-first, and — for p ≥ 5 — lists every touched edge's
 K\\ :sub:`p-2` in a single block-diagonal
 :func:`~repro.graphs.csr.grouped_clique_tables` pipeline (one group per
 touched edge), instead of one kernel launch per edge.  A final
-row-sort + ``np.unique`` collapses cliques reached through several
-touched edges.  Past :data:`~repro.graphs.csr.BITSET_MAX_NODES` a
-sorted-row fallback does the same per edge.
+:func:`~repro.graphs.table.canonical_rows` pass (sort within rows, one
+packed key per row, sort and drop adjacent repeats) collapses cliques
+reached through several touched edges.  Past
+:data:`~repro.graphs.csr.BITSET_MAX_NODES` a sorted-row fallback does
+the same per edge.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.graphs.csr import (
     grouped_clique_tables,
     intersect_sorted,
 )
+from repro.graphs.table import canonical_rows
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,10 @@ def touched_clique_table(state, edges: np.ndarray, p: int) -> np.ndarray:
     p:
         Clique size, ≥ 3 (sizes 1/2 are served directly by the engine).
 
-    Returns a unique, row-sorted ``(count, p)`` table — the same layout
-    as :meth:`CSRGraph.clique_table`, so rows feed straight into the
-    maintained listings and the precomputed-table listing entry point.
+    Returns the canonical ``(count, p)`` rows as int64 — members
+    ascending within each row, rows unique and lexicographic, the order
+    of :meth:`CSRGraph.clique_result` — so they fold straight into the
+    maintained listings.
     """
     if p < 3:
         raise ValueError(f"delta tables exist for p >= 3 only, got {p}")
@@ -97,7 +101,7 @@ def touched_clique_table(state, edges: np.ndarray, p: int) -> np.ndarray:
         table = _touched_sorted(state, edges, p)
     if table.shape[0] == 0:
         return empty
-    return np.unique(np.sort(table, axis=1), axis=0)
+    return canonical_rows(table, p).astype(np.int64)
 
 
 def _touched_bitset(bits: np.ndarray, edges: np.ndarray, p: int) -> np.ndarray:

@@ -259,7 +259,15 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def apply(self, batch: UpdateBatch) -> ApplyResult:
         """Apply one update batch; returns the net changes and, for
-        every tracked ``p``, the exact :class:`KpDelta`."""
+        every tracked ``p``, the exact :class:`KpDelta`.
+
+        A batch naming a node outside ``[0, n)`` raises ``ValueError``
+        before any state changes, so the engine is left as it was."""
+        if len(batch):
+            low, high = int(batch.u.min()), int(batch.v.max())  # u < v per row
+            if low < 0 or high >= self.num_nodes:
+                bad = low if low < 0 else high
+                raise ValueError(f"node {bad} out of range for n={self.num_nodes}")
         inserts, deletes = batch.net_against(self._overlay.has_edge)
         removed = {
             p: touched_clique_table(self._overlay, deletes, p) for p in self._counts

@@ -733,6 +733,238 @@ class TestCliqueTableProperties:
             assert (clique in b) == (clique in b_set)
 
 
+#: ``(p, b)`` layouts at the packed keys' edges: p·b = 32 fits a uint32
+#: key and 33 does not; p·b = 64 fits one uint64 word and 65 does not.
+#: p = 3 with 32-bit ids and p = 43 on K45's 6-bit ids take several words.
+KEY_LAYOUTS = [
+    (1, 32), (2, 16), (4, 8), (8, 4),  # p·b = 32
+    (3, 11),  # p·b = 33
+    (2, 32), (4, 16), (8, 8),  # p·b = 64
+    (5, 13), (13, 5),  # p·b = 65
+    (3, 32), (43, 6),  # w > 1
+]
+
+
+def bits_for(p):
+    """The narrowest width that holds ``p`` distinct ids."""
+    return max(1, (p - 1).bit_length())
+
+
+@st.composite
+def width_rows(draw, p, width, max_rows=30):
+    """Rows of ``p`` distinct ids below ``2**width``, shuffled within and
+    across rows, with repeats.  The first row is the ``p`` largest ids,
+    so the table is exactly ``width`` bits wide and some row's smallest
+    member has its top bit set: a key that drops high bits loses it."""
+    top = 2**width - 1
+    ids = st.one_of(st.integers(0, top), st.integers(max(0, top - 2 * p), top))
+    rows = [list(range(top, top - p, -1))] + draw(
+        st.lists(st.lists(ids, min_size=p, max_size=p, unique=True), max_size=max_rows)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    return [draw(st.permutations(r)) for r in rows]
+
+
+#: Every K43 of K45, C(45, 43) = 990 of them.
+K45_K43 = list(itertools.combinations(range(45), 43))
+
+
+def k45_rows(data):
+    """Some K43s of K45, members shuffled, with repeats."""
+    picks = data.draw(st.lists(st.sampled_from(K45_K43), min_size=1, max_size=40))
+    return [data.draw(st.permutations(r)) for r in picks]
+
+
+def key_layout(data):
+    return data.draw(
+        st.one_of(
+            st.sampled_from(KEY_LAYOUTS),
+            st.integers(1, 6).flatmap(
+                lambda p: st.tuples(st.just(p), st.integers(bits_for(p), 32))
+            ),
+        )
+    )
+
+
+def layout_rows(data, p, width):
+    return k45_rows(data) if p == 43 else data.draw(width_rows(p, width))
+
+
+def oracle(rows):
+    """The clique set of ``rows`` as Python sorted tuples."""
+    return {tuple(sorted(r)) for r in rows}
+
+
+def tuples(table):
+    return [tuple(r) for r in table.rows.tolist()]
+
+
+class TestPackedKeyProperties:
+    """Packed sort keys against an oracle that shares no code with the
+    table: Python sets of sorted tuples.  Checking one ``CliqueTable``
+    against another would hide a packing bug, since both sides pack the
+    same way."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_rows_match_sorted_tuples(self, data):
+        from repro.graphs.table import CliqueTable, canonical_rows
+
+        p, width = key_layout(data)
+        rows = layout_rows(data, p, width)
+        want = sorted(oracle(rows))
+        for dtype in (np.int64, np.uint64, np.uint32):
+            got = canonical_rows(np.asarray(rows, dtype=dtype), p=p)
+            assert got.dtype == np.uint32 and got.flags.c_contiguous
+            assert [tuple(r) for r in got.tolist()] == want
+        assert tuples(CliqueTable.from_rows(np.asarray(rows), p=p)) == want
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_set_algebra_across_widths(self, data):
+        """difference, union, membership and ``in`` between operands of
+        two different widths, each way round, as table and raw matrix."""
+        from repro.graphs.table import CliqueTable
+
+        p, width = key_layout(data)
+        if p == 43:  # every K45 id is 6 bits wide
+            a_rows, b_rows = k45_rows(data), k45_rows(data)
+        else:
+            other = data.draw(st.integers(bits_for(p), 32).filter(lambda b: b != width))
+            a_rows = layout_rows(data, p, width)
+            shared = data.draw(st.integers(0, len(a_rows)))
+            b_rows = layout_rows(data, p, other) + a_rows[:shared]
+        for x_rows, y_rows in ((a_rows, b_rows), (b_rows, a_rows)):
+            x, y = oracle(x_rows), oracle(y_rows)
+            table = CliqueTable.from_rows(np.asarray(x_rows, dtype=np.int64), p=p)
+            raw = np.asarray(y_rows, dtype=np.int64)
+            for operand in (CliqueTable.from_rows(raw, p=p), raw):
+                assert tuples(table.difference(operand)) == sorted(x - y)
+                merged = table.union(operand)
+                assert tuples(merged) == sorted(x | y)
+                assert merged.rows.dtype == np.uint32
+                mask = table.membership(operand)
+                assert mask.tolist() == [r in y for r in sorted(x)]
+            for clique in sorted(x | y):
+                assert (frozenset(clique) in table) == (clique in x)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chained_folds_match_the_oracle(self, data):
+        """Folds carry their keys along: each fold on a folded table
+        still agrees with the oracle, and the carried keys are
+        read-only."""
+        from repro.graphs.table import CliqueTable
+
+        p, width = key_layout(data)
+        rows = layout_rows(data, p, width)
+        table = CliqueTable.from_rows(np.asarray(rows), p=p)
+        truth = oracle(rows)
+        for _ in range(3):
+            removed = layout_rows(data, p, width)
+            added = layout_rows(data, p, width)
+            table = table.difference(np.asarray(removed)).union(np.asarray(added))
+            truth = (truth - oracle(removed)) | oracle(added)
+            assert tuples(table) == sorted(truth)
+            assert not table._packed()[1].flags.writeable
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        """The row count of every key pack from here on."""
+        import repro.graphs.table as table_module
+
+        seen = []
+        real = table_module._pack
+
+        def spy(rows, width):
+            seen.append(rows.shape[0])
+            return real(rows, width)
+
+        monkeypatch.setattr(table_module, "_pack", spy)
+        return seen
+
+    def test_wide_needles_never_pack_the_table(self, packs):
+        """A needle wider than the table is absent: ``in`` and
+        difference pack only needles, never the table.  Only a union
+        whose merged width grows re-packs it, once."""
+        from repro.graphs.table import CliqueTable
+
+        table = CliqueTable.from_rows(np.array([[0, 1, 2], [1, 2, 3], [5, 6, 7]]))
+        wide = np.array([[0, 1, 2**20], [1, 2, 2**31 + 5]])
+        kept = table._packed()
+        packs.clear()
+        assert frozenset({0, 1, 2**20}) not in table
+        # At 3 bits per id, (0, 1, 10) would pack onto (0, 1, 2)'s key.
+        assert frozenset({0, 1, 10}) not in table
+        assert frozenset({0, 1, 2}) in table
+        assert table.difference(wide) is table
+        assert table.difference(np.array([[0, 1, 10]])) is table
+        assert max(packs) < len(table) and table._packed() is kept
+        packs.clear()
+        grown = table.union(wide)
+        assert packs.count(len(table)) == 1  # 3 bits per id -> 32
+        assert grown.rows.tolist() == [
+            [0, 1, 2], [0, 1, 2**20], [1, 2, 3], [1, 2, 2**31 + 5], [5, 6, 7]
+        ]
+        assert table._packed() is kept
+
+    def test_stream_fold_never_canonicalizes_the_table(self, packs, monkeypatch):
+        """The engine's fold canonicalizes and packs the delta only: a
+        touched table holds each K3 at most once per edge, so no call
+        sees more than 3× the larger delta side, except the one re-pack
+        of a union whose merged width grows (the last batch closes a
+        triangle on node 128, which widens ids from 7 to 8 bits)."""
+        import repro.graphs.table as table_module
+        from repro.graphs.cliques import clique_table
+        from repro.stream import StreamEngine, UpdateBatch
+        from repro.workloads import create_workload
+
+        canonicalized = []
+        real = table_module._canonical
+
+        def spy(rows, p=None):
+            canonicalized.append(len(rows))
+            return real(rows, p)
+
+        core = create_workload("er", density=0.4).instance(100, seed=0)
+        engine = StreamEngine(Graph(129, core.edges()), compact_every=16)
+        engine.track(3, listing=True)
+        rng = np.random.default_rng(0)
+        batches = []
+        for _ in range(6):
+            pairs = rng.choice(100, size=(8, 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            ops = np.where(np.arange(len(pairs)) % 2, 1, -1)
+            batches.append(UpdateBatch(pairs[:, 0], pairs[:, 1], ops))
+        batches.append(UpdateBatch.inserts([(100, 101), (100, 128), (101, 128)]))
+        monkeypatch.setattr(table_module, "_canonical", spy)
+        grown = 0
+        for batch in batches:
+            canonicalized.clear()
+            packs.clear()
+            before = engine.clique_result(3)
+            width = before._packed()[0]
+            delta = engine.apply(batch).deltas[3]
+            bound = 3 * max(delta.removed.shape[0], delta.added.shape[0])
+            assert len(before) > 10 * bound
+            assert max(canonicalized, default=0) <= bound
+            grew = engine.clique_result(3)._packed()[0] > width
+            assert [n for n in packs if n > bound] == ([len(before)] if grew else [])
+            grown += grew
+        assert grown == 1 and engine.clique_result(3) == clique_table(engine.graph(), 3)
+
+    def test_table_without_keys_packs_them_once(self, packs):
+        from repro.graphs.table import CliqueTable, canonical_rows
+
+        rows = canonical_rows(np.array([[3, 1, 2], [9, 8, 7]]))
+        table = CliqueTable(rows, _trusted=True)
+        packs.clear()
+        assert frozenset({7, 8, 9}) in table
+        assert frozenset({1, 2, 9}) not in table
+        assert packs.count(len(table)) == 1
+        assert not table._packed()[1].flags.writeable
+
+
 ALL_ONES = 2**64 - 1
 
 #: Packed bitset words, weighted toward the edge cases of the expand
