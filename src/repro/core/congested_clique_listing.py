@@ -15,10 +15,10 @@ The §2.4.3 machinery run on the whole clique of n nodes:
 4. each Kp is kept by exactly one node: the owner whose ascending digit
    sequence is the clique's sorted part multiset.  Every multiset of p
    parts is some owner's digits, so the union is complete.  Only the
-   C(s+p−1, p) owners list: each takes the edges of the part pairs its
-   digits spell (the part of its learned subgraph a kept Kp can use)
-   and lists the Kp in them.  The other nodes receive their share of
-   step 3 (it is charged) but can never keep a Kp, so they list nothing.
+   C(s+p−1, p) owners can keep a Kp: each takes the edges of the part
+   pairs its digits spell (the part of its learned subgraph a kept Kp
+   can use) and lists the Kp in them.  The other nodes receive their
+   share of step 3 (it is charged) but can never keep a Kp.
 
 The data movement of step 3 *executes* in the layout
 ``params.execution.plane`` selects (``docs/architecture.md`` § routing
@@ -28,15 +28,16 @@ planes):
   (:class:`~repro.congest.batch.FanoutBatch`: the CSR forward edges
   sorted by part pair plus one recipient list per pair) and is charged
   through :meth:`CongestedClique.charge_batch` (the ledger rows of
-  ``route_batch``) from its per-pair counts.  Each owner's mailbox is
-  gathered straight from the edge slices of its pairs
-  (:func:`~repro.core.partition.owner_mailboxes`) and all mailboxes are
-  listed by one block-diagonal pipeline; no (edge, recipient) row and
-  no Python set is built.  With ``execution.workers > 1`` or
-  ``execution.hosts`` that listing is sharded by owner ranges across a
-  worker-process pool (:class:`repro.parallel.ShardExecutor`) or a
-  cluster (:mod:`repro.dist`), each worker listing only its own owners'
-  mailboxes;
+  ``route_batch``) from its per-pair counts.  Step 4 is local
+  computation, which the model does not charge: an intact delivery is
+  listed once, as one mailbox, and each Kp attributed to the owner of
+  its part multiset — exactly the union of the owners' listings; a
+  delivery with silently corrupted rows lists each owner's mailbox
+  (:func:`~repro.core.partition.owner_mailboxes`) instead.  No (edge,
+  recipient) row and no Python set is built.  With
+  ``execution.workers > 1`` or ``execution.hosts`` the listing runs on
+  a worker-process pool (:class:`repro.parallel.ShardExecutor`) or a
+  cluster (:mod:`repro.dist`);
 - ``plane="object"`` — every (edge, recipient) pair becomes one Python
   tuple through :meth:`CongestedClique.route` dict mailboxes and every
   learned subgraph, owner or not, is rebuilt set-by-set and listed.
@@ -78,7 +79,7 @@ from repro.core.partition import (
 )
 from repro.core.result import ListingResult, recount_self_check
 from repro.graphs.cliques import enumerate_cliques
-from repro.graphs.csr import grouped_clique_tables
+from repro.graphs.csr import BITSET_MAX_NODES, grouped_clique_tables
 from repro.graphs.table import CliqueTable
 from repro.graphs.graph import Graph
 from repro.graphs.orientation import degeneracy_orientation
@@ -252,11 +253,12 @@ def list_cliques_congested_clique(
 def _attribute_precomputed(
     result: ListingResult, table: np.ndarray, part_arr: np.ndarray, s: int
 ) -> None:
-    """Serve step 4 from a maintained clique table (the streaming query
-    path): each row is attributed to the responsible node of its part
-    multiset — the same node whose learned-subgraph enumeration would
-    have emitted it, so outputs and per-node attribution are identical
-    to the listing tails on either plane."""
+    """Step 4 from a table of all Kp — a maintained clique table (the
+    streaming query path) or the one-mailbox listing of an intact
+    delivery: each row is attributed to the responsible node of its
+    part multiset — the same node whose learned-subgraph enumeration
+    would have emitted it, so outputs and per-node attribution are
+    identical to the listing tails on either plane."""
     if table.shape[0] == 0:
         return
     owners = responsible_index_array(part_arr[table], s)
@@ -277,10 +279,10 @@ def _route_and_list_arrays(
     precomputed_table: Optional[np.ndarray] = None,
     executor=None,
 ) -> None:
-    """Factored edge distribution + owner-only listing (zero Python sets).
+    """Factored edge distribution + owner-attributed listing (zero Python sets).
 
     One implementation serves every executor — the fan-out batch, the
-    charge, the owner gather and the responsible-node attribution are
+    charge, the listing and the responsible-node attribution are
     shared, so inline, pool and cluster runs cannot drift apart:
 
     1. **charge** — the full §2.4.3 pattern, kept factored as a
@@ -289,24 +291,29 @@ def _route_and_list_arrays(
        :meth:`CongestedClique.charge_batch` (the ledger rows of
        :meth:`~CongestedClique.route_batch`), which prices it from the
        per-pair edge counts and returns it as the network delivered it;
-    2. **gather** — :func:`~repro.core.partition.owner_mailboxes` builds
-       each of the C(s+p−1, p) owners' mailboxes as the concatenation of
-       the edge slices of the part pairs its digits spell (an edge
-       inside a part only when the owner holds that part twice).  Every
-       other row lands where no Kp is ever kept, so only local work goes
-       away; the rounds stay the full pattern's.  Under the fault seam
-       the silently corrupted rows are judged by the payload they
-       arrived with (:func:`~repro.core.partition.owner_rows`);
-    3. **list** — the mailboxes, grouped by owner rank, are either
-       listed by one block-diagonal ``grouped_clique_tables`` pipeline
-       (``executor=None``, inline) or handed to
-       ``executor.fanout_tables`` (a process pool or a cluster), which
-       shards the same call by rank ranges.  Rank ranges partition the
-       mailboxes, so the merged rows equal the inline path's exactly.
-
-    Ranks map back to node IDs before the responsible-node filter keeps
-    exactly the rows whose part multiset is the lister's own digit
-    sequence (each Kp survives at precisely one node).
+    2. **list, intact delivery** (``batch.silent is None``, n within
+       :data:`~repro.graphs.csr.BITSET_MAX_NODES`) — the delivered
+       edges are listed as one mailbox, ``grouped_clique_tables`` over
+       ``[0, m]`` inline or ``executor.fanout_tables`` on a pool or a
+       cluster (which splits the lone mailbox into root-edge slices).
+       Each row goes to the owner of its part multiset
+       (:func:`_attribute_precomputed`).  That owner received every
+       edge of the row and keeps it; no other node keeps it; and every
+       Kp an owner lists from its mailbox is a Kp of the delivered
+       edges.  So the rows and their attribution equal the per-owner
+       listings below, and the rounds stay the full pattern's;
+    3. **list, otherwise** — :func:`~repro.core.partition.owner_mailboxes`
+       builds each of the C(s+p−1, p) owners' mailboxes as the
+       concatenation of the edge slices of the part pairs its digits
+       spell (an edge inside a part only when the owner holds that
+       part twice), with the silently corrupted rows judged by the
+       payload they arrived with
+       (:func:`~repro.core.partition.owner_rows`).  The mailboxes,
+       grouped by owner rank, are listed by one block-diagonal
+       ``grouped_clique_tables`` pipeline inline or sharded by rank
+       ranges through ``executor.fanout_tables``; ranks map back to
+       node IDs and the responsible-node filter keeps exactly the rows
+       whose part multiset is the lister's own digit sequence.
     """
     n = part_arr.size
     edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
@@ -329,11 +336,14 @@ def _route_and_list_arrays(
     if precomputed_table is not None:
         _attribute_precomputed(result, precomputed_table, part_arr, s)
         return
+    list_tables = grouped_clique_tables if executor is None else executor.fanout_tables
+    if batch.silent is None and n <= BITSET_MAX_NODES:
+        lone = np.array([0, batch.payload.shape[0]], dtype=np.int64)
+        _, table = list_tables(lone, batch.payload, p, assume_unique=True)
+        _attribute_precomputed(result, table, part_arr, s)
+        return
     owning, indptr, payload = owner_mailboxes(batch, part_arr, s, p)
-    if executor is None:
-        owners, table = grouped_clique_tables(indptr, payload, p, assume_unique=True)
-    else:
-        owners, table = executor.fanout_tables(indptr, payload, p, assume_unique=True)
+    owners, table = list_tables(indptr, payload, p, assume_unique=True)
     if table.shape[0] == 0:
         return
     owners = owning[owners]

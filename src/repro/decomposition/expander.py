@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.congest.ledger import RoundLedger
 from repro.decomposition.arboricity import peel_low_degree
@@ -228,8 +227,10 @@ def _decompose_once(graph: Graph, threshold: int, phi: float) -> Decomposition:
 def _components(csr: CSRGraph, table: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
     """``(nodes, edges)`` of each connected component with an edge, in
     order of its smallest node; ``table`` is ``csr.edge_table()``."""
-    # Imported here: only decompositions need csgraph, and loading it
-    # with the package costs every run ~1 MB of resident memory.
+    # Imported here, like every SciPy import (see decomposition.spectral):
+    # only decompositions need it, and loading it with the package costs
+    # every run that never decomposes ~25 MB of resident memory.
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     n = csr.num_nodes

@@ -3,6 +3,10 @@
 Used by the sweep-cut routine to find low-conductance cuts and by the
 mixing-time estimator.  All computations are on the *induced subgraph* of
 a candidate component, represented with local indices ``0..k-1``.
+
+SciPy is imported inside the functions that use it: only expander
+decompositions need it, so ``import repro``, the Theorem 1.3 driver,
+the serve plane and shard workers never load it.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graphs.graph import Graph
 
@@ -31,13 +33,16 @@ def arpack_start(k: int) -> np.ndarray:
     return np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0, k)
 
 
-def adjacency_matrix(graph: Graph, nodes: Sequence[int]) -> sp.csr_matrix:
-    """Sparse adjacency matrix of the induced subgraph (local indices).
+def adjacency_matrix(graph: Graph, nodes: Sequence[int]):
+    """Sparse adjacency matrix of the induced subgraph (local indices),
+    a ``scipy.sparse.csr_matrix``.
 
     Sliced from the graph's cached CSR snapshot: local ids follow the
     sorted node ids, so each snapshot row, kept to the subset's columns,
     is already the matrix row, sorted.
     """
+    import scipy.sparse as sp
+
     ordered = np.asarray(sorted(nodes), dtype=np.int64)
     k = ordered.size
     local = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -50,12 +55,15 @@ def adjacency_matrix(graph: Graph, nodes: Sequence[int]) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(indptr[-1]), cols[inside], indptr), shape=(k, k))
 
 
-def lazy_walk_matrix(adj: sp.csr_matrix) -> sp.csr_matrix:
-    """Lazy random-walk matrix W = (I + D^{-1}A) / 2.
+def lazy_walk_matrix(adj):
+    """Lazy random-walk matrix W = (I + D^{-1}A) / 2 of a sparse
+    adjacency matrix, as a sparse matrix.
 
     The lazy walk is what "mixing time" means in the paper's clusters —
     laziness removes periodicity so the walk always converges.
     """
+    import scipy.sparse as sp
+
     degrees = np.asarray(adj.sum(axis=1)).flatten()
     if np.any(degrees == 0):
         raise ValueError("lazy walk undefined for isolated vertices")
@@ -64,14 +72,16 @@ def lazy_walk_matrix(adj: sp.csr_matrix) -> sp.csr_matrix:
     return (sp.identity(k) + inv_d @ adj) * 0.5
 
 
-def normalized_laplacian_second_eigenpair(
-    adj: sp.csr_matrix,
-) -> Tuple[float, np.ndarray]:
-    """(λ₂, v₂) of the normalized Laplacian L = I − D^{-1/2} A D^{-1/2}.
+def normalized_laplacian_second_eigenpair(adj) -> Tuple[float, np.ndarray]:
+    """(λ₂, v₂) of the normalized Laplacian L = I − D^{-1/2} A D^{-1/2}
+    of a sparse adjacency matrix.
 
     λ₂ relates to conductance via Cheeger: λ₂/2 ≤ φ ≤ √(2 λ₂), and the
     sweep over v₂ realizes the Cheeger cut.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     k = adj.shape[0]
     degrees = np.asarray(adj.sum(axis=1)).flatten()
     if np.any(degrees == 0):

@@ -59,6 +59,16 @@ def _delta_keys(delta: Dict[int, Set[int]], n: int) -> np.ndarray:
     return edge_keys([(u, v) for u, vs in delta.items() for v in vs if u < v], n)
 
 
+def _directed_keys(delta: Dict[int, Set[int]], n: int) -> np.ndarray:
+    """Sorted ``u·n + v`` keys of every (node, neighbour) entry of a
+    delta — both directions of each edge, the CSR's own key order."""
+    keys = np.fromiter(
+        (u * n + v for u, vs in delta.items() for v in vs), dtype=np.int64
+    )
+    keys.sort()
+    return keys
+
+
 class FrozenOverlay:
     """An immutable snapshot-isolated view: base CSR + frozen delta.
 
@@ -255,15 +265,20 @@ class CSROverlay(FrozenOverlay):
         """
         if self._delta_edges == 0:
             return self.base
+        # A sorted-key merge on the directed keys u·n + v, the base's
+        # already in CSR order: the removed keys (all in the base, by
+        # apply's net contract) are deleted and the added ones inserted
+        # at their searchsorted slots; row v starts at the first key at
+        # or past v·n.
         n = self.num_nodes
-        rows = [self.neighbors(v) for v in range(n)]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            indptr[1:] = np.cumsum([row.size for row in rows])
-        indices = (
-            np.concatenate(rows) if n else np.empty(0, dtype=np.int64)
-        )
-        snapshot = CSRGraph(indptr, indices)
+        base = self.base
+        row_base = np.arange(n + 1, dtype=np.int64) * n
+        keys = np.repeat(row_base[:-1], np.diff(base.indptr)) + base.indices
+        keys = np.delete(keys, np.searchsorted(keys, _directed_keys(self._removed, n)))
+        added = _directed_keys(self._added, n)
+        keys = np.insert(keys, np.searchsorted(keys, added), added)
+        indptr = np.searchsorted(keys, row_base)
+        snapshot = CSRGraph(indptr, keys - np.repeat(row_base[:-1], np.diff(indptr)))
         if self._bits is not None:
             # The maintained bitset matrix *is* the folded state's full
             # adjacency, so seed the snapshot's cache with a copy —

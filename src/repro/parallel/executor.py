@@ -3,10 +3,11 @@
 :class:`ShardExecutor` owns a persistent worker pool and exposes the
 parallel twins of the batch plane's hot kernels:
 
-- :meth:`fanout_tables` — the Theorem 1.3 owner listing: sharded
+- :meth:`fanout_tables` — the Theorem 1.3 listing: sharded
   :func:`repro.graphs.csr.grouped_clique_tables` over ranges of the
   owners' already-grouped mailboxes, concatenating the per-shard
-  ``(owners, table)`` results;
+  ``(owners, table)`` results, or over root-edge slices of a lone
+  mailbox;
 - :meth:`clique_table` — sharded
   :func:`repro.graphs.csr.clique_table_from_edge_array` (compaction on
   the parent, root-edge slices on the workers);
@@ -189,11 +190,20 @@ class ShardExecutor:
         edge counts (owners differ in load); a clique never crosses
         groups, so per-shard results concatenate into exactly the
         single-core answer (same rows, row order by shard).
+
+        A lone group (the Theorem 1.3 driver's one mailbox of an intact
+        delivery) has nothing to split by group, so it goes through
+        :meth:`clique_table` instead: compaction on the parent,
+        root-edge slices on the workers.  The rows are the single-core
+        answer's as a set, every one in group 0.
         """
         group_indptr = np.asarray(group_indptr, dtype=np.int64)
         edges = np.asarray(edges)
         if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
             return grouped_clique_tables(group_indptr, edges, p, assume_unique)
+        if group_indptr.size == 2:
+            table = self.clique_table(edges[group_indptr[0] : group_indptr[1]], p)
+            return np.zeros(table.shape[0], dtype=np.int64), table
         ranges = indptr_ranges(group_indptr, self.workers)
         results = self._run(
             tasks.grouped_tables_shard,

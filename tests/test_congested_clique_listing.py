@@ -126,22 +126,25 @@ class TestLoadBounds:
 
 
 class TestOwnerOnlyListing:
-    """The array planes charge the full fan-out but list only rows an
-    owning node can keep; the object plane lists every mailbox."""
+    """An intact delivery is listed as one mailbox, each Kp attributed to
+    the owner of its part multiset; a delivery with silently corrupted
+    rows, or a graph past the bitset cap, lists one mailbox per owner
+    holding only rows that owner can keep.  Every layout equals the
+    object plane, which lists every node's learned subgraph."""
+
+    #: (n, p, edge density, seed).  At p = 5 and 6 s = 2, so every
+    #: owner's digits repeat a part.
+    CASES = [
+        (60, 3, 0.3, 1), (81, 4, 0.3, 2), (64, 3, 0.3, 5),
+        (40, 5, 0.5, 3), (70, 6, 0.4, 4),
+    ]
 
     @staticmethod
     def _ledger_rows(result):
         return [(ph.name, ph.rounds, ph.stats) for ph in result.ledger.phases()]
 
-    @pytest.mark.parametrize("n,p,seed", [(60, 3, 1), (81, 4, 2), (64, 3, 5)])
-    def test_kernel_sees_only_owner_rows(self, monkeypatch, n, p, seed):
-        g = erdos_renyi(n, 0.3, seed=seed)
-        s = num_parts_for_clique(n, p)
-        part = random_partition(n, s, np.random.default_rng(seed)).part_array()
-        digits = radix_digit_table(s, p)
-        # Owners, independently of the driver's helper: the IDs that are
-        # the responsible index of their own digits.
-        owned_digits = digits[responsible_index_array(digits, s) == np.arange(s**p)]
+    @staticmethod
+    def _spy_kernel(monkeypatch):
         calls = []
         kernel = cc_listing.grouped_clique_tables
 
@@ -150,49 +153,129 @@ class TestOwnerOnlyListing:
             return kernel(indptr, edges, p_, assume_unique)
 
         monkeypatch.setattr(cc_listing, "grouped_clique_tables", spy)
-        batch = list_cliques_congested_clique(g, p, seed=seed)
-        assert len(calls) == 1
-        indptr, edges = calls[0]
+        return calls
+
+    def _assert_equals_object_plane(self, result, g, p, seed):
+        obj = list_cliques_congested_clique(
+            g, p, seed=seed,
+            params=AlgorithmParameters(p=p, execution=ExecutionConfig(plane="object")),
+        )
+        assert result.num_cliques > 0
+        assert result.table() == obj.table()
+        assert result.per_node == obj.per_node
+        assert self._ledger_rows(result) == self._ledger_rows(obj)
+
+    @staticmethod
+    def _assert_owner_mailboxes(calls, n, p, seed):
+        s = num_parts_for_clique(n, p)
+        part = random_partition(n, s, np.random.default_rng(seed)).part_array()
+        digits = radix_digit_table(s, p)
+        # Owners, independently of the driver's helper: the IDs that are
+        # the responsible index of their own digits.
+        owned_digits = digits[responsible_index_array(digits, s) == np.arange(s**p)]
+        ((indptr, edges),) = calls
         # One mailbox per owning ID, none for the other n - C(s+p-1, p).
         assert indptr.size - 1 == math.comb(s + p - 1, p)
+        inside = 0
         for rank, digits in enumerate(owned_digits.tolist()):
             for u, v in edges[indptr[rank] : indptr[rank + 1]].tolist():
                 a, b = part[u], part[v]
                 assert a in digits and b in digits
                 if a == b:  # an owner holding part a once never needs it
                     assert digits.count(a) >= 2
+                    inside += 1
+        assert inside > 0  # the repeated-digit rule was exercised
 
-        obj = list_cliques_congested_clique(
-            g, p, seed=seed,
-            params=AlgorithmParameters(p=p, execution=ExecutionConfig(plane="object")),
+    @pytest.mark.parametrize("n,p,density,seed", CASES)
+    def test_intact_delivery_is_listed_as_one_mailbox(
+        self, monkeypatch, n, p, density, seed
+    ):
+        g = erdos_renyi(n, density, seed=seed)
+        calls = self._spy_kernel(monkeypatch)
+        result = list_cliques_congested_clique(g, p, seed=seed)
+        ((indptr, edges),) = calls
+        assert indptr.tolist() == [0, g.num_edges]
+        # Every delivered edge, once: the graph's edge set, no repeats.
+        assert sorted(map(tuple, np.sort(edges, axis=1).tolist())) == sorted(
+            map(tuple, g.to_csr().edge_table().tolist())
         )
-        assert batch.table() == obj.table()
-        assert batch.per_node == obj.per_node
-        assert self._ledger_rows(batch) == self._ledger_rows(obj)
+        self._assert_equals_object_plane(result, g, p, seed)
 
-    def test_shard_planes_receive_the_masked_batch(self, monkeypatch):
+    @pytest.mark.parametrize("n,p,density,seed", CASES)
+    def test_past_the_bitset_cap_each_owner_lists_its_mailbox(
+        self, monkeypatch, n, p, density, seed
+    ):
+        g = erdos_renyi(n, density, seed=seed)
+        calls = self._spy_kernel(monkeypatch)
+        monkeypatch.setattr(cc_listing, "BITSET_MAX_NODES", n - 1)
+        result = list_cliques_congested_clique(g, p, seed=seed)
+        self._assert_owner_mailboxes(calls, n, p, seed)
+        self._assert_equals_object_plane(result, g, p, seed)
+
+    @pytest.mark.parametrize(
+        "n,p,density,seed,fault_seed", [(64, 3, 0.3, 5, 3), (40, 5, 0.5, 3, 0)]
+    )
+    def test_silent_corruption_keeps_the_owner_mailboxes(
+        self, monkeypatch, n, p, density, seed, fault_seed
+    ):
+        from repro.faults import FaultModel
+
+        g = erdos_renyi(n, density, seed=seed)
+        calls = self._spy_kernel(monkeypatch)
+        model = FaultModel(seed=fault_seed, silent_corruption_rate=0.0005)
+        result = list_cliques_congested_clique(
+            g, p, seed=seed,
+            params=AlgorithmParameters(p=p, execution=ExecutionConfig(faults=model)),
+        )
+        self._assert_owner_mailboxes(calls, n, p, seed)
+        # The corrupted rows miss every kept Kp here, so the run passes
+        # its recount.  The object plane orders its rows by sender, so
+        # the same model corrupts other rows there: compare with its
+        # fault-free run (silent corruption adds no ledger rows).
+        self._assert_equals_object_plane(result, g, p, seed)
+
+    @pytest.mark.parametrize("executor", ["pool", "cluster"])
+    def test_shard_planes_split_the_mailbox_by_root_edges(self, monkeypatch, executor):
+        from repro.dist import Cluster, LocalNode, register_cluster
+        from repro.parallel import executor as executor_mod
         from repro.parallel.executor import ShardExecutor
 
+        monkeypatch.setattr(executor_mod, "MIN_PARALLEL_ITEMS", 0)
         n, p, seed = 81, 4, 3
         g = erdos_renyi(n, 0.3, seed=seed)
-        s = num_parts_for_clique(n, p)
-        seen = []
-        fanout = ShardExecutor.fanout_tables
+        if executor == "pool":
+            execution, runner = ExecutionConfig(workers=2), ShardExecutor
+        else:
+            hosts = ("test-mailbox-a", "test-mailbox-b")
+            cluster = Cluster([LocalNode(), LocalNode()], name="test-mailbox")
+            register_cluster(hosts, cluster)
+            execution, runner = ExecutionConfig(hosts=hosts), Cluster
+        seen, listed = [], []
+        fanout, run = ShardExecutor.fanout_tables, runner._run
 
-        def spy(self, indptr, edges, p_, assume_unique=False):
-            seen.append((indptr.size - 1, assume_unique))
+        def spy_fanout(self, indptr, edges, p_, assume_unique=False):
+            listed.append((np.asarray(indptr).tolist(), assume_unique))
             return fanout(self, indptr, edges, p_, assume_unique)
 
-        monkeypatch.setattr(ShardExecutor, "fanout_tables", spy)
-        params = AlgorithmParameters(
-            p=p, execution=ExecutionConfig(plane="parallel", workers=2)
-        )
-        sharded = list_cliques_congested_clique(g, p, params=params, seed=seed)
-        owners = math.comb(s + p - 1, p)
-        assert seen == [(owners, True)]
-        batch = list_cliques_congested_clique(g, p, seed=seed)
-        assert sharded.table() == batch.table()
-        assert sharded.per_node == batch.per_node
+        def spy_run(self, fn, arrays, shard_args):
+            seen.append((fn.__name__, len(shard_args)))
+            return run(self, fn, arrays, shard_args)
+
+        monkeypatch.setattr(ShardExecutor, "fanout_tables", spy_fanout)
+        monkeypatch.setattr(runner, "_run", spy_run)
+        try:
+            sharded = list_cliques_congested_clique(
+                g, p, seed=seed, params=AlgorithmParameters(p=p, execution=execution)
+            )
+        finally:
+            if executor == "cluster":
+                cluster.close()
+        assert listed == [([0, g.num_edges], True)]
+        ((task, shards),) = seen
+        assert task == "forward_table_shard" and shards >= 2
+        if executor == "cluster":
+            assert cluster.stats["dispatched"] >= 2
+        self._assert_equals_object_plane(sharded, g, p, seed)
 
 
 class TestTracedPath:

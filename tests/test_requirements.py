@@ -14,8 +14,11 @@ mislead a reader about what the module depends on.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -109,10 +112,43 @@ def test_every_load_time_import_is_declared():
 
 def test_the_walker_sees_declared_and_exempt_imports():
     modules = {module for module, _path, _line in src_imports()}
-    assert {"numpy", "scipy"} <= modules
-    # The lazy networkx converters are optional: never required at load
-    # time.
+    assert "numpy" in modules
+    # SciPy (expander decompositions) and the networkx converters are
+    # imported inside the functions that use them: never at load time.
+    assert "scipy" not in modules
     assert "networkx" not in modules
+
+
+def test_listing_and_serving_never_load_scipy():
+    """Only expander decompositions need SciPy; ``import repro``, a
+    Theorem 1.3 run and a serve ingest with a listing read run without
+    it (it would cost each of them ~25 MB of resident memory)."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        from repro.graphs.generators import erdos_renyi
+        from repro.serve import CliqueService
+        from repro.stream import UpdateBatch
+
+        graph = erdos_renyi(60, 0.2, seed=1)
+        assert repro.list_cliques(graph, 3, model="congested-clique").num_cliques
+        service = CliqueService(graph, ps=(3,))
+        absent = sorted(set(range(60)) - set(graph.neighbors(0)) - {0})[:3]
+        service.ingest(UpdateBatch.inserts([(0, v) for v in absent]))
+        with service.read() as epoch:
+            assert epoch.listing_result(3).num_cliques
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def _module_name(path: Path) -> str:

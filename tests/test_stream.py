@@ -136,6 +136,34 @@ class TestCSROverlay:
         assert (compacted.indptr == fresh.indptr).all()
         assert (compacted.indices == fresh.indices).all()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compact_merge_equals_the_row_loop(self, seed):
+        """The sorted-key merge builds the CSR a per-node loop over the
+        merged rows builds, after inserts, deletes and cancellations."""
+        n = 40
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi(n, 0.2, seed=seed)
+        ov = CSROverlay(g.to_csr())
+        pairs = np.asarray([(u, v) for u in range(n) for v in range(u + 1, n)])
+        changed, updates = [], 0
+        for _ in range(4):
+            present = np.asarray([ov.has_edge(u, v) for u, v in pairs.tolist()])
+            # Re-touch some earlier changes so that they cancel out.
+            picks = set(rng.choice(pairs.shape[0], 6, replace=False).tolist())
+            picks |= set(changed[: len(changed) // 2])
+            picks = np.asarray(sorted(picks))
+            ins, dels = pairs[picks[~present[picks]]], pairs[picks[present[picks]]]
+            ov.apply(ins, dels)
+            changed = picks.tolist()[::-1]
+            updates += picks.size
+        assert 0 < ov.delta_size < updates
+        rows = [ov.neighbors(v) for v in range(n)]
+        indptr = np.concatenate([[0], np.cumsum([row.size for row in rows])])
+        compacted = ov.compact()
+        assert np.array_equal(compacted.indptr, indptr)
+        assert np.array_equal(compacted.indices, np.concatenate(rows))
+        assert np.array_equal(compacted.adjacency_bits(), ov.adjacency_bits())
+
 
 # ----------------------------------------------------------------------
 # Delta kernels
