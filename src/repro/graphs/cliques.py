@@ -86,10 +86,14 @@ def clique_table(graph: Graph, p: int, backend: str = "auto") -> CliqueTable:
     On the csr backend this is the snapshot's shared cached table (no
     python clique objects are built); the python backend enumerates
     sets first and packs them, which keeps the two backends
-    differentially comparable.
+    differentially comparable.  A graph with fewer than ``p(p-1)/2``
+    edges holds no Kp and gets the empty table before either backend
+    runs.
     """
     if p < 1:
         raise ValueError(f"clique size must be >= 1, got {p}")
+    if graph.num_edges < p * (p - 1) // 2:
+        return CliqueTable.empty(p)
     backend = resolve_backend(graph, backend)
     if backend == "csr" and p >= 2:
         return graph.to_csr().clique_result(p)

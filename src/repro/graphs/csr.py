@@ -1,13 +1,16 @@
 """Immutable CSR graph snapshot and vectorized listing kernels.
 
-The dict-of-sets :class:`~repro.graphs.graph.Graph` is the right mutable
-substrate for the paper's partition-and-peel machinery, but it caps the
-sequential hot paths — ground-truth enumeration, degeneracy orientation,
-triangle/K4 counting — at toy sizes.  This module provides the fast lane:
+Every :class:`~repro.graphs.graph.Graph` built from edges *is* a CSR
+snapshot until something mutates it: its constructor sorts the edges
+into ``indptr``/``indices`` once, and the neighbour sets the
+pure-Python algorithms read are built from those arrays on demand.  This
+module holds the snapshot type and the kernels that read it, which keep
+the sequential hot paths — ground-truth enumeration, degeneracy
+orientation, triangle/K4 counting — out of per-node Python loops:
 
 - :class:`CSRGraph` — an immutable compressed-sparse-row snapshot
-  (``indptr``/``indices`` numpy arrays, neighbor rows sorted by node id)
-  obtained via :meth:`Graph.to_csr`;
+  (read-only ``indptr``/``indices`` numpy arrays, neighbor rows sorted
+  by node id) obtained via :meth:`Graph.to_csr`;
 - :func:`degeneracy_order` — the peeling order under the library-wide
   deterministic rule (*lowest id among minimum remaining degree*), shared
   bit-for-bit with the pure-Python bucket queue in
@@ -48,8 +51,8 @@ results (whose frozenset materialization is itself cached at most
 once).  Repeated ground-truth queries against the same snapshot (the
 verification pipeline does this constantly) share one immutable table
 and one cached frozenset instead of re-enumerating or copying;
-:meth:`Graph.to_csr` completes the chain by caching the snapshot on the
-mutable graph and invalidating it on edge mutation.
+:meth:`Graph.to_csr` completes the chain: a graph keeps its snapshot
+until an edge mutation drops it.
 """
 
 from __future__ import annotations
@@ -156,6 +159,8 @@ class CSRGraph:
             raise ValueError("indptr must be 1-D, non-empty and start at 0")
         if self.indptr[-1] != self.indices.size:
             raise ValueError("indptr[-1] must equal len(indices)")
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
         self._order: Optional[np.ndarray] = None
         self._forward: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._bits: Optional[np.ndarray] = None
@@ -168,7 +173,16 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Snapshot a :class:`Graph` (neighbor rows sorted by node id)."""
+        """Snapshot a :class:`Graph` (neighbor rows sorted by node id).
+
+        A graph that has not been mutated since it was built already
+        holds its arrays: the new snapshot wraps them (read-only, no
+        copy, no memoized tables).  Only a mutated graph's neighbour
+        sets are walked.
+        """
+        held = graph._csr
+        if held is not None:
+            return cls(held.indptr, held.indices)
         n = graph.num_nodes
         rows = [graph.neighbors(v) for v in range(n)]
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -182,8 +196,8 @@ class CSRGraph:
         return cls(indptr, np.sort(base + flat) - base)
 
     def to_graph(self) -> Graph:
-        """Round-trip back to the mutable dict-of-sets representation
-        (array-built, with an equal snapshot already cached)."""
+        """Round-trip back to a mutable :class:`Graph` (array-built: it
+        holds an equal snapshot and no neighbour sets)."""
         return Graph.from_edge_array(self.num_nodes, self.edge_table())
 
     def edge_table(self) -> np.ndarray:

@@ -8,40 +8,51 @@ well-specified and heavily tested.
 
 Design notes
 ------------
-- Adjacency is stored as ``dict[int, set[int]]``.  Set-based adjacency
-  makes the neighborhood-intersection operations that dominate clique
-  listing (``N(u) & N(v)``) fast and idiomatic.
+- A graph built from edges holds one immutable CSR snapshot
+  (:meth:`Graph.to_csr`) and nothing else.  ``Graph(n, edges)`` and
+  :meth:`Graph.from_edge_array` share one validated array pass: ids are
+  checked (:func:`~repro.graphs.keys.edge_array`), the first edge that
+  :meth:`Graph.add_edge` would refuse raises its ``ValueError``, repeats
+  (either orientation) collapse in one sort, and the sorted rows become
+  ``indptr``/``indices``.  The batch plane reads graphs only through
+  this snapshot.
+- Neighbour sets (``dict[int, set[int]]``) are a view, built from the
+  snapshot in ascending id order by the first call that needs them:
+  :meth:`~Graph.neighbors`, :meth:`~Graph.edges`, :meth:`~Graph.has_edge`,
+  :meth:`~Graph.connected_components`, :meth:`~Graph.subgraph_nodes` or
+  a mutation.  Set-based adjacency makes the neighbourhood intersections
+  of the pure-Python enumerators (``N(u) & N(v)``) idiomatic.
+  :meth:`~Graph.degree`, :attr:`~Graph.num_edges`, :meth:`~Graph.copy`
+  and :meth:`~Graph.to_csr` answer from the snapshot while there is one.
 - Instances are mutable (edges can be added/removed) because the paper's
-  algorithms repeatedly *partition and peel* edge sets; convenience
-  constructors return fresh objects, and :meth:`Graph.subgraph_edges`
-  builds edge-induced subgraphs without copying node sets.
-- Two constructors.  ``Graph(n, edges)`` adds one edge at a time through
-  :meth:`Graph.add_edge`; it stays the reference that defines what a
-  valid edge is (no self-loop, both ids in ``[0, n)``, repeats
-  collapse), and every small or hand-written graph goes through it.
-  :meth:`Graph.from_edge_array` builds the same graph from an ``(m, 2)``
-  integer array in one vectorized pass: it raises ``add_edge``'s error
-  for the first invalid row, collapses repeats with one sort, fills each
-  neighbour set in ascending id order and seeds the CSR snapshot
-  (:meth:`Graph.to_csr`) it computed on the way.  The CONGEST outer loop
-  and the snapshot round-trips (``CSRGraph.to_graph``, the overlays'
-  ``to_graph``) build their graphs this way.  No result may depend on
-  the order a neighbour set iterates in: the two constructors insert
-  neighbours in different orders, so at larger n the same set can
-  iterate differently.
+  algorithms repeatedly *partition and peel* edge sets.  A mutation
+  builds the sets and drops the snapshot; the next :meth:`Graph.to_csr`
+  walks the sets once.  :meth:`Graph.add_edge` stays the per-edge
+  definition of a valid edge (no self-loop, both ids in ``[0, n)``).
+  No result may depend on the order a neighbour set iterates in: a
+  set built from the snapshot and one grown edge by edge hold the same
+  ids in different insertion orders.
 - Equality compares node count and edge sets, which is what the
   algorithms' invariants need.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+import threading
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.keys import edge_array, unique_sorted
 
+if TYPE_CHECKING:
+    from repro.graphs.csr import CSRGraph
+
 Edge = Tuple[int, int]
+
+#: Serializes the first build of a graph's neighbour sets, so concurrent
+#: first readers share one dict.
+_SETS_LOCK = threading.Lock()
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -57,6 +68,13 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def neighbor_sets(csr: "CSRGraph") -> Dict[int, Set[int]]:
+    """The neighbour sets of a CSR snapshot, each filled in ascending id
+    order: the set view a :class:`Graph` builds on first use."""
+    flat, bounds = csr.indices.tolist(), csr.indptr.tolist()
+    return {v: set(flat[bounds[v] : bounds[v + 1]]) for v in range(len(bounds) - 1)}
+
+
 class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
@@ -65,7 +83,8 @@ class Graph:
     n:
         Number of nodes.  Node identifiers are ``range(n)``.
     edges:
-        Optional iterable of edges; each edge is canonicalized.
+        Optional ``(m, 2)`` integer array or iterable of pairs; each edge
+        is canonicalized and repeats collapse.
 
     Examples
     --------
@@ -81,46 +100,32 @@ class Graph:
     def __init__(self, n: int, edges: Optional[Iterable[Edge]] = None) -> None:
         if n < 0:
             raise ValueError(f"number of nodes must be non-negative, got {n}")
-        self._n = n
-        self._adj: Dict[int, Set[int]] = {v: set() for v in range(n)}
-        self._num_edges = 0
-        self._csr = None
-        if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
-
-    @classmethod
-    def from_edge_array(cls, n: int, edges) -> "Graph":
-        """``Graph(n, edges)`` from an ``(m, 2)`` integer array, vectorized.
-
-        Validates what :meth:`add_edge` validates and raises its
-        ``ValueError`` for the first invalid row; repeated edges (either
-        orientation) collapse.  Neighbour sets are filled in ascending
-        id order, and the CSR snapshot built on the way is cached, so
-        :meth:`to_csr` costs nothing until the graph is mutated.
-        """
         from repro.graphs.csr import CSRGraph
 
-        g = cls(n)
-        pairs = edge_array(edges)
+        self._n = n
+        self._adj: Optional[Dict[int, Set[int]]] = None
+        pairs = edge_array(() if edges is None else edges)
         u, v = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         invalid = (lo == hi) | (lo < 0) | (hi >= n)
         if invalid.any():
             first = int(np.argmax(invalid))
-            g.add_edge(int(u[first]), int(v[first]))  # raises add_edge's error
-        keys = unique_sorted(lo * n + hi)
-        # Both directions of every edge, sorted by (row, column).
-        lo, hi = np.divmod(keys, max(1, n))
-        directed = np.sort(np.concatenate([keys, hi * n + lo]))
+            self.add_edge(int(u[first]), int(v[first]))  # raises add_edge's error
+        # Both directions of every edge, sorted by (row, column): one
+        # sort puts each row's neighbours in ascending order.
+        directed = unique_sorted(np.concatenate([lo * n + hi, hi * n + lo]))
         rows, indices = np.divmod(directed, max(1, n))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        flat, bounds = indices.tolist(), indptr.tolist()
-        g._adj = {x: set(flat[bounds[x] : bounds[x + 1]]) for x in range(n)}
-        g._num_edges = int(keys.size)
-        g._csr = CSRGraph(indptr, indices)
-        return g
+        self._csr: Optional[CSRGraph] = CSRGraph(indptr, indices)
+        self._num_edges = directed.size // 2
+
+    @classmethod
+    def from_edge_array(cls, n: int, edges) -> "Graph":
+        """``Graph(n, edges)``, named for callers that hold an ``(m, 2)``
+        integer array: the same validated array pass, with the same
+        ``ValueError`` for the first invalid row."""
+        return cls(n, edges)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -142,12 +147,15 @@ class Graph:
     def neighbors(self, v: int) -> Set[int]:
         """The neighbor set of ``v`` (a live set; do not mutate)."""
         self._check_node(v)
-        return self._adj[v]
+        return self._sets()[v]
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
         self._check_node(v)
-        return len(self._adj[v])
+        if self._adj is not None:
+            return len(self._adj[v])
+        indptr = self._csr.indptr
+        return int(indptr[v + 1] - indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` is present."""
@@ -155,12 +163,13 @@ class Graph:
             return False
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        return v in self._adj[u]
+        return v in self._sets()[u]
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges in canonical form."""
+        adj = self._sets()
         for u in range(self._n):
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if u < v:
                     yield (u, v)
 
@@ -176,10 +185,11 @@ class Graph:
         u, v = canonical_edge(u, v)
         self._check_node(u)
         self._check_node(v)
-        if v in self._adj[u]:
+        adj = self._sets()
+        if v in adj[u]:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        adj[u].add(v)
+        adj[v].add(u)
         self._num_edges += 1
         self._csr = None
         return True
@@ -199,14 +209,14 @@ class Graph:
 
         The streaming layer (and the generators) mutate graphs in
         batches, so this validates the whole batch up front (bad input
-        mutates nothing) and invalidates the cached CSR snapshot *once*
-        per call instead of once per edge.
+        mutates nothing) and drops the CSR snapshot *once* per call
+        instead of once per edge.
         """
         pairs = [canonical_edge(u, v) for u, v in edges]
         for u, v in pairs:
             self._check_node(u)
             self._check_node(v)
-        adj = self._adj
+        adj = self._sets()
         added = 0
         for u, v in pairs:
             if v not in adj[u]:
@@ -222,10 +232,10 @@ class Graph:
         """Bulk-remove edges; return how many were present.
 
         Symmetric to :meth:`add_edges`: absent edges (and self-loops,
-        out-of-range pairs) are ignored, and the CSR snapshot cache is
-        invalidated once per call, not once per removed edge.
+        out-of-range pairs) are ignored, and the CSR snapshot is dropped
+        once per call, not once per removed edge.
         """
-        adj = self._adj
+        adj = self._sets()
         removed = 0
         for u, v in edges:
             if self.has_edge(u, v):
@@ -243,24 +253,29 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent copy of this graph.
 
-        The copy shares this graph's CSR snapshot: snapshots are
-        immutable, and mutating either graph drops only its own cache.
+        While this graph holds a CSR snapshot the copy holds the same
+        one and nothing else (snapshots are immutable; mutating either
+        graph drops only its own reference); otherwise it copies the
+        neighbour sets.
         """
-        g = Graph(self._n)
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g = Graph.__new__(Graph)
+        g._n = self._n
         g._num_edges = self._num_edges
         g._csr = self._csr
+        g._adj = None
+        if self._csr is None:
+            g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         return g
 
     def to_csr(self) -> "CSRGraph":
         """Immutable CSR snapshot for the vectorized kernels.
 
-        The snapshot is cached on this graph and invalidated by
-        :meth:`add_edge` / :meth:`remove_edge`, so repeated kernel
-        queries against an unchanged graph share one snapshot (and with
-        it the memoized orientation, bitsets and clique tables).  Later
-        mutations of this graph never propagate into a handed-out
-        snapshot — a fresh one is built instead.
+        A graph built from edges already holds it; after a mutation the
+        next call walks the neighbour sets once and caches the result.
+        Repeated kernel queries against an unchanged graph share one
+        snapshot (and with it the memoized orientation, bitsets and
+        clique tables).  The arrays are read-only, and later mutations
+        of this graph never reach a handed-out snapshot.
         """
         if self._csr is None:
             from repro.graphs.csr import CSRGraph
@@ -287,15 +302,14 @@ class Graph:
         keep = set(nodes)
         for v in keep:
             self._check_node(v)
-        g = Graph(self._n)
-        for u in keep:
-            for v in self._adj[u]:
-                if v in keep and u < v:
-                    g.add_edge(u, v)
-        return g
+        adj = self._sets()
+        return Graph(
+            self._n, [(u, v) for u in keep for v in adj[u] if v in keep and u < v]
+        )
 
     def connected_components(self) -> List[Set[int]]:
         """Connected components as sets of nodes (isolated nodes included)."""
+        adj = self._sets()
         seen: Set[int] = set()
         components: List[Set[int]] = []
         for start in range(self._n):
@@ -306,7 +320,7 @@ class Graph:
             seen.add(start)
             while stack:
                 u = stack.pop()
-                for v in self._adj[u]:
+                for v in adj[u]:
                     if v not in seen:
                         seen.add(v)
                         component.add(v)
@@ -339,8 +353,17 @@ class Graph:
         if not (0 <= v < self._n):
             raise ValueError(f"node {v} outside range [0, {self._n})")
 
+    def _sets(self) -> Dict[int, Set[int]]:
+        """The neighbour sets, built from the snapshot on first use."""
+        adj = self._adj
+        if adj is None:
+            with _SETS_LOCK:
+                adj = self._adj
+                if adj is None:
+                    adj = self._adj = neighbor_sets(self._csr)
+        return adj
+
 
 def graph_from_edge_set(n: int, edges: Iterable[Edge]) -> Graph:
     """Convenience constructor mirroring :meth:`Graph.subgraph_edges`."""
     return Graph(n, edges)
-

@@ -17,6 +17,7 @@ dedup.
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -25,6 +26,8 @@ Edge = Tuple[int, int]
 
 #: An edge collection: an ``(m, 2)`` integer array or an iterable of pairs.
 EdgesLike = Union[np.ndarray, Iterable[Edge]]
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def unique_sorted(values) -> np.ndarray:
@@ -39,11 +42,46 @@ def unique_sorted(values) -> np.ndarray:
 
 
 def edge_array(edges: EdgesLike) -> np.ndarray:
-    """``edges`` as an ``(m, 2)`` int64 array (pairs kept as given)."""
+    """``edges`` as an ``(m, 2)`` int64 array (pairs kept as given).
+
+    A node id is anything :func:`operator.index` accepts: Python ints,
+    bools and numpy integers of either signedness, mixed freely.  Raises
+    ``ValueError``, naming the first offending item, for a float (or any
+    other non-integer) id, an id outside int64, an item that is not a
+    pair, or an array that is not ``(m, 2)``; an empty input is the
+    empty edge set whatever its shape.
+    """
     if isinstance(edges, np.ndarray):
-        return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    return flat.reshape(-1, 2)
+        if edges.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"an edge array has shape (m, 2), got {edges.shape}")
+        kind = edges.dtype.kind
+        if kind in "bi" or (kind == "u" and edges.max() <= _INT64_MAX):
+            return np.asarray(edges, dtype=np.int64)
+        edges = edges.tolist()  # float, object or too-wide ids: checked as pairs
+    items = edges if isinstance(edges, (list, tuple)) else list(edges)
+    try:
+        if set(map(len, items)) <= {2}:
+            flat = np.fromiter(
+                map(index, chain.from_iterable(items)), dtype=np.int64, count=2 * len(items)
+            )
+            return flat.reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        pass  # _checked_pair names the item at fault
+    pairs = [_checked_pair(item) for item in items]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _checked_pair(item) -> Edge:
+    """``item`` as two int64 node ids; raises ``ValueError`` naming it."""
+    try:
+        u, v = map(index, item)
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {item!r} is not a pair of integer node ids") from None
+    if not (_INT64_MIN <= min(u, v) and max(u, v) <= _INT64_MAX):
+        raise ValueError(f"edge {item!r} has a node id outside int64")
+    return u, v
 
 
 def edge_keys(edges: EdgesLike, n: int) -> np.ndarray:

@@ -148,8 +148,8 @@ class FrozenOverlay:
             yield (u, v)
 
     def to_graph(self) -> Graph:
-        """Materialize the current state as a mutable dict-of-sets graph
-        (array-built, its CSR snapshot cached)."""
+        """Materialize the current state as a mutable :class:`Graph`
+        (array-built: it holds its CSR snapshot and no neighbour sets)."""
         return Graph.from_edge_array(self.num_nodes, self.edge_table())
 
     def __repr__(self) -> str:

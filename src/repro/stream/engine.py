@@ -190,16 +190,17 @@ class StreamEngine:
 
         The baseline is computed once from a compacted snapshot; from
         then on every applied batch folds its exact delta in.  With
-        ``listing=True`` the full clique set is maintained too (counts
-        alone never materialize clique objects).
+        ``listing=True`` the full clique set is maintained too, and the
+        baseline count is its length (counts alone never materialize
+        clique objects).
         """
         if p < 3:
             raise ValueError(f"tracking exists for p >= 3 only, got {p}")
-        if p not in self._counts:
-            self._counts[p] = self._snapshot_count(self._compacted(), p)
         if listing and p not in self._listings:
             self._listings[p] = self._compacted().clique_result(p)
             self._counts[p] = len(self._listings[p])
+        if p not in self._counts:
+            self._counts[p] = self._snapshot_count(self._compacted(), p)
 
     def _snapshot_count(self, snapshot: CSRGraph, p: int) -> int:
         """Count K_p on a snapshot — sharded across the executor's

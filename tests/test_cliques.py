@@ -5,16 +5,20 @@ from math import comb
 
 import pytest
 
+from repro.graphs import cliques as cliques_module
 from repro.graphs.cliques import (
+    clique_table,
     cliques_containing_edge,
     cliques_touching_edges,
     count_cliques,
     enumerate_cliques,
     triangles,
 )
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import complete_graph, cycle_graph, erdos_renyi, planted_cliques
 from repro.graphs.graph import Graph
 from repro.graphs.io import to_networkx
+from repro.graphs.table import CliqueTable
 
 
 class TestSmallCases:
@@ -117,3 +121,29 @@ class TestFilters:
 
     def test_triangles_wrapper(self, triangle):
         assert triangles(triangle) == {frozenset((0, 1, 2))}
+
+
+class TestTooFewEdgesForKp:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cliques_module, "_enumerate_python", lambda graph, p: calls.append(p)
+        )
+        monkeypatch.setattr(CSRGraph, "clique_result", lambda csr, p: calls.append(p))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["auto", "python", "csr"])
+    def test_empty_table_without_enumeration(self, enumerations, backend):
+        table = clique_table(Graph(160), 4, backend=backend)
+        assert len(table) == 0 and table.p == 4
+        k4_minus_an_edge = complete_graph(4)
+        k4_minus_an_edge.remove_edge(0, 1)
+        assert clique_table(k4_minus_an_edge, 4, backend=backend) == CliqueTable.empty(4)
+        assert clique_table(Graph(3), 2, backend=backend).rows.shape == (0, 2)
+        assert enumerations == []
+
+    def test_a_graph_with_just_enough_edges_is_enumerated(self):
+        table = clique_table(complete_graph(4), 4, backend="python")
+        assert table.rows.tolist() == [[0, 1, 2, 3]]
+        assert len(clique_table(Graph(1), 1)) == 1

@@ -56,6 +56,14 @@ def graphs(draw, max_nodes=24, max_density=0.6):
     return Graph(n, [possible[i] for i in indices])
 
 
+def grown_graph(n, pairs):
+    """``Graph(n)`` plus one ``add_edge`` per pair."""
+    g = Graph(n)
+    for u, v in pairs:
+        g.add_edge(u, v)
+    return g
+
+
 # ----------------------------------------------------------------------
 # Graph invariants
 # ----------------------------------------------------------------------
@@ -88,20 +96,26 @@ class TestGraphProperties:
     @given(st.integers(min_value=2, max_value=24), st.data())
     @settings(max_examples=60, deadline=None)
     def test_array_constructor_matches_the_edge_loop(self, n, data):
+        # Reference: the graph grown one add_edge per pair, which stays
+        # the per-edge definition of a valid edge.
         ids = st.integers(min_value=0, max_value=n - 1)
         pairs = data.draw(
             st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=80)
         )
         pairs += [(v, u) for u, v in pairs[::3]]  # repeats, either orientation
-        loop = Graph(n, pairs)
-        array = Graph.from_edge_array(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-        assert array == loop and array.num_edges == loop.num_edges
-        for v in range(n):
-            assert array.degree(v) == loop.degree(v)
-            assert array.neighbors(v) == loop.neighbors(v)
-        seeded, built = array.to_csr(), loop.to_csr()
-        assert seeded.indptr.tobytes() == built.indptr.tobytes()
-        assert seeded.indices.tobytes() == built.indices.tobytes()
+        loop = grown_graph(n, pairs)
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        for built in (Graph(n, pairs), Graph.from_edge_array(n, array)):
+            assert built.num_edges == loop.num_edges
+            assert [built.degree(v) for v in range(n)] == [
+                loop.degree(v) for v in range(n)
+            ]
+            seeded, walked = built.to_csr(), loop.to_csr()
+            assert seeded.indptr.tobytes() == walked.indptr.tobytes()
+            assert seeded.indices.tobytes() == walked.indices.tobytes()
+            assert sorted(built.edges()) == sorted(loop.edges())
+            for v in range(n):
+                assert built.neighbors(v) == loop.neighbors(v)
 
     @given(st.integers(min_value=1, max_value=12), st.data())
     @settings(max_examples=60, deadline=None)
@@ -110,10 +124,14 @@ class TestGraphProperties:
         pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=20))
         assume(any(u == v or not (0 <= min(u, v) and max(u, v) < n) for u, v in pairs))
         with pytest.raises(ValueError) as loop_error:
-            Graph(n, pairs)
-        with pytest.raises(ValueError) as array_error:
-            Graph.from_edge_array(n, np.array(pairs, dtype=np.int64))
-        assert str(array_error.value) == str(loop_error.value)
+            grown_graph(n, pairs)
+        for build in (
+            lambda: Graph(n, pairs),
+            lambda: Graph.from_edge_array(n, np.array(pairs, dtype=np.int64)),
+        ):
+            with pytest.raises(ValueError) as array_error:
+                build()
+            assert str(array_error.value) == str(loop_error.value)
 
 
 class TestOrientationProperties:

@@ -7,7 +7,7 @@ from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
 from repro.core.params import AlgorithmParameters
 from repro.graphs.cliques import count_cliques, enumerate_cliques
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, count_cliques_csr
 from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.overlay import CSROverlay
@@ -251,6 +251,24 @@ class TestStreamEngine:
             engine.track(2)
         with pytest.raises(ValueError):
             StreamEngine(g, compact_every=0)
+
+    def test_a_listed_size_takes_its_count_from_the_listing(self, monkeypatch):
+        g = erdos_renyi(30, 0.4, seed=6)
+        counted = []
+        count = StreamEngine._snapshot_count
+        monkeypatch.setattr(
+            StreamEngine,
+            "_snapshot_count",
+            lambda engine, csr, p: counted.append(p) or count(engine, csr, p),
+        )
+        engine = StreamEngine(g)
+        engine.track(4, listing=True)
+        engine.track(4)
+        assert counted == []
+        kernel = count_cliques_csr(g.to_csr(), 4)
+        assert engine.count(4) == len(engine.clique_result(4)) == kernel > 0
+        engine.track(3)
+        assert counted == [3]
 
     def test_compaction_preserves_state(self):
         g = erdos_renyi(16, 0.4, seed=9)
