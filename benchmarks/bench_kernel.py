@@ -36,8 +36,7 @@ from repro.graphs.cliques import count_cliques, enumerate_cliques
 from repro.graphs.csr import (
     _expand_members,
     clique_table_from_edge_array,
-    compact_edge_array,
-    pack_bitset_rows,
+    prepare_edge_array,
     table_from_forward_bits,
 )
 from repro.graphs.orientation import degeneracy_orientation
@@ -209,8 +208,7 @@ EXPANSION_STACKS = {
 def _last_level_stack(edges, p):
     """Candidate rows of every (p−1)-member prefix, identity order (the
     K2 "prefixes" of a p = 3 listing are the forward edges)."""
-    verts, fptr, findices = compact_edge_array(edges)
-    bits = pack_bitset_rows(fptr, findices, verts.size)
+    _verts, fptr, findices, bits, _goal = prepare_edge_array(edges)
     prefixes = table_from_forward_bits(fptr, findices, bits, p - 1)
     stack = bits[prefixes[:, 0]]
     for column in prefixes[:, 1:].T:

@@ -23,16 +23,30 @@ scaling is on record on boxes where the gate above skips.
 A second, floor-free benchmark records the sharded snapshot recount
 (the streaming engine's compaction-time verification path) against the
 serial counter on the heavier ER n = 2000, p_edge = 0.05 instance.
+
+The executor dispatches only listings predicted at
+``MIN_PARALLEL_ITEMS`` or more (counts at ``MIN_PARALLEL_COUNT``), so on
+a pool configuration the gated Theorem 1.3 listing and the recount
+above both run inline.  A third, floor-free benchmark times a forced
+dispatch: the CONGEST driver on ER n = 160, density 0.5, p = 4, inline
+and at workers = 2, ... up to min(4, affinity cpus), with
+``MIN_PARALLEL_ITEMS`` dropped to 0 so its in-cluster K4 listing
+(~2.6 M predicted, below the floor) is sharded.  It records whether
+that listing pays on a wider pool, which moving the floor would need.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.core.config import ExecutionConfig
 from repro.core.congested_clique_listing import list_cliques_congested_clique
+from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.graphs.csr import count_cliques_csr
+from repro.graphs.generators import erdos_renyi
+from repro.parallel import executor as executor_mod
 from repro.parallel import get_executor
 from repro.workloads import create_workload
 
@@ -42,6 +56,7 @@ EDGE_P = 0.01  # ~20k edges -> ~1.3M routed messages on both planes
 WORKERS = 4
 REPEATS = 5  # best-of, to ride out the 3-4x bench-box timing variance
 COUNT_EDGE_P = 0.05  # the recount instance (~100k edges, ~167k triangles)
+CONGEST_N, CONGEST_DENSITY, CONGEST_P = 160, 0.5, 4  # the CLI smoke's CONGEST run
 
 
 def _instance(density=EDGE_P):
@@ -213,6 +228,65 @@ def test_sharded_recount(benchmark, best_of, bench_env):
             "serial_timing": timings["serial_timing"],
             "sharded_timing": timings["sharded_timing"],
             "recount_speedup": round(timings["serial_s"] / timings["sharded_s"], 2),
+            **bench_env,
+        }
+    )
+
+
+def test_congest_pool_scaling(benchmark, best_of, bench_env, monkeypatch):
+    """The CONGEST driver with its K4 listing forced onto the pool.
+
+    Floor-free (recorded for trajectory): steady best-of seconds of
+    ``list_cliques_congest`` on ER n = 160, density 0.5, p = 4 (seed 0,
+    the CLI smoke test's instance), inline and at workers = 2, ... up to
+    min(4, affinity cpus).  ``MIN_PARALLEL_ITEMS`` is dropped to 0, so
+    the pool shards the in-cluster K4 listing (~411k rows) that the
+    shipped floor lists inline: the record says whether dispatching it
+    pays on the runner.  Ledger rows and per-node attribution must equal
+    the inline run's.
+    """
+    monkeypatch.setattr(executor_mod, "MIN_PARALLEL_ITEMS", 0)
+    counts = list(range(2, min(WORKERS, bench_env["affinity_cpus"]) + 1))
+    params = default_parameters(CONGEST_P)
+    timings = {}
+
+    def measure():
+        g = erdos_renyi(CONGEST_N, CONGEST_DENSITY, seed=0)
+
+        def run(config):
+            return list_cliques_congest(
+                g, CONGEST_P, params=replace(params, execution=config), seed=0
+            )
+
+        reference = run(ExecutionConfig())  # warm CSR
+        inline_s, _, inline_samples, _meta = best_of(
+            lambda: run(ExecutionConfig()), REPEATS
+        )
+        timings["inline"] = (inline_s, inline_samples)
+        for workers in counts:
+            config = ExecutionConfig(workers=workers)
+            run(config)  # fork
+            steady_s, result, samples, _meta = best_of(lambda: run(config), REPEATS)
+            assert result.per_node == reference.per_node
+            assert _ledger_rows(result) == _ledger_rows(reference)
+            timings[str(workers)] = (steady_s, samples)
+        return timings
+
+    benchmark.pedantic(measure, iterations=1, rounds=1)
+    inline_s = timings["inline"][0]
+    benchmark.extra_info.update(
+        {
+            "instance": (
+                f"er n={CONGEST_N} density={CONGEST_DENSITY} seed=0, congest driver, "
+                "MIN_PARALLEL_ITEMS=0"
+            ),
+            "p": CONGEST_P,
+            "workers": counts,
+            "steady_s": {w: round(t[0], 4) for w, t in timings.items()},
+            "samples_s": {w: [round(s, 4) for s in t[1]] for w, t in timings.items()},
+            "speedup_vs_inline": {
+                w: round(inline_s / t[0], 2) for w, t in timings.items() if w != "inline"
+            },
             **bench_env,
         }
     )

@@ -295,7 +295,8 @@ def _route_and_list_arrays(
        :data:`~repro.graphs.csr.BITSET_MAX_NODES`) — the delivered
        edges are listed as one mailbox, ``grouped_clique_tables`` over
        ``[0, m]`` inline or ``executor.fanout_tables`` on a pool or a
-       cluster (which splits the lone mailbox into root-edge slices).
+       cluster (which splits a heavy lone mailbox into root-edge
+       slices).
        Each row goes to the owner of its part multiset
        (:func:`_attribute_precomputed`).  That owner received every
        edge of the row and keeps it; no other node keeps it; and every
@@ -310,10 +311,10 @@ def _route_and_list_arrays(
        payload they arrived with
        (:func:`~repro.core.partition.owner_rows`).  The mailboxes,
        grouped by owner rank, are listed by one block-diagonal
-       ``grouped_clique_tables`` pipeline inline or sharded by rank
-       ranges through ``executor.fanout_tables``; ranks map back to
-       node IDs and the responsible-node filter keeps exactly the rows
-       whose part multiset is the lister's own digit sequence.
+       ``grouped_clique_tables`` pipeline (``executor.fanout_tables``
+       makes the same call); ranks map back to node IDs and the
+       responsible-node filter keeps exactly the rows whose part
+       multiset is the lister's own digit sequence.
     """
     n = part_arr.size
     edge_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -620,6 +620,90 @@ def count_from_forward_bits(
     return total
 
 
+#: The level pipeline's cost model, in word-equivalents: one per uint64
+#: word ANDed (or ORed) into a candidate or reach row, and this many per
+#: set bit expanded into a row.  Fitted on a 2-CPU x86_64 box over 24
+#: listings (ER inputs, p = 3…5, with and without goals): 7.9 ns a word
+#: and 31 ns an expanded bit, 28% rms error.
+EXPAND_COST = 4.0
+
+#: :func:`predict_root_work` runs the pipeline on one root edge in this
+#: many: 1-3% of the listing's cost on the listings measured.
+PREDICT_STEP = 64
+
+
+class RootWork(NamedTuple):
+    """A work prediction for the level pipeline over its root edges.
+
+    ``weights[i]`` is root edge ``i``'s predicted work in
+    word-equivalents: every root edge of a block of ``step`` takes the
+    work of the block's middle one, the one the prediction ran.
+    ``rows[k]`` is the predicted number of rows at level ``k + 3``."""
+
+    weights: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def total(self) -> float:
+        return float(self.weights.sum())
+
+
+def predict_root_work(
+    fptr: np.ndarray,
+    findices: np.ndarray,
+    bits: np.ndarray,
+    p: int,
+    goal_bits: Optional[np.ndarray] = None,
+    step: int = PREDICT_STEP,
+) -> RootWork:
+    """Predict :func:`table_from_forward_bits`' work per root edge from
+    every ``step``-th root edge.
+
+    The middle root edge of each block of ``step`` runs the same level
+    pipeline, without building a table.  (Work falls steeply along a
+    block's ascending second endpoints, so its first root edge would
+    overstate it.)  A root edge's work is the words its candidate rows AND
+    (and, with ``goal_bits``, its reach rows OR) plus
+    :data:`EXPAND_COST` per member bit expanded, the last level's
+    included.  The goal mask applies at the last level, as in the
+    pipeline.  Each level's predicted rows are the sampled rows weighted
+    by their blocks' sizes, so at ``step=1`` they are the pipeline's
+    exactly.
+    """
+    m = int(findices.size)
+    starts = np.arange(0, m, step)
+    sizes = np.minimum(step, m - starts)
+    picks = starts + sizes // 2
+    u = np.searchsorted(fptr, picks, side="right") - 1
+    v = findices[picks]
+    samples = picks.size
+    width = bits.shape[1]
+    root = np.arange(samples)
+    cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
+    goal = goal_bits is not None
+    words = np.full(samples, float((1 + goal) * width))
+    levels = np.zeros((p - 2, samples))
+    if goal:
+        touched = _test_bits(goal_bits, u, v)
+        reach = np.take(goal_bits, u, axis=0) | np.take(goal_bits, v, axis=0)
+    for size in range(3, p):
+        rows, nodes = _expand_members(cand)
+        root = root[rows]
+        levels[size - 3] = np.bincount(root, minlength=samples)
+        words += (1 + goal) * width * levels[size - 3]
+        cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
+        if goal:
+            touched = touched[rows] | _test_bits(reach, rows, nodes)
+            reach = np.take(reach, rows, axis=0) | np.take(goal_bits, nodes, axis=0)
+    if goal:
+        untouched = ~touched
+        cand[untouched] &= reach[untouched]
+    last = _popcount(cand).sum(axis=1, dtype=np.int64)
+    levels[p - 3] = np.bincount(root, weights=last, minlength=samples)
+    work = words + EXPAND_COST * levels.sum(axis=0)
+    return RootWork(np.repeat(work, sizes), levels @ sizes)
+
+
 def _clique_table_bitset(csr: CSRGraph, p: int) -> np.ndarray:
     bits = csr.forward_bits()
     assert bits is not None
@@ -632,6 +716,12 @@ def _clique_table_bitset(csr: CSRGraph, p: int) -> np.ndarray:
 #: 2^24 int32 cells cap the transient rank matrix at 64 MB.
 DENSE_COMPACTION_CELLS = 1 << 24
 
+#: :func:`prepare_edge_array` compacts through the presence bitmap while
+#: the id span is at most this many ids per edge endpoint.  The bitmap's
+#: cost grows with the span and the sort's with the endpoints; they broke
+#: even at 16-20 ids an endpoint on 2k-22k endpoints (2-CPU x86_64).
+DENSE_SPAN_PER_ENDPOINT = 8
+
 
 def _compact_group_vertices(
     owner: np.ndarray, edges: np.ndarray, num_groups: int, vspace: int
@@ -642,36 +732,49 @@ def _compact_group_vertices(
     by group and ascending by vertex within it.  Returns
     ``(combined, owner_of, vert_of, base)`` where ``combined`` maps each
     edge endpoint, ``owner_of``/``vert_of`` decode combined ids, and
-    ``base[g]`` is group g's first combined id.
+    ``base[g]`` is group g's first combined id.  Ids must lie in
+    ``[0, vspace)``.
 
-    Small problems take the dense path — a groups×vertices presence
-    bitmap plus one cumsum, no sort at all; large ones argsort the
-    (group, vertex) keys.
+    Small problems take the dense path — a flat groups×vertices presence
+    bitmap whose running count is the combined id, no sort at all; large
+    ones argsort the (group, vertex) keys.
     """
+    keys = owner[:, None] * vspace + edges
     if num_groups * vspace <= DENSE_COMPACTION_CELLS:
-        presence = np.zeros((num_groups, vspace), dtype=bool)
-        presence[owner, edges[:, 0]] = True
-        presence[owner, edges[:, 1]] = True
-        owner_of, vert_of = np.nonzero(presence)
-        base = np.zeros(num_groups + 1, dtype=np.int64)
-        np.cumsum(presence.sum(axis=1), out=base[1:])
-        local_of = np.cumsum(presence, axis=1, dtype=np.int32) - 1
-        combined = base[owner, None] + local_of[owner[:, None], edges]
-        return combined, owner_of, vert_of, base
-    keys = (owner[:, None] * vspace + edges).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    is_new = np.empty(ranked.size, dtype=bool)
-    is_new[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=is_new[1:])
-    cverts = ranked[is_new]
-    combined = np.empty(keys.size, dtype=np.int64)
-    combined[order] = np.cumsum(is_new) - 1
-    combined = combined.reshape(edges.shape)
-    owner_of = cverts // vspace
-    vert_of = cverts % vspace
+        presence = np.zeros(num_groups * vspace, dtype=bool)
+        presence[keys] = True
+        cverts = np.flatnonzero(presence)
+        combined = (np.cumsum(presence, dtype=np.int32) - 1)[keys].astype(np.int64)
+    else:
+        flat = keys.ravel()
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        is_new = np.empty(ranked.size, dtype=bool)
+        is_new[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=is_new[1:])
+        cverts = ranked[is_new]
+        combined = np.empty(flat.size, dtype=np.int64)
+        combined[order] = np.cumsum(is_new) - 1
+        combined = combined.reshape(edges.shape)
+    owner_of, vert_of = np.divmod(cverts, vspace)
     base = np.searchsorted(owner_of, np.arange(num_groups + 1, dtype=np.int64))
     return combined, owner_of, vert_of, base
+
+
+def _check_edge_rows(edges: np.ndarray, labels: bool = True) -> None:
+    """Raise ``ValueError`` naming the first row of a ``(k, 2)`` int64
+    edge array that is a self-loop or, unless ids are free ``labels``,
+    holds a negative id.  A self-loop row would set a vertex's own bit
+    in its candidate row and list rows that are not cliques; a negative
+    id would wrap around the grouped kernel's presence bitmap."""
+    bad = edges[:, 0] == edges[:, 1]
+    if not labels:
+        bad |= (edges < 0).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        u, v = edges[row].tolist()
+        what = "is a self-loop" if u == v else "has a negative id"
+        raise ValueError(f"edge row {row} ({u}, {v}) {what}")
 
 
 def grouped_clique_tables(
@@ -701,7 +804,8 @@ def grouped_clique_tables(
 
     Falls back to per-group :func:`clique_table_from_edge_array` in the
     (never hit by learned subgraphs) case of a group with more than
-    :data:`BITSET_MAX_NODES` distinct vertices.
+    :data:`BITSET_MAX_NODES` distinct vertices.  Raises ``ValueError``
+    for a self-loop row or a negative id.
     """
     if p < 3:
         raise ValueError("clique tables exist for p >= 3 only")
@@ -710,6 +814,7 @@ def grouped_clique_tables(
     empty = (np.empty(0, dtype=np.int64), np.empty((0, p), dtype=np.int64))
     if edges.shape[0] == 0:
         return empty
+    _check_edge_rows(edges, labels=False)
     num_groups = group_indptr.size - 1
     owner = np.repeat(np.arange(num_groups, dtype=np.int64), np.diff(group_indptr))
     vspace = int(edges.max()) + 1
@@ -779,30 +884,64 @@ def grouped_clique_tables(
     return np.concatenate(out_owner), np.concatenate(out_table)
 
 
-def compact_edge_array(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact an undirected edge array into an identity-order forward CSR.
+class PreparedEdges(NamedTuple):
+    """An undirected edge array compacted once for the level pipeline.
 
-    Returns ``(verts, fptr, findices)``: vertices deduplicated and
-    relabelled ``0..k-1`` (``verts`` maps local → original ids), edges
-    oriented low→high local id, duplicates collapsed, rows grouped and
-    sorted.  This is the front half of
-    :func:`clique_table_from_edge_array`, split out so the shard
-    executor can compact once on the parent and fan root-edge slices of
-    the resulting forward adjacency across workers.
+    ``verts`` maps local → original ids (ascending); ``fptr``/``findices``
+    is the identity-order forward CSR over local ids (edges oriented
+    low→high, duplicates collapsed, rows grouped and sorted); ``bits``
+    are its packed rows and ``goal_bits`` the packed goal pairs
+    (:func:`pack_goal_bits`).  Past :data:`BITSET_MAX_NODES` vertices
+    both are ``None`` (the sorted-array regime); ``goal_bits`` is also
+    ``None`` without a goal.  Root edge ``i`` is forward edge ``i``, so
+    root-edge slices of one preparation partition its cliques.
+    """
+
+    verts: np.ndarray
+    fptr: np.ndarray
+    findices: np.ndarray
+    bits: Optional[np.ndarray]
+    goal_bits: Optional[np.ndarray]
+
+
+def prepare_edge_array(edges: np.ndarray, goal=None) -> PreparedEdges:
+    """Compact an edge array (and its goal pairs) for the level pipeline.
+
+    This is the front half of :func:`clique_table_from_edge_array`,
+    shared with the shard executor, which prepares once on the parent,
+    predicts the work from the result and either lists it inline or
+    fans root-edge slices of it across workers.  Ids are labels (any
+    int64).  Where their span is at most :data:`DENSE_SPAN_PER_ENDPOINT`
+    ids an endpoint, they are shifted to start at 0 and compacted
+    through the grouped kernel's presence bitmap
+    (:func:`_compact_group_vertices`, one group), which needs no sort;
+    sparser ids take one sorted dedup.  Raises ``ValueError`` for an
+    array that is not ``(k, 2)`` and for the first self-loop row.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be a (k, 2) array")
-    verts = unique_sorted(edges)
-    local = np.searchsorted(verts, edges)
+    _check_edge_rows(edges)
+    low = int(edges.min()) if edges.size else 0
+    span = int(edges.max()) - low + 1 if edges.size else 0
+    if span <= min(DENSE_COMPACTION_CELLS, DENSE_SPAN_PER_ENDPOINT * edges.size):
+        local, _, verts, _ = _compact_group_vertices(
+            np.zeros(edges.shape[0], dtype=np.int64), edges - low, 1, span
+        )
+        verts += low
+    else:
+        verts = unique_sorted(edges)
+        local = np.searchsorted(verts, edges)
     k = verts.size
     lo = np.minimum(local[:, 0], local[:, 1])
     hi = np.maximum(local[:, 0], local[:, 1])
-    keep = unique_sorted(lo * max(1, k) + hi)  # collapse duplicates only
-    lo, hi = keep // max(1, k), keep % max(1, k)
+    lo, hi = np.divmod(unique_sorted(lo * max(1, k) + hi), max(1, k))
     fptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(lo, minlength=k), out=fptr[1:])
-    return verts, fptr, hi  # keys sorted by (lo, hi): grouped+sorted
+    if k > BITSET_MAX_NODES:
+        return PreparedEdges(verts, fptr, hi, None, None)
+    goal_bits = None if goal is None else pack_goal_bits(verts, goal)
+    return PreparedEdges(verts, fptr, hi, _pack_pairs(lo, hi, k), goal_bits)
 
 
 def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
@@ -831,9 +970,10 @@ def clique_table_from_edge_array(
     """All Kp of an edge array, as an id-ascending ``(count, p)`` table.
 
     ``edges`` is a ``(k, 2)`` array of undirected edges (any orientation,
-    duplicates allowed — they are collapsed).  This is the zero-Graph
+    duplicates allowed — they are collapsed; a self-loop row raises
+    ``ValueError``).  This is the zero-Graph
     listing path for per-node learned subgraphs on the batch routing
-    plane: vertices are compacted with one sorted dedup, edges oriented
+    plane: vertices are compacted (:func:`prepare_edge_array`), edges oriented
     low→high under the *identity* order (no degeneracy peel — learned
     subgraphs are small and the pipeline only needs some total order),
     and the usual bitset level pipeline (sorted-array fallback past
@@ -847,16 +987,19 @@ def clique_table_from_edge_array(
     """
     if p < 3:
         raise ValueError("clique tables exist for p >= 3 only")
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError("edges must be a (k, 2) array")
-    if edges.shape[0] == 0:
-        return np.empty((0, p), dtype=np.int64)
-    verts, fptr, findices = compact_edge_array(edges)
+    return table_from_prepared(prepare_edge_array(edges, goal), p, goal)
+
+
+def table_from_prepared(
+    prepared: PreparedEdges, p: int, goal: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The inline listing of a :func:`prepare_edge_array` result (``goal``
+    as it was prepared with), in original ids: the back half of
+    :func:`clique_table_from_edge_array`, which the shard executor also
+    runs on a listing too light to dispatch."""
+    verts, fptr, findices, bits, goal_bits = prepared
     k = verts.size
-    if k <= BITSET_MAX_NODES:
-        bits = _pack_bitset_rows(fptr, findices, k)
-        goal_bits = None if goal is None else pack_goal_bits(verts, goal)
+    if bits is not None:
         table = table_from_forward_bits(fptr, findices, bits, p, goal_bits=goal_bits)
     else:
         table = table_from_forward_sorted(fptr, findices, p)

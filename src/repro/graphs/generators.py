@@ -52,13 +52,11 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = _rng(seed)
-    g = Graph(n)
     if n < 2 or p == 0.0:
-        return g
+        return Graph(n)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    g.add_edges(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return g
+    return Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
 
 
 def gnm_random_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
@@ -298,12 +296,10 @@ def power_law_graph(n: int, exponent: float = 2.5, seed: SeedLike = None) -> Gra
     weights = ranks ** (-1.0 / (exponent - 1.0))
     weights *= (0.5 * n) / weights.sum()  # target average degree ~1 per side
     total = weights.sum()
-    g = Graph(n)
     iu, ju = np.triu_indices(n, k=1)
     probs = np.minimum(1.0, weights[iu] * weights[ju] / total)
     mask = rng.random(iu.shape[0]) < probs
-    g.add_edges(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return g
+    return Graph(n, np.stack([iu[mask], ju[mask]], axis=1))
 
 
 def adversarial_heavy_edge(

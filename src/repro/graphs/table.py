@@ -16,8 +16,9 @@ to sort, search and move, and half the cache a shared table keeps) and
 seen as one :func:`structured_view` element so that a search compares
 them word by word.
 
-- Canonicalization sorts within each row, packs, sorts the keys, drops
-  adjacent repeats and unpacks.
+- Canonicalization sorts within each row (a compare-exchange network
+  over whole columns, :func:`odd_even_merge_pairs`), packs, sorts the
+  keys, drops adjacent repeats and unpacks.
 - Membership, difference, union and ``in`` binary-search one operand's
   keys in the other's — O(k log N) for k rows against N, no re-sort —
   and a fold deletes or inserts rows and keys at the same positions,
@@ -44,6 +45,7 @@ which is what lets snapshots, stream engines and epochs share one table
 
 from __future__ import annotations
 
+import functools
 import gc
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -109,6 +111,57 @@ def _pack(rows: np.ndarray, width: int) -> np.ndarray:
             word |= rows[:, j]
         words.append(word)
     return words[0] if len(words) == 1 else structured_view(np.stack(words, axis=1))
+
+
+#: Rows up to this wide are sorted by a compare-exchange network over
+#: whole columns; wider ones by ``np.sort(axis=1)``, which measured
+#: faster from width 7 on (150k-row tables, 2-CPU x86_64: 3.9 against
+#: 4.3 ms at width 7; the network took 0.8 against 3.8 ms at width 3).
+#: No benchmark workload has rows wider than 4, so the cut itself rests
+#: on that one micro-measurement.
+NETWORK_MAX_WIDTH = 6
+
+
+@functools.lru_cache(maxsize=None)
+def odd_even_merge_pairs(width: int) -> Tuple[Tuple[int, int], ...]:
+    """Batcher's odd–even merge sort on ``width`` inputs, as ``(i, j)``
+    compare-exchanges with ``i < j`` (the minimum goes to ``i``).
+
+    This is the network on the next power of two with every exchange
+    that reaches past ``width`` dropped: such an exchange would meet
+    padding larger than any value and never move anything.
+    """
+    size = 1 << max(0, width - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < width:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """A ``uint32`` copy of ``rows`` (which must cast losslessly) with the
+    members of each row in ascending order.  Up to
+    :data:`NETWORK_MAX_WIDTH` members it is column-major, so that each
+    compare-exchange and :func:`_pack` read contiguous columns."""
+    width = rows.shape[1]
+    if width > NETWORK_MAX_WIDTH:
+        ordered = rows.astype(np.uint32)
+        ordered.sort(axis=1)
+        return ordered
+    ordered = rows.astype(np.uint32, order="F")
+    for i, j in odd_even_merge_pairs(width):
+        low = np.minimum(ordered[:, i], ordered[:, j])
+        np.maximum(ordered[:, i], ordered[:, j], out=ordered[:, j])
+        ordered[:, i] = low
+    return ordered
 
 
 def _words(keys: np.ndarray) -> np.ndarray:
@@ -190,9 +243,7 @@ def _canonical(rows, p: Optional[int] = None) -> Tuple[np.ndarray, Optional[Pack
             bad = int(low) if low < 0 else int(high)
             raise ValueError(f"clique member {bad} is outside [0, 2**32)")
     width = _width(high)
-    rows = rows.astype(np.uint32)  # a copy, so the in-place sort is safe
-    rows.sort(axis=1)
-    keys = _sort_unique(_pack(rows, width))
+    keys = _sort_unique(_pack(_sorted_rows(rows), width))
     return _unpack(keys, rows.shape[1], width), (width, keys)
 
 

@@ -21,23 +21,24 @@ See ``docs/parallel.md`` for the design and the determinism argument.
 """
 
 from repro.parallel.executor import (
+    MIN_PARALLEL_COUNT,
     MIN_PARALLEL_ITEMS,
     ShardExecutor,
     default_workers,
     get_executor,
     shutdown_executors,
 )
-from repro.parallel.shard import balanced_ranges, indptr_ranges, range_weights
+from repro.parallel.shard import balanced_ranges, range_weights
 from repro.parallel.shm import ArrayRef, SharedBlock, mem_ref, resolved, share, sharing
 
 __all__ = [
+    "MIN_PARALLEL_COUNT",
     "MIN_PARALLEL_ITEMS",
     "ShardExecutor",
     "default_workers",
     "get_executor",
     "shutdown_executors",
     "balanced_ranges",
-    "indptr_ranges",
     "range_weights",
     "ArrayRef",
     "SharedBlock",

@@ -3,16 +3,21 @@
 :class:`ShardExecutor` owns a persistent worker pool and exposes the
 parallel twins of the batch plane's hot kernels:
 
-- :meth:`fanout_tables` — the Theorem 1.3 listing: sharded
-  :func:`repro.graphs.csr.grouped_clique_tables` over ranges of the
-  owners' already-grouped mailboxes, concatenating the per-shard
-  ``(owners, table)`` results, or over root-edge slices of a lone
-  mailbox;
+- :meth:`fanout_tables` — the Theorem 1.3 listing: a lone mailbox
+  (an intact delivery) through :meth:`clique_table`, several mailboxes
+  (a faulted delivery) inline;
 - :meth:`clique_table` — sharded
   :func:`repro.graphs.csr.clique_table_from_edge_array` (compaction on
   the parent, root-edge slices on the workers);
 - :meth:`count_csr` — sharded Kp count of a CSR snapshot (the
   streaming engine's compaction-time recount path).
+
+Both root-edge kernels predict their work
+(:func:`repro.graphs.csr.predict_root_work`) and dispatch only at
+:data:`MIN_PARALLEL_ITEMS` (a listing) or :data:`MIN_PARALLEL_COUNT`
+(a count) or more; lighter ones run inline.  Dispatched slices are cut
+by predicted work, and table shards return local ids in the narrowest
+unsigned dtype that holds the compacted vertex count.
 
 Determinism contract: shards are contiguous ranges of the kernel's
 index space, each shard runs the *identical* single-core kernel on its
@@ -25,9 +30,10 @@ Degenerate modes, all yielding byte-identical results:
 
 - ``workers=1`` — no pool, no shared memory: every kernel calls the
   serial function directly;
-- small inputs (below :data:`MIN_PARALLEL_ITEMS`) — per-call pool and
-  shared-memory overhead would dominate, so the serial path runs even
-  when a pool is available;
+- light inputs (predicted below the floors) — per-call pool,
+  shared-memory and result-pipe overhead would dominate, so the serial
+  path runs even when a pool is available, and no pool is forked for
+  it;
 - daemonic processes (e.g. inside a ``multiprocessing`` sweep worker,
   which may not spawn children) — the executor detects this and runs
   inline.
@@ -47,23 +53,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.csr import (
-    BITSET_MAX_NODES,
     CSRGraph,
+    RootWork,
     clique_table_from_edge_array,
-    compact_edge_array,
     count_cliques_csr,
     grouped_clique_tables,
-    pack_bitset_rows,
-    pack_goal_bits,
+    predict_root_work,
+    prepare_edge_array,
+    table_from_prepared,
 )
 from repro.parallel import tasks
-from repro.parallel.shard import balanced_ranges, indptr_ranges
+from repro.parallel.shard import balanced_ranges
 from repro.parallel.shm import mem_ref, sharing
 
-#: Below this many work items (messages, edges) a kernel runs serially —
-#: the pool round-trip plus shared-memory setup costs ~1 ms, which only
-#: pays for itself once the numpy work comfortably exceeds it.
-MIN_PARALLEL_ITEMS = 2048
+#: Below this much predicted work a listing runs inline.  The unit is the
+#: word-equivalent of :func:`~repro.graphs.csr.predict_root_work`.  It is
+#: the measured crossover of a warm two-process pool against the inline
+#: listing on a 2-CPU x86_64 box (docs/parallel.md, "Degenerate modes").
+MIN_PARALLEL_ITEMS = 3_000_000
+
+#: The same floor for a Kp count, in the same unit (the listing's
+#: prediction).  A count builds no table, so it takes about a third of a
+#: listing's time per unit and needs more work to pay for the trip.
+MIN_PARALLEL_COUNT = 5_000_000
 
 
 def _in_daemon() -> bool:
@@ -181,79 +193,73 @@ class ShardExecutor:
         p: int,
         assume_unique: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sharded :func:`~repro.graphs.csr.grouped_clique_tables`.
+        """The Theorem 1.3 listing of grouped mailboxes.
 
         Takes the ``(indptr, payload)`` mailboxes
         :func:`~repro.core.partition.owner_mailboxes` gathers: group
         ``g`` owns ``edges[group_indptr[g]:group_indptr[g + 1]]``.
-        Groups are sharded into contiguous ranges balanced by per-group
-        edge counts (owners differ in load); a clique never crosses
-        groups, so per-shard results concatenate into exactly the
-        single-core answer (same rows, row order by shard).
 
-        A lone group (the Theorem 1.3 driver's one mailbox of an intact
-        delivery) has nothing to split by group, so it goes through
-        :meth:`clique_table` instead: compaction on the parent,
-        root-edge slices on the workers.  The rows are the single-core
-        answer's as a set, every one in group 0.
+        A lone group (the driver's one mailbox of an intact delivery)
+        goes through :meth:`clique_table`: prepared and predicted on the
+        parent, then listed inline or in root-edge slices on the
+        workers.  The rows are the single-core answer's as a set, every
+        one in group 0.  Several groups (the owner mailboxes of a
+        faulted delivery, or of n past the bitset cap) list inline with
+        :func:`~repro.graphs.csr.grouped_clique_tables`: no such
+        listing has been measured to pay for a pool round trip.
         """
         group_indptr = np.asarray(group_indptr, dtype=np.int64)
         edges = np.asarray(edges)
-        if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
-            return grouped_clique_tables(group_indptr, edges, p, assume_unique)
-        if group_indptr.size == 2:
+        if self.parallel and group_indptr.size == 2:
             table = self.clique_table(edges[group_indptr[0] : group_indptr[1]], p)
             return np.zeros(table.shape[0], dtype=np.int64), table
-        ranges = indptr_ranges(group_indptr, self.workers)
-        results = self._run(
-            tasks.grouped_tables_shard,
-            {"indptr": group_indptr, "edges": edges},
-            [(lo, hi, p, assume_unique) for lo, hi in ranges if hi > lo],
-        )
-        return _merge_owner_tables(results, p)
+        return grouped_clique_tables(group_indptr, edges, p, assume_unique)
 
     def clique_table(
         self, edges: np.ndarray, p: int, goal: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Sharded :func:`~repro.graphs.csr.clique_table_from_edge_array`.
 
-        The parent compacts the edge array once (vertex relabelling,
-        dedup, identity-order forward CSR, bitset rows, and the goal
-        bitset when ``goal`` is given); workers run the level pipeline
-        over disjoint root-edge slices.  Root edges partition the
-        cliques, so concatenation is exact.
+        The parent prepares the edge array once
+        (:func:`~repro.graphs.csr.prepare_edge_array`: vertex
+        compaction, identity-order forward CSR, bitset rows, and the goal
+        bitset when ``goal`` is given) and predicts the listing's work.
+        Below :data:`MIN_PARALLEL_ITEMS` it lists inline on those arrays
+        (:func:`~repro.graphs.csr.table_from_prepared`, the serial
+        kernel's own back half); otherwise disjoint root-edge slices of
+        equal predicted work run on the workers.  Root edges partition
+        the cliques, so concatenation is exact.
         """
-        edges = np.asarray(edges, dtype=np.int64)
-        if not self.parallel or edges.shape[0] < MIN_PARALLEL_ITEMS:
+        if not self.parallel or p < 3:
             return clique_table_from_edge_array(edges, p, goal)
-        verts, fptr, findices = compact_edge_array(edges)
-        if verts.size > BITSET_MAX_NODES:  # pragma: no cover - huge subgraphs
-            return clique_table_from_edge_array(edges, p, goal)
-        arrays = {
-            "fptr": fptr,
-            "findices": findices,
-            "bits": pack_bitset_rows(fptr, findices, verts.size),
-        }
-        if goal is not None:
-            arrays["goal_bits"] = pack_goal_bits(verts, goal)
-        ranges = balanced_ranges(np.ones(findices.size), self.workers)
-        results = self._run(
-            tasks.forward_table_shard,
-            arrays,
-            [(lo, hi, p) for lo, hi in ranges if hi > lo],
+        prepared = prepare_edge_array(edges, goal)
+        if prepared.bits is None:  # pragma: no cover - huge subgraphs
+            return table_from_prepared(prepared, p, goal)
+        work = predict_root_work(
+            prepared.fptr, prepared.findices, prepared.bits, p,
+            goal_bits=prepared.goal_bits,
         )
-        tables = [t for t in results if t.shape[0]]
+        if work.total < MIN_PARALLEL_ITEMS:
+            return table_from_prepared(prepared, p, goal)
+        arrays = {
+            "fptr": prepared.fptr,
+            "findices": prepared.findices,
+            "bits": prepared.bits,
+        }
+        if prepared.goal_bits is not None:
+            arrays["goal_bits"] = prepared.goal_bits
+        tables = self._run(tasks.forward_table_shard, arrays, self._slices(work, p))
         if not tables:
             return np.empty((0, p), dtype=np.int64)
-        local = np.concatenate(tables) if len(tables) > 1 else tables[0]
-        return verts[local]
+        return prepared.verts[np.concatenate(tables, dtype=np.intp)]
 
     def count_csr(self, csr: CSRGraph, p: int) -> int:
         """Sharded Kp count of a snapshot (exact: per-slice counts sum).
 
         Falls back to the serial counter when the answer is already
         memoized on the snapshot, when the snapshot exceeds the bitset
-        regime, or below the parallel threshold.
+        regime, or when the count is predicted below
+        :data:`MIN_PARALLEL_COUNT`.
         """
         if p <= 2 or p in csr._tables or not self.parallel:
             return count_cliques_csr(csr, p)
@@ -261,28 +267,16 @@ class ShardExecutor:
         if bits is None:  # pragma: no cover - n > BITSET_MAX_NODES streams
             return count_cliques_csr(csr, p)
         fptr, findices = csr.forward()
-        if findices.size < MIN_PARALLEL_ITEMS:
+        work = predict_root_work(fptr, findices, bits, p)
+        if work.total < MIN_PARALLEL_COUNT:
             return count_cliques_csr(csr, p)
-        ranges = balanced_ranges(np.ones(findices.size), self.workers)
-        results = self._run(
-            tasks.forward_count_shard,
-            {"fptr": fptr, "findices": findices, "bits": bits},
-            [(lo, hi, p) for lo, hi in ranges if hi > lo],
-        )
-        return int(sum(results))
+        arrays = {"fptr": fptr, "findices": findices, "bits": bits}
+        return int(sum(self._run(tasks.forward_count_shard, arrays, self._slices(work, p))))
 
-
-def _merge_owner_tables(
-    results: Sequence[Tuple[np.ndarray, np.ndarray]], p: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-shard ``(owners, table)`` pairs in shard order."""
-    owners = [o for o, t in results if t.shape[0]]
-    tables = [t for o, t in results if t.shape[0]]
-    if not tables:
-        return np.empty(0, dtype=np.int64), np.empty((0, p), dtype=np.int64)
-    if len(tables) == 1:
-        return owners[0], tables[0]
-    return np.concatenate(owners), np.concatenate(tables)
+    def _slices(self, work: RootWork, p: int) -> List[Tuple[int, int, int]]:
+        """One root-edge slice per worker, cut to equal predicted work."""
+        ranges = balanced_ranges(work.weights, self.workers)
+        return [(lo, hi, p) for lo, hi in ranges if hi > lo]
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Deterministic shard planning: contiguous, weight-balanced ranges.
 
 Every parallel kernel in :mod:`repro.parallel` shards a *contiguous*
-index space — groups of a grouped listing call, root edges of a level
-pipeline — because
-contiguous ranges keep the shard→merge step a plain concatenation in
-shard order, which is what makes the parallel plane's outputs
+index space — the root edges of a level pipeline — because contiguous
+ranges keep the shard→merge step a plain concatenation in shard order,
+which is what makes the parallel plane's outputs
 order-independent-equal to the single-core batch plane.
 
-The planner balances by *weight* (per-index work estimate: per-group
-edge counts, root-edge counts), not by index count: the fan-out of
-§2.4.3 concentrates messages on the s^p responsible nodes, so an
-unweighted split would leave most workers idle.
+The planner balances by *weight* (per-index work estimate: the root
+edges' predicted work, :func:`repro.graphs.csr.predict_root_work`), not
+by index count: work falls steeply along a forward adjacency's root
+edges, so an unweighted split leaves one worker most of it.
 """
 
 from __future__ import annotations
@@ -59,9 +58,3 @@ def range_weights(ranges: Sequence[Range], weights: Sequence[float]) -> List[flo
     """Total weight per range (diagnostics / balance assertions)."""
     weights = np.asarray(weights, dtype=np.float64)
     return [float(weights[lo:hi].sum()) for lo, hi in ranges]
-
-
-def indptr_ranges(indptr: np.ndarray, shards: int) -> List[Range]:
-    """Shard a CSR-style ``indptr`` group space by per-group row counts."""
-    counts = np.diff(np.asarray(indptr, dtype=np.int64))
-    return balanced_ranges(counts, shards)

@@ -48,10 +48,12 @@ def grouped_tables_shard(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Kp tables of groups ``[lo, hi)`` of a grouped edge layout.
 
-    Inputs: ``indptr`` (the full group boundary array) and ``edges``
-    (the full ``(messages, 2)`` matrix).  The shard rebases its slice to
-    a local group space, runs the identical block-diagonal pipeline, and
-    shifts the owner column back to global group ids.
+    A task of the node registry (:mod:`repro.dist.registry`); the
+    executors list several mailboxes inline.  Inputs: ``indptr`` (the
+    full group boundary array) and ``edges`` (the full ``(messages, 2)``
+    matrix).  The shard rebases its slice to a local group space, runs
+    the identical block-diagonal pipeline, and shifts the owner column
+    back to global group ids.
     """
     with resolved(refs) as a:
         indptr = a["indptr"]
@@ -72,13 +74,17 @@ def forward_table_shard(
     Inputs: ``fptr``/``findices`` (the forward CSR), ``bits`` (its
     packed bitset rows) and, optionally, ``goal_bits`` (keep only the
     cliques holding a goal pair).  Output rows are in the adjacency's
-    *local* id space; the parent maps them through its vertex table.
+    *local* id space, in the narrowest unsigned dtype that holds its
+    largest id (uint8 up to 256 vertices, uint16 up to 65,536), so a
+    shard's table crosses the result pipe in one or two bytes an id;
+    the parent maps them through its vertex table.
     """
     with resolved(refs) as a:
-        return table_from_forward_bits(
+        table = table_from_forward_bits(
             a["fptr"], a["findices"], a["bits"], p, start=lo, stop=hi,
             goal_bits=a.get("goal_bits"),
         )
+        return table.astype(np.min_scalar_type(max(a["fptr"].size - 2, 0)))
 
 
 def forward_count_shard(refs: Dict[str, ArrayRef], lo: int, hi: int, p: int) -> int:

@@ -28,10 +28,12 @@ from repro.graphs.csr import (
     degeneracy_order,
     enumerate_cliques_csr,
     forward_adjacency,
+    grouped_clique_tables,
     intersect_sorted,
 )
 from repro.graphs.generators import complete_graph, erdos_renyi
 from repro.graphs.graph import Graph
+from repro.parallel import ShardExecutor
 
 
 class TestSnapshot:
@@ -187,6 +189,42 @@ class TestGoalKernel:
                 c for c in itertools.combinations(range(n), p) if set(pair) <= set(c)
             ]
             assert table.tolist() == [list(c) for c in expected]
+
+
+class TestEdgeArrayRows:
+    """A self-loop row would set a vertex's own candidate bit and list
+    rows that are not cliques; a negative id would wrap around the
+    grouped kernel's presence bitmap.  Both raise, naming the row."""
+
+    TRIANGLE_AND_LOOP = np.array([[0, 1], [1, 2], [0, 2], [0, 0]])
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_edge_array_kernel_rejects_a_self_loop(self, p):
+        with pytest.raises(ValueError, match=r"edge row 3 \(0, 0\) is a self-loop"):
+            clique_table_from_edge_array(self.TRIANGLE_AND_LOOP, p)
+
+    def test_grouped_kernel_rejects_a_self_loop(self):
+        with pytest.raises(ValueError, match=r"edge row 3 \(0, 0\) is a self-loop"):
+            grouped_clique_tables(np.array([0, 4]), self.TRIANGLE_AND_LOOP, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_executor_rejects_a_self_loop(self, workers):
+        with pytest.raises(ValueError, match=r"edge row 3 \(0, 0\) is a self-loop"):
+            ShardExecutor(workers).clique_table(self.TRIANGLE_AND_LOOP, 3)
+
+    def test_grouped_kernel_rejects_a_negative_id(self):
+        edges = np.array([[-1, 1], [1, 2], [-1, 2]])
+        with pytest.raises(ValueError, match=r"edge row 0 \(-1, 1\) has a negative id"):
+            grouped_clique_tables(np.array([0, 3]), edges, 3)
+
+    @pytest.mark.parametrize(
+        "low, high", [(-1, 40), (0, 2**62), (-(2**62), 2**62), (-(2**63), 2**63 - 1)]
+    )
+    def test_edge_array_kernel_keeps_any_int64_ids_as_labels(self, low, high):
+        """Dense ids take the presence bitmap, sparse ones the sorted
+        dedup; an id span past int64 must not overflow either."""
+        edges = np.array([[low, 1], [1, 2], [low, 2], [2, high]], dtype=np.int64)
+        assert clique_table_from_edge_array(edges, 3).tolist() == [[low, 1, 2]]
 
 
 class TestDeepSearchSafety:

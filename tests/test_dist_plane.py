@@ -75,9 +75,10 @@ SEEDS = (0, 1, 2)
 
 @pytest.fixture
 def force_sharding(monkeypatch):
-    """Drop the shard threshold so toy instances hit real dispatch —
-    the cluster kernels read the same module global as the pool."""
+    """Drop the shard thresholds so toy instances hit real dispatch —
+    the cluster kernels read the same module globals as the pool."""
     monkeypatch.setattr(executor_mod, "MIN_PARALLEL_ITEMS", 0)
+    monkeypatch.setattr(executor_mod, "MIN_PARALLEL_COUNT", 0)
 
 
 @pytest.fixture

@@ -265,3 +265,62 @@ class TestBatchPlaneBuildsNoSets:
         learned = service.handle(Request(index=0, at=0.0, kind="learned", p=3, node=0))
         assert learned.epoch == 1
         assert set_builds == []
+
+
+# ----------------------------------------------------------------------
+# Generators build arrays
+# ----------------------------------------------------------------------
+def er_reference(n, p, rng):
+    """``erdos_renyi``'s draws, grown edge by edge."""
+    if n < 2 or p == 0.0:
+        return Graph(n)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < p
+    return grown(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+def power_law_reference(n, exponent, rng):
+    """``power_law_graph``'s draws, grown edge by edge."""
+    ranks = np.arange(1, n + 1, dtype=float)
+    weights = ranks ** (-1.0 / (exponent - 1.0))
+    weights *= (0.5 * n) / weights.sum()
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.minimum(1.0, weights[iu] * weights[ju] / weights.sum())
+    mask = rng.random(iu.shape[0]) < probs
+    return grown(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+class TestGeneratorsBuildArrays:
+    """The random generators hand their draws to ``Graph(n, edges)``: the
+    same edge set as growing the graph edge by edge from the same draws,
+    the same draws consumed, and no neighbour set built."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(0, 0.5, 1), (1, 0.5, 1), (30, 0.0, 2), (30, 1.0, 3), (50, 0.2, 4),
+         (120, 0.05, 5), (200, 0.01, "generator")],
+    )
+    def test_erdos_renyi(self, set_builds, n, p, seed):
+        from repro.graphs.generators import erdos_renyi
+
+        if seed == "generator":
+            seed, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        else:
+            reference_rng = np.random.default_rng(seed)
+        g = erdos_renyi(n, p, seed)
+        assert g._adj is None and set_builds == []
+        reference = er_reference(n, p, reference_rng)
+        assert np.array_equal(g.to_csr().edge_table(), reference.to_csr().edge_table())
+        assert g.num_edges == reference.num_edges
+        if isinstance(seed, np.random.Generator):
+            assert seed.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("n, exponent, seed", [(1, 2.5, 0), (40, 2.5, 1), (300, 2.1, 2)])
+    def test_power_law_graph(self, set_builds, n, exponent, seed):
+        from repro.graphs.generators import power_law_graph
+
+        g = power_law_graph(n, exponent, seed=seed)
+        assert g._adj is None and set_builds == []
+        reference = power_law_reference(n, exponent, np.random.default_rng(seed))
+        assert np.array_equal(g.to_csr().edge_table(), reference.to_csr().edge_table())
+        assert g.num_edges == reference.num_edges

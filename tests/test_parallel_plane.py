@@ -11,6 +11,8 @@ path (shared-memory transport, worker-side delivery, shard merge).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.core.congested_clique_listing import (
     list_cliques_congested_clique,
     num_parts_for_clique,
 )
-from repro.core.listing import list_cliques_congest
+from repro.core.listing import default_parameters, list_cliques_congest
 from repro.core.params import AlgorithmParameters
 from repro.core.partition import (
     owner_mailboxes,
@@ -35,13 +37,15 @@ from repro.graphs.csr import (
     clique_table_from_edge_array,
     count_cliques_csr,
     grouped_clique_tables,
+    predict_root_work,
+    prepare_edge_array,
 )
+from repro.graphs.generators import erdos_renyi
 from repro.parallel import (
     ArrayRef,
     ShardExecutor,
     balanced_ranges,
     get_executor,
-    indptr_ranges,
     mem_ref,
     range_weights,
     resolved,
@@ -66,8 +70,9 @@ WORKERS = (1, 2)
 
 @pytest.fixture
 def force_sharding(monkeypatch):
-    """Drop the shard threshold so toy instances hit the real pool."""
+    """Drop the shard thresholds so toy instances hit the real pool."""
     monkeypatch.setattr(executor_mod, "MIN_PARALLEL_ITEMS", 0)
+    monkeypatch.setattr(executor_mod, "MIN_PARALLEL_COUNT", 0)
 
 
 def ledger_rows(result):
@@ -118,12 +123,6 @@ class TestShardPlanning:
             balanced_ranges([1, 2], 0)
         with pytest.raises(ValueError):
             balanced_ranges([1, -2], 2)
-
-    def test_indptr_ranges_weight_by_group_rows(self):
-        indptr = np.array([0, 10, 10, 11, 20], dtype=np.int64)
-        ranges = indptr_ranges(indptr, 2)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 4
-        assert sum(hi - lo for lo, hi in ranges) == 4
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +322,163 @@ class TestExecutorKernels:
         assert executor._pool is None  # pool torn down, executor reusable
         assert get_executor(2) is not executor  # registry was cleared
         assert default_workers() >= 1
+
+
+# ----------------------------------------------------------------------
+# The dispatch decision: predicted work, work-cut slices, narrow tables
+# ----------------------------------------------------------------------
+def spread_edges(k, seed=0):
+    """Edges that compact to exactly ``k`` vertices (ids spread out, so
+    compaction relabels them), with triangles on the highest ids."""
+    rng = np.random.default_rng(seed)
+    ids = 7 + 3 * np.arange(k)
+    pairs = np.array([(i, i + 1) for i in range(k - 1)] + [(k - 3, k - 1)])
+    extra = rng.integers(0, k, size=(20 * k, 2))
+    pairs = np.concatenate([pairs, extra[extra[:, 0] != extra[:, 1]]])
+    return ids[pairs]
+
+
+@pytest.fixture(scope="module")
+def congest_k4_listing():
+    """The CONGEST in-cluster K4 listing of the CLI's ER n=160, density
+    0.5 instance on a two-process pool: its edge and goal arrays, every
+    ``_run`` dispatch (task, shard count) and the pool and inline results."""
+    g = erdos_renyi(160, 0.5, seed=0)
+    params = default_parameters(4)
+    calls, runs = [], []
+    table, run = ShardExecutor.clique_table, ShardExecutor._run
+
+    def spy_table(self, edges, p, goal=None):
+        calls.append((np.asarray(edges), p, goal))
+        return table(self, edges, p, goal)
+
+    def spy_run(self, fn, arrays, shard_args):
+        runs.append((fn.__name__, len(shard_args)))
+        return run(self, fn, arrays, shard_args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ShardExecutor, "clique_table", spy_table)
+        mp.setattr(ShardExecutor, "_run", spy_run)
+        pooled = list_cliques_congest(
+            g, 4, params=replace(params, execution=ExecutionConfig(workers=2)), seed=0
+        )
+    inline = list_cliques_congest(g, 4, params=params, seed=0)
+    ((edges, p, goal),) = calls
+    return {"edges": edges, "goal": goal, "runs": runs, "pooled": pooled, "inline": inline}
+
+
+def spy_runs(monkeypatch):
+    """Record every ``ShardExecutor._run`` dispatch as (task, shards)."""
+    runs, run = [], ShardExecutor._run
+
+    def spy_run(self, fn, arrays, shard_args):
+        runs.append((fn.__name__, len(shard_args)))
+        return run(self, fn, arrays, shard_args)
+
+    monkeypatch.setattr(ShardExecutor, "_run", spy_run)
+    return runs
+
+
+class TestDispatchDecision:
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    @pytest.mark.parametrize("plane", ["pool", "cluster"])
+    def test_narrow_tables_at_dtype_boundaries(self, force_sharding, monkeypatch, k, plane):
+        from repro.dist import Cluster, LocalNode
+
+        edges = spread_edges(k)
+        assert np.unique(edges).size == k
+        runner = get_executor(2) if plane == "pool" else Cluster([LocalNode(), LocalNode()])
+        dtypes, run = [], type(runner)._run
+
+        def spy_run(self, fn, arrays, shard_args):
+            results = run(self, fn, arrays, shard_args)
+            dtypes.extend(t.dtype for t in results)
+            return results
+
+        monkeypatch.setattr(type(runner), "_run", spy_run)
+        try:
+            for p in (3, 4):
+                expected = clique_table_from_edge_array(edges, p)
+                got = runner.clique_table(edges, p)
+                assert expected.shape[0] > 0
+                assert got.dtype == np.int64 and np.array_equal(got, expected)
+        finally:
+            if plane == "cluster":
+                runner.close()
+        narrow = np.uint8 if k <= 256 else np.uint16
+        assert len(dtypes) >= 4 and set(dtypes) == {np.dtype(narrow)}
+
+    def test_theorem_13_instance_lists_inline_without_a_pool(self):
+        """The cc_er1500_p3 listing (one mailbox, ~0.27 M predicted
+        word-equivalents) is below the floor: no pool is ever forked."""
+        executor = get_executor(2)
+        executor.close()
+        g = erdos_renyi(1500, 0.01, seed=0)
+        pooled = list_cliques_congested_clique(g, 3, params=parallel_params(3, 2), seed=0)
+        assert executor._pool is None
+        inline = list_cliques_congested_clique(g, 3, seed=0)
+        assert pooled.per_node == inline.per_node
+        assert ledger_rows(pooled) == ledger_rows(inline)
+
+    def test_congest_k4_instance_lists_inline(self, congest_k4_listing):
+        """The CONGEST in-cluster K4 listing (~2.6 M predicted) is below
+        the floor, so a two-process pool configuration lists it inline."""
+        assert congest_k4_listing["runs"] == []
+        pooled, inline = congest_k4_listing["pooled"], congest_k4_listing["inline"]
+        assert pooled.per_node == inline.per_node
+        assert ledger_rows(pooled) == ledger_rows(inline)
+
+    def test_tcp_instance_shards_its_listing_but_not_its_count(self, monkeypatch):
+        """ER n=2000, p_edge 0.05 (the TCP bench's listing and the
+        recount bench's count, ~3.9 M predicted) sits between the floors:
+        its K3 listing shards, its K3 count runs inline."""
+        csr = erdos_renyi(2000, 0.05, seed=0).to_csr()
+        fptr, findices = csr.forward()
+        work = predict_root_work(fptr, findices, csr.forward_bits(), 3)
+        assert executor_mod.MIN_PARALLEL_ITEMS <= work.total < executor_mod.MIN_PARALLEL_COUNT
+        runs = spy_runs(monkeypatch)
+        executor = get_executor(2)
+        edges = csr.edge_table()
+        table = executor.clique_table(edges, 3)
+        assert np.array_equal(table, clique_table_from_edge_array(edges, 3))
+        assert executor.count_csr(csr, 3) == table.shape[0]
+        assert runs == [("forward_table_shard", 2)]
+
+    def test_heavy_count_shards(self, monkeypatch):
+        """A K4 count of ER n=700, p_edge 0.2 (~10 M predicted) shards."""
+        csr = erdos_renyi(700, 0.2, seed=1).to_csr()
+        runs = spy_runs(monkeypatch)
+        assert get_executor(2).count_csr(csr, 4) == count_cliques_csr(csr, 4)
+        assert runs == [("forward_count_shard", 2)]
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("with_goal", [False, True])
+    def test_step_one_predicts_every_level_exactly(self, p, with_goal):
+        edges = erdos_renyi(70, 0.35, seed=p).to_csr().edge_table()
+        rng = np.random.default_rng(p)
+        goal = edges[rng.random(edges.shape[0]) < 0.3] if with_goal else None
+        prepared = prepare_edge_array(edges, goal)
+        expected = [clique_table_from_edge_array(edges, k).shape[0] for k in range(3, p)]
+        expected.append(clique_table_from_edge_array(edges, p, goal).shape[0])
+        work = predict_root_work(
+            prepared.fptr, prepared.findices, prepared.bits, p,
+            goal_bits=prepared.goal_bits, step=1,
+        )
+        assert work.rows.tolist() == expected
+        assert work.weights.shape == prepared.findices.shape
+
+    def test_work_cut_slices_balance_the_k4_listing(self, congest_k4_listing):
+        prepared = prepare_edge_array(congest_k4_listing["edges"], congest_k4_listing["goal"])
+        args = (prepared.fptr, prepared.findices, prepared.bits, 4, prepared.goal_bits)
+        predicted = predict_root_work(*args)
+        exact = predict_root_work(*args, step=1)
+        slices = balanced_ranges(predicted.weights, 2)
+        for weights in (predicted.weights, exact.weights):
+            low, high = sorted(range_weights(slices, weights))
+            assert high <= 1.15 * low
+        # Uniform slices (the old cut) are far apart on this listing.
+        low, high = sorted(range_weights(balanced_ranges(np.ones(exact.weights.size), 2), exact.weights))
+        assert high > 1.5 * low
 
 
 # ----------------------------------------------------------------------

@@ -983,6 +983,55 @@ class TestPackedKeyProperties:
         assert not table._packed()[1].flags.writeable
 
 
+#: Clique members, weighted toward the uint32 extremes and repeats.
+row_members = st.one_of(
+    st.sampled_from([0, 1, 2, 2**32 - 2, 2**32 - 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestSortNetworkProperties:
+    """The within-row sort of canonicalization against ``np.sort``: as
+    shipped (a compare-exchange network up to ``NETWORK_MAX_WIDTH``
+    members, ``np.sort`` past it) and with the network forced at every
+    width tested."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_network_rows_equal_np_sort(self, data):
+        from repro.graphs import table
+
+        width = data.draw(st.integers(1, 8))
+        count = data.draw(st.integers(0, 12))
+        rows = data.draw(
+            st.lists(st.lists(row_members, min_size=width, max_size=width),
+                     min_size=count, max_size=count)
+        )
+        # Repeat a member inside some rows, as a non-clique row may.
+        if count and width > 1:
+            for row in data.draw(st.lists(st.integers(0, count - 1), max_size=count)):
+                rows[row][-1] = rows[row][0]
+        for dtype in (np.int64, np.uint64, np.uint32):
+            matrix = np.asarray(rows, dtype=dtype).reshape(count, width)
+            for cap in (table.NETWORK_MAX_WIDTH, width):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(table, "NETWORK_MAX_WIDTH", cap)
+                    got = table._sorted_rows(matrix)
+                assert got.dtype == np.uint32
+                assert np.array_equal(got, np.sort(matrix, axis=1))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_network_sorts_every_zero_one_row(self, monkeypatch, width):
+        """The 0–1 principle: a network that sorts every 0/1 input sorts
+        every input."""
+        from repro.graphs import table
+
+        monkeypatch.setattr(table, "NETWORK_MAX_WIDTH", width)
+        rows = np.array(list(itertools.product([0, 1], repeat=width)), dtype=np.uint32)
+        got = table._sorted_rows(rows)
+        assert np.array_equal(got, np.sort(rows, axis=1))
+
+
 ALL_ONES = 2**64 - 1
 
 #: Packed bitset words, weighted toward the edge cases of the expand
