@@ -208,8 +208,9 @@ EXPANSION_STACKS = {
 def _last_level_stack(edges, p):
     """Candidate rows of every (p−1)-member prefix, identity order (the
     K2 "prefixes" of a p = 3 listing are the forward edges)."""
-    _verts, fptr, findices, bits, _goal = prepare_edge_array(edges)
-    prefixes = table_from_forward_bits(fptr, findices, bits, p - 1)
+    prepared = prepare_edge_array(edges)
+    bits = prepared.bits
+    prefixes = table_from_forward_bits(prepared.fptr, prepared.findices, bits, p - 1)
     stack = bits[prefixes[:, 0]]
     for column in prefixes[:, 1:].T:
         stack &= bits[column]

@@ -340,11 +340,11 @@ def _route_and_list_arrays(
     list_tables = grouped_clique_tables if executor is None else executor.fanout_tables
     if batch.silent is None and n <= BITSET_MAX_NODES:
         lone = np.array([0, batch.payload.shape[0]], dtype=np.int64)
-        _, table = list_tables(lone, batch.payload, p, assume_unique=True)
+        _, table = list_tables(lone, batch.payload, p)
         _attribute_precomputed(result, table, part_arr, s)
         return
     owning, indptr, payload = owner_mailboxes(batch, part_arr, s, p)
-    owners, table = list_tables(indptr, payload, p, assume_unique=True)
+    owners, table = list_tables(indptr, payload, p)
     if table.shape[0] == 0:
         return
     owners = owning[owners]

@@ -27,8 +27,7 @@ from repro.dist.errors import UnknownTaskError
 #: name → "module:attribute".  Extend here (and only here) to expose a
 #: new kernel to remote nodes.
 TASKS: Dict[str, str] = {
-    # The three shard kernels of the parallel plane (repro.parallel.tasks).
-    "grouped_tables_shard": "repro.parallel.tasks:grouped_tables_shard",
+    # The two shard kernels of the parallel plane (repro.parallel.tasks).
     "forward_table_shard": "repro.parallel.tasks:forward_table_shard",
     "forward_count_shard": "repro.parallel.tasks:forward_count_shard",
     # Out-of-core partition kernels (repro.dist.partition).

@@ -36,7 +36,10 @@ words, then a lowest-set-bit peel of the words still holding bits
 not with ``n``.  Prefix tables and candidate rows grow by
 ``np.take(..., axis=0)`` row gathers.  Counting replaces the last level
 with a cache-blocked 64-bit popcount reduction and never materializes
-leaf objects.  Beyond
+leaf objects.  Every listing, count and work prediction grows its rows
+through one frontier (:class:`_Frontier`), and every edge-array listing,
+grouped or not, is ranked, oriented and packed by one
+:func:`prepare_edge_array`.  Beyond
 ``BITSET_MAX_NODES`` the kernels fall back to an explicit-stack search
 over sorted index arrays (:func:`intersect_sorted`), which needs no
 quadratic bit matrix.
@@ -304,11 +307,12 @@ class CSRGraph:
         if p < 3:
             raise ValueError("clique tables exist for p >= 3 only")
         if p not in self._tables:
+            fptr, findices = self.forward()
             bits = self.forward_bits()
             if bits is not None:
-                self._tables[p] = _clique_table_bitset(self, p)
+                self._tables[p] = table_from_forward_bits(fptr, findices, bits, p)
             else:
-                self._tables[p] = _clique_table_sorted(self, p)
+                self._tables[p] = table_from_forward_sorted(fptr, findices, p)
         return self._tables[p]
 
     def clique_result(self, p: int) -> CliqueTable:
@@ -434,9 +438,10 @@ def _scatter_bits(
         np.bitwise_or.at(view8, where, masks)
 
 
-def _pack_pairs(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """An ``n``-node bitset matrix with bit ``cols[i]`` of row ``rows[i]`` set."""
-    width = max(1, (n + 63) // 64)
+def _pack_pairs(rows: np.ndarray, cols: np.ndarray, n: int, span: int) -> np.ndarray:
+    """An ``n``-row bitset matrix over ``span`` bits with bit ``cols[i]``
+    of row ``rows[i]`` set."""
+    width = max(1, (span + 63) // 64)
     bits = np.zeros((max(1, n), width), dtype=np.uint64)
     _scatter_bits(bits, rows, cols)
     return bits
@@ -444,7 +449,7 @@ def _pack_pairs(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 def _pack_bitset_rows(fptr: np.ndarray, findices: np.ndarray, n: int) -> np.ndarray:
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    return _pack_pairs(rows, findices, n)
+    return _pack_pairs(rows, findices, n, n)
 
 
 #: Public name for the row packer — the shard executor packs bitsets on
@@ -511,13 +516,120 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Level-synchronous clique pipeline (bitset strategy)
 # ----------------------------------------------------------------------
-def _forward_edge_pairs(fptr: np.ndarray, findices: np.ndarray) -> np.ndarray:
-    """Forward edges of an arbitrary forward adjacency, as (src, dst) rows."""
-    n = fptr.size - 1
-    table = np.empty((findices.size, 2), dtype=np.int64)
-    table[:, 0] = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr))
-    table[:, 1] = findices
-    return table
+class _Frontier:
+    """One batch of the level pipeline's partial cliques.
+
+    Row ``i`` holds the candidate words ``cand[i]`` that extend it; with
+    goal bits, its ``touched`` flag (a goal pair is among its edges) and
+    its ``reach`` words (the OR of its members' goal rows); with groups,
+    ``base[i]``, the first vertex of its group.  Bit columns are
+    group-local ids and row indices global ones, so a member is its bit
+    plus its row's base; without groups (``base`` is ``None``) the two
+    coincide.  A new member ``w`` touches a row iff ``reach`` holds bit
+    ``w``, because every earlier member precedes ``w``.
+    """
+
+    __slots__ = ("bits", "goal_bits", "base", "cand", "touched", "reach")
+
+    def __init__(
+        self,
+        bits: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        goal_bits: Optional[np.ndarray] = None,
+        base: Optional[np.ndarray] = None,
+    ) -> None:
+        self.bits = bits
+        self.goal_bits = goal_bits
+        self.base = base
+        # Row gathers go through np.take(axis=0), which copies whole rows
+        # and beats fancy indexing ~3x on these few-word rows.
+        self.cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
+        if goal_bits is not None:
+            self.touched = _test_bits(goal_bits, u, v if base is None else v - base)
+            self.reach = np.take(goal_bits, u, axis=0) | np.take(goal_bits, v, axis=0)
+
+    def _expand(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (row, candidate) pair: ``(rows, local ids, members)``."""
+        rows, local = _expand_members(self.cand)
+        if self.base is None:
+            return rows, local, local
+        self.base = self.base[rows]
+        return rows, local, self.base + local
+
+    def grow(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Extend every row by each of its candidates.  Returns ``(rows,
+        members)``: new row ``i`` is old row ``rows[i]`` plus ``members[i]``."""
+        rows, local, members = self._expand()
+        if self.goal_bits is not None:
+            self.touched = self.touched[rows] | _test_bits(self.reach, rows, local)
+            self.reach = np.take(self.reach, rows, axis=0)
+            self.reach |= np.take(self.goal_bits, members, axis=0)
+        self.cand = np.take(self.cand, rows, axis=0)
+        self.cand &= np.take(self.bits, members, axis=0)
+        return rows, members
+
+    def last(self) -> np.ndarray:
+        """The last level's candidates.  With goal bits a row that holds
+        no goal pair yet keeps only the members that close one, so only
+        touched rows are ever built."""
+        if self.goal_bits is not None:
+            untouched = ~self.touched
+            self.cand[untouched] &= self.reach[untouched]
+        return self.cand
+
+    def close(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Grow the last level: :meth:`grow`'s ``(rows, members)``,
+        without building candidates for a level after it."""
+        self.last()
+        rows, _, members = self._expand()
+        return rows, members
+
+
+def _root_batches(
+    fptr: np.ndarray, findices: np.ndarray, start: int, stop: Optional[int]
+):
+    """Root edges ``[start, stop)`` of a forward adjacency (forward edge
+    ``i`` is root edge ``i``), as ``(u, v)`` columns of at most
+    :data:`CHUNK_EDGES` edges."""
+    u = np.repeat(np.arange(fptr.size - 1, dtype=np.int64), np.diff(fptr))[start:stop]
+    v = np.asarray(findices[start:stop], dtype=np.int64)
+    for lo in range(0, u.size, CHUNK_EDGES):
+        yield u[lo : lo + CHUNK_EDGES], v[lo : lo + CHUNK_EDGES]
+
+
+def _table_rows(
+    fptr: np.ndarray,
+    findices: np.ndarray,
+    bits: np.ndarray,
+    p: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+    goal_bits: Optional[np.ndarray] = None,
+    base: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`table_from_forward_bits` over bits with group-local
+    columns: ``base[r]`` is the first row of row ``r``'s group."""
+    out: List[np.ndarray] = []
+    for u, v in _root_batches(fptr, findices, start, stop):
+        # The table is p wide from the root on and level ``size`` fills
+        # column ``size - 1``, so a grow is one contiguous gather: writing
+        # k gathered columns into a wider table costs ~4x the gather.
+        table = np.empty((u.size, p), dtype=np.int64)
+        table[:, 0] = u
+        table[:, 1] = v
+        front = _Frontier(bits, u, v, goal_bits, None if base is None else base[u])
+        for size in range(3, p + 1):
+            rows, members = front.grow() if size < p else front.close()
+            table = np.take(table, rows, axis=0)
+            table[:, size - 1] = members
+            if rows.size == 0:
+                break
+        if table.shape[0]:  # only an empty table leaves the loop early
+            out.append(table)
+    if not out:
+        return np.empty((0, p), dtype=np.int64)
+    return np.concatenate(out) if len(out) > 1 else out[0]
 
 
 def table_from_forward_bits(
@@ -545,50 +657,12 @@ def table_from_forward_bits(
 
     ``goal_bits`` (same shape as ``bits``, oriented like it: a goal pair
     sets the later endpoint's bit in the earlier endpoint's row) keeps
-    only the cliques with a goal pair among their edges.  Each partial
-    row carries ``touched`` (a goal pair seen so far) and ``reach`` (the
-    OR of its members' goal rows); a new member ``w`` touches the row
-    iff ``reach`` holds bit ``w``, because every earlier member precedes
-    ``w``.  The last level masks an untouched row's candidates with its
-    ``reach``, so only touched rows are ever built.  Rows come out in
-    the unfiltered table's order.
+    only the cliques with a goal pair among their edges: the rows grow
+    through a :class:`_Frontier` that tracks the goal pairs they hold,
+    and its last level masks the candidates of a row that holds none.
+    Rows come out in the unfiltered table's order.
     """
-    edges = _forward_edge_pairs(fptr, findices)[start:stop]
-    out: List[np.ndarray] = []
-    for lo in range(0, edges.shape[0], CHUNK_EDGES):
-        u, v = edges[lo : lo + CHUNK_EDGES].T
-        # Row gathers go through np.take(axis=0), which copies whole rows
-        # and beats fancy indexing ~3x on these few-word rows.  The table
-        # is p wide from the root on and level ``size`` fills column
-        # ``size - 1``, so a grow is one contiguous gather: writing k
-        # gathered columns into a wider table costs ~4x the gather.
-        table = np.empty((u.size, p), dtype=np.int64)
-        table[:, 0] = u
-        table[:, 1] = v
-        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
-        if goal_bits is not None:
-            touched = _test_bits(goal_bits, u, v)
-            reach = np.take(goal_bits, u, axis=0) | np.take(goal_bits, v, axis=0)
-        for size in range(3, p + 1):
-            if goal_bits is not None and size == p:
-                # A last member must close a goal pair unless one is in.
-                untouched = ~touched
-                cand[untouched] &= reach[untouched]
-            rows, nodes = _expand_members(cand)
-            if goal_bits is not None and size < p:
-                touched = touched[rows] | _test_bits(reach, rows, nodes)
-                reach = np.take(reach, rows, axis=0) | np.take(goal_bits, nodes, axis=0)
-            table = np.take(table, rows, axis=0)
-            table[:, size - 1] = nodes
-            if size < p:
-                cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
-            if rows.size == 0:
-                break
-        if table.shape[0]:  # only an empty table leaves the loop early
-            out.append(table)
-    if not out:
-        return np.empty((0, p), dtype=np.int64)
-    return np.concatenate(out) if len(out) > 1 else out[0]
+    return _table_rows(fptr, findices, bits, p, start, stop, goal_bits)
 
 
 def count_from_forward_bits(
@@ -605,18 +679,14 @@ def count_from_forward_bits(
     partition-by-root-edge property, so per-slice counts from disjoint
     slices sum to the exact total (the shard executor's recount path).
     """
-    edges = _forward_edge_pairs(fptr, findices)[start:stop]
     total = 0
-    for lo in range(0, edges.shape[0], CHUNK_EDGES):
-        u, v = edges[lo : lo + CHUNK_EDGES].T
-        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
+    for u, v in _root_batches(fptr, findices, start, stop):
+        front = _Frontier(bits, u, v)
         for _size in range(3, p):
-            rows, nodes = _expand_members(cand)
-            cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
+            rows, _ = front.grow()
             if rows.size == 0:
                 break
-        if cand.shape[0]:
-            total += _popcount_sum(cand)
+        total += _popcount_sum(front.last())
     return total
 
 
@@ -675,273 +745,139 @@ def predict_root_work(
     sizes = np.minimum(step, m - starts)
     picks = starts + sizes // 2
     u = np.searchsorted(fptr, picks, side="right") - 1
-    v = findices[picks]
     samples = picks.size
-    width = bits.shape[1]
+    words_per_row = (1 + (goal_bits is not None)) * bits.shape[1]
     root = np.arange(samples)
-    cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
-    goal = goal_bits is not None
-    words = np.full(samples, float((1 + goal) * width))
+    front = _Frontier(bits, u, findices[picks], goal_bits)
+    words = np.full(samples, float(words_per_row))
     levels = np.zeros((p - 2, samples))
-    if goal:
-        touched = _test_bits(goal_bits, u, v)
-        reach = np.take(goal_bits, u, axis=0) | np.take(goal_bits, v, axis=0)
     for size in range(3, p):
-        rows, nodes = _expand_members(cand)
+        rows, _ = front.grow()
         root = root[rows]
         levels[size - 3] = np.bincount(root, minlength=samples)
-        words += (1 + goal) * width * levels[size - 3]
-        cand = np.take(cand, rows, axis=0) & np.take(bits, nodes, axis=0)
-        if goal:
-            touched = touched[rows] | _test_bits(reach, rows, nodes)
-            reach = np.take(reach, rows, axis=0) | np.take(goal_bits, nodes, axis=0)
-    if goal:
-        untouched = ~touched
-        cand[untouched] &= reach[untouched]
-    last = _popcount(cand).sum(axis=1, dtype=np.int64)
+        words += words_per_row * levels[size - 3]
+    last = _popcount(front.last()).sum(axis=1, dtype=np.int64)
     levels[p - 3] = np.bincount(root, weights=last, minlength=samples)
     work = words + EXPAND_COST * levels.sum(axis=0)
     return RootWork(np.repeat(work, sizes), levels @ sizes)
 
 
-def _clique_table_bitset(csr: CSRGraph, p: int) -> np.ndarray:
-    bits = csr.forward_bits()
-    assert bits is not None
-    fptr, findices = csr.forward()
-    return table_from_forward_bits(fptr, findices, bits, p)
-
-
-#: Above this many (groups × vertex-space) cells the grouped kernel's
-#: dense presence-bitmap compaction falls back to a sort-based one.
-#: 2^24 int32 cells cap the transient rank matrix at 64 MB.
+# ----------------------------------------------------------------------
+# Edge arrays: one preparation for every learned-subgraph listing
+# ----------------------------------------------------------------------
+#: The presence bitmap that ranks ids (and (group, id) pairs) has at most
+#: this many cells: 2^24 int32 ranks cap its transient array at 64 MB.
 DENSE_COMPACTION_CELLS = 1 << 24
 
-#: :func:`prepare_edge_array` compacts through the presence bitmap while
-#: the id span is at most this many ids per edge endpoint.  The bitmap's
+#: :func:`prepare_edge_array` ranks through the presence bitmap while
+#: the span is at most this many values per edge endpoint.  The bitmap's
 #: cost grows with the span and the sort's with the endpoints; they broke
 #: even at 16-20 ids an endpoint on 2k-22k endpoints (2-CPU x86_64).
 DENSE_SPAN_PER_ENDPOINT = 8
 
 
-def _compact_group_vertices(
-    owner: np.ndarray, edges: np.ndarray, num_groups: int, vspace: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group vertex compaction for the grouped pipeline.
+def _rank(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending, and each key's index among them.
 
-    Assigns every distinct (group, vertex) pair a *combined* id, grouped
-    by group and ascending by vertex within it.  Returns
-    ``(combined, owner_of, vert_of, base)`` where ``combined`` maps each
-    edge endpoint, ``owner_of``/``vert_of`` decode combined ids, and
-    ``base[g]`` is group g's first combined id.  Ids must lie in
-    ``[0, vspace)``.
-
-    Small problems take the dense path — a flat groups×vertices presence
-    bitmap whose running count is the combined id, no sort at all; large
-    ones argsort the (group, vertex) keys.
+    A presence bitmap over the keys' span ranks them without a sort
+    while the span is small (:data:`DENSE_SPAN_PER_ENDPOINT`,
+    :data:`DENSE_COMPACTION_CELLS`); a wider span takes one sorted dedup,
+    so any int64 keys work.
     """
-    keys = owner[:, None] * vspace + edges
-    if num_groups * vspace <= DENSE_COMPACTION_CELLS:
-        presence = np.zeros(num_groups * vspace, dtype=bool)
-        presence[keys] = True
-        cverts = np.flatnonzero(presence)
-        combined = (np.cumsum(presence, dtype=np.int32) - 1)[keys].astype(np.int64)
-    else:
-        flat = keys.ravel()
-        order = np.argsort(flat, kind="stable")
-        ranked = flat[order]
-        is_new = np.empty(ranked.size, dtype=bool)
-        is_new[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=is_new[1:])
-        cverts = ranked[is_new]
-        combined = np.empty(flat.size, dtype=np.int64)
-        combined[order] = np.cumsum(is_new) - 1
-        combined = combined.reshape(edges.shape)
-    owner_of, vert_of = np.divmod(cverts, vspace)
-    base = np.searchsorted(owner_of, np.arange(num_groups + 1, dtype=np.int64))
-    return combined, owner_of, vert_of, base
-
-
-def _check_edge_rows(edges: np.ndarray, labels: bool = True) -> None:
-    """Raise ``ValueError`` naming the first row of a ``(k, 2)`` int64
-    edge array that is a self-loop or, unless ids are free ``labels``,
-    holds a negative id.  A self-loop row would set a vertex's own bit
-    in its candidate row and list rows that are not cliques; a negative
-    id would wrap around the grouped kernel's presence bitmap."""
-    bad = edges[:, 0] == edges[:, 1]
-    if not labels:
-        bad |= (edges < 0).any(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        u, v = edges[row].tolist()
-        what = "is a self-loop" if u == v else "has a negative id"
-        raise ValueError(f"edge row {row} ({u}, {v}) {what}")
-
-
-def grouped_clique_tables(
-    group_indptr: np.ndarray,
-    edges: np.ndarray,
-    p: int,
-    assume_unique: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Kp of *every* group's edge set in one block-diagonal pipeline.
-
-    ``edges`` is a ``(messages, 2)`` array of undirected edges and group
-    ``g`` owns rows ``group_indptr[g]:group_indptr[g+1]`` — exactly the
-    layout a :class:`~repro.congest.batch.DeliveredBatch` hands over, so
-    the batch routing plane lists all learned subgraphs without ever
-    splitting the columns into per-node Python objects.
-
-    Every group's vertex set is compacted into its own *local* id range;
-    the bitset rows are only ``max-group-size`` bits wide and all groups
-    share one level pipeline (a clique can never cross groups because
-    edges never do).  Returns ``(owners, table)``: row ``i`` of the
-    id-ascending ``(count, p)`` table is a Kp found inside group
-    ``owners[i]``'s edge set (rows ascend without a sort: ``vert_of``
-    ascends within a group and the pipeline only grows to higher ids).
-    ``assume_unique=True`` skips the edge dedup sort — correct whenever
-    no group receives the same undirected edge twice, which the §2.4.3
-    fan-out guarantees (one message per (edge, recipient) pair).
-
-    Falls back to per-group :func:`clique_table_from_edge_array` in the
-    (never hit by learned subgraphs) case of a group with more than
-    :data:`BITSET_MAX_NODES` distinct vertices.  Raises ``ValueError``
-    for a self-loop row or a negative id.
-    """
-    if p < 3:
-        raise ValueError("clique tables exist for p >= 3 only")
-    group_indptr = np.asarray(group_indptr, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64)
-    empty = (np.empty(0, dtype=np.int64), np.empty((0, p), dtype=np.int64))
-    if edges.shape[0] == 0:
-        return empty
-    _check_edge_rows(edges, labels=False)
-    num_groups = group_indptr.size - 1
-    owner = np.repeat(np.arange(num_groups, dtype=np.int64), np.diff(group_indptr))
-    vspace = int(edges.max()) + 1
-    combined, owner_of, vert_of, base = _compact_group_vertices(
-        owner, edges, num_groups, vspace
-    )
-    group_width = int(np.diff(base).max(initial=0))
-    if group_width > BITSET_MAX_NODES:  # pragma: no cover - huge groups
-        owners_list: List[np.ndarray] = []
-        tables: List[np.ndarray] = []
-        for g in range(num_groups):
-            rows = edges[group_indptr[g] : group_indptr[g + 1]]
-            table = clique_table_from_edge_array(rows, p)
-            if table.shape[0]:
-                owners_list.append(np.full(table.shape[0], g, dtype=np.int64))
-                tables.append(table)
-        if not tables:
-            return empty
-        return np.concatenate(owners_list), np.concatenate(tables)
-
-    # Identity-order forward edges per group: orient low local id → high.
-    c_lo = np.minimum(combined[:, 0], combined[:, 1])
-    c_hi = np.maximum(combined[:, 0], combined[:, 1])
-    l_hi = c_hi - base[owner]
-    if not assume_unique:
-        fkeys = unique_sorted(c_lo * np.int64(group_width + 1) + l_hi)
-        c_lo = fkeys // (group_width + 1)
-        l_hi = fkeys % (group_width + 1)
-        c_hi = base[owner_of[c_lo]] + l_hi
-    total_verts = owner_of.size
-
-    # Bitset rows over *local* ids: group_width bits regardless of how
-    # many groups ride the pipeline together.  No CSR needed — the
-    # or-scatter and the root table both take the edges in any order.
-    width = max(1, (group_width + 63) // 64)
-    bits = np.zeros((max(1, total_verts), width), dtype=np.uint64)
-    _scatter_bits(bits, c_lo, l_hi)
-
-    # Level pipeline on combined ids; a grown member's combined id is its
-    # local id plus the *row's* group base (edges never cross groups).
-    out_owner: List[np.ndarray] = []
-    out_table: List[np.ndarray] = []
-    for start in range(0, c_lo.size, CHUNK_EDGES):
-        u = c_lo[start : start + CHUNK_EDGES]
-        v = c_hi[start : start + CHUNK_EDGES]
-        # As in table_from_forward_bits, rows are p wide from the root on.
-        table = np.empty((u.size, p), dtype=np.int64)
-        table[:, 0] = u
-        table[:, 1] = v
-        rowbase = base[owner_of[u]]
-        cand = np.take(bits, u, axis=0) & np.take(bits, v, axis=0)
-        for size in range(3, p + 1):
-            grow_rows, members = _expand_members(cand)
-            table = np.take(table, grow_rows, axis=0)
-            rowbase = rowbase[grow_rows]
-            table[:, size - 1] = rowbase + members
-            if size < p:
-                cand = np.take(cand, grow_rows, axis=0)
-                cand &= np.take(bits, table[:, size - 1], axis=0)
-            if grow_rows.size == 0:
-                break
-        if table.shape[0]:
-            out_owner.append(owner_of[table[:, 0]])
-            out_table.append(vert_of[table])
-    if not out_table:
-        return empty
-    return np.concatenate(out_owner), np.concatenate(out_table)
+    low = int(keys.min()) if keys.size else 0
+    span = int(keys.max()) - low + 1 if keys.size else 0
+    if span <= min(DENSE_COMPACTION_CELLS, DENSE_SPAN_PER_ENDPOINT * keys.size):
+        shifted = keys - low
+        presence = np.zeros(span, dtype=bool)
+        presence[shifted] = True
+        ranks = (np.cumsum(presence, dtype=np.int32) - 1)[shifted].astype(np.int64)
+        return np.flatnonzero(presence) + low, ranks
+    distinct = unique_sorted(keys)
+    return distinct, np.searchsorted(distinct, keys)
 
 
 class PreparedEdges(NamedTuple):
-    """An undirected edge array compacted once for the level pipeline.
+    """An edge array ranked once for the level pipeline.
 
-    ``verts`` maps local → original ids (ascending); ``fptr``/``findices``
-    is the identity-order forward CSR over local ids (edges oriented
-    low→high, duplicates collapsed, rows grouped and sorted); ``bits``
-    are its packed rows and ``goal_bits`` the packed goal pairs
-    (:func:`pack_goal_bits`).  Past :data:`BITSET_MAX_NODES` vertices
-    both are ``None`` (the sorted-array regime); ``goal_bits`` is also
-    ``None`` without a goal.  Root edge ``i`` is forward edge ``i``, so
-    root-edge slices of one preparation partition its cliques.
+    Row ``r`` is vertex ``verts[r]`` of group ``owner[r]``; a group's
+    rows are contiguous and ascend by id.  ``fptr``/``findices`` is the
+    identity-order forward CSR over rows (edges oriented low→high,
+    duplicates collapsed, rows sorted), block-diagonal by group; root
+    edge ``i`` is forward edge ``i``, so root-edge slices of one
+    preparation partition its cliques.  ``bits`` packs it and
+    ``goal_bits`` the goal pairs with group-local columns: bit ``j`` of
+    row ``r`` stands for row ``base[r] + j``, ``base[r]`` being the
+    first row of ``r``'s group (``base`` is ``None`` for one group,
+    whose columns are its rows).  Past :data:`BITSET_MAX_NODES` rows in
+    a group both are ``None`` (the sorted-array regime); ``goal_bits``
+    is also ``None`` without a goal.
     """
 
     verts: np.ndarray
+    owner: np.ndarray
+    base: Optional[np.ndarray]
     fptr: np.ndarray
     findices: np.ndarray
     bits: Optional[np.ndarray]
     goal_bits: Optional[np.ndarray]
 
 
-def prepare_edge_array(edges: np.ndarray, goal=None) -> PreparedEdges:
-    """Compact an edge array (and its goal pairs) for the level pipeline.
+def prepare_edge_array(
+    edges: np.ndarray, goal=None, group_indptr: Optional[np.ndarray] = None
+) -> PreparedEdges:
+    """Rank, orient, dedup and pack an edge array for the level pipeline.
 
-    This is the front half of :func:`clique_table_from_edge_array`,
-    shared with the shard executor, which prepares once on the parent,
-    predicts the work from the result and either lists it inline or
-    fans root-edge slices of it across workers.  Ids are labels (any
-    int64).  Where their span is at most :data:`DENSE_SPAN_PER_ENDPOINT`
-    ids an endpoint, they are shifted to start at 0 and compacted
-    through the grouped kernel's presence bitmap
-    (:func:`_compact_group_vertices`, one group), which needs no sort;
-    sparser ids take one sorted dedup.  Raises ``ValueError`` for an
-    array that is not ``(k, 2)`` and for the first self-loop row.
+    The front half of every edge-array listing
+    (:func:`clique_table_from_edge_array`, :func:`grouped_clique_tables`
+    and the shard executor, which prepares once on the parent, predicts
+    the work from the result and lists it inline or fans root-edge
+    slices of it across workers).  Ids are labels (any int64), ranked
+    once (:func:`_rank`).  Group ``g`` of ``group_indptr`` owns edge
+    rows ``group_indptr[g]:group_indptr[g + 1]``; with several groups
+    the (group, id) pairs are ranked into rows, so a vertex gets one row
+    in each group that holds it.  ``goal`` is a ``(g, 2)`` array of
+    undirected pairs in ids, and needs one group.  Raises
+    ``ValueError`` for an array that is not ``(k, 2)``, for the first
+    self-loop row (which would set a vertex's own candidate bit and
+    list rows that are not cliques), for group bounds that do not cover
+    the edge rows, and for a goal with several groups.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be a (k, 2) array")
-    _check_edge_rows(edges)
-    low = int(edges.min()) if edges.size else 0
-    span = int(edges.max()) - low + 1 if edges.size else 0
-    if span <= min(DENSE_COMPACTION_CELLS, DENSE_SPAN_PER_ENDPOINT * edges.size):
-        local, _, verts, _ = _compact_group_vertices(
-            np.zeros(edges.shape[0], dtype=np.int64), edges - low, 1, span
-        )
-        verts += low
-    else:
-        verts = unique_sorted(edges)
-        local = np.searchsorted(verts, edges)
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        row = int(np.argmax(loops))
+        u, v = edges[row].tolist()
+        raise ValueError(f"edge row {row} ({u}, {v}) is a self-loop")
+    verts, rank = _rank(edges)
+    owner, base, width = np.zeros(verts.size, dtype=np.int64), None, verts.size
+    groups = 1 if group_indptr is None else len(group_indptr) - 1
+    if groups > 1:
+        if goal is not None:
+            raise ValueError("a goal needs one group")
+        group = np.repeat(np.arange(groups, dtype=np.int64), np.diff(group_indptr))
+        if group.size != edges.shape[0]:
+            raise ValueError("group_indptr must cover the edge rows")
+        ids = max(1, verts.size)
+        pairs, rank = _rank(group[:, None] * ids + rank)
+        owner, local = np.divmod(pairs, ids)
+        verts = verts[local]
+        first = np.searchsorted(owner, np.arange(groups + 1))
+        base, width = first[owner], int(np.diff(first).max())
     k = verts.size
-    lo = np.minimum(local[:, 0], local[:, 1])
-    hi = np.maximum(local[:, 0], local[:, 1])
+    lo = np.minimum(rank[:, 0], rank[:, 1])
+    hi = np.maximum(rank[:, 0], rank[:, 1])
     lo, hi = np.divmod(unique_sorted(lo * max(1, k) + hi), max(1, k))
     fptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(lo, minlength=k), out=fptr[1:])
-    if k > BITSET_MAX_NODES:
-        return PreparedEdges(verts, fptr, hi, None, None)
-    goal_bits = None if goal is None else pack_goal_bits(verts, goal)
-    return PreparedEdges(verts, fptr, hi, _pack_pairs(lo, hi, k), goal_bits)
+    if width > BITSET_MAX_NODES:
+        return PreparedEdges(verts, owner, base, fptr, hi, None, None)
+    bits = _pack_pairs(lo, hi if base is None else hi - base[lo], k, width)
+    goal_bits = None
+    if goal is not None:
+        goal_bits = _pack_pairs(*_compact_goal(verts, goal), k, width)
+    return PreparedEdges(verts, owner, base, fptr, hi, bits, goal_bits)
 
 
 def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
@@ -956,12 +892,29 @@ def _compact_goal(verts: np.ndarray, goal) -> Tuple[np.ndarray, np.ndarray]:
     return np.minimum(idx[:, 0], idx[:, 1]), np.maximum(idx[:, 0], idx[:, 1])
 
 
-def pack_goal_bits(verts: np.ndarray, goal) -> np.ndarray:
-    """The ``goal_bits`` of :func:`table_from_forward_bits` for an
-    identity-order adjacency over compact ids ``verts``: bit ``hi`` of
-    row ``lo`` per goal pair (same shape as the adjacency's bit rows)."""
-    lo, hi = _compact_goal(verts, goal)
-    return _pack_pairs(lo, hi, verts.size)
+def table_from_prepared(
+    prepared: PreparedEdges, p: int, goal: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The Kp of a :func:`prepare_edge_array` result (``goal`` as it was
+    prepared with), as rows of the preparation: ``verts`` maps them to
+    ids and ``owner`` a row to its group.  The back half of every
+    edge-array listing, which the shard executor also runs on a listing
+    too light to dispatch.  Past the bitset cap one sorted search over
+    the block-diagonal forward CSR lists every group."""
+    if prepared.bits is not None:
+        return _table_rows(
+            prepared.fptr, prepared.findices, prepared.bits, p,
+            goal_bits=prepared.goal_bits, base=prepared.base,
+        )
+    table = table_from_forward_sorted(prepared.fptr, prepared.findices, p)
+    if goal is not None:  # a sorted-key test on every member pair
+        k = prepared.verts.size
+        lo, hi = _compact_goal(prepared.verts, goal)
+        touched = np.zeros(table.shape[0], dtype=bool)
+        for i, j in itertools.combinations(range(p), 2):
+            touched |= np.isin(table[:, i] * k + table[:, j], lo * k + hi)
+        table = table[touched]
+    return table
 
 
 def clique_table_from_edge_array(
@@ -987,54 +940,42 @@ def clique_table_from_edge_array(
     """
     if p < 3:
         raise ValueError("clique tables exist for p >= 3 only")
-    return table_from_prepared(prepare_edge_array(edges, goal), p, goal)
+    prepared = prepare_edge_array(edges, goal)
+    return prepared.verts[table_from_prepared(prepared, p, goal)]
 
 
-def table_from_prepared(
-    prepared: PreparedEdges, p: int, goal: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The inline listing of a :func:`prepare_edge_array` result (``goal``
-    as it was prepared with), in original ids: the back half of
-    :func:`clique_table_from_edge_array`, which the shard executor also
-    runs on a listing too light to dispatch."""
-    verts, fptr, findices, bits, goal_bits = prepared
-    k = verts.size
-    if bits is not None:
-        table = table_from_forward_bits(fptr, findices, bits, p, goal_bits=goal_bits)
-    else:
-        table = table_from_forward_sorted(fptr, findices, p)
-        if goal is not None:  # a sorted-key test on every member pair
-            lo, hi = _compact_goal(verts, goal)
-            touched = np.zeros(table.shape[0], dtype=bool)
-            for i, j in itertools.combinations(range(p), 2):
-                touched |= np.isin(table[:, i] * k + table[:, j], lo * k + hi)
-            table = table[touched]
-    return verts[table]
+def grouped_clique_tables(
+    group_indptr: np.ndarray, edges: np.ndarray, p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kp of *every* group's edge set in one block-diagonal listing.
 
+    ``edges`` is a ``(messages, 2)`` array of undirected edges and group
+    ``g`` owns rows ``group_indptr[g]:group_indptr[g+1]`` — exactly the
+    layout a :class:`~repro.congest.batch.DeliveredBatch` hands over, so
+    the batch routing plane lists all learned subgraphs without ever
+    splitting the columns into per-node Python objects.
 
-def _count_bitset(csr: CSRGraph, p: int) -> int:
-    """Kp count: run the pipeline to level p-1, popcount the last level."""
-    bits = csr.forward_bits()
-    assert bits is not None
-    fptr, findices = csr.forward()
-    return count_from_forward_bits(fptr, findices, bits, p)
+    :func:`prepare_edge_array` gives every group its own rows and packs
+    group-local bit rows, only ``max-group-size`` bits wide, and one
+    listing covers all groups (a clique can never cross groups because
+    edges never do).  Returns ``(owners, table)``: row ``i`` of the
+    id-ascending ``(count, p)`` table is a Kp found inside group
+    ``owners[i]``'s edge set (rows ascend without a sort: a group's
+    rows ascend by id and the pipeline only grows to higher rows).  Ids
+    are labels and repeated edges are collapsed, as in
+    :func:`clique_table_from_edge_array`; the ``ValueError`` cases are
+    :func:`prepare_edge_array`'s.
+    """
+    if p < 3:
+        raise ValueError("clique tables exist for p >= 3 only")
+    prepared = prepare_edge_array(edges, group_indptr=group_indptr)
+    table = table_from_prepared(prepared, p)
+    return prepared.owner[table[:, 0]], prepared.verts[table]
 
 
 # ----------------------------------------------------------------------
 # Sorted-array fallback (n > BITSET_MAX_NODES)
 # ----------------------------------------------------------------------
-def _clique_table_sorted(csr: CSRGraph, p: int) -> np.ndarray:
-    """Explicit-stack search over sorted forward rows; no bit matrix."""
-    fptr, findices = csr.forward()
-    return table_from_forward_sorted(fptr, findices, p)
-
-
-def _count_sorted(csr: CSRGraph, p: int) -> int:
-    """Count via the same search, O(1) memory beyond the stack."""
-    fptr, findices = csr.forward()
-    return count_from_forward_sorted(fptr, findices, p)
-
-
 def table_from_forward_sorted(
     fptr: np.ndarray,
     findices: np.ndarray,
@@ -1139,9 +1080,11 @@ def count_cliques_csr(csr: CSRGraph, p: int) -> int:
         return csr.num_edges
     if p in csr._tables:
         return csr._tables[p].shape[0]
-    if csr.forward_bits() is not None:
-        return _count_bitset(csr, p)
-    return _count_sorted(csr, p)
+    fptr, findices = csr.forward()
+    bits = csr.forward_bits()
+    if bits is not None:
+        return count_from_forward_bits(fptr, findices, bits, p)
+    return count_from_forward_sorted(fptr, findices, p)
 
 
 def triangle_count_csr(csr: CSRGraph) -> int:

@@ -69,27 +69,20 @@ def gnm_random_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
     if m > max_m:
         raise ValueError(f"requested m={m} exceeds maximum {max_m} for n={n}")
     rng = _rng(seed)
-    g = Graph(n)
     if m == 0:
-        return g
+        return Graph(n)
     if m > max_m // 2:
-        # Dense regime: sample which edges to *exclude*.
-        all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = rng.choice(len(all_edges), size=m, replace=False)
-        for idx in chosen:
-            g.add_edge(*all_edges[int(idx)])
-        return g
+        # Dense regime: draw m of the pairs at once, rejection would stall.
+        iu, ju = np.triu_indices(n, k=1)
+        chosen = rng.choice(max_m, size=m, replace=False)
+        return Graph(n, np.stack([iu[chosen], ju[chosen]], axis=1))
     seen: Set[Edge] = set()
     while len(seen) < m:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e not in seen:
-            seen.add(e)
-            g.add_edge(*e)
-    return g
+        if u != v:
+            seen.add(canonical_edge(u, v))
+    return Graph(n, seen)
 
 
 def random_multipartite(n: int, parts: int, q: float, seed: SeedLike = None) -> Graph:

@@ -187,11 +187,7 @@ class ShardExecutor:
     # Kernels
     # ------------------------------------------------------------------
     def fanout_tables(
-        self,
-        group_indptr: np.ndarray,
-        edges: np.ndarray,
-        p: int,
-        assume_unique: bool = False,
+        self, group_indptr: np.ndarray, edges: np.ndarray, p: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The Theorem 1.3 listing of grouped mailboxes.
 
@@ -213,7 +209,7 @@ class ShardExecutor:
         if self.parallel and group_indptr.size == 2:
             table = self.clique_table(edges[group_indptr[0] : group_indptr[1]], p)
             return np.zeros(table.shape[0], dtype=np.int64), table
-        return grouped_clique_tables(group_indptr, edges, p, assume_unique)
+        return grouped_clique_tables(group_indptr, edges, p)
 
     def clique_table(
         self, edges: np.ndarray, p: int, goal: Optional[np.ndarray] = None
@@ -233,14 +229,12 @@ class ShardExecutor:
         if not self.parallel or p < 3:
             return clique_table_from_edge_array(edges, p, goal)
         prepared = prepare_edge_array(edges, goal)
-        if prepared.bits is None:  # pragma: no cover - huge subgraphs
-            return table_from_prepared(prepared, p, goal)
-        work = predict_root_work(
+        work = None if prepared.bits is None else predict_root_work(
             prepared.fptr, prepared.findices, prepared.bits, p,
             goal_bits=prepared.goal_bits,
         )
-        if work.total < MIN_PARALLEL_ITEMS:
-            return table_from_prepared(prepared, p, goal)
+        if work is None or work.total < MIN_PARALLEL_ITEMS:
+            return prepared.verts[table_from_prepared(prepared, p, goal)]
         arrays = {
             "fptr": prepared.fptr,
             "findices": prepared.findices,

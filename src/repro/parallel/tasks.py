@@ -12,10 +12,9 @@ all of them:
   shared block, which dies when the parent unlinks it).
 
 Every kernel is a thin wrapper around the exact single-core function the
-batch plane runs (:func:`repro.graphs.csr.grouped_clique_tables`,
-:func:`~repro.graphs.csr.table_from_forward_bits`,
+batch plane runs (:func:`repro.graphs.csr.table_from_forward_bits`,
 :func:`~repro.graphs.csr.count_from_forward_bits`), restricted to a
-contiguous shard of its index space.  That is the whole determinism
+contiguous slice of its root edges.  That is the whole determinism
 argument of the parallel plane: shards partition the work, the per-item
 computation is byte-for-byte the batch plane's, and the merge is a
 concatenation in shard order.
@@ -26,44 +25,17 @@ name) and import-light (``spawn`` children re-import this module).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.graphs.csr import (
-    count_from_forward_bits,
-    grouped_clique_tables,
-    table_from_forward_bits,
-)
+from repro.graphs.csr import count_from_forward_bits, table_from_forward_bits
 from repro.parallel.shm import ArrayRef, resolved
 
 
 def invoke(fn, refs: Dict[str, ArrayRef], args: tuple):
     """Pool entry point: apply a shard kernel to its resolved inputs."""
     return fn(refs, *args)
-
-
-def grouped_tables_shard(
-    refs: Dict[str, ArrayRef], lo: int, hi: int, p: int, assume_unique: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Kp tables of groups ``[lo, hi)`` of a grouped edge layout.
-
-    A task of the node registry (:mod:`repro.dist.registry`); the
-    executors list several mailboxes inline.  Inputs: ``indptr`` (the
-    full group boundary array) and ``edges`` (the full ``(messages, 2)``
-    matrix).  The shard rebases its slice to a local group space, runs
-    the identical block-diagonal pipeline, and shifts the owner column
-    back to global group ids.
-    """
-    with resolved(refs) as a:
-        indptr = a["indptr"]
-        base = int(indptr[lo])
-        local_indptr = indptr[lo : hi + 1] - base
-        edges = a["edges"][base : int(indptr[hi])]
-        owners, table = grouped_clique_tables(
-            local_indptr, edges, p, assume_unique=assume_unique
-        )
-    return owners + lo, table
 
 
 def forward_table_shard(

@@ -130,9 +130,7 @@ def _touched_bitset(bits: np.ndarray, edges: np.ndarray, p: int) -> np.ndarray:
     k = edges.shape[0]
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=k), out=indptr[1:])
-    owners, sub = grouped_clique_tables(
-        indptr, np.stack([gw, gx], axis=1), p - 2, assume_unique=True
-    )
+    owners, sub = grouped_clique_tables(indptr, np.stack([gw, gx], axis=1), p - 2)
     out = np.empty((owners.size, p), dtype=np.int64)
     out[:, :2] = edges[owners]
     out[:, 2:] = sub

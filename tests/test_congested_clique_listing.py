@@ -148,9 +148,9 @@ class TestOwnerOnlyListing:
         calls = []
         kernel = cc_listing.grouped_clique_tables
 
-        def spy(indptr, edges, p_, assume_unique=False):
+        def spy(indptr, edges, p_):
             calls.append((np.asarray(indptr).copy(), np.asarray(edges).copy()))
-            return kernel(indptr, edges, p_, assume_unique)
+            return kernel(indptr, edges, p_)
 
         monkeypatch.setattr(cc_listing, "grouped_clique_tables", spy)
         return calls
@@ -253,9 +253,9 @@ class TestOwnerOnlyListing:
         seen, listed = [], []
         fanout, run = ShardExecutor.fanout_tables, runner._run
 
-        def spy_fanout(self, indptr, edges, p_, assume_unique=False):
-            listed.append((np.asarray(indptr).tolist(), assume_unique))
-            return fanout(self, indptr, edges, p_, assume_unique)
+        def spy_fanout(self, indptr, edges, p_):
+            listed.append(np.asarray(indptr).tolist())
+            return fanout(self, indptr, edges, p_)
 
         def spy_run(self, fn, arrays, shard_args):
             seen.append((fn.__name__, len(shard_args)))
@@ -270,7 +270,7 @@ class TestOwnerOnlyListing:
         finally:
             if executor == "cluster":
                 cluster.close()
-        assert listed == [([0, g.num_edges], True)]
+        assert listed == [[0, g.num_edges]]
         ((task, shards),) = seen
         assert task == "forward_table_shard" and shards >= 2
         if executor == "cluster":

@@ -193,8 +193,8 @@ class TestGoalKernel:
 
 class TestEdgeArrayRows:
     """A self-loop row would set a vertex's own candidate bit and list
-    rows that are not cliques; a negative id would wrap around the
-    grouped kernel's presence bitmap.  Both raise, naming the row."""
+    rows that are not cliques: it raises, naming the row.  Ids are
+    labels in both edge-array kernels, whatever their sign or width."""
 
     TRIANGLE_AND_LOOP = np.array([[0, 1], [1, 2], [0, 2], [0, 0]])
 
@@ -212,10 +212,24 @@ class TestEdgeArrayRows:
         with pytest.raises(ValueError, match=r"edge row 3 \(0, 0\) is a self-loop"):
             ShardExecutor(workers).clique_table(self.TRIANGLE_AND_LOOP, 3)
 
-    def test_grouped_kernel_rejects_a_negative_id(self):
-        edges = np.array([[-1, 1], [1, 2], [-1, 2]])
-        with pytest.raises(ValueError, match=r"edge row 0 \(-1, 1\) has a negative id"):
-            grouped_clique_tables(np.array([0, 3]), edges, 3)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_grouped_kernel_lists_a_negative_label(self, groups):
+        edges = np.tile(np.array([[-1, 1], [1, 2], [-1, 2]]), (groups, 1))
+        owners, table = grouped_clique_tables(np.arange(groups + 1) * 3, edges, 3)
+        assert owners.tolist() == list(range(groups))
+        assert table.tolist() == [[-1, 1, 2]] * groups
+
+    def test_grouped_kernel_keeps_wide_ids_apart(self):
+        """Each group's ids are ranked before they meet its group index,
+        so an id near 2^62 cannot carry into another group's range."""
+        edges = np.array([[0, 1], [1, 2**62], [0, 2**62]] * 2)
+        owners, table = grouped_clique_tables(np.array([0, 3, 6]), edges, 3)
+        assert owners.tolist() == [0, 1]
+        assert table.tolist() == [[0, 1, 2**62]] * 2
+
+    def test_grouped_kernel_rejects_rows_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match=r"edges must be a \(k, 2\) array"):
+            grouped_clique_tables(np.array([0, 1]), np.array([[0, 1, 2]]), 3)
 
     @pytest.mark.parametrize(
         "low, high", [(-1, 40), (0, 2**62), (-(2**62), 2**62), (-(2**63), 2**63 - 1)]

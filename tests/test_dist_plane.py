@@ -333,14 +333,8 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestLocalNode:
     def test_executes_allowlisted_kernel(self):
-        edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-        indptr = np.array([0, 3], dtype=np.int64)
         node = LocalNode()
-        owners, table = node.call(
-            "grouped_tables_shard",
-            {"indptr": indptr, "edges": edges},
-            (0, 1, 3, False),
-        )
+        table = node.call("forward_table_shard", _triangle_arrays(), (0, 3, 3))
         assert table.shape == (1, 3) and node.calls == 1
 
     def test_ping_and_close(self):
@@ -356,16 +350,10 @@ class TestSubprocessNode:
         node = SubprocessNode()
         try:
             assert node.ping()
-            edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-            indptr = np.array([0, 3], dtype=np.int64)
-            owners, table = node.call(
-                "grouped_tables_shard",
-                {"indptr": indptr, "edges": edges},
-                (0, 1, 3, False),
-            )
+            table = node.call("forward_table_shard", _triangle_arrays(), (0, 3, 3))
             assert table.shape == (1, 3)
             with pytest.raises(TaskError):
-                node.call("grouped_tables_shard", {}, (0, 1))  # missing refs
+                node.call("forward_table_shard", {}, (0, 1, 3))  # missing refs
         finally:
             node.close()
         assert not node.alive
@@ -375,7 +363,7 @@ class TestSubprocessNode:
         node._proc.kill()
         node._proc.wait()
         with pytest.raises(NodeFailure):
-            node.call("grouped_tables_shard", {}, (0, 0, 3, False))
+            node.call("forward_table_shard", {}, (0, 0, 3))
         assert not node.alive
         assert not node.ping()
         node.close()
@@ -420,8 +408,8 @@ class TestWorkerRobustness:
 
     def test_wrong_shaped_requests_get_protocol_errors(self, tcp_node):
         for message in (
-            ["call", "grouped_tables_shard"],
-            ["call", "grouped_tables_shard", {"edges": [[0, 1]]}, []],
+            ["call", "forward_table_shard"],
+            ["call", "forward_table_shard", {"edges": [[0, 1]]}, []],
             ["call", 7, {}, []],
             ["launch"],
             [],
@@ -511,6 +499,15 @@ def _bits_for(edges, n):
     fptr = np.array([0, 2, 3, 3], dtype=np.int64)
     findices = np.array([1, 2, 2], dtype=np.int64)
     return pack_bitset_rows(fptr, findices, n)
+
+
+def _triangle_arrays():
+    """The forward CSR and bitset rows of one triangle on nodes 0, 1, 2."""
+    return {
+        "fptr": np.array([0, 2, 3, 3], dtype=np.int64),
+        "findices": np.array([1, 2, 2], dtype=np.int64),
+        "bits": _bits_for(None, 3),
+    }
 
 
 # ----------------------------------------------------------------------

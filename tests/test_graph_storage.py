@@ -290,6 +290,22 @@ def power_law_reference(n, exponent, rng):
     return grown(n, zip(iu[mask].tolist(), ju[mask].tolist()))
 
 
+def gnm_reference(n, m, rng):
+    """``gnm_random_graph``'s draws, grown edge by edge."""
+    if m == 0:
+        return Graph(n)
+    if m > n * (n - 1) // 4:
+        all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rng.choice(len(all_edges), size=m, replace=False)
+        return grown(n, (all_edges[int(i)] for i in chosen))
+    g = Graph(n)
+    while g.num_edges < m:
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
 class TestGeneratorsBuildArrays:
     """The random generators hand their draws to ``Graph(n, edges)``: the
     same edge set as growing the graph edge by edge from the same draws,
@@ -324,3 +340,25 @@ class TestGeneratorsBuildArrays:
         reference = power_law_reference(n, exponent, np.random.default_rng(seed))
         assert np.array_equal(g.to_csr().edge_table(), reference.to_csr().edge_table())
         assert g.num_edges == reference.num_edges
+
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(0, 0, 1), (30, 0, 2), (2, 1, 3), (40, 700, 4), (120, 300, 5),
+         (200, 150, "generator")],
+    )
+    def test_gnm_random_graph(self, set_builds, n, m, seed):
+        """Both branches: rejection draws (sparse) and one ``choice`` of
+        the pairs (dense, ``m`` over half of them)."""
+        from repro.graphs.generators import gnm_random_graph
+
+        if seed == "generator":
+            seed, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        else:
+            reference_rng = np.random.default_rng(seed)
+        g = gnm_random_graph(n, m, seed)
+        assert g._adj is None and set_builds == []
+        reference = gnm_reference(n, m, reference_rng)
+        assert np.array_equal(g.to_csr().edge_table(), reference.to_csr().edge_table())
+        assert g.num_edges == reference.num_edges == m
+        if isinstance(seed, np.random.Generator):
+            assert seed.random() == reference_rng.random()

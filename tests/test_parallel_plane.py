@@ -232,10 +232,8 @@ class TestExecutorKernels:
             pair_recipient_lists(s, 3),
         )
         _owners, indptr, payload = owner_mailboxes(batch, part, s, 3)
-        central = grouped_clique_tables(indptr, payload, 3, assume_unique=True)
-        sharded = get_executor(workers).fanout_tables(
-            indptr, payload, 3, assume_unique=True
-        )
+        central = grouped_clique_tables(indptr, payload, 3)
+        sharded = get_executor(workers).fanout_tables(indptr, payload, 3)
         assert central[1].shape[0] > 0
         assert rows_as_set(*central) == rows_as_set(*sharded)
 
@@ -270,26 +268,6 @@ class TestExecutorKernels:
         assert total == count_cliques_csr(csr, 3)
         tables = [tasks.forward_table_shard(refs, lo, hi, 3) for lo, hi in halves]
         assert sum(t.shape[0] for t in tables) == total
-
-        rng = np.random.default_rng(3)
-        counts = rng.integers(1, 30, size=6)
-        indptr = np.zeros(7, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        edges = rng.integers(0, 20, size=(int(indptr[-1]), 2))
-        edges[:, 1] = (edges[:, 1] + 1 + edges[:, 0]) % 21
-        grefs = {"indptr": mem_ref(indptr), "edges": mem_ref(edges)}
-        merged = [
-            tasks.grouped_tables_shard(grefs, lo, hi, 3, False)
-            for lo, hi in ((0, 3), (3, 6))
-        ]
-        serial = grouped_clique_tables(indptr, edges, 3)
-        combined = (
-            np.concatenate([o for o, _t in merged]),
-            np.concatenate([t for _o, t in merged]) if any(
-                t.shape[0] for _o, t in merged
-            ) else np.empty((0, 3), dtype=np.int64),
-        )
-        assert rows_as_set(*serial) == rows_as_set(*combined)
 
     def test_daemon_processes_fall_back_inline(self, force_sharding, monkeypatch):
         monkeypatch.setattr(executor_mod, "_in_daemon", lambda: True)

@@ -580,6 +580,85 @@ class TestGoalTableProperties:
             assert {frozenset(row) for row in table.tolist()} == expected
 
 
+#: Edge labels: small ids, whose span takes the presence-bitmap ranking,
+#: and negative and int64-extreme ones, which take the sorted dedup.
+edge_labels = st.one_of(
+    st.integers(min_value=-4, max_value=12),
+    st.sampled_from([-(2**63), -(2**62), 2**62, 2**63 - 1]),
+)
+
+
+@st.composite
+def grouped_edge_layouts(draw, max_groups=5, max_edges=14):
+    """``(group_indptr, edges)`` over a few labels: empty groups, repeated
+    edges in either orientation, and edges that several groups hold."""
+    labels = draw(st.lists(edge_labels, min_size=2, max_size=8, unique=True))
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(
+        lambda e: e[0] != e[1]
+    )
+    shared = draw(st.lists(pair, max_size=6))
+    edge = st.one_of(pair, st.sampled_from(shared)) if shared else pair
+    groups = [
+        draw(st.lists(edge, max_size=max_edges))
+        for _ in range(draw(st.integers(min_value=1, max_value=max_groups)))
+    ]
+    indptr = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum([len(rows) for rows in groups], out=indptr[1:])
+    edges = np.array([e for rows in groups for e in rows], dtype=np.int64)
+    return indptr, edges.reshape(-1, 2)
+
+
+class TestEdgeArrayKernelProperties:
+    """``grouped_clique_tables`` is ``clique_table_from_edge_array`` run on
+    every group, whichever way the shared preparation ranks its ids and
+    whichever regime lists them."""
+
+    #: Module constants per run: the defaults; the sorted dedup for ids and
+    #: (group, id) pairs; and the sorted search over the block-diagonal
+    #: forward CSR that lists every group past the bitset cap.
+    REGIMES = ({}, {"DENSE_COMPACTION_CELLS": 0}, {"BITSET_MAX_NODES": 1})
+
+    @given(grouped_edge_layouts(), st.integers(min_value=3, max_value=5))
+    @example((np.array([0, 3, 6]), np.array([[0, 1], [1, 2**62], [0, 2**62]] * 2)), 3)
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_kernel_is_the_lone_kernel_per_group(self, layout, p):
+        from repro.graphs import csr
+
+        indptr, edges = layout
+        bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+        brute = set()
+        for g, (lo, hi) in enumerate(bounds):
+            present = {frozenset(e) for e in edges[lo:hi].tolist()}
+            labels = sorted(set(edges[lo:hi].ravel().tolist()))
+            brute |= {
+                (g, c)
+                for c in itertools.combinations(labels, p)
+                if all(frozenset(e) in present for e in itertools.combinations(c, 2))
+            }
+        for regime in self.REGIMES:
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in regime.items():
+                    mp.setattr(csr, name, value)
+                owners, table = csr.grouped_clique_tables(indptr, edges, p)
+                per_group = [
+                    csr.clique_table_from_edge_array(edges[lo:hi], p)
+                    for lo, hi in bounds
+                ]
+                lone_owners, lone = csr.grouped_clique_tables(
+                    np.array([0, edges.shape[0]]), edges, p
+                )
+                whole = csr.clique_table_from_edge_array(edges, p)
+            rows = list(zip(owners.tolist(), map(tuple, table.tolist())))
+            assert len(rows) == len(set(rows))
+            assert (table[:, 1:] > table[:, :-1]).all()  # rows ascend unsorted
+            assert set(rows) == {
+                (g, tuple(row)) for g, t in enumerate(per_group) for row in t.tolist()
+            }
+            assert set(rows) == brute
+            assert lone_owners.tolist() == [0] * whole.shape[0]
+            assert lone.tolist() == whole.tolist()
+
+
 class TestRadixProperties:
     @given(
         st.integers(min_value=1, max_value=5),
